@@ -46,9 +46,9 @@ from .kernel import (
 )
 from .potential import (
     B_BRACKET,
+    B_EXACT,
     PotentialField,
     compute_B,
-    convolve_fundamental,
     cutoff_g,
     gamma,
     make_psi,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .kernel import SampleFunction, build_kernel_estimate, extremal_ratio
-from .potential import compute_B, make_psi
+from .potential import B_EXACT, make_psi
 from .quadrature import (
     QuadratureRule,
     disk_rule,
@@ -69,15 +69,17 @@ class NonConstantLaplacianError(ValueError):
 class BoundCertificate:
     """Outcome of one certificate run.
 
-    ``margin`` is constant_C - measured_sup; ``passed`` applies the
-    certificate's acceptance rule (flatness for the constant case, margin
-    beyond three error estimates otherwise).  ``metadata`` carries N,
-    resolution, B_used, M and auxiliary diagnostics.
+    ``measured`` holds the measured quantity at each point of ``grid`` and
+    ``measured_sup`` its maximum; ``margin`` is constant_C - measured_sup;
+    ``passed`` applies the certificate's acceptance rule (flatness for the
+    constant case, margin beyond three error estimates otherwise).
+    ``metadata`` carries N, resolution, B_used, M and auxiliary diagnostics.
     """
 
     theorem_tag: str
     constant_C: float
     grid: np.ndarray
+    measured: np.ndarray
     measured_sup: float
     margin: float
     error_estimate: float
@@ -97,11 +99,9 @@ class BoundCertificate:
         return out
 
 
-def certificate_constant(M: float, B: float | None = None) -> float:
+def certificate_constant(M: float) -> float:
     """The M-only certificate constant exp((B + 1/4) M) / pi."""
-    if B is None:
-        B = compute_B()
-    return math.exp((B + 0.25) * M) / math.pi
+    return math.exp((B_EXACT + 0.25) * M) / math.pi
 
 
 def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray,
@@ -141,6 +141,7 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
         theorem_tag="constant_case",
         constant_C=C,
         grid=grid,
+        measured=products,
         measured_sup=sup,
         margin=C - sup,
         error_estimate=err,
@@ -190,9 +191,8 @@ def local_bound_certificate(w: WeightFunction, M: float, samples,
     three error estimates.  Samples with vanishing disk integral are
     skipped with a note.
     """
-    B = compute_B()
     pf = make_psi(w, M)
-    C = certificate_constant(M, B)
+    C = certificate_constant(M)
     rule = disk_rule(0.0, 1.0, resolution, 2 * resolution)
     coarse = half_resolution(rule)
     phi0 = float(np.asarray(eval_weight(w, 0.0 + 0.0j)))
@@ -217,12 +217,13 @@ def local_bound_certificate(w: WeightFunction, M: float, samples,
         theorem_tag="local_lemma",
         constant_C=C,
         grid=np.asarray([0.0 + 0.0j]),
+        measured=np.asarray([sup]),
         measured_sup=sup,
         margin=margin,
         error_estimate=err,
         passed=margin > ERROR_MARGIN_FACTOR * err,
         metadata={
-            "B_used": B,
+            "B_used": B_EXACT,
             "M": M,
             "resolution": resolution,
             "n_samples": len(ratios),
@@ -242,8 +243,7 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     space at once.  The metadata also reports the tighter weight-dependent
     constant e^{B M - Phi(0)} / pi that precedes the M-only simplification.
     """
-    B = compute_B()
-    C = certificate_constant(M, B)
+    C = certificate_constant(M)
     grid = np.asarray(grid, dtype=complex)
     density = np.exp(-np.asarray(eval_weight(w, grid)))
     est, products = _weighted_diag(w, N, rule, grid, density)
@@ -257,19 +257,20 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
         theorem_tag="global",
         constant_C=C,
         grid=grid,
+        measured=products,
         measured_sup=sup,
         margin=margin,
         error_estimate=err,
         passed=margin > ERROR_MARGIN_FACTOR * err,
         metadata={
-            "B_used": B,
+            "B_used": B_EXACT,
             "M": M,
             "N": N,
             "effective_degree": est.effective_degree,
             "resolution": rule.n_r,
             "condition_estimate": est.condition_estimate,
             # weight-dependent sharper constant, before the M-only bound
-            "tighter_constant": math.exp(B * M - phi0) / math.pi,
+            "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
             "tighter_is_weight_dependent": True,
         },
     )

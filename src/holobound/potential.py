@@ -11,11 +11,21 @@ lap(Phi) = psi, and the geometric constant
 which controls Phi from above: Phi <= B*M on the unit disk, while
 Phi(0) >= -M/4.  Both bounds feed the certificate constant
 exp((B + 1/4) M) / pi.
+
+B has a closed form.  By the circle-mean identity (Jensen's formula), the
+mean of log|zeta| over the circle |zeta - omega| = t is log max(|omega|, t).
+For |omega| <= 1 the excluded unit disk lies inside D(omega, 2), so the
+masked integral is
+
+    2 pi (2 log 2 - 1) + pi |omega|^2 / 2 + pi / 2,
+
+increasing in |omega| and maximal on the unit circle: B = 2 log 2 - 1/2.
+Production code uses that value, ``B_EXACT``; ``compute_B`` is the
+independent 2-D quadrature oracle the tests compare it against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,7 +55,7 @@ __all__ = [
     "cutoff_g",
     "PotentialField",
     "make_psi",
-    "convolve_fundamental",
+    "B_EXACT",
     "compute_B",
     "B_BRACKET",
     "verify_potential_bounds",
@@ -54,6 +64,10 @@ __all__ = [
 # analytic envelope for B: the masked integrand log|zeta| lies in [0, log 3]
 # and the masked region has area at most 4*pi
 B_BRACKET = (0.0, 2.0 * math.log(3.0))
+
+# the closed form of B (module docstring); the smallest sound value, since the
+# certificate needs an upper bound for B
+B_EXACT = 2.0 * math.log(2.0) - 0.5
 
 
 @dataclass(eq=False)
@@ -67,7 +81,6 @@ class PotentialField:
     psi: ScalarField
     weight: WeightFunction
     M: float
-    B_used: Optional[float] = None
     resolution: int = 256
     psi_radial: bool = False
     _potential: LogPotential = field(repr=False, default=None)
@@ -97,7 +110,7 @@ def _psi_is_radial(w: WeightFunction) -> bool:
 
 
 def make_psi(w: WeightFunction, M: float, tol: float = 1e-9,
-             resolution: int = 256, compute_constant: bool = True) -> PotentialField:
+             resolution: int = 256) -> PotentialField:
     """Build psi = g * lap(phi) after validating 0 <= lap(phi) <= M.
 
     The validation grid covers the support D(0, 2) of the cutoff with some
@@ -113,72 +126,28 @@ def make_psi(w: WeightFunction, M: float, tol: float = 1e-9,
             f"(lap(phi) = {lap[idx]})")
     psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(eval_laplacian(w, z)),
                       support_radius=2.0)
-    B = compute_B() if compute_constant else None
-    return PotentialField(psi=psi, weight=w, M=float(M), B_used=B,
-                          resolution=resolution, psi_radial=_psi_is_radial(w))
+    return PotentialField(psi=psi, weight=w, M=float(M), resolution=resolution,
+                          psi_radial=_psi_is_radial(w))
 
 
-def convolve_fundamental(psi: ScalarField, z, resolution: int) -> float:
-    """Phi(z) = integral of Gamma(zeta) psi(z - zeta) over the plane.
-
-    Since psi is supported in D(0, 2), the integral over D(0, |z| + 2)
-    (enlarged to at least D(0, 4), which only adds region where the shifted
-    psi vanishes) is exact; the polar rule is centered on the singularity of
-    Gamma, which the r*log(r) jacobian absorbs.
-    """
-    if psi.support_radius is None or psi.support_radius > 2.0 + 1e-12:
-        raise ValueError("psi must declare a support radius <= 2")
-    engine = LogPotential(psi, support_radius=psi.support_radius,
-                          resolution=resolution)
-    return engine(z)
-
-
-def _masked_log_sup(integrand, resolution: int, omega_grid_size: int):
-    """Grid maximization of (1/2pi) * masked integral of ``integrand``.
-
-    Returns (sup over the full omega grid, sup over the half-density
-    subgrid, Richardson error estimate at the argmax).  The omega grid is
-    radial rings times eight angles, always including the boundary ring
-    |omega| = 1 (boundary-adjacent points dominate the supremum).
-    """
-    radii = np.linspace(0.0, 1.0, omega_grid_size)
-    angles = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 9)[:-1])
-    n_r, n_t = 4 * resolution, 8 * resolution
-
-    def masked_value(omega):
-        rule = masked_disk_rule(omega, 2.0, 0.0, 1.0, n_r, n_t)
-        return integrate_with_error(rule, integrand)
-
-    values = np.empty(omega_grid_size)
-    errors = np.empty(omega_grid_size)
-    for i, r in enumerate(radii):
-        ring = [r * a for a in angles] if r > 0 else [0.0 + 0.0j]
-        ring_vals = [masked_value(om) for om in ring]
-        j = int(np.argmax([v for v, _ in ring_vals]))
-        values[i], errors[i] = ring_vals[j]
-    # half-density subgrid, counted from the boundary so |omega| = 1 stays in
-    half_idx = np.arange(omega_grid_size - 1, -1, -2)
-    sup_full = float(values.max() / (2.0 * math.pi))
-    sup_half = float(values[half_idx].max() / (2.0 * math.pi))
-    err = float(errors[int(np.argmax(values))] / (2.0 * math.pi))
-    return sup_full, sup_half, err
-
-
-@functools.lru_cache(maxsize=8)
 def compute_B(resolution: int = 64, omega_grid_size: int = 24) -> float:
-    """Upper estimate of the constant B by grid maximization.
+    """Upper estimate of the constant B by 2-D quadrature and grid maximization.
 
-    The returned value is the grid supremum plus a safety margin: the
-    variation between the full and half-density omega grids plus the
-    quadrature error estimate at the maximizing omega.  The certificate
-    constant only needs an upper bound for B, and the result is checked
-    against the analytic bracket [0, 2 log 3].
+    The test oracle for ``B_EXACT``.  The integrand and the mask are
+    invariant under rotation, so omega runs over ``omega_grid_size`` points
+    of the real segment [0, 1], always including the maximizing boundary
+    point omega = 1.  The result is the grid supremum plus the quadrature
+    error estimate at the maximizing omega, checked against the analytic
+    bracket [0, 2 log 3].
     """
     if omega_grid_size < 9:
         raise ValueError(f"omega_grid_size must be >= 9, got {omega_grid_size}")
+    n_r, n_t = 4 * resolution, 8 * resolution
     integrand = lambda z: np.log(np.abs(z))
-    sup_full, sup_half, err = _masked_log_sup(integrand, resolution, omega_grid_size)
-    B = sup_full + (sup_full - sup_half) + err
+    value, err = max(
+        integrate_with_error(masked_disk_rule(omega, 2.0, 0.0, 1.0, n_r, n_t), integrand)
+        for omega in np.linspace(0.0, 1.0, omega_grid_size))
+    B = value / (2.0 * math.pi) + err / (2.0 * math.pi)
     lo, hi = B_BRACKET
     if not (lo <= B <= hi):
         raise ArithmeticError(
@@ -205,7 +174,7 @@ def verify_potential_bounds(pf: PotentialField, grid_in_unit_disk, tol: float,
         raise ValueError("grid points must lie inside D(0, 1)")
     if fd_tol is None:
         fd_tol = 5e-3 * (1.0 + pf.M)
-    B = pf.B_used if pf.B_used is not None else compute_B()
+    upper = B_EXACT * pf.M + tol
 
     phi_grid = pf.phi(grid)
     phi0 = pf.phi(np.array([0.0 + 0.0j]))[0]
@@ -219,7 +188,7 @@ def verify_potential_bounds(pf: PotentialField, grid_in_unit_disk, tol: float,
 
     sup_phi = float(np.max(phi_grid))
     checks = (
-        Check("phi_upper", sup_phi, B * pf.M + tol, sup_phi <= B * pf.M + tol,
+        Check("phi_upper", sup_phi, upper, sup_phi <= upper,
               note=f"worst point {grid[np.argmax(phi_grid)]!r}"),
         Check("phi_at_origin", float(phi0), -pf.M / 4.0 - tol,
               phi0 >= -pf.M / 4.0 - tol),

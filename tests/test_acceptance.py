@@ -33,7 +33,7 @@ from holobound import (
 )
 from holobound.cli import main as cli_main
 from holobound.equivalence import EquivalenceError
-from holobound.potential import B_BRACKET
+from holobound.potential import B_BRACKET, B_EXACT
 from holobound.quadrature import disk_lattice, random_disk_points
 
 INV_PI = 1.0 / math.pi
@@ -98,9 +98,10 @@ def test_criterion_04_poisson_residual(oscillatory_pf):
 
 
 def test_criterion_05_potential_constants(oscillatory_pf):
-    B = compute_B()
-    ok = B_BRACKET[0] <= B <= B_BRACKET[1]
-    drift = abs(compute_B(64, 24) - compute_B(64, 48))
+    B_oracle = compute_B()
+    ok = B_EXACT <= B_oracle <= B_EXACT + 1e-6
+    ok = ok and B_BRACKET[0] <= B_oracle <= B_BRACKET[1]
+    drift = abs(B_oracle - compute_B(64, 48))
     ok = ok and drift < 1e-3
     grid = random_disk_points(200, 0.98, seed=505)
     families = [
@@ -111,12 +112,13 @@ def test_criterion_05_potential_constants(oscillatory_pf):
     ]
     worst_upper, worst_origin = -np.inf, np.inf
     for pf in families:
-        margin = B * pf.M + 1e-3 - float(np.max(pf.phi(grid)))
+        margin = B_EXACT * pf.M + 1e-3 - float(np.max(pf.phi(grid)))
         worst_upper = max(worst_upper, -margin)
         phi0 = float(pf.phi(0.0 + 0.0j))
         ok = ok and margin >= 0.0 and phi0 >= -pf.M / 4.0 - 1e-4
         worst_origin = min(worst_origin, phi0 + pf.M / 4.0)
-    assert report(5, ok, f"B={B:.6f} in {B_BRACKET[1]:.4f}-bracket, drift {drift:.1e}, "
+    assert report(5, ok, f"B={B_EXACT:.6f} <= oracle {B_oracle:.9f} "
+                         f"in {B_BRACKET[1]:.4f}-bracket, drift {drift:.1e}, "
                          f"phi<=BM+1e-3 (worst excess {worst_upper:.1e}), "
                          f"phi(0)+M/4 >= {worst_origin:.3f} >= -1e-4")
 
@@ -142,7 +144,7 @@ def test_criterion_06_global_certificates():
 
 def test_criterion_07_sampled_function_oracle(gauss1):
     M = 4.0
-    C = math.exp((compute_B() + 0.25) * M) / math.pi
+    C = math.exp((B_EXACT + 0.25) * M) / math.pi
     rule = truncated_plane_rule(truncation_radius(gauss1, 10), 256, 512)
     est = build_kernel_estimate(gauss1, 10, rule)
     u = rule.weights * np.exp(-np.asarray(gauss1.weight(rule.nodes)))

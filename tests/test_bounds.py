@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from holobound import (
+    B_EXACT,
     NonConstantLaplacianError,
     SampleFunction,
     WeightFunction,
     certificate_constant,
-    compute_B,
     constant_case_certificate,
     global_certificate,
     kernel_diag,
@@ -190,6 +190,5 @@ class TestNormalization:
                                                         rel=1e-12)
 
     def test_certificate_constant_formula(self):
-        B = compute_B()
         assert certificate_constant(4.0) == pytest.approx(
-            math.exp((B + 0.25) * 4.0) / math.pi, rel=1e-15)
+            math.exp((B_EXACT + 0.25) * 4.0) / math.pi, rel=1e-15)

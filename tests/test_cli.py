@@ -12,7 +12,7 @@ from holobound.cli import (
     parse_config,
     run,
 )
-from holobound.potential import B_BRACKET
+from holobound.potential import B_BRACKET, B_EXACT
 
 GAUSS = {"family": "gaussian", "params": {"t": 1.0}, "laplacian_bounds": [4.0, 4.0]}
 
@@ -134,10 +134,23 @@ class TestVerifyBoundCommand:
         summary = json.loads((tmp_path / "verify-bound_summary.json").read_text())
         assert summary["pass"] is True
         assert {"constant_C", "measured_sup", "B_used", "M", "N",
-                "resolution"} <= set(summary)
+                "resolution", "diagnostics"} <= set(summary)
+        assert summary["diagnostics"]["effective_degree"] == 16
         header, rows = read_csv(tmp_path / "verify-bound.csv")
         assert header == ["z_re", "z_im", "weighted_diag", "constant_C", "margin"]
         assert all(float(r[4]) > 0 for r in rows)
+
+    def test_sweep_csv_keeps_scalar_metrics_only(self, tmp_path):
+        entry = {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
+                 "resolution": 32, "grid": {"kind": "random", "radius": 1.5, "count": 5}}
+        cfg = write_config(tmp_path, "sw.json",
+                           {"experiment": "sweep", "configs": [entry, entry]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        assert header == ["index", "label", "status", "pass", "constant_C",
+                          "measured_sup", "B_used", "M", "N", "resolution", "margin",
+                          "error_estimate", "tighter_constant"]
+        assert len(rows) == 2
 
     def test_determinism_byte_identical(self, tmp_path):
         payload = {
@@ -156,6 +169,21 @@ class TestVerifyBoundCommand:
         sum_b = json.loads((out_b / "verify-bound_summary.json").read_text())
         sum_a.pop("timestamp"), sum_b.pop("timestamp")
         assert sum_a == sum_b
+
+
+class TestBUsed:
+    @pytest.mark.parametrize("experiment, extra", [
+        ("verify-bound", {"degree": 8, "resolution": 32,
+                          "grid": {"kind": "lattice", "radius": 1.0, "spacing": 0.5}}),
+        ("constants", {}),
+        ("potential", {"grid": {"kind": "random", "radius": 0.9, "count": 5}}),
+    ])
+    def test_reports_closed_form_exactly(self, tmp_path, experiment, extra):
+        cfg = write_config(tmp_path, "c.json",
+                           {"experiment": experiment, "weight": GAUSS, **extra})
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / f"{experiment}_summary.json").read_text())
+        assert summary["B_used"] == B_EXACT == 2.0 * math.log(2.0) - 0.5
 
 
 class TestKernelDiagCommand:

@@ -2,30 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobound import (
     B_BRACKET,
+    B_EXACT,
     PotentialField,
     ScalarField,
     WeightFunction,
     compute_B,
-    convolve_fundamental,
     cutoff_g,
     fd_laplacian,
     gamma,
+    integrate,
     make_psi,
+    masked_disk_rule,
     verify_potential_bounds,
 )
-from holobound.potential import _masked_log_sup
+from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
-
-# Closed form for the constant B, used as an independent oracle.  The mean
-# value of log|zeta| over the circle |zeta - omega| = rho is log(max(|omega|,
-# rho)), and for |omega| <= 1 the excluded unit disk lies entirely inside
-# D(omega, 2), so the masked integral is
-#     2 pi (2 log 2 - 1 + |omega|^2 / 4) + pi / 2,
-# increasing in |omega| and maximal on the boundary: B = 2 log 2 - 1/2.
-B_EXACT = 2.0 * math.log(2.0) - 0.5
 
 
 class TestGamma:
@@ -70,67 +66,63 @@ class TestCutoff:
 
 class TestMakePsi:
     def test_gaussian_values(self, gauss1):
-        pf = make_psi(gauss1, 4.0, compute_constant=False)
+        pf = make_psi(gauss1, 4.0)
         assert pf.psi(0.0) == pytest.approx(4.0)
         assert pf.psi(3.0) == 0.0
 
     def test_psi_equals_laplacian_on_unit_disk(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0, compute_constant=False)
+        pf = make_psi(w, 5.0)
         grid = sunflower_points(60, 1.0)
         assert np.max(np.abs(pf.psi(grid) - w.laplacian(grid))) < 1e-12
 
     def test_cutoff_scaling_at_one_point_five(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0, compute_constant=False)
+        pf = make_psi(w, 5.0)
         z = 1.5 * np.exp(0.4j)
         assert pf.psi(z) == pytest.approx(0.5 * w.laplacian(z), rel=1e-12)
 
     def test_psi_range(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0, compute_constant=False)
+        pf = make_psi(w, 5.0)
         vals = pf.psi(sunflower_points(300, 2.5))
         assert ((0.0 <= vals) & (vals <= 5.0)).all()
 
     def test_violating_weight_rejected_with_point(self):
         w = WeightFunction.oscillatory(1.0, 2.1)
         with pytest.raises(ValueError, match="violates"):
-            make_psi(w, 5.0, compute_constant=False)
+            make_psi(w, 5.0)
 
 
 class TestConvolution:
     def test_zero_density_gives_zero(self):
         zero = ScalarField(lambda z: np.zeros(np.shape(z)), support_radius=2.0)
         for z in (0.0, 1.0 + 2.0j, 7.0):
-            assert convolve_fundamental(zero, z, resolution=64) == 0.0
+            assert LogPotential(zero, support_radius=2.0, resolution=64)(z) == 0.0
 
     def test_poisson_equation(self, gauss1):
         # lap(Phi) = psi at interior points, via the fd oracle
-        pf = make_psi(gauss1, 4.0, resolution=256, compute_constant=False)
+        pf = make_psi(gauss1, 4.0, resolution=256)
         pts = random_disk_points(20, 0.9, seed=21)
         resid = np.abs(fd_laplacian(pf.phi, pts, 1e-2) - pf.psi(pts))
         assert resid.max() < 1e-3
 
     def test_origin_lower_bound(self, gauss1):
-        pf = make_psi(gauss1, 4.0, resolution=256, compute_constant=False)
+        pf = make_psi(gauss1, 4.0, resolution=256)
         assert pf.phi(0.0) >= -1.0  # -M/4 with M = 4
 
     def test_harmonic_far_from_support(self, gauss1):
-        pf = make_psi(gauss1, 4.0, resolution=256, compute_constant=False)
+        pf = make_psi(gauss1, 4.0, resolution=256)
         for z in (4.5, 4.0 + 3.0j, -6.0 + 0.5j):
             assert abs(fd_laplacian(pf.phi, z, 1e-2)) < 1e-3
 
     def test_far_field_log_asymptotics(self, gauss1):
         # Phi(z) ~ (total mass / 2 pi) log|z| far from the support
-        pf = make_psi(gauss1, 4.0, compute_constant=False)
+        pf = make_psi(gauss1, 4.0)
         mass = pf._potential.mass
         z = 200.0
         expected = mass * math.log(abs(z)) / (2 * math.pi)
         assert pf.phi(z) == pytest.approx(expected, rel=1e-3)
-
-    def test_rejects_unbounded_support(self):
-        with pytest.raises(ValueError):
-            convolve_fundamental(ScalarField(lambda z: 1.0), 0.0, 64)
 
 
 class TestComputeB:
@@ -139,22 +131,28 @@ class TestComputeB:
         assert B_BRACKET[0] <= B <= B_BRACKET[1]
 
     def test_against_closed_form(self):
-        B = compute_B()
-        assert B == pytest.approx(B_EXACT, abs=2e-3)
-        assert B >= B_EXACT - 1e-6  # upper estimate by construction
+        # an upper estimate of the exact value, by construction
+        assert B_EXACT <= compute_B() <= B_EXACT + 1e-6
 
     def test_grid_doubling_drift(self):
         drift = abs(compute_B(64, 24) - compute_B(64, 48))
         assert drift < 1e-3
 
-    def test_zero_integrand(self):
-        sup_full, sup_half, err = _masked_log_sup(
-            lambda z: np.zeros(np.shape(z)), resolution=8, omega_grid_size=9)
-        assert sup_full == 0.0 and sup_half == 0.0 and err == 0.0
-
     def test_small_omega_grid_rejected(self):
         with pytest.raises(ValueError):
             compute_B(64, 8)
+
+    @settings(deadline=None, max_examples=25)
+    @given(r=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0 * math.pi))
+    def test_masked_integral_closed_form(self, r, theta):
+        # circle-mean identity: the masked integral of log|zeta| over
+        # D(omega, 2) \ D(0, 1) is 2 pi (2 log 2 - 1) + pi |omega|^2 / 2 + pi / 2
+        omega = r * complex(math.cos(theta), math.sin(theta))
+        rule = masked_disk_rule(omega, 2.0, 0.0, 1.0, 4 * 64, 8 * 64)
+        value = integrate(rule, lambda z: np.log(np.abs(z)))
+        exact = (2.0 * math.pi * (2.0 * math.log(2.0) - 1.0)
+                 + math.pi * r * r / 2.0 + math.pi / 2.0)
+        assert value == pytest.approx(exact, rel=2e-4)
 
 
 class TestVerifyPotentialBounds:
@@ -173,14 +171,13 @@ class TestVerifyPotentialBounds:
 
     def test_zero_psi_trivially_passes(self, gauss1):
         zero = ScalarField(lambda z: np.zeros(np.shape(z)), support_radius=2.0)
-        pf = PotentialField(psi=zero, weight=gauss1, M=0.0, B_used=compute_B(),
-                            resolution=64)
+        pf = PotentialField(psi=zero, weight=gauss1, M=0.0, resolution=64)
         grid = sunflower_points(30, 0.9)
         report = verify_potential_bounds(pf, grid, tol=1e-6)
         assert report.passed
         assert report.check("phi_upper").value == pytest.approx(0.0, abs=1e-15)
 
     def test_grid_outside_disk_rejected(self, gauss1):
-        pf = make_psi(gauss1, 4.0, compute_constant=False)
+        pf = make_psi(gauss1, 4.0)
         with pytest.raises(ValueError):
             verify_potential_bounds(pf, [1.5 + 0.0j], tol=1e-3)
