@@ -243,6 +243,8 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     space at once.  The metadata also reports the tighter weight-dependent
     constant e^{B M - Phi(0)} / pi that precedes the M-only simplification.
     """
+    # validates 0 <= lap(phi) <= M before any Gram matrix is built
+    phi0 = float(make_psi(w, M).phi(0.0 + 0.0j))
     C = certificate_constant(M)
     grid = np.asarray(grid, dtype=complex)
     density = np.exp(-np.asarray(eval_weight(w, grid)))
@@ -251,8 +253,6 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     err = float(np.max(np.abs(products - products_coarse)))
     sup = float(products.max())
     margin = C - sup
-    pf = make_psi(w, M)
-    phi0 = float(pf.phi(0.0 + 0.0j))
     return BoundCertificate(
         theorem_tag="global",
         constant_C=C,

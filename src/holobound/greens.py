@@ -1,7 +1,23 @@
 """Fundamental solution of the planar Laplacian and log-potential convolution.
 
 The convolution engine evaluates Phi = Gamma * psi for a smooth density psi
-supported in a disk around the origin.  Two fixed rules are used:
+supported in a disk D(0, R) around the origin.
+
+Radial psi.  By the circle-mean identity (Jensen's formula), the mean of
+log|z - zeta| over the circle |zeta| = s is log max(|z|, s), so
+
+    Phi(r) = integral from 0 to R of s psi(s) log max(r, s) ds,   r = |z|.
+
+The 1-D integral is split at the seams of ``cutoff_g`` (1 and 2, where they
+lie inside [0, R]) and at r, so the integrand is smooth on every piece, and
+each piece is integrated by Gauss-Legendre after the substitution s = t^2,
+which weakens the s log s singularity at s = 0 (reached when r is 0 or
+tiny) to t^3 log t.  For r >= R, Phi is exactly (mass / 2pi) log r.  The
+nodes move smoothly with r, and the quadrature error is about 1e-13, far
+below what a finite-difference stencil with step 1e-2 amplifies into a
+visible residual.
+
+General psi.  Two fixed 2-D rules are used:
 
   * near field (|z| <= near_reach): integrate Gamma(zeta) psi(z - zeta) over
     a fixed disk centered on the singularity, which the polar rule absorbs;
@@ -69,9 +85,12 @@ def cutoff_g(z):
 class LogPotential:
     """Evaluator for Phi = Gamma * psi with psi supported in D(0, support_radius).
 
-    ``resolution`` is the radial node count of the near-field rule; the
-    angular count is twice that.  The far-field rule over the support disk is
-    cheap and very accurate because its integrand is smooth.
+    With ``radial=True`` psi must be a function of |z| alone, and Phi comes
+    from the 1-D rule with ``resolution`` Gauss-Legendre nodes per piece; no
+    2-D rule is built.  Otherwise ``resolution`` is the radial node count of
+    the near-field rule, whose angular count is twice that; the far-field
+    rule over the support disk is cheap and very accurate because its
+    integrand is smooth.
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256,
@@ -84,6 +103,17 @@ class LogPotential:
         self.resolution = int(resolution)
         self.near_reach = float(near_reach)
         self.radial = bool(radial)
+        if self.radial:
+            R = self.support_radius
+            # pieces end at the seams of cutoff_g, so psi is smooth on each
+            self._knots = np.unique(np.clip([0.0, 1.0, 2.0, R], 0.0, R))
+            self._legendre = np.polynomial.legendre.leggauss(self.resolution)
+            s, ws = self._radial_rule(self._knots[:-1], self._knots[1:])
+            ws = ws * self._psi_on(s)
+            self._piece_mass = ws.sum(axis=1)                 # int s psi ds
+            self._piece_log = (ws * np.log(s)).sum(axis=1)    # int s psi log s ds
+            self.mass = _TWO_PI * float(self._piece_mass.sum())
+            return
         near = disk_rule(0.0, self.near_reach + self.support_radius,
                          self.resolution, 2 * self.resolution)
         self._near_nodes = near.nodes
@@ -96,6 +126,40 @@ class LogPotential:
         self._far_nodes = far.nodes
         self._far_pw = far.weights * np.asarray(psi(far.nodes), dtype=float)
         self.mass = float(np.sum(self._far_pw))
+
+    def _psi_on(self, s: np.ndarray) -> np.ndarray:
+        return np.asarray(self.psi(s.astype(complex)), dtype=float)
+
+    def _radial_rule(self, a: np.ndarray, b: np.ndarray):
+        """Nodes s and weights for int_a^b s f(s) ds, one row per piece
+        [a_i, b_i], by Gauss-Legendre in t = sqrt(s) (s ds = 2 t^3 dt)."""
+        x, gw = self._legendre
+        ta, tb = np.sqrt(a)[:, None], np.sqrt(b)[:, None]
+        half = 0.5 * (tb - ta)
+        t = ta + half * (x + 1.0)
+        s = t * t
+        return s, 2.0 * half * gw * t * s
+
+    def _radial_values(self, r: np.ndarray) -> np.ndarray:
+        # Phi(r) = int_0^R s psi(s) log max(r, s) ds; pieces wholly below r
+        # contribute log r times their mass, pieces wholly above their log
+        # moment, and the piece holding r is split there
+        log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0 meets zero mass only
+        out = log_r * self._piece_mass.sum()       # exact for r >= R
+        below = np.concatenate([[0.0], np.cumsum(self._piece_mass)])
+        above = np.concatenate([np.cumsum(self._piece_log[::-1])[::-1], [0.0]])
+        inside = np.flatnonzero(r < self.support_radius)
+        block = max(1, _BLOCK_ENTRIES // (2 * self.resolution))
+        for start in range(0, len(inside), block):
+            idx = inside[start:start + block]
+            rb = r[idx]
+            k = np.searchsorted(self._knots, rb, side="right") - 1
+            s_lo, w_lo = self._radial_rule(self._knots[k], rb)
+            s_hi, w_hi = self._radial_rule(rb, self._knots[k + 1])
+            lo = np.sum(w_lo * self._psi_on(s_lo), axis=1)
+            hi = np.sum(w_hi * self._psi_on(s_hi) * np.log(s_hi), axis=1)
+            out[idx] = log_r[idx] * (below[k] + lo) + above[k + 1] + hi
+        return out
 
     def _near_values(self, zs: np.ndarray) -> np.ndarray:
         # psi(z - zeta) vanishes for |zeta| > |z| + support, so each block
@@ -135,11 +199,9 @@ class LogPotential:
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         if not self.radial:
             return self._values_inner(zs)
-        # radial psi makes Phi a function of |z| alone, so evaluating one
-        # point per distinct radius collapses polar-grid batches (n_r * n_t
-        # nodes share only n_r radii)
+        # Phi depends on |z| alone: evaluate once per distinct radius
         radii, inverse = np.unique(np.abs(zs), return_inverse=True)
-        return self._values_inner(radii.astype(complex))[inverse]
+        return self._radial_values(radii)[inverse]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)

@@ -33,21 +33,14 @@ from typing import Optional
 import numpy as np
 
 from .greens import LogPotential, cutoff_g, gamma
-from .quadrature import (
-    disk_rule,
-    integrate_with_error,
-    masked_disk_rule,
-    sunflower_points,
-)
+from .quadrature import integrate_with_error, masked_disk_rule, sunflower_points
 from .weights import (
     Check,
     ScalarField,
     ValidationReport,
     WeightFunction,
     eval_laplacian,
-    fd_laplacian,
     report_from_checks,
-    validate_laplacian_bounds,
 )
 
 __all__ = [

@@ -19,6 +19,7 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
+from holobound import bounds
 from holobound.quadrature import disk_lattice, random_disk_points, recenter
 
 INV_PI = 1.0 / math.pi
@@ -134,6 +135,15 @@ class TestGlobalCertificate:
         rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
         cert = global_certificate(w, 5.0, disk_lattice(2.0, 0.25), 40, rule)
         assert cert.passed
+
+    def test_invalid_weight_rejected_before_gram_builds(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("kernel estimate built before the weight was validated")
+        monkeypatch.setattr(bounds, "build_kernel_estimate", no_build)
+        w = WeightFunction.oscillatory(1.0, 3.0)
+        rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
+        with pytest.raises(ValueError, match="violates"):
+            global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
 
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j

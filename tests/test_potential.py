@@ -20,6 +20,7 @@ from holobound import (
     masked_disk_rule,
     verify_potential_bounds,
 )
+from holobound import greens
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
 
@@ -123,6 +124,40 @@ class TestConvolution:
         z = 200.0
         expected = mass * math.log(abs(z)) / (2 * math.pi)
         assert pf.phi(z) == pytest.approx(expected, rel=1e-3)
+
+
+class TestRadialPotential:
+    """The 1-D circle-mean path of LogPotential against independent oracles."""
+
+    def test_uniform_disk_closed_form(self):
+        # density 1 on the unit disk: Phi = r^2/4 - 1/4 inside, log(r)/2 beyond
+        disk = ScalarField(lambda z: np.ones(np.shape(z)), support_radius=1.0)
+        lp = LogPotential(disk, support_radius=1.0, radial=True)
+        assert lp.mass == pytest.approx(math.pi, rel=1e-14)
+        for r in (np.array([0.0, 1e-12, 1e-6, 1e-3]), np.linspace(0.0, 3.0, 301)):
+            exact = np.where(r <= 1.0, r * r / 4.0 - 0.25, np.log(np.maximum(r, 1.0)) / 2.0)
+            assert np.max(np.abs(lp.values(r) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("w, M", [
+        (WeightFunction.gaussian(1.0), 4.0),
+        (WeightFunction.potential_defined(1.0), 5.0),
+    ], ids=["gaussian", "potential_defined"])
+    def test_agrees_with_2d_engine(self, w, M):
+        pf = make_psi(w, M)
+        assert pf._potential.radial
+        pts = random_disk_points(200, 0.98, seed=17)
+        h = 1e-2
+        zs = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
+        planar = LogPotential(pf.psi, support_radius=2.0, resolution=256, radial=False)
+        assert np.max(np.abs(pf.phi(zs) - planar.values(zs))) < 1e-7
+
+    def test_builds_no_2d_rule(self, gauss1, monkeypatch):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("the radial path built a 2-D rule")
+        monkeypatch.setattr(greens, "disk_rule", no_rule)
+        zs = random_disk_points(50, 3.0, seed=4)
+        assert np.all(np.isfinite(make_psi(gauss1, 4.0).phi(zs)))
+        assert np.all(np.isfinite(WeightFunction.potential_defined(1.0).weight(zs)))
 
 
 class TestComputeB:
