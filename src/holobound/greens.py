@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .quadrature import disk_rule
+from .quadrature import disk_rule, gauss_legendre
 
 __all__ = ["gamma", "bump", "cutoff_g", "LogPotential"]
 
@@ -107,7 +107,7 @@ class LogPotential:
             R = self.support_radius
             # pieces end at the seams of cutoff_g, so psi is smooth on each
             self._knots = np.unique(np.clip([0.0, 1.0, 2.0, R], 0.0, R))
-            self._legendre = np.polynomial.legendre.leggauss(self.resolution)
+            self._legendre = gauss_legendre(self.resolution)
             s, ws = self._radial_rule(self._knots[:-1], self._knots[1:])
             ws = ws * self._psi_on(s)
             self._piece_mass = ws.sum(axis=1)                 # int s psi ds
@@ -120,7 +120,7 @@ class LogPotential:
         self._near_gw = near.weights * np.log(np.abs(near.nodes)) / _TWO_PI
         # radius-major node layout: ascending radii in blocks of n_theta,
         # so a radius prefix is a contiguous slice
-        self._near_radii = np.abs(near.nodes[::near.n_theta])
+        _, self._near_radii = near.rings()
         self._near_n_theta = near.n_theta
         far = disk_rule(0.0, self.support_radius, int(far_resolution), 2 * int(far_resolution))
         self._far_nodes = far.nodes

@@ -8,6 +8,7 @@ integrand r*log(r) bounded, so no special singular weights are needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "NonFiniteIntegrandError",
+    "gauss_legendre",
     "disk_rule",
     "masked_disk_rule",
     "truncated_plane_rule",
@@ -92,6 +94,19 @@ class QuadratureRule:
     def weight_sum(self) -> float:
         return float(np.sum(self.weights))
 
+    def rings(self):
+        """Center c and ring radii r_i of a polar tensor rule, whose node
+        i * n_theta + j is c + r_i e^{2 pi i j / n_theta}.
+
+        Raises ValueError for a masked rule: its dropped nodes break the rings.
+        """
+        tag = self.region[0]
+        if tag not in ("disk", "truncated_plane") or len(self.nodes) != self.n_r * self.n_theta:
+            raise ValueError(f"region {self.region!r} with {len(self.nodes)} nodes "
+                             f"is not a polar tensor rule")
+        center = self.region[1] if tag == "disk" else 0j
+        return center, np.abs(self.nodes[::self.n_theta] - center)  # the theta = 0 nodes
+
     def contains(self, pts) -> np.ndarray:
         """Boolean mask: which points lie inside the declared region."""
         pts = np.asarray(pts, dtype=complex)
@@ -104,13 +119,25 @@ class QuadratureRule:
         return (np.abs(pts - c) <= r) & (np.abs(pts - ec) >= er)
 
 
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, u = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    u.flags.writeable = False
+    return x, u
+
+
 def _polar_tensor(center: complex, radius: float, n_r: int, n_theta: int):
     """Gauss-Legendre x trapezoid nodes/weights on a disk.
 
     Radial nodes are strictly interior to (0, radius), so no node ever lands
     on the disk center.
     """
-    x, u = np.polynomial.legendre.leggauss(n_r)
+    x, u = gauss_legendre(n_r)
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * u * r  # jacobian folded in
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
