@@ -11,14 +11,19 @@ converges to the kernel diagonal of the full space.
 
 G is assembled from the polar tensor structure of the quadrature rule,
 whose nodes are c + r_i e^{i theta_j} with theta_j = 2 pi j / n_theta.  In
-the basis (z - c)^j the node sum of u z^m conj(z)^n (u = rule weight times
-exp(-phi)) is the ring sum of r_i^(m+n) U_i(m - n), where U_i(k) is the
-angular sum of u e^{i k theta} on ring i: one inverse FFT per ring instead
-of a (nodes x (N+1)) Vandermonde product.  It is the same discrete sum
-reordered, exact for every n_theta because U_i is n_theta-periodic.  The
-matrix T_mj = C(m, j) c^(m-j) maps the result back to the monomials z^m; for
-c != 0 that map loses digits to cancellation (3e-9 equilibrated at N = 30
-on the unit Gaussian's rule shifted by 1), for c = 0 it is the identity.
+the basis (z - c)^j the node sum of u (z - c)^m conj(z - c)^n (u = rule
+weight times exp(-phi)) is the ring sum of r_i^(m+n) U_i(m - n), where U_i(k)
+is the angular sum of u e^{i k theta} on ring i: one inverse FFT per ring
+instead of a (nodes x (N+1)) Vandermonde product.  It is the same discrete
+sum reordered, exact for every n_theta because U_i is n_theta-periodic.  The
+radii enter as (r_i / rho)^p and rho^m rho^n, rho the outer radius, so no
+power overflows before the weight damps it.
+
+K_N(z, z) does not depend on the basis of the polynomials of degree <= N, so
+a kernel estimate factors the Gram in the basis (z - c)^j and evaluates
+(z - c)^j; for the usual origin-centred rules that basis is the monomials.
+Only :func:`gram_matrix` maps back to the monomials z^m, by T G T^H with
+T_mj = C(m, j) c^(m-j).  For c != 0 that map loses digits to cancellation.
 
 The solve goes through a symmetric diagonal equilibration of G: the raw
 monomial Gram has factorially growing diagonal (already ~n! for Gaussian
@@ -128,37 +133,47 @@ def _vandermonde(z: np.ndarray, degree: int) -> np.ndarray:
     return np.asarray(z, dtype=complex)[:, None] ** np.arange(degree + 1)
 
 
-def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule) -> np.ndarray:
-    """G_mn = sum over the nodes of u z^m conj(z)^n, u = weights * exp(-phi),
-    by one FFT per ring in the basis (z - c)^j (see the module docstring)."""
+def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
+    """(c, G) with G_mn the node sum of u (z - c)^m conj(z - c)^n, u = weights
+    * exp(-phi) and c the rule's centre, by one FFT per ring (see the module
+    docstring)."""
     center, r = rule.rings()
     n_theta = rule.n_theta
     u = rule.weights * np.exp(-np.asarray(eval_weight(w, rule.nodes)))
     U = n_theta * np.fft.ifft(u.reshape(rule.n_r, n_theta), axis=1)
-    # Q[p, k + degree] = sum_i r_i^p U_i(k) for p = 0..2 degree, |k| <= degree
+    # Q[p, k + degree] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, |k| <= degree
+    rho = r.max()
     ks = np.arange(-degree, degree + 1) % n_theta
-    Q = (r[:, None] ** np.arange(2 * degree + 1)).T @ U[:, ks]
+    Q = ((r / rho)[:, None] ** np.arange(2 * degree + 1)).T @ U[:, ks]
     m = np.arange(degree + 1)
-    G = Q[m[:, None] + m, m[:, None] - m + degree]
+    s = rho ** m
+    G = s[:, None] * Q[m[:, None] + m, m[:, None] - m + degree] * s
+    return center, 0.5 * (G + G.conj().T)  # exactly Hermitian despite FFT rounding
+
+
+def _to_monomials(G: np.ndarray, center: complex) -> np.ndarray:
+    """T G T^H, T_mj = C(m, j) c^(m-j): the Gram of z^m from that of (z - c)^j."""
+    m = np.arange(len(G))
     binom = np.array([[math.comb(i, j) for j in m] for i in m], dtype=float)
     T = binom * (center ** m)[np.maximum(m[:, None] - m, 0)]
     G = T @ G @ T.conj().T
-    return 0.5 * (G + G.conj().T)  # exactly Hermitian despite FFT rounding
+    return 0.5 * (G + G.conj().T)
 
 
 def _equilibrated_gram(w: WeightFunction, N: int, rule: QuadratureRule):
-    """Validate N, assemble G and equilibrate it: returns (G, d, G / d d^T)
-    with d the square root of G's diagonal, which must be positive."""
+    """Validate N, assemble the centred Gram G and equilibrate it: returns
+    (c, G, d, G / d d^T) with d the square root of G's diagonal, which must
+    be positive."""
     if N < 0:
         raise ValueError(f"degree must be >= 0, got {N}")
     if N > MAX_DEGREE:
         raise ValueError(f"degree {N} exceeds the supported cap {MAX_DEGREE}")
-    G = _assemble_gram(w, N, rule)
+    center, G = _assemble_gram(w, N, rule)
     diag = np.real(np.diag(G))
-    if np.any(diag <= 0.0):
+    if not np.all(diag > 0.0):
         raise PositiveDefinitenessError(float(diag.min()), N)
     d = np.sqrt(diag)
-    return G, d, G / np.outer(d, d)
+    return center, G, d, G / np.outer(d, d)
 
 
 def _not_positive_definite(scaled: np.ndarray, d: np.ndarray, N: int) -> PositiveDefinitenessError:
@@ -170,14 +185,18 @@ def gram_matrix(w: WeightFunction, N: int, rule: QuadratureRule) -> np.ndarray:
     """Gram matrix G_mn = integral of z^m conj(z)^n exp(-phi) over the rule.
 
     Hermitian by construction (symmetrized after assembly).  Raises
-    :class:`PositiveDefinitenessError` if the matrix does not factor.
+    :class:`PositiveDefinitenessError` if the matrix does not factor.  On a
+    rule centred at c != 0 the map from the basis (z - c)^j to the monomials
+    loses digits: equilibrated, about 6e-10 at N = 30, 3e-8 at N = 40 and
+    9e-5 at N = 64 on the unit Gaussian's rule shifted by 0.8 - 0.6i (see
+    ``tests/test_kernel.py``).  Kernel estimates do not take this map.
     """
-    G, d, scaled = _equilibrated_gram(w, N, rule)
+    center, G, d, scaled = _equilibrated_gram(w, N, rule)
     try:
         np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
         raise _not_positive_definite(scaled, d, N) from None
-    return G
+    return _to_monomials(G, center)
 
 
 @dataclass(eq=False)
@@ -186,12 +205,15 @@ class KernelEstimate:
 
     ``effective_degree`` may be smaller than the requested degree: when the
     equilibrated Gram condition estimate exceeds 1e12 the estimate degrades
-    to the largest well-conditioned leading block and records it.
+    to the largest well-conditioned leading block and records it.  ``gram``
+    is the Gram in the basis (z - center)^j, ``center`` the rule's centre: the
+    monomial Gram for an origin-centred rule.
     """
 
     weight: WeightFunction
     degree: int
     rule: QuadratureRule
+    center: complex
     gram: np.ndarray
     condition_estimate: float
     effective_degree: int
@@ -231,15 +253,16 @@ class KernelEstimate:
         z = np.asarray(z, dtype=complex)
         pts = np.atleast_1d(z)
         n = degree + 1
-        V = _vandermonde(pts, degree) / self._scale[:n]
-        Y = solve_triangular(self._chol[:n, :n], V.conj().T, lower=True)
+        V = _vandermonde(pts - self.center, degree) / self._scale[:n]
+        # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v))
+        Y = solve_triangular(self._chol[:n, :n], V.T, lower=True)
         out = np.sum(np.abs(Y) ** 2, axis=0)
         return float(out[0]) if z.ndim == 0 else out
 
 
 def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
     """Assemble and factor the Gram matrix, degrading N if ill-conditioned."""
-    G, d, scaled = _equilibrated_gram(w, N, rule)
+    center, G, d, scaled = _equilibrated_gram(w, N, rule)
     effective = N
     chol = None
     while effective >= 0:
@@ -256,7 +279,7 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
     if chol is None:
         raise _not_positive_definite(scaled, d, N)
     return KernelEstimate(
-        weight=w, degree=N, rule=rule, gram=G,
+        weight=w, degree=N, rule=rule, center=center, gram=G,
         condition_estimate=cond,
         effective_degree=effective,
         degraded=effective < N,

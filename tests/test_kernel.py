@@ -23,6 +23,7 @@ from holobound import (
     truncation_radius,
 )
 from holobound.quadrature import random_disk_points, recenter
+from holobound.weights import translate_weight
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +31,11 @@ def rule_r10():
     return truncated_plane_rule(10.0, 256, 512)
 
 
-def direct_gram(w, N, rule):
-    """The node sum G_mn = sum u z^m conj(z)^n as a Vandermonde product: the
-    oracle for the FFT-in-angle assembly."""
+def direct_gram(w, N, rule, center=0j):
+    """The node sum G_mn = sum u (z - c)^m conj(z - c)^n as a Vandermonde
+    product: the oracle for the FFT-in-angle assembly."""
     u = rule.weights * np.exp(-np.asarray(eval_weight(w, rule.nodes)))
-    V = rule.nodes[:, None] ** np.arange(N + 1)
+    V = (rule.nodes - center)[:, None] ** np.arange(N + 1)
     G = (V * u[:, None]).T @ V.conj()
     return 0.5 * (G + G.conj().T)
 
@@ -42,6 +43,11 @@ def direct_gram(w, N, rule):
 def equilibrated_error(G, oracle):
     d = np.sqrt(np.real(np.diag(oracle)))
     return float(np.max(np.abs(G - oracle) / np.outer(d, d)))
+
+
+def gaussian_series(z, N):
+    """K_N(z, z) of the unit Gaussian weight: (1/pi) sum_{n<=N} |z|^2n / n!"""
+    return sum(abs(z) ** (2 * n) / math.factorial(n) for n in range(N + 1)) / math.pi
 
 
 # the four families of the kernel-diag benchmark workload
@@ -119,22 +125,38 @@ class TestFFTAssembly:
     ], ids=["recentred", "off_centre_disk"])
     def test_off_centre_rules_match_direct_sum(self, monkeypatch, gauss1_rule,
                                                 make_rule, weight, N):
-        # the map back from the (z - c)^j basis loses digits to cancellation,
-        # more with the degree and the rule's reach: 3e-9 for the recentred
-        # rule at N = 30, 1e-7 at N = 40
+        # the estimate factors the Gram of (z - c)^j, c the rule's centre
         rule = make_rule(gauss1_rule)
+        center = rule.rings()[0]
         est = build_kernel_estimate(weight, N, rule)
-        monkeypatch.setattr(kernel, "_assemble_gram", direct_gram)
+        monkeypatch.setattr(kernel, "_assemble_gram",
+                            lambda w, N, rule: (center, direct_gram(w, N, rule, center)))
         oracle = build_kernel_estimate(weight, N, rule)
-        assert equilibrated_error(est.gram, oracle.gram) < 1e-7
+        assert est.center == center
+        assert equilibrated_error(est.gram, oracle.gram) < 1e-12
         assert est.effective_degree == oracle.effective_degree
         assert est.degraded == oracle.degraded
+
+    @pytest.mark.parametrize("N, limit", [(30, 1e-9), (40, 1e-7), (64, 2e-4)])
+    def test_monomial_map_back_accuracy(self, gauss1, gauss1_rule, N, limit):
+        # gram_matrix maps the Gram of (z - c)^j back to z^m, losing digits to
+        # cancellation as N grows: measured 6e-10, 3e-8 and 9e-5
+        rule = recenter(gauss1_rule, 0.8 - 0.6j)
+        assert equilibrated_error(gram_matrix(gauss1, N, rule), direct_gram(gauss1, N, rule)) < limit
+
+    def test_large_radius_does_not_overflow(self):
+        # R ~ 277 at N = 64: R^128 overflows, the scaled powers do not
+        w = WeightFunction.gaussian(100.0)
+        rule = truncated_plane_rule(truncation_radius(w, 64), 64, 128)
+        G = gram_matrix(w, 64, rule)
+        assert np.all(np.isfinite(G))
+        assert equilibrated_error(G, direct_gram(w, 64, rule)) < 1e-12
 
     def test_frequencies_wrap_past_n_theta(self, gauss1):
         # N = 10 needs angular frequencies up to 10 on a 4-angle rule; the
         # modular index reproduces the node sum, aliasing and all
         tiny = truncated_plane_rule(6.0, 2, 4)
-        G = kernel._assemble_gram(gauss1, 10, tiny)
+        _, G = kernel._assemble_gram(gauss1, 10, tiny)
         assert equilibrated_error(G, direct_gram(gauss1, 10, tiny)) < 1e-12
 
     def test_masked_rule_rejected(self, gauss1):
@@ -151,9 +173,10 @@ class TestFFTAssembly:
         w = WeightFunction.gaussian_harmonic(a, b=b_ratio * a * complex(math.cos(b_arg),
                                                                         math.sin(b_arg)), c=c)
         rule = recenter(truncated_plane_rule(truncation_radius(w, 20), 48, 96), center)
-        G = kernel._assemble_gram(w, 20, rule)
+        c, G = kernel._assemble_gram(w, 20, rule)
+        assert c == complex(center)
         assert np.array_equal(G, G.conj().T)
-        assert equilibrated_error(G, direct_gram(w, 20, rule)) < 1e-8
+        assert equilibrated_error(G, direct_gram(w, 20, rule, c)) < 1e-12
 
 
 class TestKernelDiag:
@@ -209,23 +232,52 @@ class TestKernelDiag:
         b = est.diag(np.conj(zs))
         assert np.allclose(a, b, rtol=1e-12)
 
+    def test_translated_gaussian_off_the_real_axis(self, gauss1, gauss1_rule):
+        # phi(z + z0) has K_N(z, z) = K_N^gauss(z + z0); a complex Gram, so
+        # v^H G^-1 v and v^T G^-1 conj(v) differ off the real axis
+        z0 = 0.8 - 0.6j
+        zs = np.array([1j, -z0, 1.0 - 1.0j, 0.5 + 1.5j])
+        vals = kernel_diag(translate_weight(gauss1, z0), 30, gauss1_rule, zs)
+        expected = [gaussian_series(z + z0, 30) for z in zs]
+        assert np.allclose(vals, expected, rtol=1e-10)
+
+    def test_recentred_rule_with_recentred_weight(self, gauss1):
+        # weight and rule both moved to c: the estimate in the basis (z - c)^j
+        # reproduces the centred kernel at full degree
+        c = 2.0
+        rule = recenter(truncated_plane_rule(truncation_radius(gauss1, 64), 256, 512), c)
+        est = build_kernel_estimate(translate_weight(gauss1, -c), 64, rule)
+        assert est.effective_degree == 64
+        zs = np.array([0.0, 0.5, 1.0 + 1.0j, -2.0 + 0.5j, 3j])
+        expected = [gaussian_series(z, 64) for z in zs]
+        assert np.allclose(est.diag(zs + c), expected, rtol=1e-12)
+
     def test_nonnegative(self, rule_r10, gauss1):
         zs = random_disk_points(50, 2.0, seed=8)
         assert (np.asarray(kernel_diag(gauss1, 25, rule_r10, zs)) >= 0.0).all()
 
 
 class TestDegradation:
-    def test_nearly_dependent_basis_degrades(self):
-        # monomials restricted to a small off-center disk are nearly linearly
-        # dependent, so the equilibrated Gram is ill conditioned and the
-        # estimate must shrink to a well-conditioned leading block
-        w = WeightFunction.gaussian(100.0)  # nearly flat on the disk
-        rule = disk_rule(2.0, 0.5, 64, 128)
-        est = build_kernel_estimate(w, 40, rule)
+    def test_nearly_dependent_basis_degrades(self, gauss1):
+        # the estimate's basis is (z - c)^j, c the rule's centre; with the
+        # weight's mass three units from c those powers are nearly linearly
+        # dependent under the weight, so the equilibrated Gram is ill
+        # conditioned and the estimate must shrink to a well-conditioned
+        # leading block
+        rule = recenter(truncated_plane_rule(truncation_radius(gauss1, 40), 128, 256), 3.0)
+        est = build_kernel_estimate(gauss1, 40, rule)
         assert est.degraded
         assert est.effective_degree < 40
         assert est.condition_estimate <= 1e12
-        assert est.diag(2.0) > 0.0
+        assert est.diag(3.0) > 0.0
+
+    def test_small_off_centre_disk_not_degraded(self):
+        # the monomials z^m are nearly dependent on D(2, 0.5) (the estimate
+        # used to fall to degree 6 there); the powers of z - 2 are not
+        w = WeightFunction.gaussian(100.0)  # nearly flat on the disk
+        est = build_kernel_estimate(w, 40, disk_rule(2.0, 0.5, 64, 128))
+        assert not est.degraded
+        assert est.condition_estimate < 10.0
 
     def test_well_conditioned_not_degraded(self, gauss1, rule_r10):
         est = build_kernel_estimate(gauss1, 40, rule_r10)
