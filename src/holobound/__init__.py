@@ -26,7 +26,6 @@ from .bounds import (
 from .equivalence import (
     EquivalenceError,
     EquivalenceMap,
-    WeightDensity,
     build_equivalence_map,
     harmonic_conjugate_poly,
     log_laplacian_equal,
@@ -41,16 +40,13 @@ from .kernel import (
     build_kernel_estimate,
     extremal_ratio,
     gram_matrix,
-    kernel_diag,
     sb_kernel,
 )
+from .greens import cutoff_g, gamma
 from .potential import (
     B_BRACKET,
     B_EXACT,
-    PotentialField,
     compute_B,
-    cutoff_g,
-    gamma,
     make_psi,
     verify_potential_bounds,
 )
@@ -72,8 +68,6 @@ from .weights import (
     ValidationReport,
     WeightError,
     WeightFunction,
-    eval_laplacian,
-    eval_weight,
     fd_laplacian,
     normalized_gaussian,
     translate_weight,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .kernel import SampleFunction, build_kernel_estimate, extremal_ratio
+from .kernel import SampleFunction, build_kernel_estimate
 from .potential import B_EXACT, make_psi
 from .quadrature import (
     QuadratureRule,
@@ -40,8 +40,6 @@ from .weights import (
     Check,
     ValidationReport,
     WeightFunction,
-    eval_laplacian,
-    eval_weight,
     report_from_checks,
     truncation_radius,
 )
@@ -59,6 +57,7 @@ __all__ = [
 
 FLATNESS_TOL = 1e-3
 ERROR_MARGIN_FACTOR = 3.0
+POINTWISE_REL_TOL = 1e-9  # relative slack of each step in translated_pointwise_check
 
 
 class NonConstantLaplacianError(ValueError):
@@ -108,7 +107,7 @@ def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.nda
                    density=None):
     est = build_kernel_estimate(w, N, rule)
     if density is None:
-        density = np.exp(-np.asarray(eval_weight(w, grid)))
+        density = w.density(grid)
     products = np.atleast_1d(est.diag(grid)) * density
     return est, products
 
@@ -122,7 +121,7 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     measured max and min (flatness) alongside the margin.
     """
     grid = np.asarray(grid, dtype=complex)
-    lap = np.atleast_1d(np.asarray(eval_laplacian(w, grid)))
+    lap = np.atleast_1d(np.asarray(w.laplacian(grid)))
     c = float(lap[0])
     if float(np.max(np.abs(lap - c))) > 1e-9 * (1.0 + abs(c)):
         raise NonConstantLaplacianError(
@@ -131,7 +130,7 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     if c <= 0:
         raise NonConstantLaplacianError(f"lap(phi) must be positive, got {c}")
     C = c / (4.0 * math.pi)
-    density = np.exp(-np.asarray(eval_weight(w, grid)))
+    density = w.density(grid)
     est, products = _weighted_diag(w, N, rule, grid, density)
     _, products_coarse = _weighted_diag(w, N, half_resolution(rule), grid, density)
     err = float(np.max(np.abs(products - products_coarse)))
@@ -191,15 +190,15 @@ def local_bound_certificate(w: WeightFunction, M: float, samples,
     three error estimates.  Samples with vanishing disk integral are
     skipped with a note.
     """
-    pf = make_psi(w, M)
+    potential = make_psi(w, M)
     C = certificate_constant(M)
     rule = disk_rule(0.0, 1.0, resolution, 2 * resolution)
     coarse = half_resolution(rule)
-    phi0 = float(np.asarray(eval_weight(w, 0.0 + 0.0j)))
+    phi0 = w.weight(0.0 + 0.0j)
 
     ratios, ratios_coarse, skipped = [], [], []
     for k, f in enumerate(samples):
-        integrand = lambda z: np.abs(np.asarray(f(z))) ** 2 * np.exp(-np.asarray(eval_weight(w, z)))
+        integrand = lambda z: np.abs(np.asarray(f(z))) ** 2 * w.density(z)
         den = integrate(rule, integrand)
         if den <= 0.0:
             skipped.append(k)
@@ -228,7 +227,7 @@ def local_bound_certificate(w: WeightFunction, M: float, samples,
             "resolution": resolution,
             "n_samples": len(ratios),
             "skipped_samples": skipped,
-            "phi_at_origin": float(pf.phi(0.0 + 0.0j)),
+            "phi_at_origin": potential(0.0 + 0.0j),
         },
     )
 
@@ -244,10 +243,10 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     constant e^{B M - Phi(0)} / pi that precedes the M-only simplification.
     """
     # validates 0 <= lap(phi) <= M before any Gram matrix is built
-    phi0 = float(make_psi(w, M).phi(0.0 + 0.0j))
+    phi0 = make_psi(w, M)(0.0 + 0.0j)
     C = certificate_constant(M)
     grid = np.asarray(grid, dtype=complex)
-    density = np.exp(-np.asarray(eval_weight(w, grid)))
+    density = w.density(grid)
     est, products = _weighted_diag(w, N, rule, grid, density)
     _, products_coarse = _weighted_diag(w, N, half_resolution(rule), grid, density)
     err = float(np.max(np.abs(products - products_coarse)))
@@ -277,37 +276,36 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
 
 
 def translated_pointwise_check(w: WeightFunction, f: SampleFunction, z,
-                               resolution: int,
-                               rel_tol: float = 1e-9) -> ValidationReport:
+                               resolution: int) -> ValidationReport:
     """Replay the translation proof of the global bound at one point.
 
     Verifies the chain
         |f(z)|^2 <= C e^{phi(z)} * integral over D(z,1) of |f|^2 e^{-phi}
                  <= C e^{phi(z)} * ||f||^2
-    with both integrals by quadrature and relative tolerance ``rel_tol``.
+    with both integrals by quadrature and relative tolerance 1e-9.
     """
     z = complex(z)
     M = w.laplacian_bounds[1]
     C = certificate_constant(M)
-    integrand = lambda p: np.abs(np.asarray(f(p))) ** 2 * np.exp(-np.asarray(eval_weight(w, p)))
+    integrand = lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p)
     local_int = integrate(disk_rule(z, 1.0, resolution, 2 * resolution), integrand)
     radius = truncation_radius(w, max(f.degree, 1),
                                linear_rate=2.0 * abs(f.exp_rate)) + abs(z)
     whole_int = integrate(truncated_plane_rule(radius, resolution, 2 * resolution),
                           integrand)
-    phi_z = float(np.asarray(eval_weight(w, z)))
+    phi_z = w.weight(z)
     lhs = abs(complex(np.asarray(f(np.asarray(z))))) ** 2
     local_side = C * math.exp(phi_z) * local_int
     global_side = C * math.exp(phi_z) * whole_int
-    scale = max(lhs, local_side, 1e-300)
+    slack = 1.0 + POINTWISE_REL_TOL
     checks = (
-        Check("local_step", lhs, local_side * (1.0 + rel_tol),
-              lhs <= local_side * (1.0 + rel_tol),
+        Check("local_step", lhs, local_side * slack,
+              lhs <= local_side * slack,
               note=f"|f(z)|^2 = {lhs:.6e}, bound = {local_side:.6e}"),
-        Check("monotone_step", local_int, whole_int * (1.0 + rel_tol),
-              local_int <= whole_int * (1.0 + rel_tol),
+        Check("monotone_step", local_int, whole_int * slack,
+              local_int <= whole_int * slack,
               note=f"disk integral {local_int:.6e}, plane integral {whole_int:.6e}"),
-        Check("global_step", lhs, global_side * (1.0 + rel_tol),
-              lhs <= global_side * (1.0 + rel_tol)),
+        Check("global_step", lhs, global_side * slack,
+              lhs <= global_side * slack),
     )
     return report_from_checks(checks)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from . import bounds as bounds_mod
 from . import equivalence as equiv_mod
 from . import potential as potential_mod
 from .kernel import (
+    MAX_DEGREE,
     PositiveDefinitenessError,
     SampleFunction,
     build_kernel_estimate,
@@ -57,6 +57,8 @@ _TOP_KEYS = {
     "experiment", "weight", "weight_b", "degree", "resolution", "grid",
     "seed", "tolerance", "s_values", "label", "configs", "out",
 }
+# inclusive ranges of the integer settings a config or a flag may give
+_RANGES = {"degree": (0, MAX_DEGREE), "resolution": (8, 4096)}
 _GRID_KEYS = {
     "lattice": {"kind", "radius", "spacing"},
     "random": {"kind", "radius", "count"},
@@ -96,6 +98,13 @@ def _validate_grid(grid: dict) -> dict:
     return grid
 
 
+def _in_range(key: str, value: int) -> int:
+    lo, hi = _RANGES[key]
+    if not (lo <= value <= hi):
+        raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
 def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be an object, got {type(raw).__name__}")
@@ -114,13 +123,9 @@ def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
     if "weight_b" in raw:
         cfg.weight_b = raw["weight_b"]
     if "degree" in raw:
-        cfg.degree = int(raw["degree"])
-        if not (0 <= cfg.degree <= 64):
-            raise ConfigError(f"degree must lie in [0, 64], got {cfg.degree}")
+        cfg.degree = _in_range("degree", int(raw["degree"]))
     if "resolution" in raw:
-        cfg.resolution = int(raw["resolution"])
-        if not (8 <= cfg.resolution <= 4096):
-            raise ConfigError(f"resolution must lie in [8, 4096], got {cfg.resolution}")
+        cfg.resolution = _in_range("resolution", int(raw["resolution"]))
     if "grid" in raw:
         cfg.grid = _validate_grid(raw["grid"])
     if "seed" in raw:
@@ -208,7 +213,7 @@ class ExperimentResult:
 # Experiment implementations
 # ---------------------------------------------------------------------------
 
-def _run_kernel_diag(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     grid = _build_grid(cfg, {"kind": "lattice", "radius": 2.0, "spacing": 0.1})
     rule = truncated_plane_rule(truncation_radius(w, cfg.degree),
@@ -265,9 +270,8 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     M = w.laplacian_bounds[1]
-    pf = potential_mod.make_psi(w, M)
     B = potential_mod.B_EXACT
-    phi0 = float(pf.phi(0.0 + 0.0j))
+    phi0 = potential_mod.make_psi(w, M)(0.0 + 0.0j)
     lo, hi = potential_mod.B_BRACKET
     rows = [(B, lo, hi, phi0, -M / 4.0)]
     summary = {
@@ -288,10 +292,9 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     wa = _require_weight(cfg, "weight")
     wb = _require_weight(cfg, "weight_b")
-    da, db = equiv_mod.WeightDensity(wa), equiv_mod.WeightDensity(wb)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
     grid = _build_grid(cfg, {"kind": "lattice", "radius": 2.0, "spacing": 0.25})
-    verdict = equiv_mod.log_laplacian_equal(da, db, grid, tol)
+    verdict = equiv_mod.log_laplacian_equal(wa, wb, grid, tol)
     summary = {
         "experiment": "equivalence",
         "equivalent": bool(verdict.passed),
@@ -300,9 +303,9 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     }
     rows = []
     if verdict.passed:
-        emap = equiv_mod.build_equivalence_map(da, db)
-        residuals = np.abs(np.abs(emap(grid)) ** 2 * db.density(grid)
-                           / da.density(grid) - 1.0)
+        emap = equiv_mod.build_equivalence_map(wa, wb)
+        residuals = np.abs(np.abs(emap(grid)) ** 2 * wb.density(grid)
+                           / wa.density(grid) - 1.0)
         rows = [(z.real, z.imag, r) for z, r in zip(grid, residuals)]
         summary["exponent_coefficients"] = [[c.real, c.imag]
                                             for c in emap.exponent_coefficients]
@@ -314,11 +317,11 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     M = w.laplacian_bounds[1]
-    pf = potential_mod.make_psi(w, M, resolution=max(cfg.resolution, 64))
+    potential = potential_mod.make_psi(w, M, resolution=max(cfg.resolution, 64))
     grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    report = potential_mod.verify_potential_bounds(pf, grid, tol)
-    phi_vals = pf.phi(grid)
+    report = potential_mod.verify_potential_bounds(potential, M, grid, tol)
+    phi_vals = potential(grid)
     rows = [(z.real, z.imag, p) for z, p in zip(grid, phi_vals)]
     summary = {
         "experiment": "potential",
@@ -365,7 +368,7 @@ def _run_mean_value(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 _RUNNERS = {
-    "kernel-diag": _run_kernel_diag,
+    "kernel-diag": _run_diagonal,
     "verify-bound": _run_verify_bound,
     "constants": _run_constants,
     "equivalence": _run_equivalence,
@@ -484,13 +487,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.resolution is not None:
-            if not (8 <= args.resolution <= 4096):
-                raise ConfigError(f"resolution must lie in [8, 4096], got {args.resolution}")
-            cfg.resolution = args.resolution
+            cfg.resolution = _in_range("resolution", args.resolution)
         if args.degree is not None:
-            if not (0 <= args.degree <= 64):
-                raise ConfigError(f"degree must lie in [0, 64], got {args.degree}")
-            cfg.degree = args.degree
+            cfg.degree = _in_range("degree", args.degree)
         code = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Holomorphic equivalence of weighted spaces.
 
-Two strictly positive densities alpha and beta on the same region admit a
+Two strictly positive densities alpha and beta on the plane admit a
 nowhere-zero holomorphic multiplier phi_eq with |phi_eq|^2 * beta = alpha
 exactly when log(alpha/beta) is harmonic; the multiplier induces a unitary
 map f -> phi_eq * f between the spaces and leaves the weighted kernel
-diagonal alpha(z) K_alpha(z, z) invariant.
+diagonal alpha(z) K_alpha(z, z) invariant.  Each density is given by its
+weight, alpha = exp(-phi) (``WeightFunction.density``), so log alpha = -phi
+is exact.
 
 The constructive branch here covers the case where the difference of the
 weight exponents is a harmonic *polynomial*: the harmonic conjugate is then
@@ -16,24 +18,20 @@ approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .kernel import SampleFunction, build_kernel_estimate
+from .kernel import build_kernel_estimate
 from .quadrature import QuadratureRule, integrate, sunflower_points
 from .weights import (
     Check,
     ValidationReport,
     WeightFunction,
-    eval_laplacian,
-    eval_weight,
     normalized_gaussian,
     report_from_checks,
 )
 
 __all__ = [
-    "WeightDensity",
     "EquivalenceMap",
     "EquivalenceError",
     "log_laplacian_equal",
@@ -49,24 +47,6 @@ class EquivalenceError(ValueError):
     """The requested equivalence is unsupported or does not exist."""
 
 
-@dataclass(frozen=True, eq=True)
-class WeightDensity:
-    """Strictly positive density alpha = exp(-phi) for a weight exponent phi.
-
-    The representation makes log(alpha) = -phi exact, so the equivalence
-    criterion reduces to comparing weight Laplacians.
-    """
-
-    weight: WeightFunction
-    region: str = "plane"
-
-    def density(self, z):
-        return np.exp(-np.asarray(eval_weight(self.weight, z)))
-
-    def log_density_laplacian(self, z):
-        return -np.asarray(eval_laplacian(self.weight, z))
-
-
 @dataclass(frozen=True, eq=False)
 class EquivalenceMap:
     """Nowhere-zero holomorphic multiplier phi_eq = exp(p(z)/2).
@@ -75,8 +55,8 @@ class EquivalenceMap:
     """
 
     exponent_coefficients: tuple
-    source: WeightDensity
-    target: WeightDensity
+    source: WeightFunction
+    target: WeightFunction
 
     def exponent(self, z):
         """p(z), the polynomial whose real part is phi_target - phi_source."""
@@ -90,9 +70,11 @@ class EquivalenceMap:
         return np.exp(np.asarray(self.exponent(z)) / 2.0)
 
 
-def log_laplacian_equal(a: WeightDensity, b: WeightDensity, grid,
+def log_laplacian_equal(a: WeightFunction, b: WeightFunction, grid,
                         tol: float) -> ValidationReport:
-    """Criterion report: lap(log alpha) = lap(log beta) on the grid within tol.
+    """Criterion report: lap(log alpha) = lap(log beta) on the grid within tol,
+    for the densities alpha = exp(-phi_a) and beta = exp(-phi_b); since
+    log alpha = -phi_a exactly, that compares the weight Laplacians.
 
     Truthy iff the criterion holds, in which case the two spaces are
     holomorphically equivalent.
@@ -100,8 +82,7 @@ def log_laplacian_equal(a: WeightDensity, b: WeightDensity, grid,
     grid = np.asarray(grid, dtype=complex)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    dev = np.abs(np.asarray(a.log_density_laplacian(grid))
-                 - np.asarray(b.log_density_laplacian(grid)))
+    dev = np.abs(np.asarray(a.laplacian(grid)) - np.asarray(b.laplacian(grid)))
     worst = int(np.argmax(dev))
     checks = (
         Check("log_laplacian_deviation", float(dev[worst]), tol,
@@ -148,17 +129,14 @@ def harmonic_conjugate_poly(u: np.ndarray) -> np.ndarray:
     return p
 
 
-def build_equivalence_map(a: WeightDensity, b: WeightDensity) -> EquivalenceMap:
+def build_equivalence_map(a: WeightFunction, b: WeightFunction) -> EquivalenceMap:
     """Construct phi_eq = exp(p/2) with |phi_eq|^2 = alpha/beta.
 
     Requires phi_b - phi_a to be a harmonic polynomial (the representable
     case); other inputs raise :class:`EquivalenceError`.  The construction
     is verified on a 100-point grid in D(0, 3) before returning.
     """
-    if a.region != b.region:
-        raise EquivalenceError(
-            f"densities live on different regions: {a.region!r} vs {b.region!r}")
-    pa, pb = a.weight.poly_xy(), b.weight.poly_xy()
+    pa, pb = a.poly_xy(), b.poly_xy()
     if pa is None or pb is None:
         raise EquivalenceError(
             "constructive equivalence needs both weight exponents polynomial "
@@ -201,7 +179,7 @@ def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,
     return report_from_checks(checks)
 
 
-def verify_kernel_invariance(a: WeightDensity, b: WeightDensity, z_list,
+def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
                              N: int, rule: QuadratureRule,
                              tol: float) -> ValidationReport:
     """Check alpha(z) K_alpha(z, z) = beta(z) K_beta(z, z) at the given points.
@@ -212,8 +190,8 @@ def verify_kernel_invariance(a: WeightDensity, b: WeightDensity, z_list,
     effective degrees actually used.
     """
     z = np.asarray(z_list, dtype=complex)
-    est_a = build_kernel_estimate(a.weight, N, rule)
-    est_b = build_kernel_estimate(b.weight, N, rule)
+    est_a = build_kernel_estimate(a, N, rule)
+    est_b = build_kernel_estimate(b, N, rule)
     lhs = np.atleast_1d(est_a.diag(z)) * np.atleast_1d(a.density(z))
     rhs = np.atleast_1d(est_b.diag(z)) * np.atleast_1d(b.density(z))
     rel = np.abs(lhs - rhs) / np.abs(lhs)
@@ -229,9 +207,9 @@ def verify_kernel_invariance(a: WeightDensity, b: WeightDensity, z_list,
     return report_from_checks(checks)
 
 
-def matching_normalized_gaussian(c: float) -> WeightDensity:
+def matching_normalized_gaussian(c: float) -> WeightFunction:
     """The normalized Gaussian density holomorphically equivalent to any
     density exp(-phi) with constant lap(phi) = c > 0: parameter t = 4/c."""
     if c <= 0:
         raise EquivalenceError(f"constant Laplacian must be positive, got {c}")
-    return WeightDensity(normalized_gaussian(4.0 / c))
+    return normalized_gaussian(4.0 / c)

@@ -19,9 +19,9 @@ visible residual.
 
 General psi.  Two fixed 2-D rules are used:
 
-  * near field (|z| <= near_reach): integrate Gamma(zeta) psi(z - zeta) over
+  * near field (|z| <= NEAR_REACH): integrate Gamma(zeta) psi(z - zeta) over
     a fixed disk centered on the singularity, which the polar rule absorbs;
-  * far field (|z| > near_reach): swap variables and integrate
+  * far field (|z| > NEAR_REACH): swap variables and integrate
     psi(eta) Gamma(z - eta) over the support disk, where the integrand is
     smooth because the singularity sits outside the support.
 
@@ -45,6 +45,9 @@ _TWO_PI = 2.0 * math.pi
 
 # pair-entry budget per block when evaluating z-batches against node sets
 _BLOCK_ENTRIES = 1 << 23
+
+NEAR_REACH = 5.5      # |z| up to which the near-field rule is used
+FAR_RESOLUTION = 64   # radial node count of the far-field rule
 
 
 def gamma(z):
@@ -94,14 +97,12 @@ class LogPotential:
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256,
-                 far_resolution: int = 64, near_reach: float = 5.5,
                  radial: bool = False):
         if support_radius <= 0:
             raise ValueError("support_radius must be positive")
         self.psi = psi
         self.support_radius = float(support_radius)
         self.resolution = int(resolution)
-        self.near_reach = float(near_reach)
         self.radial = bool(radial)
         if self.radial:
             R = self.support_radius
@@ -114,7 +115,7 @@ class LogPotential:
             self._piece_log = (ws * np.log(s)).sum(axis=1)    # int s psi log s ds
             self.mass = _TWO_PI * float(self._piece_mass.sum())
             return
-        near = disk_rule(0.0, self.near_reach + self.support_radius,
+        near = disk_rule(0.0, NEAR_REACH + self.support_radius,
                          self.resolution, 2 * self.resolution)
         self._near_nodes = near.nodes
         self._near_gw = near.weights * np.log(np.abs(near.nodes)) / _TWO_PI
@@ -122,7 +123,7 @@ class LogPotential:
         # so a radius prefix is a contiguous slice
         _, self._near_radii = near.rings()
         self._near_n_theta = near.n_theta
-        far = disk_rule(0.0, self.support_radius, int(far_resolution), 2 * int(far_resolution))
+        far = disk_rule(0.0, self.support_radius, FAR_RESOLUTION, 2 * FAR_RESOLUTION)
         self._far_nodes = far.nodes
         self._far_pw = far.weights * np.asarray(psi(far.nodes), dtype=float)
         self.mass = float(np.sum(self._far_pw))
@@ -188,7 +189,7 @@ class LogPotential:
 
     def _values_inner(self, zs: np.ndarray) -> np.ndarray:
         out = np.empty(len(zs))
-        near = np.abs(zs) <= self.near_reach
+        near = np.abs(zs) <= NEAR_REACH
         if near.any():
             out[near] = self._near_values(zs[near])
         if (~near).any():

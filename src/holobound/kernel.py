@@ -22,8 +22,8 @@ power overflows before the weight damps it.
 K_N(z, z) does not depend on the basis of the polynomials of degree <= N, so
 a kernel estimate factors the Gram in the basis (z - c)^j and evaluates
 (z - c)^j; for the usual origin-centred rules that basis is the monomials.
-Only :func:`gram_matrix` maps back to the monomials z^m, by T G T^H with
-T_mj = C(m, j) c^(m-j).  For c != 0 that map loses digits to cancellation.
+:func:`gram_matrix` returns the monomial Gram and so takes origin-centred
+rules only.
 
 The solve goes through a symmetric diagonal equilibration of G: the raw
 monomial Gram has factorially growing diagonal (already ~n! for Gaussian
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .quadrature import QuadratureRule, integrate
-from .weights import WeightFunction, eval_weight
+from .weights import WeightFunction
 
 __all__ = [
     "SampleFunction",
@@ -52,12 +51,12 @@ __all__ = [
     "sb_kernel",
     "gram_matrix",
     "build_kernel_estimate",
-    "kernel_diag",
     "extremal_ratio",
 ]
 
 MAX_DEGREE = 64
 CONDITION_LIMIT = 1e12
+GAP_STEP = 5  # degree step of KernelEstimate.convergence_gap
 
 
 class PositiveDefinitenessError(ArithmeticError):
@@ -139,7 +138,7 @@ def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
     docstring)."""
     center, r = rule.rings()
     n_theta = rule.n_theta
-    u = rule.weights * np.exp(-np.asarray(eval_weight(w, rule.nodes)))
+    u = rule.weights * w.density(rule.nodes)
     U = n_theta * np.fft.ifft(u.reshape(rule.n_r, n_theta), axis=1)
     # Q[p, k + degree] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, |k| <= degree
     rho = r.max()
@@ -149,15 +148,6 @@ def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
     s = rho ** m
     G = s[:, None] * Q[m[:, None] + m, m[:, None] - m + degree] * s
     return center, 0.5 * (G + G.conj().T)  # exactly Hermitian despite FFT rounding
-
-
-def _to_monomials(G: np.ndarray, center: complex) -> np.ndarray:
-    """T G T^H, T_mj = C(m, j) c^(m-j): the Gram of z^m from that of (z - c)^j."""
-    m = np.arange(len(G))
-    binom = np.array([[math.comb(i, j) for j in m] for i in m], dtype=float)
-    T = binom * (center ** m)[np.maximum(m[:, None] - m, 0)]
-    G = T @ G @ T.conj().T
-    return 0.5 * (G + G.conj().T)
 
 
 def _equilibrated_gram(w: WeightFunction, N: int, rule: QuadratureRule):
@@ -184,19 +174,20 @@ def _not_positive_definite(scaled: np.ndarray, d: np.ndarray, N: int) -> Positiv
 def gram_matrix(w: WeightFunction, N: int, rule: QuadratureRule) -> np.ndarray:
     """Gram matrix G_mn = integral of z^m conj(z)^n exp(-phi) over the rule.
 
-    Hermitian by construction (symmetrized after assembly).  Raises
-    :class:`PositiveDefinitenessError` if the matrix does not factor.  On a
-    rule centred at c != 0 the map from the basis (z - c)^j to the monomials
-    loses digits: equilibrated, about 6e-10 at N = 30, 3e-8 at N = 40 and
-    9e-5 at N = 64 on the unit Gaussian's rule shifted by 0.8 - 0.6i (see
-    ``tests/test_kernel.py``).  Kernel estimates do not take this map.
+    Hermitian by construction (symmetrized after assembly).  The rule must
+    be centred at 0, where the FFT assembly's basis (z - c)^j is the
+    monomials.  Raises :class:`PositiveDefinitenessError` if the matrix does
+    not factor.
     """
-    center, G, d, scaled = _equilibrated_gram(w, N, rule)
+    center = rule.rings()[0]
+    if center != 0:
+        raise ValueError(f"gram_matrix needs a rule centred at 0, got centre {center!r}")
+    _, G, d, scaled = _equilibrated_gram(w, N, rule)
     try:
         np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
         raise _not_positive_definite(scaled, d, N) from None
-    return _to_monomials(G, center)
+    return G
 
 
 @dataclass(eq=False)
@@ -222,21 +213,22 @@ class KernelEstimate:
     _chol: np.ndarray = field(repr=False, default=None)
 
     def diag(self, z):
-        """K_N(z, z) at the effective degree; nonnegative, vectorized."""
+        """K_N(z, z) at the effective degree, the largest |f(z)|^2 / ||f||^2
+        over polynomials f of that degree; nonnegative, vectorized."""
         return self.diag_at_degree(z, self.effective_degree)
 
-    def convergence_gap(self, z, step: int = 5):
-        """Relative gap (K_N - K_{N-step}) / K_N at the effective degree.
+    def convergence_gap(self, z):
+        """Relative gap (K_N - K_{N-5}) / K_N at the effective degree.
 
         The diagonals are monotone lower bounds of the full kernel; a small
         gap is the working convergence signal (no rigorous remainder is
         claimed).
         """
         n = self.effective_degree
-        if n < step:
-            raise ValueError(f"effective degree {n} is below the step {step}")
+        if n < GAP_STEP:
+            raise ValueError(f"effective degree {n} is below the step {GAP_STEP}")
         hi = np.atleast_1d(self.diag_at_degree(z, n))
-        lo = np.atleast_1d(self.diag_at_degree(z, n - step))
+        lo = np.atleast_1d(self.diag_at_degree(z, n - GAP_STEP))
         out = (hi - lo) / hi
         return float(out[0]) if np.ndim(z) == 0 else out
 
@@ -288,29 +280,10 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
     )
 
 
-_estimate_cache: dict = {}
-
-
-def _cached_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
-    key = (w, N, id(rule))
-    est = _estimate_cache.get(key)
-    if est is None or est.rule is not rule:
-        est = build_kernel_estimate(w, N, rule)
-        if len(_estimate_cache) > 64:
-            _estimate_cache.clear()
-        _estimate_cache[key] = est
-    return est
-
-
-def kernel_diag(w: WeightFunction, N: int, rule: QuadratureRule, z):
-    """K_N(z, z): the largest |f(z)|^2 / ||f||^2 over degree-N polynomials."""
-    return _cached_estimate(w, N, rule).diag(z)
-
-
 def extremal_ratio(w: WeightFunction, f: SampleFunction, z, rule: QuadratureRule):
     """|f(z)|^2 / ||f||^2 under the weight; never exceeds the kernel diagonal
     when f is a polynomial of degree at most the kernel's."""
-    norm_sq = integrate(rule, lambda p: np.abs(f(p)) ** 2 * np.exp(-np.asarray(eval_weight(w, p))))
+    norm_sq = integrate(rule, lambda p: np.abs(f(p)) ** 2 * w.density(p))
     if norm_sq <= 0.0:
         raise ValueError("sample function has zero norm under the weight")
     z = np.asarray(z, dtype=complex)

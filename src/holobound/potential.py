@@ -27,26 +27,20 @@ independent 2-D quadrature oracle the tests compare it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .greens import LogPotential, cutoff_g, gamma
+from .greens import LogPotential, cutoff_g
 from .quadrature import integrate_with_error, masked_disk_rule, sunflower_points
 from .weights import (
     Check,
     ScalarField,
     ValidationReport,
     WeightFunction,
-    eval_laplacian,
     report_from_checks,
 )
 
 __all__ = [
-    "gamma",
-    "cutoff_g",
-    "PotentialField",
     "make_psi",
     "B_EXACT",
     "compute_B",
@@ -62,65 +56,32 @@ B_BRACKET = (0.0, 2.0 * math.log(3.0))
 # certificate needs an upper bound for B
 B_EXACT = 2.0 * math.log(2.0) - 0.5
 
-
-@dataclass(eq=False)
-class PotentialField:
-    """The cutoff density psi = g * lap(phi) and its potential Phi = Gamma * psi.
-
-    ``phi(z)`` evaluates the potential (vectorized); psi is exactly zero for
-    |z| >= 2 and agrees with lap(phi) on the closed unit disk.
-    """
-
-    psi: ScalarField
-    weight: WeightFunction
-    M: float
-    resolution: int = 256
-    psi_radial: bool = False
-    _potential: LogPotential = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._potential is None:
-            self._potential = LogPotential(self.psi, support_radius=2.0,
-                                           resolution=self.resolution,
-                                           radial=self.psi_radial)
-
-    def phi(self, z):
-        """Phi(z) = (Gamma * psi)(z)."""
-        return self._potential(z)
+LAPLACIAN_TOL = 1e-9  # slack of make_psi's check 0 <= lap(phi) <= M
+FD_STEP = 1e-2        # stencil step of the Poisson check
+POISSON_TOL = 5e-3    # Poisson residual allowed per unit of 1 + M
 
 
-def _psi_is_radial(w: WeightFunction) -> bool:
-    """True when g * lap(phi) is a radial function of z.
-
-    Constant Laplacians (possibly translated) and the untranslated built-in
-    bump family qualify; anything else keeps the general 2-D evaluator.
-    """
-    if w.laplacian_bounds[0] == w.laplacian_bounds[1]:
-        return True
-    if w.family == "potential_defined" and w.offset == 0:
-        return any(k == "psi_height" for k, _ in w.params)
-    return False
-
-
-def make_psi(w: WeightFunction, M: float, tol: float = 1e-9,
-             resolution: int = 256) -> PotentialField:
+def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential:
     """Build psi = g * lap(phi) after validating 0 <= lap(phi) <= M.
 
-    The validation grid covers the support D(0, 2) of the cutoff with some
-    margin; a violating weight is rejected with the offending grid point.
+    Returns the potential Phi = Gamma * psi: calling it evaluates Phi, and
+    its ``psi`` is the cutoff density, exactly zero for |z| >= 2 and equal
+    to lap(phi) on the closed unit disk.  The validation grid covers the
+    support D(0, 2) of the cutoff with some margin; a violating weight is
+    rejected with the offending grid point.
     """
     grid = sunflower_points(400, 2.2)
-    lap = np.asarray(eval_laplacian(w, grid))
-    bad = (lap < -tol) | (lap > M + tol)
+    lap = np.asarray(w.laplacian(grid))
+    bad = (lap < -LAPLACIAN_TOL) | (lap > M + LAPLACIAN_TOL)
     if bad.any():
         idx = int(np.argmax(bad))
         raise ValueError(
             f"weight violates 0 <= lap(phi) <= {M} at z = {grid[idx]!r} "
             f"(lap(phi) = {lap[idx]})")
-    psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(eval_laplacian(w, z)),
+    psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(w.laplacian(z)),
                       support_radius=2.0)
-    return PotentialField(psi=psi, weight=w, M=float(M), resolution=resolution,
-                          psi_radial=_psi_is_radial(w))
+    return LogPotential(psi, support_radius=2.0, resolution=resolution,
+                        radial=w._radial_laplacian)
 
 
 def compute_B(resolution: int = 64, omega_grid_size: int = 24) -> float:
@@ -148,15 +109,14 @@ def compute_B(resolution: int = 64, omega_grid_size: int = 24) -> float:
     return B
 
 
-def verify_potential_bounds(pf: PotentialField, grid_in_unit_disk, tol: float,
-                            fd_tol: Optional[float] = None,
-                            fd_step: float = 1e-2) -> ValidationReport:
+def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk,
+                            tol: float) -> ValidationReport:
     """Check the three potential bounds on a grid inside the unit disk.
 
     * Phi(omega) <= B * M + tol on the grid;
     * Phi(0) >= -M/4 - tol;
-    * lap(Phi) = psi within ``fd_tol`` (default 5e-3 * (1 + M)) at the grid
-      points, via the finite-difference oracle.
+    * lap(Phi) = psi within 5e-3 * (1 + M) at the grid points, via the
+      finite-difference oracle.
 
     Failures are reported, never raised.
     """
@@ -165,26 +125,25 @@ def verify_potential_bounds(pf: PotentialField, grid_in_unit_disk, tol: float,
         raise ValueError("grid must be nonempty")
     if np.any(np.abs(grid) >= 1.0):
         raise ValueError("grid points must lie inside D(0, 1)")
-    if fd_tol is None:
-        fd_tol = 5e-3 * (1.0 + pf.M)
-    upper = B_EXACT * pf.M + tol
+    fd_tol = POISSON_TOL * (1.0 + M)
+    upper = B_EXACT * M + tol
 
-    phi_grid = pf.phi(grid)
-    phi0 = pf.phi(np.array([0.0 + 0.0j]))[0]
-    h = fd_step
+    phi_grid = potential(grid)
+    phi0 = potential(np.array([0.0 + 0.0j]))[0]
+    h = FD_STEP
     stencil = np.concatenate([grid, grid + h, grid - h, grid + 1j * h, grid - 1j * h])
-    vals = pf.phi(stencil)
+    vals = potential(stencil)
     n = len(grid)
     fd = (vals[n:2 * n] + vals[2 * n:3 * n] + vals[3 * n:4 * n]
           + vals[4 * n:5 * n] - 4.0 * vals[:n]) / (h * h)
-    resid = float(np.max(np.abs(fd - pf.psi(grid))))
+    resid = float(np.max(np.abs(fd - potential.psi(grid))))
 
     sup_phi = float(np.max(phi_grid))
     checks = (
         Check("phi_upper", sup_phi, upper, sup_phi <= upper,
               note=f"worst point {grid[np.argmax(phi_grid)]!r}"),
-        Check("phi_at_origin", float(phi0), -pf.M / 4.0 - tol,
-              phi0 >= -pf.M / 4.0 - tol),
+        Check("phi_at_origin", float(phi0), -M / 4.0 - tol,
+              phi0 >= -M / 4.0 - tol),
         Check("poisson_residual", resid, fd_tol, resid <= fd_tol),
     )
     return report_from_checks(checks)

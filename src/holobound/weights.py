@@ -29,8 +29,6 @@ __all__ = [
     "ScalarField",
     "WeightFunction",
     "WeightError",
-    "eval_weight",
-    "eval_laplacian",
     "fd_laplacian",
     "validate_laplacian_bounds",
     "translate_weight",
@@ -40,6 +38,7 @@ __all__ = [
 
 NEGLIGIBLE_LOG = math.log(1e-18)
 DEFAULT_MAX_DEGREE = 40
+FD_STEP = 1e-3  # step of the finite-difference oracle in validate_laplacian_bounds
 
 _psi_tokens = itertools.count(1)
 
@@ -130,6 +129,8 @@ class WeightFunction:
     _floor: tuple = field(compare=False, repr=False)
     _poly: Optional[np.ndarray] = field(compare=False, repr=False, default=None)
     _psi: Optional[ScalarField] = field(compare=False, repr=False, default=None)
+    # lap(phi) is a function of |z| alone, from the family's own Laplacian
+    _radial_laplacian: bool = field(compare=False, repr=False, default=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -164,9 +165,6 @@ class WeightFunction:
         None for families that are not polynomial in (x, y).
         """
         return None if self._poly is None else self._poly.copy()
-
-    def translated(self, z0: complex) -> "WeightFunction":
-        return translate_weight(self, z0)
 
     # -- serialization ------------------------------------------------------
 
@@ -298,8 +296,11 @@ def truncation_radius(w: "WeightFunction", max_degree: int,
 
 
 def _finalize(family, base, z0, weight_base, lap_base, floor, bounds, poly,
-              psi=None, declared_bounds=None) -> WeightFunction:
+              psi=None, declared_bounds=None, radial=False) -> WeightFunction:
     m, M = bounds
+    # a constant Laplacian is radial about every point; a wider declared
+    # range does not change that
+    radial = radial or m == M
     if declared_bounds is not None:
         dm, dM = float(declared_bounds[0]), float(declared_bounds[1])
         if dm > m + 1e-12 or dM < M - 1e-12:
@@ -321,6 +322,7 @@ def _finalize(family, base, z0, weight_base, lap_base, floor, bounds, poly,
         _floor=floor,
         _poly=poly,
         _psi=psi,
+        _radial_laplacian=radial,
     )
     hint = truncation_radius(w, DEFAULT_MAX_DEGREE)
     object.__setattr__(w, "truncation_hint", hint)
@@ -421,6 +423,7 @@ def _build_potential_defined(a, psi, psi_sup, psi_height, resolution, z0,
         None,
         psi=psi_field,
         declared_bounds=declared,
+        radial=radial and z0 == 0,
     )
 
 
@@ -463,16 +466,6 @@ def _weight_from_json(desc: dict) -> WeightFunction:
 # Operations
 # ---------------------------------------------------------------------------
 
-def eval_weight(w: WeightFunction, z):
-    """phi(z)."""
-    return w.weight(z)
-
-
-def eval_laplacian(w: WeightFunction, z):
-    """lap(phi)(z) from the family's closed form (never finite differences)."""
-    return w.laplacian(z)
-
-
 def fd_laplacian(field, z, h: float):
     """Five-point finite-difference Laplacian, O(h^2) accurate.
 
@@ -489,8 +482,7 @@ def fd_laplacian(field, z, h: float):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_laplacian_bounds(w: WeightFunction, grid, tol: float,
-                              fd_step: float = 1e-3) -> ValidationReport:
+def validate_laplacian_bounds(w: WeightFunction, grid, tol: float) -> ValidationReport:
     """Check lap(phi) stays within the declared bounds on a grid.
 
     Reports the grid min/max of the closed-form Laplacian, the worst
@@ -502,7 +494,7 @@ def validate_laplacian_bounds(w: WeightFunction, grid, tol: float,
     if grid.size == 0:
         raise ValueError("validation grid must be nonempty")
     lap = np.atleast_1d(np.asarray(w.laplacian(grid)))
-    fd = np.atleast_1d(np.asarray(fd_laplacian(w.weight, grid, fd_step)))
+    fd = np.atleast_1d(np.asarray(fd_laplacian(w.weight, grid, FD_STEP)))
     m, M = w.laplacian_bounds
     lap_min, lap_max = float(lap.min()), float(lap.max())
     fd_dev = float(np.max(np.abs(lap - fd) / (1.0 + np.abs(lap))))
@@ -552,16 +544,3 @@ def _shift_poly_xy(poly: np.ndarray, x0: float, y0: float) -> np.ndarray:
                     out[k, l] += (poly[i, j] * math.comb(i, k) * x0 ** (i - k)
                                   * math.comb(j, l) * y0 ** (j - l))
     return out
-
-
-def eval_poly_xy(poly: np.ndarray, z):
-    """Evaluate sum c_ij x^i y^j at complex points z = x + iy."""
-    z = np.asarray(z, dtype=complex)
-    x, y = np.real(z), np.imag(z)
-    out = np.zeros(z.shape, dtype=float)
-    nx, ny = poly.shape
-    for i in range(nx):
-        for j in range(ny):
-            if poly[i, j] != 0.0:
-                out = out + poly[i, j] * x ** i * y ** j
-    return float(out) if out.ndim == 0 else out

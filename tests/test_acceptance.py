@@ -12,7 +12,6 @@ import pytest
 
 from holobound import (
     SampleFunction,
-    WeightDensity,
     WeightFunction,
     build_equivalence_map,
     build_kernel_estimate,
@@ -20,7 +19,6 @@ from holobound import (
     disk_rule,
     global_certificate,
     integrate,
-    kernel_diag,
     log_laplacian_equal,
     make_psi,
     matching_normalized_gaussian,
@@ -46,7 +44,7 @@ def report(number, ok, description):
 
 
 @pytest.fixture(scope="module")
-def oscillatory_pf():
+def oscillatory_potential():
     w = WeightFunction.oscillatory(1.0, 0.5)
     return make_psi(w, 5.0, resolution=256)
 
@@ -60,11 +58,11 @@ def test_criterion_01_fundamental_integral():
 
 def test_criterion_02_normalized_gaussian_exactness():
     w = normalized_gaussian(1.0)
-    rule = truncated_plane_rule(10.0, 256, 512)
+    est = build_kernel_estimate(w, 40, truncated_plane_rule(10.0, 256, 512))
     worst = 0.0
     for z in (0.0, 0.5, 1.0, 1.0 + 1.0j, 1.5):
         expected = math.exp(abs(z) ** 2)
-        rel = abs(kernel_diag(w, 40, rule, z) - expected) / expected
+        rel = abs(est.diag(z) - expected) / expected
         worst = max(worst, rel)
     ok = worst <= 1e-6
     assert report(2, ok, f"kernel diagonal vs exp(|z|^2), worst rel err {worst:.2e} (tol 1e-6)")
@@ -82,22 +80,22 @@ def test_criterion_03_constant_laplacian_flatness():
                          f"worst rel dev {worst:.2e} (tol 1e-3)")
 
 
-def test_criterion_04_poisson_residual(oscillatory_pf):
-    pf = oscillatory_pf
+def test_criterion_04_poisson_residual(oscillatory_potential):
+    potential, M = oscillatory_potential, 5.0
     pts = random_disk_points(50, 0.9, seed=404)
     h = 1e-2
     stencil = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-    vals = pf.phi(stencil)
+    vals = potential(stencil)
     n = len(pts)
     fd = (vals[n:2 * n] + vals[2 * n:3 * n] + vals[3 * n:4 * n]
           + vals[4 * n:5 * n] - 4 * vals[:n]) / h ** 2
-    resid = float(np.max(np.abs(fd - pf.psi(pts))))
-    budget = 5e-3 * (1.0 + pf.M)
+    resid = float(np.max(np.abs(fd - potential.psi(pts))))
+    budget = 5e-3 * (1.0 + M)
     ok = resid <= budget
     assert report(4, ok, f"poisson residual {resid:.2e} <= {budget:.2e} at resolution 256")
 
 
-def test_criterion_05_potential_constants(oscillatory_pf):
+def test_criterion_05_potential_constants(oscillatory_potential):
     B_oracle = compute_B()
     ok = B_EXACT <= B_oracle <= B_EXACT + 1e-6
     ok = ok and B_BRACKET[0] <= B_oracle <= B_BRACKET[1]
@@ -105,18 +103,18 @@ def test_criterion_05_potential_constants(oscillatory_pf):
     ok = ok and drift < 1e-3
     grid = random_disk_points(200, 0.98, seed=505)
     families = [
-        make_psi(WeightFunction.gaussian(1.0), 4.0, resolution=256),
-        make_psi(WeightFunction.gaussian_harmonic(1.0, b=0.3), 4.0, resolution=256),
-        oscillatory_pf,
-        make_psi(WeightFunction.potential_defined(1.0), 5.0, resolution=256),
+        (make_psi(WeightFunction.gaussian(1.0), 4.0, resolution=256), 4.0),
+        (make_psi(WeightFunction.gaussian_harmonic(1.0, b=0.3), 4.0, resolution=256), 4.0),
+        (oscillatory_potential, 5.0),
+        (make_psi(WeightFunction.potential_defined(1.0), 5.0, resolution=256), 5.0),
     ]
     worst_upper, worst_origin = -np.inf, np.inf
-    for pf in families:
-        margin = B_EXACT * pf.M + 1e-3 - float(np.max(pf.phi(grid)))
+    for potential, M in families:
+        margin = B_EXACT * M + 1e-3 - float(np.max(potential(grid)))
         worst_upper = max(worst_upper, -margin)
-        phi0 = float(pf.phi(0.0 + 0.0j))
-        ok = ok and margin >= 0.0 and phi0 >= -pf.M / 4.0 - 1e-4
-        worst_origin = min(worst_origin, phi0 + pf.M / 4.0)
+        phi0 = potential(0.0 + 0.0j)
+        ok = ok and margin >= 0.0 and phi0 >= -M / 4.0 - 1e-4
+        worst_origin = min(worst_origin, phi0 + M / 4.0)
     assert report(5, ok, f"B={B_EXACT:.6f} <= oracle {B_oracle:.9f} "
                          f"in {B_BRACKET[1]:.4f}-bracket, drift {drift:.1e}, "
                          f"phi<=BM+1e-3 (worst excess {worst_upper:.1e}), "
@@ -174,24 +172,23 @@ def test_criterion_08_equivalence_suite():
     for c in (1.0, 4.0, 10.0):
         a = c / 4.0
         w = WeightFunction.gaussian_harmonic(a, b=0.1 * a, c=0.2, d=0.1)
-        source = WeightDensity(w)
         target = matching_normalized_gaussian(c)
-        emap = build_equivalence_map(source, target)
-        radius = max(truncation_radius(w, 40), truncation_radius(target.weight, 40))
+        emap = build_equivalence_map(w, target)
+        radius = max(truncation_radius(w, 40), truncation_radius(target, 40))
         rule = truncated_plane_rule(radius, 256, 512)
         samples = [SampleFunction.polynomial([1.0]),
                    SampleFunction.polynomial([0.5, -1.0j, 0.25]),
                    SampleFunction.monomial(3)]
         unitary = verify_unitary(emap, samples, rule, tol=1e-5)
-        invariance = verify_kernel_invariance(source, target, [0.0, 1.0, 1.0j],
+        invariance = verify_kernel_invariance(w, target, [0.0, 1.0, 1.0j],
                                               40, rule, tol=1e-4)
         ok = ok and unitary.passed and invariance.passed
         worst_u = max(ch.value for ch in unitary.checks)
         worst_i = max(ch.value for ch in invariance.checks)
         details.append(f"c={c:g}: unitary dev {worst_u:.1e}, invariance dev {worst_i:.1e}")
     # negative control: constant Laplacians 4 vs 8 are inequivalent
-    a4 = WeightDensity(WeightFunction.gaussian(1.0))
-    a8 = WeightDensity(WeightFunction.gaussian(0.5))
+    a4 = WeightFunction.gaussian(1.0)
+    a8 = WeightFunction.gaussian(0.5)
     grid = disk_lattice(1.0, 0.25)
     rejected = not log_laplacian_equal(a4, a8, grid, 1e-8)
     try:

@@ -8,10 +8,10 @@ from holobound import (
     NonConstantLaplacianError,
     SampleFunction,
     WeightFunction,
+    build_kernel_estimate,
     certificate_constant,
     constant_case_certificate,
     global_certificate,
-    kernel_diag,
     local_bound_certificate,
     mean_value_check,
     translate_weight,
@@ -148,17 +148,17 @@ class TestGlobalCertificate:
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j
         wt = translate_weight(gauss1, z0)
-        lhs = kernel_diag(wt, 30, gauss1_rule, 0.0)
-        rhs = kernel_diag(gauss1, 30, recenter(gauss1_rule, z0), z0)
+        lhs = build_kernel_estimate(wt, 30, gauss1_rule).diag(0.0)
+        rhs = build_kernel_estimate(gauss1, 30, recenter(gauss1_rule, z0)).diag(z0)
         assert lhs == pytest.approx(rhs, rel=1e-5)
 
     def test_translated_certificate_matches_pointwise(self, gauss1, gauss1_rule):
         z0 = 1.0 + 0.5j
         wt = translate_weight(gauss1, z0)
         rule_t = recenter(gauss1_rule, -z0)
-        prod_t = (kernel_diag(wt, 30, rule_t, 0.0)
+        prod_t = (build_kernel_estimate(wt, 30, rule_t).diag(0.0)
                   * math.exp(-wt.weight(0.0)))
-        prod = (kernel_diag(gauss1, 30, gauss1_rule, z0)
+        prod = (build_kernel_estimate(gauss1, 30, gauss1_rule).diag(z0)
                 * math.exp(-gauss1.weight(z0)))
         assert prod_t == pytest.approx(prod, rel=1e-6)
 
@@ -193,8 +193,8 @@ class TestNormalization:
         # alpha -> 2 alpha: K halves, the weighted product is invariant
         doubled = WeightFunction.gaussian_harmonic(1.0, d=-math.log(2.0))
         z = 0.7 + 0.3j
-        k1 = kernel_diag(gauss1, 25, gauss1_rule, z)
-        k2 = kernel_diag(doubled, 25, gauss1_rule, z)
+        k1 = build_kernel_estimate(gauss1, 25, gauss1_rule).diag(z)
+        k2 = build_kernel_estimate(doubled, 25, gauss1_rule).diag(z)
         assert k2 == pytest.approx(0.5 * k1, rel=1e-12)
         assert k2 * doubled.density(z) == pytest.approx(k1 * gauss1.density(z),
                                                         rel=1e-12)

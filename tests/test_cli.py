@@ -103,6 +103,16 @@ class TestMainExitCodes:
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [("--degree", "65"), ("--resolution", "7")])
+    def test_out_of_range_override(self, tmp_path, capsys, flag, value):
+        # the flags share the config's range check, so they fail the same way
+        cfg = write_config(tmp_path, "c.json", {"experiment": "kernel-diag", "weight": GAUSS})
+        out = tmp_path / "out"
+        code = main(["kernel-diag", "--config", cfg, "--out", str(out), flag, value])
+        assert code == EXIT_CONFIG
+        assert f"{flag[2:]} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConstantsCommand:
     def test_csv_row(self, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from holobound import (
     EquivalenceError,
     SampleFunction,
-    WeightDensity,
     WeightFunction,
     build_equivalence_map,
     harmonic_conjugate_poly,
@@ -23,26 +22,22 @@ from holobound.quadrature import sunflower_points
 GRID = sunflower_points(60, 2.0)
 
 
-def density(w):
-    return WeightDensity(w)
-
-
 class TestLogLaplacianCriterion:
     def test_harmonic_difference_is_equivalent(self):
-        a = density(WeightFunction.gaussian(1.0))
-        b = density(WeightFunction.gaussian_harmonic(1.0, c=1.0))
+        a = WeightFunction.gaussian(1.0)
+        b = WeightFunction.gaussian_harmonic(1.0, c=1.0)
         assert log_laplacian_equal(a, b, GRID, 1e-10)
 
     def test_normalization_constant_is_equivalent(self):
         # the normalized Gaussian differs from exp(-|z|^2/t) by a constant
         # factor, which is log-harmonic
-        a = density(normalized_gaussian(2.0))
-        b = density(WeightFunction.gaussian(2.0))
+        a = normalized_gaussian(2.0)
+        b = WeightFunction.gaussian(2.0)
         assert log_laplacian_equal(a, b, GRID, 1e-12)
 
     def test_different_constants_are_not(self):
-        a = density(WeightFunction.gaussian(1.0))   # lap = 4
-        b = density(WeightFunction.gaussian(0.5))   # lap = 8
+        a = WeightFunction.gaussian(1.0)   # lap = 4
+        b = WeightFunction.gaussian(0.5)   # lap = 8
         report = log_laplacian_equal(a, b, GRID, 1e-6)
         assert not report
         assert report.checks[0].value == pytest.approx(4.0)
@@ -89,36 +84,36 @@ class TestHarmonicConjugate:
 
 class TestBuildEquivalenceMap:
     def test_identity(self, gauss1):
-        emap = build_equivalence_map(density(gauss1), density(gauss1))
+        emap = build_equivalence_map(gauss1, gauss1)
         assert np.allclose(emap(GRID), 1.0)
 
     def test_exponential_multiplier(self, gauss1):
         # beta = exp(-|z|^2 - 2 Re z) = alpha / |e^z|^2
-        b = density(WeightFunction.gaussian_harmonic(1.0, c=2.0))
-        emap = build_equivalence_map(density(gauss1), b)
+        b = WeightFunction.gaussian_harmonic(1.0, c=2.0)
+        emap = build_equivalence_map(gauss1, b)
         assert np.allclose(emap.exponent_coefficients, [0.0, 2.0])
         zs = sunflower_points(100, 3.0)
         assert np.allclose(emap(zs), np.exp(zs), rtol=1e-12)
-        ratio = np.abs(emap(zs)) ** 2 * b.density(zs) / density(gauss1).density(zs)
+        ratio = np.abs(emap(zs)) ** 2 * b.density(zs) / gauss1.density(zs)
         assert np.max(np.abs(ratio - 1.0)) < 1e-10
 
     def test_constant_rescale(self, gauss1):
         # beta = s * alpha, represented via a constant shift of the exponent
         s = 0.375
-        b = density(WeightFunction.gaussian_harmonic(1.0, d=-math.log(s)))
-        emap = build_equivalence_map(density(gauss1), b)
+        b = WeightFunction.gaussian_harmonic(1.0, d=-math.log(s))
+        emap = build_equivalence_map(gauss1, b)
         assert complex(np.asarray(emap(0.7 + 0.2j))) == pytest.approx(
             1.0 / math.sqrt(s), rel=1e-14)
 
     def test_non_polynomial_rejected(self, gauss1):
-        osc = density(WeightFunction.oscillatory(1.0, 0.5))
+        osc = WeightFunction.oscillatory(1.0, 0.5)
         with pytest.raises(EquivalenceError, match="polynomial"):
-            build_equivalence_map(density(gauss1), osc)
+            build_equivalence_map(gauss1, osc)
 
     def test_non_harmonic_difference_rejected(self, gauss1):
-        b = density(WeightFunction.gaussian(0.5))
+        b = WeightFunction.gaussian(0.5)
         with pytest.raises(EquivalenceError, match="harmonic"):
-            build_equivalence_map(density(gauss1), b)
+            build_equivalence_map(gauss1, b)
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +123,13 @@ def rule():
 
 @pytest.fixture(scope="module")
 def exp_map(gauss1):
-    b = density(WeightFunction.gaussian_harmonic(1.0, c=2.0))
-    return build_equivalence_map(density(gauss1), b)
+    b = WeightFunction.gaussian_harmonic(1.0, c=2.0)
+    return build_equivalence_map(gauss1, b)
 
 
 class TestVerifyUnitary:
     def test_identity_map_exact(self, gauss1, rule):
-        emap = build_equivalence_map(density(gauss1), density(gauss1))
+        emap = build_equivalence_map(gauss1, gauss1)
         samples = [SampleFunction.polynomial([1.0]), SampleFunction.monomial(3)]
         report = verify_unitary(emap, samples, rule, tol=1e-14)
         assert report.passed
@@ -160,35 +155,35 @@ class TestVerifyUnitary:
             samples.append(SampleFunction.polynomial(
                 rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
         pairs = [
-            density(WeightFunction.gaussian_harmonic(1.0, c=2.0)),
-            density(WeightFunction.gaussian_harmonic(1.0, b=0.2, d=0.3)),
-            density(normalized_gaussian(1.0)),
+            WeightFunction.gaussian_harmonic(1.0, c=2.0),
+            WeightFunction.gaussian_harmonic(1.0, b=0.2, d=0.3),
+            normalized_gaussian(1.0),
         ]
         for target in pairs:
-            emap = build_equivalence_map(density(gauss1), target)
+            emap = build_equivalence_map(gauss1, target)
             report = verify_unitary(emap, samples, rule, tol=1e-5)
             assert report.passed
 
 
 class TestKernelInvariance:
     def test_identical_densities(self, gauss1, gauss1_rule):
-        report = verify_kernel_invariance(density(gauss1), density(gauss1),
+        report = verify_kernel_invariance(gauss1, gauss1,
                                           [0.0, 1.0, 1.0j], 30, gauss1_rule, 1e-12)
         assert report.passed
 
     def test_constant_rescale_exact(self, gauss1, gauss1_rule):
         # doubling the density halves the kernel diagonal
-        b = density(WeightFunction.gaussian_harmonic(1.0, d=-math.log(2.0)))
-        report = verify_kernel_invariance(density(gauss1), b,
+        b = WeightFunction.gaussian_harmonic(1.0, d=-math.log(2.0))
+        report = verify_kernel_invariance(gauss1, b,
                                           [0.0, 1.0, 1.0j], 30, gauss1_rule, 1e-10)
         assert report.passed
 
     def test_exponential_pair_at_convergence(self, gauss1):
-        b = density(WeightFunction.gaussian_harmonic(1.0, c=2.0))
+        b = WeightFunction.gaussian_harmonic(1.0, c=2.0)
         radius = max(truncation_radius(gauss1, 40),
-                     truncation_radius(b.weight, 40))
+                     truncation_radius(b, 40))
         rule = truncated_plane_rule(radius, 256, 512)
-        report = verify_kernel_invariance(density(gauss1), b,
+        report = verify_kernel_invariance(gauss1, b,
                                           [0.0, 1.0, 1.0j], 40, rule, 1e-4)
         assert report.passed
         assert "effective degrees 40 / 40" in report.checks[0].note
@@ -201,16 +196,16 @@ class TestConstantLaplacianRealization:
         # normalized Gaussian with t = 4/c
         w = WeightFunction.gaussian_harmonic(c / 4.0, b=0.1 * c / 4.0, c=0.2, d=0.1)
         target = matching_normalized_gaussian(c)
-        assert target.weight.laplacian(0.0) == pytest.approx(c)
-        emap = build_equivalence_map(WeightDensity(w), target)
+        assert target.laplacian(0.0) == pytest.approx(c)
+        emap = build_equivalence_map(w, target)
         zs = sunflower_points(50, 2.0)
         ratio = (np.abs(emap(zs)) ** 2 * target.density(zs)
-                 / WeightDensity(w).density(zs))
+                 / w.density(zs))
         assert np.max(np.abs(ratio - 1.0)) < 1e-10
 
     def test_negative_control_rejected(self):
-        a = density(WeightFunction.gaussian(1.0))   # lap = 4
-        b = density(WeightFunction.gaussian(0.5))   # lap = 8
+        a = WeightFunction.gaussian(1.0)   # lap = 4
+        b = WeightFunction.gaussian(0.5)   # lap = 8
         assert not log_laplacian_equal(a, b, GRID, 1e-8)
         with pytest.raises(EquivalenceError):
             build_equivalence_map(a, b)

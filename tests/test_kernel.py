@@ -12,10 +12,8 @@ from holobound import (
     WeightFunction,
     build_kernel_estimate,
     disk_rule,
-    eval_weight,
     extremal_ratio,
     gram_matrix,
-    kernel_diag,
     masked_disk_rule,
     normalized_gaussian,
     sb_kernel,
@@ -34,7 +32,7 @@ def rule_r10():
 def direct_gram(w, N, rule, center=0j):
     """The node sum G_mn = sum u (z - c)^m conj(z - c)^n as a Vandermonde
     product: the oracle for the FFT-in-angle assembly."""
-    u = rule.weights * np.exp(-np.asarray(eval_weight(w, rule.nodes)))
+    u = rule.weights * w.density(rule.nodes)
     V = (rule.nodes - center)[:, None] ** np.arange(N + 1)
     G = (V * u[:, None]).T @ V.conj()
     return 0.5 * (G + G.conj().T)
@@ -137,12 +135,12 @@ class TestFFTAssembly:
         assert est.effective_degree == oracle.effective_degree
         assert est.degraded == oracle.degraded
 
-    @pytest.mark.parametrize("N, limit", [(30, 1e-9), (40, 1e-7), (64, 2e-4)])
-    def test_monomial_map_back_accuracy(self, gauss1, gauss1_rule, N, limit):
-        # gram_matrix maps the Gram of (z - c)^j back to z^m, losing digits to
-        # cancellation as N grows: measured 6e-10, 3e-8 and 9e-5
+    def test_off_centre_rule_rejected(self, gauss1, gauss1_rule):
+        # the monomial Gram is the assembly's own only on origin-centred rules
         rule = recenter(gauss1_rule, 0.8 - 0.6j)
-        assert equilibrated_error(gram_matrix(gauss1, N, rule), direct_gram(gauss1, N, rule)) < limit
+        with pytest.raises(ValueError, match=r"centre \(0\.8-0\.6j\)"):
+            gram_matrix(gauss1, 10, rule)
+        assert gram_matrix(gauss1, 10, recenter(gauss1_rule, 0.0)).shape == (11, 11)
 
     def test_large_radius_does_not_overflow(self):
         # R ~ 277 at N = 64: R^128 overflows, the scaled powers do not
@@ -183,29 +181,30 @@ class TestKernelDiag:
     def test_origin_value(self, gauss1, rule_r10):
         # only the constant term contributes at z = 0: 1 / G_00 = 1 / pi
         for N in (0, 5, 40):
-            assert kernel_diag(gauss1, N, rule_r10, 0.0) == pytest.approx(
+            assert build_kernel_estimate(gauss1, N, rule_r10).diag(0.0) == pytest.approx(
                 1.0 / math.pi, rel=1e-10)
 
     def test_truncated_series_at_one(self, gauss1, rule_r10):
         # series oracle: K_30(1, 1) = (1/pi) sum_{n<=30} 1/n!
         partial = sum(1.0 / math.factorial(n) for n in range(31)) / math.pi
-        val = kernel_diag(gauss1, 30, rule_r10, 1.0)
+        val = build_kernel_estimate(gauss1, 30, rule_r10).diag(1.0)
         assert val == pytest.approx(partial, rel=1e-9)
         assert val == pytest.approx(math.e / math.pi, rel=1e-6)
 
     def test_normalized_gaussian_exactness(self, rule_r10):
         # closed form e^{|z|^2 / t} for the normalized Gaussian density
-        w = normalized_gaussian(1.0)
+        est = build_kernel_estimate(normalized_gaussian(1.0), 40, rule_r10)
         for z in (0.0, 0.5, 1.0, 1.0 + 1.0j, 1.5):
             expected = math.exp(abs(z) ** 2)
-            assert kernel_diag(w, 40, rule_r10, z) == pytest.approx(expected, rel=1e-6)
+            assert est.diag(z) == pytest.approx(expected, rel=1e-6)
 
     def test_normalized_gaussian_other_parameter(self):
         w = normalized_gaussian(2.0)
         rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
+        est = build_kernel_estimate(w, 40, rule)
         for z in (0.0, 1.0, 1.0 + 1.0j):
             expected = math.exp(abs(z) ** 2 / 2.0)
-            assert kernel_diag(w, 40, rule, z) == pytest.approx(expected, rel=1e-6)
+            assert est.diag(z) == pytest.approx(expected, rel=1e-6)
 
     def test_convergence_gap_shrinks(self, gauss1, rule_r10):
         est = build_kernel_estimate(gauss1, 40, rule_r10)
@@ -237,7 +236,7 @@ class TestKernelDiag:
         # v^H G^-1 v and v^T G^-1 conj(v) differ off the real axis
         z0 = 0.8 - 0.6j
         zs = np.array([1j, -z0, 1.0 - 1.0j, 0.5 + 1.5j])
-        vals = kernel_diag(translate_weight(gauss1, z0), 30, gauss1_rule, zs)
+        vals = build_kernel_estimate(translate_weight(gauss1, z0), 30, gauss1_rule).diag(zs)
         expected = [gaussian_series(z + z0, 30) for z in zs]
         assert np.allclose(vals, expected, rtol=1e-10)
 
@@ -254,7 +253,7 @@ class TestKernelDiag:
 
     def test_nonnegative(self, rule_r10, gauss1):
         zs = random_disk_points(50, 2.0, seed=8)
-        assert (np.asarray(kernel_diag(gauss1, 25, rule_r10, zs)) >= 0.0).all()
+        assert (build_kernel_estimate(gauss1, 25, rule_r10).diag(zs) >= 0.0).all()
 
 
 class TestDegradation:
@@ -301,7 +300,7 @@ class TestExtremalRatio:
         # e^omega truncated to degree 30 is the extremal function at z = 1
         f = SampleFunction.exp_taylor(1.0, 30)
         ratio = extremal_ratio(gauss1, f, 1.0, rule_r10)
-        diag = kernel_diag(gauss1, 30, rule_r10, 1.0)
+        diag = build_kernel_estimate(gauss1, 30, rule_r10).diag(1.0)
         assert ratio <= diag * (1 + 1e-10)
         assert ratio == pytest.approx(math.e / math.pi, rel=1e-4)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from holobound import (
     B_BRACKET,
     B_EXACT,
-    PotentialField,
     ScalarField,
     WeightFunction,
     compute_B,
@@ -18,6 +17,7 @@ from holobound import (
     integrate,
     make_psi,
     masked_disk_rule,
+    translate_weight,
     verify_potential_bounds,
 )
 from holobound import greens
@@ -67,26 +67,26 @@ class TestCutoff:
 
 class TestMakePsi:
     def test_gaussian_values(self, gauss1):
-        pf = make_psi(gauss1, 4.0)
-        assert pf.psi(0.0) == pytest.approx(4.0)
-        assert pf.psi(3.0) == 0.0
+        potential = make_psi(gauss1, 4.0)
+        assert potential.psi(0.0) == pytest.approx(4.0)
+        assert potential.psi(3.0) == 0.0
 
     def test_psi_equals_laplacian_on_unit_disk(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0)
+        potential = make_psi(w, 5.0)
         grid = sunflower_points(60, 1.0)
-        assert np.max(np.abs(pf.psi(grid) - w.laplacian(grid))) < 1e-12
+        assert np.max(np.abs(potential.psi(grid) - w.laplacian(grid))) < 1e-12
 
     def test_cutoff_scaling_at_one_point_five(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0)
+        potential = make_psi(w, 5.0)
         z = 1.5 * np.exp(0.4j)
-        assert pf.psi(z) == pytest.approx(0.5 * w.laplacian(z), rel=1e-12)
+        assert potential.psi(z) == pytest.approx(0.5 * w.laplacian(z), rel=1e-12)
 
     def test_psi_range(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0)
-        vals = pf.psi(sunflower_points(300, 2.5))
+        potential = make_psi(w, 5.0)
+        vals = potential.psi(sunflower_points(300, 2.5))
         assert ((0.0 <= vals) & (vals <= 5.0)).all()
 
     def test_violating_weight_rejected_with_point(self):
@@ -103,27 +103,25 @@ class TestConvolution:
 
     def test_poisson_equation(self, gauss1):
         # lap(Phi) = psi at interior points, via the fd oracle
-        pf = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, 4.0, resolution=256)
         pts = random_disk_points(20, 0.9, seed=21)
-        resid = np.abs(fd_laplacian(pf.phi, pts, 1e-2) - pf.psi(pts))
+        resid = np.abs(fd_laplacian(potential, pts, 1e-2) - potential.psi(pts))
         assert resid.max() < 1e-3
 
     def test_origin_lower_bound(self, gauss1):
-        pf = make_psi(gauss1, 4.0, resolution=256)
-        assert pf.phi(0.0) >= -1.0  # -M/4 with M = 4
+        assert make_psi(gauss1, 4.0, resolution=256)(0.0) >= -1.0  # -M/4 with M = 4
 
     def test_harmonic_far_from_support(self, gauss1):
-        pf = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, 4.0, resolution=256)
         for z in (4.5, 4.0 + 3.0j, -6.0 + 0.5j):
-            assert abs(fd_laplacian(pf.phi, z, 1e-2)) < 1e-3
+            assert abs(fd_laplacian(potential, z, 1e-2)) < 1e-3
 
     def test_far_field_log_asymptotics(self, gauss1):
         # Phi(z) ~ (total mass / 2 pi) log|z| far from the support
-        pf = make_psi(gauss1, 4.0)
-        mass = pf._potential.mass
+        potential = make_psi(gauss1, 4.0)
         z = 200.0
-        expected = mass * math.log(abs(z)) / (2 * math.pi)
-        assert pf.phi(z) == pytest.approx(expected, rel=1e-3)
+        expected = potential.mass * math.log(abs(z)) / (2 * math.pi)
+        assert potential(z) == pytest.approx(expected, rel=1e-3)
 
 
 class TestRadialPotential:
@@ -143,21 +141,40 @@ class TestRadialPotential:
         (WeightFunction.potential_defined(1.0), 5.0),
     ], ids=["gaussian", "potential_defined"])
     def test_agrees_with_2d_engine(self, w, M):
-        pf = make_psi(w, M)
-        assert pf._potential.radial
+        potential = make_psi(w, M)
+        assert potential.radial
         pts = random_disk_points(200, 0.98, seed=17)
         h = 1e-2
         zs = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-        planar = LogPotential(pf.psi, support_radius=2.0, resolution=256, radial=False)
-        assert np.max(np.abs(pf.phi(zs) - planar.values(zs))) < 1e-7
+        planar = LogPotential(potential.psi, support_radius=2.0, resolution=256, radial=False)
+        assert np.max(np.abs(potential(zs) - planar.values(zs))) < 1e-7
 
     def test_builds_no_2d_rule(self, gauss1, monkeypatch):
         def no_rule(*args, **kwargs):
             raise AssertionError("the radial path built a 2-D rule")
         monkeypatch.setattr(greens, "disk_rule", no_rule)
         zs = random_disk_points(50, 3.0, seed=4)
-        assert np.all(np.isfinite(make_psi(gauss1, 4.0).phi(zs)))
+        assert np.all(np.isfinite(make_psi(gauss1, 4.0)(zs)))
         assert np.all(np.isfinite(WeightFunction.potential_defined(1.0).weight(zs)))
+
+    def test_widened_bounds_keep_the_radial_path(self, gauss1, monkeypatch):
+        # radiality comes from the family's own Laplacian, not the declared
+        # range: a gaussian declared with [0, 10] is still radial
+        wide = WeightFunction.from_json(
+            {"family": "gaussian", "params": {"t": 1}, "laplacian_bounds": [0, 10]})
+        zs = np.concatenate([random_disk_points(50, 3.0, seed=4), [0.3 + 0.1j]])
+        expected = make_psi(gauss1, 4.0)(zs)
+
+        def no_rule(*args, **kwargs):
+            raise AssertionError("the widened gaussian built a 2-D rule")
+        monkeypatch.setattr(greens, "disk_rule", no_rule)
+        assert np.array_equal(make_psi(wide, 10.0)(zs), expected)
+
+    def test_translated_bump_takes_the_2d_engine(self):
+        w = WeightFunction.potential_defined(1.0)
+        assert make_psi(w, 5.0).radial
+        assert not make_psi(translate_weight(w, 0.5), 5.0, resolution=32).radial
+        assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).radial
 
 
 class TestComputeB:
@@ -192,27 +209,27 @@ class TestComputeB:
 
 class TestVerifyPotentialBounds:
     def test_gaussian_all_checks_pass(self, gauss1):
-        pf = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, 4.0, resolution=256)
         grid = random_disk_points(60, 0.95, seed=5)
-        report = verify_potential_bounds(pf, grid, tol=1e-3)
+        report = verify_potential_bounds(potential, 4.0, grid, tol=1e-3)
         assert report.passed
 
     def test_oscillatory_passes(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        pf = make_psi(w, 5.0, resolution=256)
+        potential = make_psi(w, 5.0, resolution=256)
         grid = random_disk_points(60, 0.95, seed=6)
-        report = verify_potential_bounds(pf, grid, tol=1e-3)
+        report = verify_potential_bounds(potential, 5.0, grid, tol=1e-3)
         assert report.passed
 
-    def test_zero_psi_trivially_passes(self, gauss1):
+    def test_zero_psi_trivially_passes(self):
         zero = ScalarField(lambda z: np.zeros(np.shape(z)), support_radius=2.0)
-        pf = PotentialField(psi=zero, weight=gauss1, M=0.0, resolution=64)
+        potential = LogPotential(zero, support_radius=2.0, resolution=64)
         grid = sunflower_points(30, 0.9)
-        report = verify_potential_bounds(pf, grid, tol=1e-6)
+        report = verify_potential_bounds(potential, 0.0, grid, tol=1e-6)
         assert report.passed
         assert report.check("phi_upper").value == pytest.approx(0.0, abs=1e-15)
 
     def test_grid_outside_disk_rejected(self, gauss1):
-        pf = make_psi(gauss1, 4.0)
+        potential = make_psi(gauss1, 4.0)
         with pytest.raises(ValueError):
-            verify_potential_bounds(pf, [1.5 + 0.0j], tol=1e-3)
+            verify_potential_bounds(potential, 4.0, [1.5 + 0.0j], tol=1e-3)

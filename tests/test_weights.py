@@ -9,8 +9,6 @@ from holobound import (
     ScalarField,
     WeightError,
     WeightFunction,
-    eval_laplacian,
-    eval_weight,
     fd_laplacian,
     normalized_gaussian,
     translate_weight,
@@ -29,20 +27,20 @@ ALL_FAMILIES = [
 
 class TestEvalWeight:
     def test_gaussian_at_origin(self):
-        assert eval_weight(WeightFunction.gaussian(1.0), 0.0) == 0.0
+        assert WeightFunction.gaussian(1.0).weight(0.0) == 0.0
 
     def test_gaussian_t2(self):
-        assert eval_weight(WeightFunction.gaussian(2.0), 1 + 1j) == pytest.approx(1.0)
+        assert WeightFunction.gaussian(2.0).weight(1 + 1j) == pytest.approx(1.0)
 
     def test_oscillatory_at_origin(self):
         # |0|^2 + 0.5 * cos(0) * cos(0)
         w = WeightFunction.oscillatory(1.0, 0.5)
-        assert eval_weight(w, 0.0) == pytest.approx(0.5)
+        assert w.weight(0.0) == pytest.approx(0.5)
 
     def test_vectorized(self):
         w = WeightFunction.gaussian(1.0)
         zs = np.array([0.0, 1.0, 1j, 1 + 1j])
-        assert np.allclose(eval_weight(w, zs), [0.0, 1.0, 1.0, 2.0])
+        assert np.allclose(w.weight(zs), [0.0, 1.0, 1.0, 2.0])
 
     def test_invalid_params_rejected_at_construction(self):
         with pytest.raises(WeightError):
@@ -60,25 +58,25 @@ class TestEvalLaplacian:
     def test_gaussian_constant(self, t):
         w = WeightFunction.gaussian(t)
         for z in (0.0, 1 + 1j, -3.2 + 0.7j):
-            assert eval_laplacian(w, z) == pytest.approx(4.0 / t)
+            assert w.laplacian(z) == pytest.approx(4.0 / t)
 
     def test_harmonic_addend_has_zero_laplacian(self):
         base = WeightFunction.gaussian(1.0)
         decorated = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=1 - 2j, d=5.0)
         grid = sunflower_points(50, 3.0)
-        assert np.max(np.abs(eval_laplacian(decorated, grid)
-                             - eval_laplacian(base, grid))) < 1e-10
+        assert np.max(np.abs(decorated.laplacian(grid)
+                             - base.laplacian(grid))) < 1e-10
 
     def test_oscillatory_at_origin(self):
         # lap = 4a - 2 eps cos(x) cos(y) -> 4 - 2*0.5 at z = 0
         w = WeightFunction.oscillatory(1.0, 0.5)
-        assert eval_laplacian(w, 0.0) == pytest.approx(3.0)
+        assert w.laplacian(0.0) == pytest.approx(3.0)
         assert abs(fd_laplacian(w.weight, 0.0, 1e-3) - 3.0) < 1e-5
 
     def test_potential_defined_closed_form(self):
         w = WeightFunction.potential_defined(2.0, psi_height=0.7)
-        assert eval_laplacian(w, 0.0) == pytest.approx(8.0 + 0.7)
-        assert eval_laplacian(w, 5.0) == pytest.approx(8.0)  # outside the bump
+        assert w.laplacian(0.0) == pytest.approx(8.0 + 0.7)
+        assert w.laplacian(5.0) == pytest.approx(8.0)  # outside the bump
 
 
 class TestFdLaplacian:
@@ -125,7 +123,7 @@ class TestValidateLaplacianBounds:
     def test_fd_agreement_all_families(self, w):
         # closed-form Laplacian vs the finite-difference oracle, D(0, 5)
         grid = random_disk_points(100, 5.0, seed=12345)
-        lap = np.asarray(eval_laplacian(w, grid))
+        lap = np.asarray(w.laplacian(grid))
         fd = np.asarray(fd_laplacian(w.weight, grid, 1e-3))
         assert np.max(np.abs(lap - fd) / (1.0 + np.abs(lap))) <= 1e-4
 
@@ -134,25 +132,25 @@ class TestTranslateWeight:
     def test_translate_by_zero_is_identity(self, gauss1):
         grid = sunflower_points(32, 3.0)
         wt = translate_weight(gauss1, 0.0)
-        assert np.array_equal(eval_weight(wt, grid), eval_weight(gauss1, grid))
+        assert np.array_equal(wt.weight(grid), gauss1.weight(grid))
 
     def test_translated_value(self, gauss1):
         wt = translate_weight(gauss1, 1.0)
-        assert eval_weight(wt, 0.0) == pytest.approx(1.0)
+        assert wt.weight(0.0) == pytest.approx(1.0)
 
     def test_roundtrip_is_exact(self):
         grid = sunflower_points(32, 3.0)
         for w in ALL_FAMILIES:
             back = translate_weight(translate_weight(w, 1.3 - 0.8j), -1.3 + 0.8j)
-            assert np.array_equal(eval_weight(back, grid), eval_weight(w, grid))
+            assert np.array_equal(back.weight(grid), w.weight(grid))
 
     def test_laplacian_chain_rule(self):
         z0 = 0.7 - 1.1j
         grid = sunflower_points(40, 2.0)
         for w in ALL_FAMILIES:
             wt = translate_weight(w, z0)
-            assert np.allclose(eval_laplacian(wt, grid),
-                               eval_laplacian(w, grid + z0), rtol=0, atol=1e-12)
+            assert np.allclose(wt.laplacian(grid),
+                               w.laplacian(grid + z0), rtol=0, atol=1e-12)
 
     def test_bounds_preserved(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
@@ -164,7 +162,7 @@ class TestTranslateWeight:
         w = WeightFunction.gaussian_harmonic(1.0, b=0.2, c=0.1j)
         grid = sunflower_points(8, 2.0)
         back = translate_weight(translate_weight(w, z0), -z0)
-        assert np.array_equal(eval_weight(back, grid), eval_weight(w, grid))
+        assert np.array_equal(back.weight(grid), w.weight(grid))
 
 
 class TestSerialization:
@@ -175,7 +173,7 @@ class TestSerialization:
         back = WeightFunction.from_json(desc)
         assert back == w
         grid = sunflower_points(16, 2.0)
-        assert np.allclose(eval_weight(back, grid), eval_weight(w, grid), rtol=1e-15)
+        assert np.allclose(back.weight(grid), w.weight(grid), rtol=1e-15)
 
     def test_schema_shape(self, gauss1):
         desc = gauss1.to_json()
@@ -215,7 +213,7 @@ class TestSerialization:
 class TestTruncationHint:
     def test_negligibility_at_hint(self, gauss1):
         R = gauss1.truncation_hint
-        assert math.exp(-eval_weight(gauss1, R)) * R ** 81 <= 1e-18 * (1 + 1e-6)
+        assert math.exp(-gauss1.weight(R)) * R ** 81 <= 1e-18 * (1 + 1e-6)
 
     def test_monotone_in_degree(self, gauss1):
         assert truncation_radius(gauss1, 10) < truncation_radius(gauss1, 40)
@@ -241,4 +239,4 @@ def test_normalized_gaussian_density():
     w = normalized_gaussian(2.0)
     # density is (1/(2 pi)) exp(-|z|^2/2)
     assert w.density(0.0) == pytest.approx(1.0 / (2 * math.pi))
-    assert eval_laplacian(w, 1.0) == pytest.approx(2.0)
+    assert w.laplacian(1.0) == pytest.approx(2.0)
