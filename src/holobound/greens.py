@@ -1,53 +1,75 @@
 """Fundamental solution of the planar Laplacian and log-potential convolution.
 
 The convolution engine evaluates Phi = Gamma * psi for a smooth density psi
-supported in a disk D(0, R) around the origin.
+supported in a disk D(0, R) around the origin, by Fourier modes in angle and
+1-D integrals in radius (the Fourier-in-angle disk solver of Borges and
+Daripa).  With z = r e^{i theta}, zeta = s e^{i theta'} and
+rho = min(r, s) / max(r, s),
 
-Radial psi.  By the circle-mean identity (Jensen's formula), the mean of
-log|z - zeta| over the circle |zeta| = s is log max(|z|, s), so
+    log|z - zeta| = log max(r, s) - sum_{k >= 1} (1/k) rho^k cos k(theta - theta'),
 
-    Phi(r) = integral from 0 to R of s psi(s) log max(r, s) ds,   r = |z|.
+so, with psi_k(s) the angular Fourier coefficients of psi on |zeta| = s,
 
-The 1-D integral is split at the seams of ``cutoff_g`` (1 and 2, where they
-lie inside [0, R]) and at r, so the integrand is smooth on every piece, and
-each piece is integrated by Gauss-Legendre after the substitution s = t^2,
-which weakens the s log s singularity at s = 0 (reached when r is 0 or
-tiny) to t^3 log t.  For r >= R, Phi is exactly (mass / 2pi) log r.  The
-nodes move smoothly with r, and the quadrature error is about 1e-13, far
-below what a finite-difference stencil with step 1e-2 amplifies into a
-visible residual.
+    Phi(r, theta) = sum_k Phi_k(r) e^{i k theta},
+    Phi_0(r) = integral from 0 to R of s psi_0(s) log max(r, s) ds,
+    Phi_k(r) = -(1 / 2|k|) integral from 0 to R of s psi_k(s) rho^|k| ds.
 
-General psi.  Two fixed 2-D rules are used:
+Phi_0 is the circle-mean identity (Jensen's formula); a radial psi
+(``radial=True``) is the one-mode case of the same code.  For r >= R every
+rho is s / r, and the sum is the multipole expansion: Phi_0 is exactly
+(mass / 2pi) log r and Phi_k is (R / r)^|k| times its value at R.
 
-  * near field (|z| <= NEAR_REACH): integrate Gamma(zeta) psi(z - zeta) over
-    a fixed disk centered on the singularity, which the polar rule absorbs;
-  * far field (|z| > NEAR_REACH): swap variables and integrate
-    psi(eta) Gamma(z - eta) over the support disk, where the integrand is
-    smooth because the singularity sits outside the support.
+Set-up.  psi is sampled once, on ``resolution`` Chebyshev-Lobatto rings per
+radial piece times ``n_theta`` equispaced angles, and each ring is
+transformed by one FFT.  The pieces end at the seams 1 and 2 of
+``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
+knob: it doubles from 16 until the top half of the modes lies below
+MODE_TAIL = 1e-15 of the largest, and the bottom half is kept.  A psi that
+would need more than MAX_N_THETA = 2048 angles, such as one with a jump in
+angle, is rejected with a ValueError that names its tail.
 
-Keeping both node sets fixed (independent of z) makes the quadrature error a
-smooth function of z, which matters when finite-difference stencils are
-applied to Phi: a z-dependent window would turn tiny quadrature noise into
-large stencil residuals.
+Tabulation.  In the ring angle phi, s = a + (b - a)(1 - cos phi) / 2 on a
+piece [a, b], the interpolant of psi_k through the rings is a cosine series:
+one FFT gives its coefficients, and one inverse FFT per Gauss-Legendre
+offset gives its values at GAP_NODES nodes inside every gap between
+consecutive rings, with no dense interpolation matrix.  Near s = 0, phi is
+proportional to sqrt(s), which weakens the s log s singularity to
+phi^3 log phi.  The inner and outer integrals of Phi_k are accumulated ring
+by ring, each step scaling the running sum by (r_j / r_{j+1})^|k| <= 1: no
+power of s overflows, and the ring r = 0 contributes to mode 0 only, with
+no 0 * inf.  This gives Phi_k at every ring.
+
+Evaluation.  Phi_k is smooth on each piece (it solves a regular radial ODE
+with a smooth right side), so Phi_k at r < R is the barycentric interpolant
+on the piece holding r; Phi is then resummed in theta.  No psi call is made
+per point, and each distinct radius is handled once.
+
+The rings do not depend on z, so the error is a smooth function of z.  That
+matters when finite-difference stencils are applied to Phi: a z-dependent
+rule would turn tiny quadrature noise into large stencil residuals.  With
+step 1e-2 the Poisson check sees the stencil's own h^2/12 error and nothing
+of the quadrature.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .quadrature import disk_rule, gauss_legendre
+from .quadrature import gauss_legendre
 
 __all__ = ["gamma", "bump", "cutoff_g", "LogPotential"]
 
 _TWO_PI = 2.0 * math.pi
 
-# pair-entry budget per block when evaluating z-batches against node sets
-_BLOCK_ENTRIES = 1 << 23
+# entry budget per block of (radii x rings) or (points x modes)
+_BLOCK_ENTRIES = 1 << 20
 
-NEAR_REACH = 5.5      # |z| up to which the near-field rule is used
-FAR_RESOLUTION = 64   # radial node count of the far-field rule
+MODE_TAIL = 1e-15    # the top half of the angular modes must lie below this
+MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
+GAP_NODES = 16       # Gauss-Legendre nodes between consecutive rings
 
 
 def gamma(z):
@@ -85,127 +107,201 @@ def cutoff_g(z):
     return float(out) if out.ndim == 0 else out
 
 
+def _barycentric(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows mapping values at the n Chebyshev-Lobatto points -cos(pi j / (n - 1))
+    to the values of their interpolant at x in [-1, 1]."""
+    nodes = -np.cos(np.pi * np.arange(n) / (n - 1))
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes[None, :]
+    exact = diff == 0.0
+    c = w / np.where(exact, 1.0, diff)
+    hit = exact.any(axis=1)
+    c[hit] = exact[hit]
+    return c / c.sum(axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=8)
+def _piece_rule(a: float, b: float, n: int):
+    """The n Chebyshev-Lobatto rings of the piece [a, b] and the rule for its gaps.
+
+    The rings sit at phi_j = pi j / N, N = n - 1, and every gap gets
+    GAP_NODES Gauss-Legendre nodes at phi = pi (j + tau) / N.  Returns the
+    rings, the gap nodes s and weights u of shape (N, GAP_NODES), with
+    sum u f(s) the integral of s f(s) over each gap, and the phases
+    exp(i pi m tau / N) of shape (n, GAP_NODES) for ``_at_gaps``.
+    """
+    N = n - 1
+    rings = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * np.arange(n) / N))
+    rings[0], rings[-1] = a, b
+    g, gw = gauss_legendre(GAP_NODES)
+    tau = 0.5 * (g + 1.0)
+    phi = np.pi * (np.arange(N)[:, None] + tau) / N
+    s = a + 0.5 * (b - a) * (1.0 - np.cos(phi))
+    u = (np.pi / N) * 0.5 * gw * s * 0.5 * (b - a) * np.sin(phi)
+    shift = np.exp(1j * np.pi * np.outer(np.arange(n), tau) / N)
+    for arr in (rings, s, u, shift):
+        arr.flags.writeable = False
+    return rings, s, u, shift
+
+
+def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Interpolate real columns given at the n rings of a piece to its gap
+    nodes, shape (n - 1, GAP_NODES, columns).
+
+    In phi the interpolant is the cosine series sum_m c_m cos(m phi), whose
+    coefficients are one FFT of the even extension of the values.  At the
+    nodes pi (j + tau) / N of every gap j it is, for each offset tau, the real
+    part of one inverse FFT of c_m exp(i pi m tau / N): no dense matrix.
+    """
+    N = len(values) - 1
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / N
+    coef[[0, -1]] *= 0.5
+    out = np.empty((N, shift.shape[1], values.shape[1]))
+    for l in range(shift.shape[1]):
+        out[:, l] = np.fft.ifft(coef * shift[:, l, None], n=2 * N, axis=0)[:N].real * (2 * N)
+    return out
+
+
 class LogPotential:
     """Evaluator for Phi = Gamma * psi with psi supported in D(0, support_radius).
 
-    With ``radial=True`` psi must be a function of |z| alone, and Phi comes
-    from the 1-D rule with ``resolution`` Gauss-Legendre nodes per piece; no
-    2-D rule is built.  Otherwise ``resolution`` is the radial node count of
-    the near-field rule, whose angular count is twice that; the far-field
-    rule over the support disk is cheap and very accurate because its
-    integrand is smooth.
+    ``resolution`` is the number of Chebyshev-Lobatto rings per radial
+    piece.  With ``radial=True`` psi must be a function of |z| alone: it is
+    sampled on the positive axis and Phi has the single mode Phi_0.
+    Otherwise ``n_theta``, the number of angles per ring, is chosen from the
+    samples (module docstring).
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256,
                  radial: bool = False):
         if support_radius <= 0:
             raise ValueError("support_radius must be positive")
+        if resolution < 8:
+            raise ValueError(f"resolution must be >= 8, got {resolution}")
         self.psi = psi
-        self.support_radius = float(support_radius)
-        self.resolution = int(resolution)
+        self.support_radius = R = float(support_radius)
+        self.resolution = n = int(resolution)
         self.radial = bool(radial)
-        if self.radial:
-            R = self.support_radius
-            # pieces end at the seams of cutoff_g, so psi is smooth on each
-            self._knots = np.unique(np.clip([0.0, 1.0, 2.0, R], 0.0, R))
-            self._legendre = gauss_legendre(self.resolution)
-            s, ws = self._radial_rule(self._knots[:-1], self._knots[1:])
-            ws = ws * self._psi_on(s)
-            self._piece_mass = ws.sum(axis=1)                 # int s psi ds
-            self._piece_log = (ws * np.log(s)).sum(axis=1)    # int s psi log s ds
-            self.mass = _TWO_PI * float(self._piece_mass.sum())
-            return
-        near = disk_rule(0.0, NEAR_REACH + self.support_radius,
-                         self.resolution, 2 * self.resolution)
-        self._near_nodes = near.nodes
-        self._near_gw = near.weights * np.log(np.abs(near.nodes)) / _TWO_PI
-        # radius-major node layout: ascending radii in blocks of n_theta,
-        # so a radius prefix is a contiguous slice
-        _, self._near_radii = near.rings()
-        self._near_n_theta = near.n_theta
-        far = disk_rule(0.0, self.support_radius, FAR_RESOLUTION, 2 * FAR_RESOLUTION)
-        self._far_nodes = far.nodes
-        self._far_pw = far.weights * np.asarray(psi(far.nodes), dtype=float)
-        self.mass = float(np.sum(self._far_pw))
-
-    def _psi_on(self, s: np.ndarray) -> np.ndarray:
-        return np.asarray(self.psi(s.astype(complex)), dtype=float)
-
-    def _radial_rule(self, a: np.ndarray, b: np.ndarray):
-        """Nodes s and weights for int_a^b s f(s) ds, one row per piece
-        [a_i, b_i], by Gauss-Legendre in t = sqrt(s) (s ds = 2 t^3 dt)."""
-        x, gw = self._legendre
-        ta, tb = np.sqrt(a)[:, None], np.sqrt(b)[:, None]
-        half = 0.5 * (tb - ta)
-        t = ta + half * (x + 1.0)
-        s = t * t
-        return s, 2.0 * half * gw * t * s
-
-    def _radial_values(self, r: np.ndarray) -> np.ndarray:
-        # Phi(r) = int_0^R s psi(s) log max(r, s) ds; pieces wholly below r
-        # contribute log r times their mass, pieces wholly above their log
-        # moment, and the piece holding r is split there
+        # pieces end at the seams of cutoff_g, so psi is smooth on each
+        self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
+        pieces = [_piece_rule(float(a), float(b), n)
+                  for a, b in zip(self._knots[:-1], self._knots[1:])]
+        rings = np.stack([p[0] for p in pieces])
+        self.n_theta, modes = self._angular_modes(rings)
+        K = modes.shape[-1]
+        self._k = k = np.arange(K)
+        # per gap, the integrals of s psi_k against rho^k with rho = s / r_right
+        # (inner sums) and r_left / s (outer sums); log s for the outer mode 0
+        inner, outer = [], []
+        for (rg, s, u, shift), m in zip(pieces, modes):
+            f = u[..., None] * _at_gaps(m.view(float), shift).view(complex)
+            inner.append(np.sum(f * (s / rg[1:, None])[..., None] ** k, axis=1))
+            out = np.empty_like(inner[-1])
+            out[:, 0] = np.sum(f[..., 0] * np.log(s), axis=1)
+            out[:, 1:] = np.sum(f[..., 1:] * (rg[:-1, None] / s)[..., None] ** k[1:],
+                                axis=1)
+            outer.append(out)
+        inner, outer = np.concatenate(inner), np.concatenate(outer)
+        r = np.concatenate([rg[:-1] for rg in rings] + [rings[-1, -1:]])  # every ring once
+        below, above = _ring_sums(r, inner, outer)
+        table = np.empty_like(below)
         log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0 meets zero mass only
-        out = log_r * self._piece_mass.sum()       # exact for r >= R
-        below = np.concatenate([[0.0], np.cumsum(self._piece_mass)])
-        above = np.concatenate([np.cumsum(self._piece_log[::-1])[::-1], [0.0]])
-        inside = np.flatnonzero(r < self.support_radius)
-        block = max(1, _BLOCK_ENTRIES // (2 * self.resolution))
-        for start in range(0, len(inside), block):
-            idx = inside[start:start + block]
-            rb = r[idx]
-            k = np.searchsorted(self._knots, rb, side="right") - 1
-            s_lo, w_lo = self._radial_rule(self._knots[k], rb)
-            s_hi, w_hi = self._radial_rule(rb, self._knots[k + 1])
-            lo = np.sum(w_lo * self._psi_on(s_lo), axis=1)
-            hi = np.sum(w_hi * self._psi_on(s_hi) * np.log(s_hi), axis=1)
-            out[idx] = log_r[idx] * (below[k] + lo) + above[k + 1] + hi
-        return out
+        table[:, 0] = log_r * below[:, 0] + above[:, 0]
+        table[:, 1:] = -(below[:, 1:] + above[:, 1:]) / (2.0 * k[1:])
+        step = n - 1
+        self._table = np.stack([table[i * step:i * step + n] for i in range(len(pieces))])
+        self._moments = below[-1]  # int_0^R s psi_k (s / R)^k ds
+        self.mass = _TWO_PI * float(self._moments[0].real)
 
-    def _near_values(self, zs: np.ndarray) -> np.ndarray:
-        # psi(z - zeta) vanishes for |zeta| > |z| + support, so each block
-        # only touches the node prefix inside that radius
-        out = np.empty(len(zs))
-        order = np.argsort(np.abs(zs), kind="stable")
-        block = max(1, _BLOCK_ENTRIES // len(self._near_nodes))
-        for start in range(0, len(zs), block):
-            idx = order[start:start + block]
-            zb = zs[idx]
-            reach = float(np.max(np.abs(zb))) + self.support_radius
-            m = int(np.searchsorted(self._near_radii, reach, side="right"))
-            m *= self._near_n_theta
-            diff = zb[:, None] - self._near_nodes[None, :m]
-            out[idx] = np.asarray(self.psi(diff)) @ self._near_gw[:m]
-        return out
+    def _angular_modes(self, rings: np.ndarray) -> tuple:
+        """The angles per ring, and psi_k on every ring with shape
+        rings.shape + (modes,)."""
+        if self.radial:
+            return 1, self._psi_on(rings.astype(complex))[..., None].astype(complex)
+        n_theta = 16
+        while True:
+            angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
+            modes = np.fft.rfft(self._psi_on(rings[..., None] * angle), axis=-1) / n_theta
+            mag = np.abs(modes)
+            largest = float(mag.max())
+            tail = float(mag[..., n_theta // 4 + 1:].max())
+            if tail <= MODE_TAIL * largest:
+                return n_theta, np.ascontiguousarray(modes[..., :n_theta // 4 + 1])
+            if n_theta >= MAX_N_THETA:
+                raise ValueError(
+                    f"psi is not resolved in angle: with {n_theta} angles per ring "
+                    f"the top half of its Fourier modes reaches {tail / largest:.1e} "
+                    f"of the largest, above the tail limit {MODE_TAIL:.0e}")
+            n_theta *= 2
 
-    def _far_values(self, zs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(zs))
-        block = max(1, _BLOCK_ENTRIES // len(self._far_nodes))
-        for start in range(0, len(zs), block):
-            zb = zs[start:start + block]
-            diff = np.abs(zb[:, None] - self._far_nodes[None, :])
-            out[start:start + block] = np.log(diff) @ self._far_pw / _TWO_PI
-        return out
+    def _psi_on(self, z: np.ndarray) -> np.ndarray:
+        return np.asarray(self.psi(z), dtype=float)
 
-    def _values_inner(self, zs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(zs))
-        near = np.abs(zs) <= NEAR_REACH
-        if near.any():
-            out[near] = self._near_values(zs[near])
-        if (~near).any():
-            out[~near] = self._far_values(zs[~near])
+    def _modes_at(self, r: np.ndarray) -> np.ndarray:
+        """Phi_k at the radii r, shape (len(r), modes)."""
+        k, R = self._k, self.support_radius
+        out = np.empty((len(r), len(k)), dtype=complex)
+        far = r >= R
+        if far.any():
+            # multipole form: every rho is s / r
+            rf = r[far]
+            out[far, 0] = np.log(rf) * self._moments[0]
+            out[far, 1:] = (-(R / rf)[:, None] ** k[1:]
+                            * self._moments[1:] / (2.0 * k[1:]))
+        piece = np.searchsorted(self._knots, r, side="right") - 1
+        block = max(1, _BLOCK_ENTRIES // self.resolution)
+        for p, (a, b) in enumerate(zip(self._knots[:-1], self._knots[1:])):
+            idx = np.flatnonzero((piece == p) & ~far)
+            for start in range(0, len(idx), block):
+                ib = idx[start:start + block]
+                x = (2.0 * r[ib] - a - b) / (b - a)
+                out[ib] = _barycentric(x, self.resolution) @ self._table[p]
         return out
 
     def values(self, zs) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        if not self.radial:
-            return self._values_inner(zs)
-        # Phi depends on |z| alone: evaluate once per distinct radius
+        # Phi_k depends on |z| alone: evaluate once per distinct radius
         radii, inverse = np.unique(np.abs(zs), return_inverse=True)
-        return self._radial_values(radii)[inverse]
+        modes = self._modes_at(radii)
+        if modes.shape[1] == 1:
+            return modes[inverse, 0].real
+        out = np.empty(len(zs))
+        theta = np.angle(zs)
+        k = self._k[1:]
+        block = max(1, _BLOCK_ENTRIES // len(k))
+        for start in range(0, len(zs), block):
+            sl = slice(start, start + block)
+            m = modes[inverse[sl]]
+            turn = np.exp(1j * theta[sl, None] * k)
+            out[sl] = m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
+        return out
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if z.ndim == 0:
             return float(self.values(z.reshape(1))[0])
         return self.values(z)
+
+
+def _ring_sums(r: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+    """Running sums of the gap integrals at the rings r (ascending).
+
+    ``below[j]`` is the integral over [0, r_j] of s psi_k (s / r_j)^k, and
+    ``above[j]`` that over [r_j, R] of s psi_k (r_j / s)^k (mode 0:
+    int s psi_0 and int s psi_0 log s).  Moving one ring scales a sum by
+    (r_j / r_{j+1})^k <= 1, so nothing overflows and r_0 = 0 contributes
+    only to mode 0.
+    """
+    G, K = inner.shape
+    below = np.zeros((G + 1, K), dtype=complex)
+    above = np.zeros((G + 1, K), dtype=complex)
+    below[1:, 0] = np.cumsum(inner[:, 0])
+    above[:-1, 0] = np.cumsum(outer[::-1, 0])[::-1]
+    if K > 1:
+        decay = (r[:-1] / r[1:])[:, None] ** np.arange(1, K)
+        for j in range(G):
+            below[j + 1, 1:] = decay[j] * below[j, 1:] + inner[j, 1:]
+        for j in range(G - 1, -1, -1):
+            above[j, 1:] = decay[j] * above[j + 1, 1:] + outer[j, 1:]
+    return below, above

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .quadrature import QuadratureRule, integrate
 from .weights import WeightFunction
@@ -246,8 +245,12 @@ class KernelEstimate:
         pts = np.atleast_1d(z)
         n = degree + 1
         V = _vandermonde(pts - self.center, degree) / self._scale[:n]
-        # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v))
-        Y = solve_triangular(self._chol[:n, :n], V.T, lower=True)
+        # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v));
+        # forward substitution, one row of L per step, all points at once
+        L = self._chol
+        Y = np.empty((n, len(pts)), dtype=complex)
+        for i in range(n):
+            Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
         out = np.sum(np.abs(Y) ** 2, axis=0)
         return float(out[0]) if z.ndim == 0 else out
 

@@ -20,9 +20,16 @@ from holobound import (
     translate_weight,
     verify_potential_bounds,
 )
-from holobound import greens
+from holobound import quadrature
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
+from oracles import PlanarLogPotential
+
+
+def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
+    """Random points of the disk and their five-point stencils."""
+    pts = random_disk_points(n, radius, seed=seed)
+    return np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
 
 
 class TestGamma:
@@ -142,39 +149,90 @@ class TestRadialPotential:
     ], ids=["gaussian", "potential_defined"])
     def test_agrees_with_2d_engine(self, w, M):
         potential = make_psi(w, M)
-        assert potential.radial
-        pts = random_disk_points(200, 0.98, seed=17)
-        h = 1e-2
-        zs = np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-        planar = LogPotential(potential.psi, support_radius=2.0, resolution=256, radial=False)
-        assert np.max(np.abs(potential(zs) - planar.values(zs))) < 1e-7
+        assert potential.radial and potential.n_theta == 1
+        zs = stencil_points()
+        planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
+        assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
 
     def test_builds_no_2d_rule(self, gauss1, monkeypatch):
         def no_rule(*args, **kwargs):
-            raise AssertionError("the radial path built a 2-D rule")
-        monkeypatch.setattr(greens, "disk_rule", no_rule)
+            raise AssertionError("the potential built a 2-D rule")
+        monkeypatch.setattr(quadrature, "_polar_tensor", no_rule)
         zs = random_disk_points(50, 3.0, seed=4)
         assert np.all(np.isfinite(make_psi(gauss1, 4.0)(zs)))
         assert np.all(np.isfinite(WeightFunction.potential_defined(1.0).weight(zs)))
+        assert np.all(np.isfinite(make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0)(zs)))
 
-    def test_widened_bounds_keep_the_radial_path(self, gauss1, monkeypatch):
+    def test_widened_bounds_keep_the_radial_path(self, gauss1):
         # radiality comes from the family's own Laplacian, not the declared
         # range: a gaussian declared with [0, 10] is still radial
         wide = WeightFunction.from_json(
             {"family": "gaussian", "params": {"t": 1}, "laplacian_bounds": [0, 10]})
         zs = np.concatenate([random_disk_points(50, 3.0, seed=4), [0.3 + 0.1j]])
         expected = make_psi(gauss1, 4.0)(zs)
+        widened = make_psi(wide, 10.0)
+        assert widened.radial
+        assert np.array_equal(widened(zs), expected)
 
-        def no_rule(*args, **kwargs):
-            raise AssertionError("the widened gaussian built a 2-D rule")
-        monkeypatch.setattr(greens, "disk_rule", no_rule)
-        assert np.array_equal(make_psi(wide, 10.0)(zs), expected)
 
-    def test_translated_bump_takes_the_2d_engine(self):
-        w = WeightFunction.potential_defined(1.0)
-        assert make_psi(w, 5.0).radial
-        assert not make_psi(translate_weight(w, 0.5), 5.0, resolution=32).radial
+def closed_form_pair(m, k, c):
+    """u = (4 - |z|^2)^m Re(c z^k) on D(0, 2), 0 outside, and psi = lap u,
+    so that Gamma * psi = u exactly (u is C^2 and compactly supported)."""
+    def u(z):
+        q = np.abs(z) ** 2
+        return np.where(q < 4.0, np.maximum(4.0 - q, 0.0) ** m * np.real(c * z ** k), 0.0)
+
+    def psi(z):
+        q = np.abs(z) ** 2
+        f1 = -m * np.maximum(4.0 - q, 0.0) ** (m - 1)
+        f2 = m * (m - 1) * np.maximum(4.0 - q, 0.0) ** (m - 2)
+        return np.real(c * z ** k) * 4.0 * (f1 + q * f2 + k * f1)
+
+    return u, ScalarField(psi, support_radius=2.0)
+
+
+class TestFourierPotential:
+    """LogPotential on non-radial psi: angular modes against independent oracles."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(m=st.sampled_from([3, 4]), k=st.integers(0, 8),
+           modulus=st.floats(0.1, 10.0), arg=st.floats(0.0, 2.0 * math.pi))
+    def test_closed_form(self, m, k, modulus, arg):
+        c = modulus * complex(math.cos(arg), math.sin(arg))
+        u, psi = closed_form_pair(m, k, c)
+        potential = LogPotential(psi, support_radius=2.0)
+        # the origin, both seams, outside the support, and random points
+        zs = np.concatenate([
+            [0.0, 1.0, -1j, 2.0, np.exp(0.7j) * 2.0, 2.5, -4.0 + 3.0j],
+            np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7)) * 1.0,
+            random_disk_points(40, 3.0, seed=k + 11 * m)])
+        s = np.linspace(0.0, 2.0, 2001)
+        scale = modulus * np.max((4.0 - s * s) ** m * s ** k)
+        assert np.max(np.abs(potential(zs) - u(zs))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("w, M", [
+        (WeightFunction.oscillatory(1.0, 0.5), 5.0),
+        (translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0),
+    ], ids=["oscillatory", "translated_bump"])
+    def test_agrees_with_2d_oracle(self, w, M):
+        potential = make_psi(w, M)
+        assert not potential.radial
+        zs = stencil_points()
+        planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
+        assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
+
+    def test_mode_count_follows_the_samples(self):
+        # the oscillatory psi needs few angles, the translated bump many; a
+        # translated gaussian keeps the one-mode path
+        assert make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0).n_theta <= 128
+        bump = translate_weight(WeightFunction.potential_defined(1.0), 0.5)
+        assert make_psi(bump, 5.0).n_theta >= 512
         assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).radial
+
+    def test_discontinuous_in_angle_rejected_with_tail(self):
+        half = ScalarField(lambda z: cutoff_g(z) * (np.real(z) > 0.0), support_radius=2.0)
+        with pytest.raises(ValueError, match="top half of its Fourier modes reaches"):
+            LogPotential(half, support_radius=2.0, resolution=32)
 
 
 class TestComputeB:
