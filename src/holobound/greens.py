@@ -57,6 +57,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.fft import ifft, rfft
 
 from .quadrature import gauss_legendre
 
@@ -155,11 +156,11 @@ def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     part of one inverse FFT of c_m exp(i pi m tau / N): no dense matrix.
     """
     N = len(values) - 1
-    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / N
+    coef = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / N
     coef[[0, -1]] *= 0.5
     out = np.empty((N, shift.shape[1], values.shape[1]))
     for l in range(shift.shape[1]):
-        out[:, l] = np.fft.ifft(coef * shift[:, l, None], n=2 * N, axis=0)[:N].real * (2 * N)
+        out[:, l] = ifft(coef * shift[:, l, None], n=2 * N, axis=0)[:N].real * (2 * N)
     return out
 
 
@@ -222,7 +223,7 @@ class LogPotential:
         n_theta = 16
         while True:
             angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
-            modes = np.fft.rfft(self._psi_on(rings[..., None] * angle), axis=-1) / n_theta
+            modes = rfft(self._psi_on(rings[..., None] * angle), axis=-1) / n_theta
             mag = np.abs(modes)
             largest = float(mag.max())
             tail = float(mag[..., n_theta // 4 + 1:].max())

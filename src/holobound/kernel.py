@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import ifft
 
 from .quadrature import QuadratureRule, integrate
 from .weights import WeightFunction
@@ -138,7 +139,7 @@ def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
     center, r = rule.rings()
     n_theta = rule.n_theta
     u = rule.weights * w.density(rule.nodes)
-    U = n_theta * np.fft.ifft(u.reshape(rule.n_r, n_theta), axis=1)
+    U = n_theta * ifft(u.reshape(rule.n_r, n_theta), axis=1)
     # Q[p, k + degree] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, |k| <= degree
     rho = r.max()
     ks = np.arange(-degree, degree + 1) % n_theta

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureRule",
@@ -125,7 +126,7 @@ def gauss_legendre(n: int):
 
     The arrays are shared by every caller, so they are read-only.
     """
-    x, u = np.polynomial.legendre.leggauss(n)
+    x, u = leggauss(n)
     x.flags.writeable = False
     u.flags.writeable = False
     return x, u

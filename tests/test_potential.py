@@ -132,7 +132,7 @@ class TestConvolution:
 
 
 class TestRadialPotential:
-    """The 1-D circle-mean path of LogPotential against independent oracles."""
+    """The one-mode (radial) case of LogPotential against independent oracles."""
 
     def test_uniform_disk_closed_form(self):
         # density 1 on the unit disk: Phi = r^2/4 - 1/4 inside, log(r)/2 beyond
@@ -203,8 +203,8 @@ class TestFourierPotential:
         potential = LogPotential(psi, support_radius=2.0)
         # the origin, both seams, outside the support, and random points
         zs = np.concatenate([
-            [0.0, 1.0, -1j, 2.0, np.exp(0.7j) * 2.0, 2.5, -4.0 + 3.0j],
-            np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7)) * 1.0,
+            [0.0, 2.0, np.exp(0.7j) * 2.0, 2.5, -4.0 + 3.0j],
+            np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 7)),
             random_disk_points(40, 3.0, seed=k + 11 * m)])
         s = np.linspace(0.0, 2.0, 2001)
         scale = modulus * np.max((4.0 - s * s) ** m * s ** k)
