@@ -35,7 +35,7 @@ from .quadrature import (
 )
 from .weights import WeightError, WeightFunction, truncation_radius
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "sweep", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
 
 SCHEMA_VERSION = "v1"
 EXIT_OK = 0
@@ -439,16 +439,6 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     result = _execute(cfg)
     _write_outputs(cfg, result, out_dir if out_dir is not None else cfg.out)
     return result.code
-
-
-def sweep(configs, out_dir: str = ".", label: str = "") -> int:
-    """Aggregate many homogeneous experiment configs into one CSV."""
-    cfg = parse_config({
-        "experiment": "sweep",
-        "configs": list(configs),
-        "label": label,
-    })
-    return run(cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ radial piece times ``n_theta`` equispaced angles, and each ring is
 transformed by one FFT.  The pieces end at the seams 1 and 2 of
 ``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
 knob: it doubles from 16 until the top half of the modes lies below
-MODE_TAIL = 1e-15 of the largest, and the bottom half is kept.  A psi that
+MODE_TAIL = 1e-14 of the largest, and the bottom half is kept; rounding
+alone leaves the ring FFT's tail near 1e-15, below the limit.  A psi that
 would need more than MAX_N_THETA = 2048 angles, such as one with a jump in
 angle, is rejected with a ValueError that names its tail.
 
@@ -68,7 +69,7 @@ _TWO_PI = 2.0 * math.pi
 # entry budget per block of (radii x rings) or (points x modes)
 _BLOCK_ENTRIES = 1 << 20
 
-MODE_TAIL = 1e-15    # the top half of the angular modes must lie below this
+MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
 MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
 GAP_NODES = 16       # Gauss-Legendre nodes between consecutive rings
 

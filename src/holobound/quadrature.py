@@ -67,7 +67,6 @@ class QuadratureRule:
     ``region`` is one of
       ("disk", center, radius)
       ("masked_disk", center, radius, excluded_center, excluded_radius)
-      ("truncated_plane", radius)
 
     Rules are immutable after construction; ``integrate`` is pure, and node
     sums use numpy's pairwise summation, so results are stable to about
@@ -84,11 +83,8 @@ class QuadratureRule:
     @property
     def area(self) -> float:
         """Exact area of the declared region."""
-        tag = self.region[0]
-        if tag == "disk":
+        if self.region[0] == "disk":
             return math.pi * self.region[2] ** 2
-        if tag == "truncated_plane":
-            return math.pi * self.region[1] ** 2
         _, c, r, ec, er = self.region
         return math.pi * r * r - _circle_overlap_area(c, r, ec, er)
 
@@ -101,21 +97,17 @@ class QuadratureRule:
 
         Raises ValueError for a masked rule: its dropped nodes break the rings.
         """
-        tag = self.region[0]
-        if tag not in ("disk", "truncated_plane") or len(self.nodes) != self.n_r * self.n_theta:
+        if self.region[0] != "disk" or len(self.nodes) != self.n_r * self.n_theta:
             raise ValueError(f"region {self.region!r} with {len(self.nodes)} nodes "
                              f"is not a polar tensor rule")
-        center = self.region[1] if tag == "disk" else 0j
+        center = self.region[1]
         return center, np.abs(self.nodes[::self.n_theta] - center)  # the theta = 0 nodes
 
     def contains(self, pts) -> np.ndarray:
         """Boolean mask: which points lie inside the declared region."""
         pts = np.asarray(pts, dtype=complex)
-        tag = self.region[0]
-        if tag == "disk":
+        if self.region[0] == "disk":
             return np.abs(pts - self.region[1]) <= self.region[2]
-        if tag == "truncated_plane":
-            return np.abs(pts) <= self.region[1]
         _, c, r, ec, er = self.region
         return (np.abs(pts - c) <= r) & (np.abs(pts - ec) >= er)
 
@@ -210,13 +202,14 @@ def truncated_plane_rule(radius: float, n_r: int, n_theta: int) -> QuadratureRul
     """Polar rule on D(0, radius) standing in for an integral over the plane.
 
     The caller chooses ``radius`` large enough that the weighted integrand is
-    negligible outside; weight truncation hints provide such radii.
+    negligible outside; ``truncation_radius`` provides such radii.  Nodes,
+    weights and region tag are those of ``disk_rule(0, radius, n_r, n_theta)``.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     _check_resolution(n_r, n_theta)
-    nodes, weights = _polar_tensor(0.0 + 0.0j, float(radius), n_r, n_theta)
-    return QuadratureRule(nodes, weights, ("truncated_plane", float(radius)), n_r, n_theta)
+    nodes, weights = _polar_tensor(0j, float(radius), n_r, n_theta)
+    return QuadratureRule(nodes, weights, ("disk", 0j, float(radius)), n_r, n_theta)
 
 
 def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
@@ -249,11 +242,8 @@ def half_resolution(rule: QuadratureRule) -> QuadratureRule:
     """Companion rule at half the radial and angular resolution."""
     n_r = max(2, rule.n_r // 2)
     n_t = max(4, rule.n_theta // 2)
-    tag = rule.region[0]
-    if tag == "disk":
+    if rule.region[0] == "disk":
         return disk_rule(rule.region[1], rule.region[2], n_r, n_t)
-    if tag == "truncated_plane":
-        return truncated_plane_rule(rule.region[1], n_r, n_t)
     _, c, r, ec, er = rule.region
     return masked_disk_rule(c, r, ec, er, n_r, n_t)
 
@@ -273,11 +263,8 @@ def integrate_with_error(rule: QuadratureRule, f):
 def recenter(rule: QuadratureRule, z0: complex) -> QuadratureRule:
     """Translate a rule by z0 (nodes shift, weights unchanged)."""
     z0 = complex(z0)
-    tag = rule.region[0]
-    if tag == "disk":
+    if rule.region[0] == "disk":
         region = ("disk", rule.region[1] + z0, rule.region[2])
-    elif tag == "truncated_plane":
-        region = ("disk", z0, rule.region[1])
     else:
         _, c, r, ec, er = rule.region
         region = ("masked_disk", c + z0, r, ec + z0, er)

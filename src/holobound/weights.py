@@ -1,9 +1,10 @@
 """Weight exponents phi on the complex plane with exact Laplacians.
 
 Built-in families keep their Laplacians in closed form so the hypothesis
-0 <= lap(phi) <= M can be checked exactly, and every family carries a
-truncation hint: a radius beyond which exp(-phi) times any monomial of the
-configured degree is numerically negligible.
+0 <= lap(phi) <= M can be checked exactly.  One table lists each family's
+parameters and defaults, and one builder serves the constructors, the JSON
+reader and translation, so a parameter the family does not take is
+rejected on every path.
 
 The toolkit deliberately keeps a strict positivity floor lap(phi) >= c0 > 0
 for its numerical experiments (a > 0 in every family): with a vanishing
@@ -14,10 +15,10 @@ experiments simply do not sample it.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,10 +38,9 @@ __all__ = [
 ]
 
 NEGLIGIBLE_LOG = math.log(1e-18)
-DEFAULT_MAX_DEGREE = 40
 FD_STEP = 1e-3  # step of the finite-difference oracle in validate_laplacian_bounds
-
-_psi_tokens = itertools.count(1)
+POTENTIAL_RESOLUTION = 320  # rings per radial piece of the potential_defined weight's Gamma * psi
+REQUIRED = None  # the default of a family parameter that has none
 
 
 class WeightError(ValueError):
@@ -123,12 +123,10 @@ class WeightFunction:
     family: str
     params: tuple
     laplacian_bounds: tuple
-    truncation_hint: float
     _weight_fn: Callable = field(compare=False, repr=False)
     _laplacian_fn: Callable = field(compare=False, repr=False)
     _floor: tuple = field(compare=False, repr=False)
     _poly: Optional[np.ndarray] = field(compare=False, repr=False, default=None)
-    _psi: Optional[ScalarField] = field(compare=False, repr=False, default=None)
     # lap(phi) is a function of |z| alone, from the family's own Laplacian
     _radial_laplacian: bool = field(compare=False, repr=False, default=False)
 
@@ -169,8 +167,6 @@ class WeightFunction:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        if any(k == "psi_token" for k, _ in self.params):
-            raise WeightError("weights with a user-supplied psi are not serializable")
         return {
             "family": self.family,
             "params": {k: v for k, v in self.params},
@@ -179,14 +175,27 @@ class WeightFunction:
 
     @staticmethod
     def from_json(desc: dict) -> "WeightFunction":
-        return _weight_from_json(desc)
+        if not isinstance(desc, dict):
+            raise WeightError(f"weight description must be an object, got {type(desc).__name__}")
+        unknown = set(desc) - {"family", "params", "laplacian_bounds"}
+        if unknown:
+            raise WeightError(f"unknown weight keys: {sorted(unknown)}")
+        params = desc.get("params", {})
+        if not isinstance(params, dict):
+            raise WeightError(f"weight params must be an object, got {type(params).__name__}")
+        params = dict(params)
+        for k, v in params.items():
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise WeightError(f"parameter {k!r} must be a number, got {v!r}")
+        z0 = complex(params.pop("z0_re", 0.0), params.pop("z0_im", 0.0))
+        return _build(desc.get("family"), params, z0, desc.get("laplacian_bounds"))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def gaussian(t: float) -> "WeightFunction":
         """phi = |z|^2 / t, the Gaussian exponent; lap(phi) = 4/t."""
-        return _build_gaussian(float(t), 0j)
+        return _build("gaussian", {"t": t})
 
     @staticmethod
     def gaussian_harmonic(a: float, b: complex = 0j, c: complex = 0j,
@@ -195,7 +204,9 @@ class WeightFunction:
 
         Requires |b| < a so that exp(-phi) decays in every direction.
         """
-        return _build_gaussian_harmonic(float(a), complex(b), complex(c), float(d), 0j)
+        b, c = complex(b), complex(c)
+        return _build("gaussian_harmonic", {"a": a, "b_re": b.real, "b_im": b.imag,
+                                            "c_re": c.real, "c_im": c.imag, "d": d})
 
     @staticmethod
     def oscillatory(a: float, eps: float) -> "WeightFunction":
@@ -206,21 +217,16 @@ class WeightFunction:
         genuine failures to detect, with the declared lower bound clamped
         at zero.
         """
-        return _build_oscillatory(float(a), float(eps), 0j)
+        return _build("oscillatory", {"a": a, "eps": eps})
 
     @staticmethod
-    def potential_defined(a: float, psi: Optional[ScalarField] = None,
-                          psi_sup: Optional[float] = None,
-                          psi_height: float = 1.0,
-                          resolution: int = 320) -> "WeightFunction":
-        """phi = a|z|^2 + Gamma * psi for a nonnegative compactly supported psi.
+    def potential_defined(a: float, psi_height: float = 1.0) -> "WeightFunction":
+        """phi = a|z|^2 + Gamma * psi for the bump psi = psi_height * g.
 
-        lap(phi) = 4a + psi(z) exactly.  With no psi given, the built-in
-        bump psi = psi_height * g (the smooth cutoff) is used; a custom psi
-        must be supported in D(0, 2) and declare its supremum ``psi_sup``.
+        g is the smooth cutoff, so psi is supported in D(0, 2) and
+        lap(phi) = 4a + psi(z) exactly.
         """
-        return _build_potential_defined(float(a), psi, psi_sup, float(psi_height),
-                                        int(resolution), 0j)
+        return _build("potential_defined", {"a": a, "psi_height": psi_height})
 
 
 def normalized_gaussian(t: float) -> WeightFunction:
@@ -229,24 +235,160 @@ def normalized_gaussian(t: float) -> WeightFunction:
     """
     if t <= 0:
         raise WeightError(f"t must be positive, got {t}")
-    return _build_gaussian_harmonic(1.0 / t, 0j, 0j, math.log(math.pi * t), 0j)
+    return _build("gaussian_harmonic", {"a": 1.0 / t, "d": math.log(math.pi * t)})
 
 
 # ---------------------------------------------------------------------------
-# Family builders
+# Family table and the one builder
 # ---------------------------------------------------------------------------
 
-def _params_tuple(base: dict, z0: complex) -> tuple:
-    items = dict(base)
-    items["z0_re"] = float(z0.real)
-    items["z0_im"] = float(z0.imag)
-    return tuple(sorted(items.items()))
+class _ClosedForms(NamedTuple):
+    """A family's phi and lap(phi) at offset 0, with their bounds."""
+
+    weight: Callable
+    laplacian: Callable
+    floor: tuple         # (alpha, beta, gamma): phi >= alpha |z|^2 + beta |z| + gamma
+    bounds: tuple        # the exact range (m, M) of lap(phi)
+    poly: Optional[np.ndarray] = None  # phi as coefficients c[i, j] of x^i y^j
+    radial: bool = False  # lap(phi) is a function of |z| alone
+
+
+def _gaussian(t):
+    if t <= 0:
+        raise WeightError(f"gaussian weight needs t > 0, got {t}")
+    poly = np.zeros((3, 3))
+    poly[2, 0] = poly[0, 2] = 1.0 / t
+    return _ClosedForms(
+        lambda z: np.abs(z) ** 2 / t,
+        lambda z: np.full(np.shape(z), 4.0 / t),
+        (1.0 / t, 0.0, 0.0),
+        (4.0 / t, 4.0 / t),
+        poly,
+    )
+
+
+def _gaussian_harmonic(a, b_re, b_im, c_re, c_im, d):
+    b, c = complex(b_re, b_im), complex(c_re, c_im)
+    if a <= 0:
+        raise WeightError(f"gaussian_harmonic weight needs a > 0, got {a}")
+    if abs(b) >= a:
+        raise WeightError(
+            f"gaussian_harmonic weight needs |b| < a for integrability, "
+            f"got |b| = {abs(b)}, a = {a}")
+    poly = np.zeros((3, 3))
+    poly[2, 0] = a + b.real
+    poly[0, 2] = a - b.real
+    poly[1, 1] = -2.0 * b.imag
+    poly[1, 0] = c.real
+    poly[0, 1] = -c.imag
+    poly[0, 0] = d
+    return _ClosedForms(
+        lambda z: a * np.abs(z) ** 2 + np.real(b * z * z + c * z) + d,
+        lambda z: np.full(np.shape(z), 4.0 * a),
+        (a - abs(b), -abs(c), min(d, 0.0)),
+        (4.0 * a, 4.0 * a),
+        poly,
+    )
+
+
+def _oscillatory(a, eps):
+    if a <= 0:
+        raise WeightError(f"oscillatory weight needs a > 0, got {a}")
+    if eps < 0:
+        raise WeightError(f"oscillatory weight needs eps >= 0, got {eps}")
+    return _ClosedForms(
+        lambda z: a * np.abs(z) ** 2 + eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
+        lambda z: 4.0 * a - 2.0 * eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
+        (a, 0.0, -eps),
+        (max(0.0, 4.0 * a - 2.0 * eps), 4.0 * a + 2.0 * eps),
+    )
+
+
+def _potential_defined(a, psi_height):
+    if a <= 0:
+        raise WeightError(f"potential_defined weight needs a > 0, got {a}")
+    if psi_height < 0:
+        raise WeightError(f"psi_height must be >= 0, got {psi_height}")
+    psi = ScalarField(lambda z: psi_height * cutoff_g(z), support_radius=2.0)
+    potential = LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION,
+                             radial=True)
+    return _ClosedForms(
+        lambda z: a * np.abs(z) ** 2 + potential.values(np.atleast_1d(z)).reshape(np.shape(z)),
+        lambda z: 4.0 * a + psi(z),
+        (a, 0.0, -psi_height / 4.0),  # Gamma * psi >= -sup(psi)/4 pointwise
+        (4.0 * a, 4.0 * a + psi_height),
+        radial=True,  # the bump is radial, so Gamma * psi is too
+    )
+
+
+# family -> (parameter defaults, closed forms); REQUIRED marks a parameter
+# with no default, and the closed forms take the parameters as keywords
+_FAMILIES = {
+    "gaussian": ({"t": REQUIRED}, _gaussian),
+    "gaussian_harmonic": ({"a": REQUIRED, "b_re": 0.0, "b_im": 0.0,
+                           "c_re": 0.0, "c_im": 0.0, "d": 0.0}, _gaussian_harmonic),
+    "oscillatory": ({"a": REQUIRED, "eps": REQUIRED}, _oscillatory),
+    "potential_defined": ({"a": REQUIRED, "psi_height": 1.0}, _potential_defined),
+}
 
 
 def _wrap_offset(fn: Callable, z0: complex) -> Callable:
     if z0 == 0:
         return fn
     return lambda z: fn(z0 + z)
+
+
+def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunction:
+    """The weight phi(z0 + .) of ``family`` with ``params``.
+
+    Unknown and missing parameter names are rejected and defaults filled
+    in; ``declared`` Laplacian bounds [m, M], if given, must contain the
+    family's exact range and replace it.
+    """
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise WeightError(f"unknown weight family {family!r}")
+    defaults, closed_forms = _FAMILIES[family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise WeightError(f"unknown parameters {unknown} for weight family {family!r}, "
+                          f"which takes {sorted(defaults)}")
+    missing = [k for k, v in defaults.items() if v is REQUIRED and k not in params]
+    if missing:
+        raise WeightError(f"weight family {family!r} is missing parameters {missing}")
+    base = {k: float(params.get(k, v)) for k, v in defaults.items()}
+    if not all(map(math.isfinite, base.values())) or not cmath.isfinite(z0):
+        raise WeightError(f"weight parameters must be finite, got {base} at offset {z0}")
+    forms = closed_forms(**base)
+    m, M = forms.bounds
+    # a constant Laplacian is radial about every point; a wider declared
+    # range does not change that
+    radial = m == M or (forms.radial and z0 == 0)
+    if declared is not None:
+        if not (isinstance(declared, (list, tuple)) and len(declared) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in declared)):
+            raise WeightError(f"laplacian_bounds must be a pair of numbers [m, M], "
+                              f"got {declared!r}")
+        dm, dM = float(declared[0]), float(declared[1])
+        if dm > m + 1e-12 or dM < M - 1e-12:
+            raise WeightError(
+                f"declared laplacian_bounds [{dm}, {dM}] do not contain the "
+                f"family bounds [{m}, {M}]")
+        if dm < 0 or dm > dM:
+            raise WeightError(f"laplacian_bounds must satisfy 0 <= m <= M, got [{dm}, {dM}]")
+        m, M = dm, dM
+    poly = forms.poly
+    if z0 != 0 and poly is not None:
+        poly = _shift_poly_xy(poly, z0.real, z0.imag)
+    return WeightFunction(
+        family=family,
+        params=tuple(sorted({**base, "z0_re": z0.real, "z0_im": z0.imag}.items())),
+        laplacian_bounds=(m, M),
+        _weight_fn=_wrap_offset(forms.weight, z0),
+        _laplacian_fn=_wrap_offset(forms.laplacian, z0),
+        _floor=forms.floor,
+        _poly=poly,
+        _radial_laplacian=radial,
+    )
 
 
 def _floor_min(floor: tuple, shift: float, r: float) -> float:
@@ -293,173 +435,6 @@ def truncation_radius(w: "WeightFunction", max_degree: int,
         if hi - lo < 1e-9 * hi:
             break
     return hi
-
-
-def _finalize(family, base, z0, weight_base, lap_base, floor, bounds, poly,
-              psi=None, declared_bounds=None, radial=False) -> WeightFunction:
-    m, M = bounds
-    # a constant Laplacian is radial about every point; a wider declared
-    # range does not change that
-    radial = radial or m == M
-    if declared_bounds is not None:
-        dm, dM = float(declared_bounds[0]), float(declared_bounds[1])
-        if dm > m + 1e-12 or dM < M - 1e-12:
-            raise WeightError(
-                f"declared laplacian_bounds [{dm}, {dM}] do not contain the "
-                f"family bounds [{m}, {M}]")
-        if dm < 0 or dm > dM:
-            raise WeightError(f"laplacian_bounds must satisfy 0 <= m <= M, got [{dm}, {dM}]")
-        m, M = dm, dM
-    if z0 != 0 and poly is not None:
-        poly = _shift_poly_xy(poly, z0.real, z0.imag)
-    w = WeightFunction(
-        family=family,
-        params=_params_tuple(base, z0),
-        laplacian_bounds=(m, M),
-        truncation_hint=1.0,  # replaced below
-        _weight_fn=_wrap_offset(weight_base, z0),
-        _laplacian_fn=_wrap_offset(lap_base, z0),
-        _floor=floor,
-        _poly=poly,
-        _psi=psi,
-        _radial_laplacian=radial,
-    )
-    hint = truncation_radius(w, DEFAULT_MAX_DEGREE)
-    object.__setattr__(w, "truncation_hint", hint)
-    return w
-
-
-def _build_gaussian(t: float, z0: complex, declared=None) -> WeightFunction:
-    if t <= 0:
-        raise WeightError(f"gaussian weight needs t > 0, got {t}")
-    poly = np.zeros((3, 3))
-    poly[2, 0] = poly[0, 2] = 1.0 / t
-    return _finalize(
-        "gaussian", {"t": t}, z0,
-        lambda z: np.abs(z) ** 2 / t,
-        lambda z: np.full(np.shape(z), 4.0 / t),
-        (1.0 / t, 0.0, 0.0),
-        (4.0 / t, 4.0 / t),
-        poly,
-        declared_bounds=declared,
-    )
-
-
-def _build_gaussian_harmonic(a, b, c, d, z0, declared=None) -> WeightFunction:
-    if a <= 0:
-        raise WeightError(f"gaussian_harmonic weight needs a > 0, got {a}")
-    if abs(b) >= a:
-        raise WeightError(
-            f"gaussian_harmonic weight needs |b| < a for integrability, "
-            f"got |b| = {abs(b)}, a = {a}")
-    poly = np.zeros((3, 3))
-    poly[2, 0] = a + b.real
-    poly[0, 2] = a - b.real
-    poly[1, 1] = -2.0 * b.imag
-    poly[1, 0] = c.real
-    poly[0, 1] = -c.imag
-    poly[0, 0] = d
-    base = {"a": a, "b_re": b.real, "b_im": b.imag,
-            "c_re": c.real, "c_im": c.imag, "d": d}
-    return _finalize(
-        "gaussian_harmonic", base, z0,
-        lambda z: a * np.abs(z) ** 2 + np.real(b * z * z + c * z) + d,
-        lambda z: np.full(np.shape(z), 4.0 * a),
-        (a - abs(b), -abs(c), min(d, 0.0)),
-        (4.0 * a, 4.0 * a),
-        poly,
-        declared_bounds=declared,
-    )
-
-
-def _build_oscillatory(a, eps, z0, declared=None) -> WeightFunction:
-    if a <= 0:
-        raise WeightError(f"oscillatory weight needs a > 0, got {a}")
-    if eps < 0:
-        raise WeightError(f"oscillatory weight needs eps >= 0, got {eps}")
-    return _finalize(
-        "oscillatory", {"a": a, "eps": eps}, z0,
-        lambda z: a * np.abs(z) ** 2 + eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
-        lambda z: 4.0 * a - 2.0 * eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
-        (a, 0.0, -eps),
-        (max(0.0, 4.0 * a - 2.0 * eps), 4.0 * a + 2.0 * eps),
-        None,
-        declared_bounds=declared,
-    )
-
-
-def _build_potential_defined(a, psi, psi_sup, psi_height, resolution, z0,
-                             declared=None) -> WeightFunction:
-    if a <= 0:
-        raise WeightError(f"potential_defined weight needs a > 0, got {a}")
-    if resolution < 32:
-        raise WeightError(f"resolution must be >= 32, got {resolution}")
-    radial = psi is None  # the built-in bump is radial, so Gamma * psi is too
-    if psi is None:
-        if psi_height < 0:
-            raise WeightError(f"psi_height must be >= 0, got {psi_height}")
-        psi_field = ScalarField(lambda z: psi_height * cutoff_g(z), support_radius=2.0)
-        sup = psi_height
-        base = {"a": a, "psi_height": psi_height, "resolution": float(resolution)}
-    else:
-        if not isinstance(psi, ScalarField) or psi.support_radius is None:
-            raise WeightError("custom psi must be a ScalarField with a support radius")
-        if psi.support_radius > 2.0 + 1e-12:
-            raise WeightError("custom psi must be supported in D(0, 2)")
-        if psi_sup is None or psi_sup < 0:
-            raise WeightError("custom psi must declare psi_sup >= 0")
-        psi_field = psi
-        sup = float(psi_sup)
-        base = {"a": a, "psi_sup": sup, "resolution": float(resolution),
-                "psi_token": float(next(_psi_tokens))}
-    potential = LogPotential(psi_field, support_radius=2.0, resolution=resolution,
-                             radial=radial)
-    return _finalize(
-        "potential_defined", base, z0,
-        lambda z: a * np.abs(z) ** 2 + potential.values(np.atleast_1d(z)).reshape(np.shape(z)),
-        lambda z: 4.0 * a + psi_field(z),
-        (a, 0.0, -sup / 4.0),  # Gamma * psi >= -sup/4 pointwise
-        (4.0 * a, 4.0 * a + sup),
-        None,
-        psi=psi_field,
-        declared_bounds=declared,
-        radial=radial and z0 == 0,
-    )
-
-
-_BUILDERS = {
-    "gaussian": lambda p, z0, decl: _build_gaussian(p["t"], z0, decl),
-    "gaussian_harmonic": lambda p, z0, decl: _build_gaussian_harmonic(
-        p["a"], complex(p.get("b_re", 0.0), p.get("b_im", 0.0)),
-        complex(p.get("c_re", 0.0), p.get("c_im", 0.0)), p.get("d", 0.0), z0, decl),
-    "oscillatory": lambda p, z0, decl: _build_oscillatory(p["a"], p["eps"], z0, decl),
-    "potential_defined": lambda p, z0, decl: _build_potential_defined(
-        p["a"], None, None, p.get("psi_height", 1.0),
-        int(p.get("resolution", 320)), z0, decl),
-}
-
-
-def _weight_from_json(desc: dict) -> WeightFunction:
-    if not isinstance(desc, dict):
-        raise WeightError(f"weight description must be an object, got {type(desc).__name__}")
-    unknown = set(desc) - {"family", "params", "laplacian_bounds"}
-    if unknown:
-        raise WeightError(f"unknown weight keys: {sorted(unknown)}")
-    family = desc.get("family")
-    if family not in _BUILDERS:
-        raise WeightError(f"unknown weight family {family!r}")
-    params = dict(desc.get("params", {}))
-    if "psi_token" in params:
-        raise WeightError("weights with a user-supplied psi are not serializable")
-    for k, v in params.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise WeightError(f"parameter {k!r} must be a number, got {v!r}")
-    z0 = complex(params.pop("z0_re", 0.0), params.pop("z0_im", 0.0))
-    declared = desc.get("laplacian_bounds")
-    try:
-        return _BUILDERS[family](params, z0, declared)
-    except KeyError as exc:
-        raise WeightError(f"family {family!r} is missing parameter {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +489,7 @@ def translate_weight(w: WeightFunction, z0: complex) -> WeightFunction:
     Translating by z0 and then by -z0 restores the original evaluator
     bit-for-bit (the offsets cancel exactly).
     """
-    new_z0 = w.offset + complex(z0)
-    builder = _BUILDERS.get(w.family)
-    if w.family == "potential_defined" and w._psi is not None and \
-            any(k == "psi_token" for k, _ in w.params):
-        base = w.base_params()
-        return _build_potential_defined(base["a"], w._psi, base["psi_sup"], 1.0,
-                                        int(base["resolution"]), new_z0,
-                                        declared=w.laplacian_bounds)
-    if builder is None:
-        raise WeightError(f"cannot translate weights of family {w.family!r}")
-    return builder(w.base_params(), new_z0, w.laplacian_bounds)
+    return _build(w.family, w.base_params(), w.offset + complex(z0), w.laplacian_bounds)
 
 
 # ---------------------------------------------------------------------------

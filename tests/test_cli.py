@@ -96,6 +96,18 @@ class TestMainExitCodes:
                             "weight": {"family": "gaussian", "params": {"t": -1.0}}})
         assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_unknown_weight_parameter_is_config_error(self, tmp_path, capsys):
+        # "b" is not a parameter of the family (b_re and b_im are): it must
+        # not be dropped in favour of the default b = 0
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "verify-bound", "degree": 8, "resolution": 32,
+            "weight": {"family": "gaussian_harmonic", "params": {"a": 1.0, "b": 0.3}},
+        })
+        out = tmp_path / "out"
+        assert main(["verify-bound", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown parameters ['b']" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_numeric_failure(self, tmp_path):
         # lap(phi) dips below zero for eps > 2a, so the cutoff-density
         # validation inside the potential pipeline must reject the weight

@@ -210,6 +210,13 @@ class TestFourierPotential:
         scale = modulus * np.max((4.0 - s * s) ** m * s ** k)
         assert np.max(np.abs(potential(zs) - u(zs))) <= 1e-12 * scale
 
+    def test_rounding_noise_does_not_double_the_angles(self):
+        # modes +-8 only: 32 angles resolve them exactly, and the rounding
+        # left in the top half of the modes stays below the tail limit
+        for m, c in ((3, 1.0), (3, 10.0 * np.exp(2.1j)), (4, 1j)):
+            _, psi = closed_form_pair(m, 8, c)
+            assert LogPotential(psi, support_radius=2.0).n_theta == 32
+
     @pytest.mark.parametrize("w, M", [
         (WeightFunction.oscillatory(1.0, 0.5), 5.0),
         (translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0),

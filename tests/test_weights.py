@@ -166,14 +166,16 @@ class TestTranslateWeight:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("w", ALL_FAMILIES[:3] + [translate_weight(ALL_FAMILIES[0], 1 - 2j)],
+    @pytest.mark.parametrize("w", ALL_FAMILIES + [translate_weight(ALL_FAMILIES[0], 1 - 2j),
+                                                  translate_weight(ALL_FAMILIES[3], 0.5)],
                              ids=lambda w: w.family + str(w.offset))
     def test_roundtrip(self, w):
         desc = w.to_json()
         back = WeightFunction.from_json(desc)
         assert back == w
+        assert back._radial_laplacian == w._radial_laplacian
         grid = sunflower_points(16, 2.0)
-        assert np.allclose(back.weight(grid), w.weight(grid), rtol=1e-15)
+        assert np.array_equal(back.weight(grid), w.weight(grid))
 
     def test_schema_shape(self, gauss1):
         desc = gauss1.to_json()
@@ -202,17 +204,42 @@ class TestSerialization:
         with pytest.raises(WeightError):
             WeightFunction.from_json(desc)
 
-    def test_custom_psi_not_serializable(self):
-        psi = ScalarField(lambda z: np.exp(-1.0 / np.maximum(1e-9, 1 - np.abs(z) ** 2)),
-                          support_radius=1.0)
-        w = WeightFunction.potential_defined(1.0, psi=psi, psi_sup=1.0)
-        with pytest.raises(WeightError):
-            w.to_json()
+    @pytest.mark.parametrize("desc, name", [
+        ({"family": "gaussian", "params": {"t": 1, "typo": 3}}, "typo"),
+        ({"family": "gaussian_harmonic", "params": {"a": 1.0, "b": 0.3}}, "b"),
+        ({"family": "potential_defined", "params": {"a": 1.0, "resolution": 320}},
+         "resolution"),
+    ], ids=["typo", "complex_b", "resolution"])
+    def test_unknown_params_rejected(self, desc, name):
+        with pytest.raises(WeightError, match=f"unknown parameters \\['{name}'\\]"):
+            WeightFunction.from_json(desc)
+
+    def test_missing_params_rejected(self):
+        with pytest.raises(WeightError, match=r"missing parameters \['eps'\]"):
+            WeightFunction.from_json({"family": "oscillatory", "params": {"a": 1.0}})
+
+    @pytest.mark.parametrize("params", [{"t": math.inf}, {"t": math.nan},
+                                        {"t": 1.0, "z0_re": math.inf}])
+    def test_nonfinite_params_rejected(self, params):
+        with pytest.raises(WeightError, match="must be finite"):
+            WeightFunction.from_json({"family": "gaussian", "params": params})
+
+    @pytest.mark.parametrize("bounds", [[4.0], "4, 4", [4.0, "5"], [4.0, 5.0, 6.0]])
+    def test_malformed_declared_bounds_rejected(self, bounds):
+        with pytest.raises(WeightError, match="pair of numbers"):
+            WeightFunction.from_json({"family": "gaussian", "params": {"t": 1.0},
+                                      "laplacian_bounds": bounds})
+
+    def test_defaults_filled_in(self):
+        w = WeightFunction.from_json({"family": "gaussian_harmonic", "params": {"a": 1.0}})
+        assert w == WeightFunction.gaussian_harmonic(1.0)
+        assert w.base_params() == {"a": 1.0, "b_re": 0.0, "b_im": 0.0,
+                                   "c_re": 0.0, "c_im": 0.0, "d": 0.0}
 
 
 class TestTruncationHint:
     def test_negligibility_at_hint(self, gauss1):
-        R = gauss1.truncation_hint
+        R = truncation_radius(gauss1, 40)
         assert math.exp(-gauss1.weight(R)) * R ** 81 <= 1e-18 * (1 + 1e-6)
 
     def test_monotone_in_degree(self, gauss1):
