@@ -27,8 +27,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .kernel import SampleFunction, build_kernel_estimate
-from .potential import B_EXACT, make_psi
+from .kernel import SampleFunction, build_kernel_estimate, weighted_norm_sq
+from .potential import B_EXACT, check_laplacian_range, make_psi
 from .quadrature import (
     QuadratureRule,
     disk_rule,
@@ -68,34 +68,28 @@ class NonConstantLaplacianError(ValueError):
 class BoundCertificate:
     """Outcome of one certificate run.
 
-    ``measured`` holds the measured quantity at each point of ``grid`` and
-    ``measured_sup`` its maximum; ``margin`` is constant_C - measured_sup;
-    ``passed`` applies the certificate's acceptance rule (flatness for the
-    constant case, margin beyond three error estimates otherwise).
-    ``metadata`` carries N, resolution, B_used, M and auxiliary diagnostics.
+    ``measured`` holds the measured quantity at each point of ``grid``; the
+    record derives ``measured_sup``, its maximum, and ``margin``,
+    constant_C - measured_sup.  ``passed`` is the margin beyond three error
+    estimates unless the certificate supplies its own rule (flatness, for
+    the constant case).  ``metadata`` carries N, resolution, B_used, M and
+    auxiliary diagnostics.
     """
 
-    theorem_tag: str
     constant_C: float
     grid: np.ndarray
     measured: np.ndarray
-    measured_sup: float
-    margin: float
     error_estimate: float
-    passed: bool
+    passed: bool | None = None
     metadata: dict = dataclass_field(default_factory=dict)
+    measured_sup: float = dataclass_field(init=False)
+    margin: float = dataclass_field(init=False)
 
-    def summary(self) -> dict:
-        out = {
-            "theorem_tag": self.theorem_tag,
-            "constant_C": self.constant_C,
-            "measured_sup": self.measured_sup,
-            "margin": self.margin,
-            "error_estimate": self.error_estimate,
-            "pass": self.passed,
-        }
-        out.update(self.metadata)
-        return out
+    def __post_init__(self):
+        self.measured_sup = float(np.max(self.measured))
+        self.margin = self.constant_C - self.measured_sup
+        if self.passed is None:
+            self.passed = bool(self.margin > ERROR_MARGIN_FACTOR * self.error_estimate)
 
 
 def certificate_constant(M: float) -> float:
@@ -103,13 +97,15 @@ def certificate_constant(M: float) -> float:
     return math.exp((B_EXACT + 0.25) * M) / math.pi
 
 
-def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray,
-                   density=None):
+def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray):
+    """(estimate, K_N(z,z) e^{-phi(z)} on the grid, the largest change of that
+    product when the rule is halved in resolution)."""
+    density = w.density(grid)
     est = build_kernel_estimate(w, N, rule)
-    if density is None:
-        density = w.density(grid)
     products = np.atleast_1d(est.diag(grid)) * density
-    return est, products
+    coarse = build_kernel_estimate(w, N, half_resolution(rule))
+    products_coarse = np.atleast_1d(coarse.diag(grid)) * density
+    return est, products, float(np.max(np.abs(products - products_coarse)))
 
 
 def constant_case_certificate(w: WeightFunction, grid, N: int,
@@ -117,8 +113,8 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     """Certificate for weights with constant lap(phi) = c > 0.
 
     constant_C is exactly c / (4 pi); the weighted kernel diagonal must sit
-    at that value uniformly over the grid, and the certificate records the
-    measured max and min (flatness) alongside the margin.
+    at that value uniformly over the grid, and the certificate passes when
+    its measured max and min (flatness) stay within 1e-3 of it.
     """
     grid = np.asarray(grid, dtype=complex)
     lap = np.atleast_1d(np.asarray(w.laplacian(grid)))
@@ -130,48 +126,28 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     if c <= 0:
         raise NonConstantLaplacianError(f"lap(phi) must be positive, got {c}")
     C = c / (4.0 * math.pi)
-    density = w.density(grid)
-    est, products = _weighted_diag(w, N, rule, grid, density)
-    _, products_coarse = _weighted_diag(w, N, half_resolution(rule), grid, density)
-    err = float(np.max(np.abs(products - products_coarse)))
-    sup, inf = float(products.max()), float(products.min())
-    flat_dev = max(abs(sup / C - 1.0), abs(inf / C - 1.0))
-    return BoundCertificate(
-        theorem_tag="constant_case",
-        constant_C=C,
-        grid=grid,
-        measured=products,
-        measured_sup=sup,
-        margin=C - sup,
-        error_estimate=err,
-        passed=flat_dev <= FLATNESS_TOL,
-        metadata={
-            "c": c,
-            "N": N,
-            "effective_degree": est.effective_degree,
-            "measured_inf": inf,
-            "flatness_deviation": flat_dev,
-            "flatness_tol": FLATNESS_TOL,
-        },
-    )
+    est, products, err = _weighted_diag(w, N, rule, grid)
+    # |p / C - 1| is convex in p, so its grid maximum sits at the max or the min
+    flat_dev = float(np.max(np.abs(products / C - 1.0)))
+    return BoundCertificate(C, grid, products, err, passed=flat_dev <= FLATNESS_TOL, metadata={
+        "c": c,
+        "N": N,
+        "effective_degree": est.effective_degree,
+        "measured_inf": float(products.min()),
+        "flatness_deviation": flat_dev,
+        "flatness_tol": FLATNESS_TOL,
+    })
 
 
-def mean_value_check(h, s: float, rule: QuadratureRule | None = None,
-                     tol: float = 1e-10) -> ValidationReport:
+def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
     """Check h(0) equals the area average of h over D(0, s), 0 < s < 1.
 
-    ``h`` may be any holomorphic callable (a SampleFunction, say); ``rule``
-    defaults to a 64 x 128 polar rule on D(0, s) and must be a disk rule on
-    that disk if supplied.
+    ``h`` may be any holomorphic callable (a SampleFunction, say); the
+    average is taken with a 64 x 128 polar rule on D(0, s).
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if rule is None:
-        rule = disk_rule(0.0, s, 64, 128)
-    elif rule.region[0] != "disk" or abs(rule.region[1]) > 1e-15 \
-            or abs(rule.region[2] - s) > 1e-12:
-        raise ValueError("rule must be a disk rule on D(0, s)")
-    mean = integrate(rule, h) / (math.pi * s * s)
+    mean = integrate(disk_rule(0.0, s, 64, 128), h) / (math.pi * s * s)
     center = complex(np.asarray(h(np.asarray(0.0 + 0.0j))))
     dev = abs(mean - center)
     return report_from_checks([
@@ -188,48 +164,35 @@ def local_bound_certificate(w: WeightFunction, M: float, samples,
     |f(0)|^2 e^{-phi(0)} / integral over D(0,1) of |f|^2 e^{-phi}; the
     certificate passes when the worst sample stays below C by more than
     three error estimates.  Samples with vanishing disk integral are
-    skipped with a note.
+    skipped with a note.  A weight outside 0 <= lap(phi) <= M is rejected
+    with the offending point.
     """
-    potential = make_psi(w, M)
-    C = certificate_constant(M)
+    check_laplacian_range(w, M)
     rule = disk_rule(0.0, 1.0, resolution, 2 * resolution)
     coarse = half_resolution(rule)
     phi0 = w.weight(0.0 + 0.0j)
 
     ratios, ratios_coarse, skipped = [], [], []
     for k, f in enumerate(samples):
-        integrand = lambda z: np.abs(np.asarray(f(z))) ** 2 * w.density(z)
-        den = integrate(rule, integrand)
+        den = weighted_norm_sq(w, f, rule)
         if den <= 0.0:
             skipped.append(k)
             continue
         num = abs(complex(np.asarray(f(np.asarray(0.0 + 0.0j))))) ** 2 * math.exp(-phi0)
         ratios.append(num / den)
-        ratios_coarse.append(num / integrate(coarse, integrand))
+        ratios_coarse.append(num / weighted_norm_sq(w, f, coarse))
     if not ratios:
         raise ValueError("all samples were skipped (zero disk integrals)")
     ratios = np.asarray(ratios)
     err = float(np.max(np.abs(ratios - np.asarray(ratios_coarse))))
-    sup = float(ratios.max())
-    margin = C - sup
-    return BoundCertificate(
-        theorem_tag="local_lemma",
-        constant_C=C,
-        grid=np.asarray([0.0 + 0.0j]),
-        measured=np.asarray([sup]),
-        measured_sup=sup,
-        margin=margin,
-        error_estimate=err,
-        passed=margin > ERROR_MARGIN_FACTOR * err,
-        metadata={
-            "B_used": B_EXACT,
-            "M": M,
-            "resolution": resolution,
-            "n_samples": len(ratios),
-            "skipped_samples": skipped,
-            "phi_at_origin": potential(0.0 + 0.0j),
-        },
-    )
+    return BoundCertificate(certificate_constant(M), np.asarray([0.0 + 0.0j]),
+                            np.asarray([ratios.max()]), err, metadata={
+        "B_used": B_EXACT,
+        "M": M,
+        "resolution": resolution,
+        "n_samples": len(ratios),
+        "skipped_samples": skipped,
+    })
 
 
 def global_certificate(w: WeightFunction, M: float, grid, N: int,
@@ -244,35 +207,17 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     """
     # validates 0 <= lap(phi) <= M before any Gram matrix is built
     phi0 = make_psi(w, M)(0.0 + 0.0j)
-    C = certificate_constant(M)
     grid = np.asarray(grid, dtype=complex)
-    density = w.density(grid)
-    est, products = _weighted_diag(w, N, rule, grid, density)
-    _, products_coarse = _weighted_diag(w, N, half_resolution(rule), grid, density)
-    err = float(np.max(np.abs(products - products_coarse)))
-    sup = float(products.max())
-    margin = C - sup
-    return BoundCertificate(
-        theorem_tag="global",
-        constant_C=C,
-        grid=grid,
-        measured=products,
-        measured_sup=sup,
-        margin=margin,
-        error_estimate=err,
-        passed=margin > ERROR_MARGIN_FACTOR * err,
-        metadata={
-            "B_used": B_EXACT,
-            "M": M,
-            "N": N,
-            "effective_degree": est.effective_degree,
-            "resolution": rule.n_r,
-            "condition_estimate": est.condition_estimate,
-            # weight-dependent sharper constant, before the M-only bound
-            "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
-            "tighter_is_weight_dependent": True,
-        },
-    )
+    est, products, err = _weighted_diag(w, N, rule, grid)
+    return BoundCertificate(certificate_constant(M), grid, products, err, metadata={
+        "B_used": B_EXACT,
+        "M": M,
+        "N": N,
+        "effective_degree": est.effective_degree,
+        "resolution": rule.n_r,
+        "condition_estimate": est.condition_estimate,
+        "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
+    })
 
 
 def translated_pointwise_check(w: WeightFunction, f: SampleFunction, z,
@@ -285,14 +230,12 @@ def translated_pointwise_check(w: WeightFunction, f: SampleFunction, z,
     with both integrals by quadrature and relative tolerance 1e-9.
     """
     z = complex(z)
-    M = w.laplacian_bounds[1]
-    C = certificate_constant(M)
-    integrand = lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p)
-    local_int = integrate(disk_rule(z, 1.0, resolution, 2 * resolution), integrand)
+    C = certificate_constant(w.laplacian_bounds[1])
+    local_int = weighted_norm_sq(w, f, disk_rule(z, 1.0, resolution, 2 * resolution))
     radius = truncation_radius(w, max(f.degree, 1),
                                linear_rate=2.0 * abs(f.exp_rate)) + abs(z)
-    whole_int = integrate(truncated_plane_rule(radius, resolution, 2 * resolution),
-                          integrand)
+    whole_int = weighted_norm_sq(w, f, truncated_plane_rule(radius, resolution,
+                                                            2 * resolution))
     phi_z = w.weight(z)
     lhs = abs(complex(np.asarray(f(np.asarray(z))))) ** 2
     local_side = C * math.exp(phi_z) * local_int

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,12 +60,15 @@ _TOP_KEYS = {
     "seed", "tolerance", "s_values", "label", "configs", "out",
 }
 # inclusive ranges of the integer settings a config or a flag may give
-_RANGES = {"degree": (0, MAX_DEGREE), "resolution": (8, 4096)}
+_RANGES = {"degree": (0, MAX_DEGREE), "resolution": (8, 4096), "seed": (0, 2 ** 64 - 1)}
 _GRID_KEYS = {
     "lattice": {"kind", "radius", "spacing"},
     "random": {"kind", "radius", "count"},
     "points": {"kind", "points"},
 }
+# a label prefixes output file names and fills a sweep CSV cell: no path
+# separators, no commas
+_LABEL = re.compile(r"[A-Za-z0-9._-]*")
 
 
 class ConfigError(Exception):
@@ -86,6 +91,11 @@ class ExperimentConfig:
     out: str = "."
 
 
+def _number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """Whether x is a JSON number (not a boolean) strictly between lo and hi."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and lo < x < hi
+
+
 def _validate_grid(grid: dict) -> dict:
     if not isinstance(grid, dict):
         raise ConfigError(f"grid must be an object, got {type(grid).__name__}")
@@ -95,10 +105,28 @@ def _validate_grid(grid: dict) -> dict:
     unknown = set(grid) - _GRID_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    missing = _GRID_KEYS[kind] - set(grid)
+    if missing:
+        raise ConfigError(f"grid kind {kind!r} needs keys {sorted(missing)}")
+    for key in ("radius", "spacing"):
+        if key in grid and not _number(grid[key], 0.0):
+            raise ConfigError(f"grid {key} must be a positive finite number, "
+                              f"got {grid[key]!r}")
+    if "count" in grid and not (isinstance(grid["count"], int) and _number(grid["count"], 0)):
+        raise ConfigError(f"grid count must be a positive integer, got {grid['count']!r}")
+    if kind == "points":
+        pts = grid["points"]
+        if not (isinstance(pts, list) and pts and all(
+                isinstance(p, list) and len(p) == 2 and all(map(_number, p)) for p in pts)):
+            raise ConfigError("grid kind 'points' needs a nonempty list of "
+                              "[x, y] pairs of finite numbers")
     return grid
 
 
-def _in_range(key: str, value: int) -> int:
+def _in_range(key: str, value) -> int:
+    """``value`` if it is an integer in the setting's inclusive range."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     lo, hi = _RANGES[key]
     if not (lo <= value <= hi):
         raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value}")
@@ -122,27 +150,35 @@ def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
         cfg.weight = raw["weight"]
     if "weight_b" in raw:
         cfg.weight_b = raw["weight_b"]
-    if "degree" in raw:
-        cfg.degree = _in_range("degree", int(raw["degree"]))
-    if "resolution" in raw:
-        cfg.resolution = _in_range("resolution", int(raw["resolution"]))
+    for key in _RANGES:
+        if key in raw:
+            setattr(cfg, key, _in_range(key, raw[key]))
     if "grid" in raw:
         cfg.grid = _validate_grid(raw["grid"])
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
-        if cfg.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if "tolerance" in raw:
+        if not _number(raw["tolerance"], 0.0):
+            raise ConfigError(f"tolerance must be a positive finite number, "
+                              f"got {raw['tolerance']!r}")
         cfg.tolerance = float(raw["tolerance"])
     if "s_values" in raw:
-        cfg.s_values = tuple(float(s) for s in raw["s_values"])
+        s_values = raw["s_values"]
+        if not (isinstance(s_values, list) and s_values
+                and all(_number(s, 0.0, 1.0) for s in s_values)):
+            raise ConfigError(f"s_values must be a nonempty list of numbers in (0, 1), "
+                              f"got {s_values!r}")
+        cfg.s_values = tuple(float(s) for s in s_values)
     if "label" in raw:
         cfg.label = str(raw["label"])
+        if not _LABEL.fullmatch(cfg.label):
+            raise ConfigError(f"label {cfg.label!r} may hold only letters, digits, "
+                              f"'.', '_' and '-'")
     if "out" in raw:
         cfg.out = str(raw["out"])
     if "configs" in raw:
         if experiment != "sweep":
             raise ConfigError("'configs' is only valid for sweep")
+        if not isinstance(raw["configs"], list):
+            raise ConfigError(f"'configs' must be a list, got {raw['configs']!r}")
         cfg.configs = tuple(parse_config(entry, allow_sweep=False)
                             for entry in raw["configs"])
         kinds = {c.experiment for c in cfg.configs}
@@ -181,12 +217,8 @@ def _build_grid(cfg: ExperimentConfig, default: dict) -> np.ndarray:
     if kind == "lattice":
         return disk_lattice(float(grid_spec["radius"]), float(grid_spec["spacing"]))
     if kind == "random":
-        return random_disk_points(int(grid_spec["count"]), float(grid_spec["radius"]),
-                                  cfg.seed)
-    pts = grid_spec.get("points", [])
-    if not pts:
-        raise ConfigError("grid kind 'points' needs a nonempty 'points' list")
-    return np.asarray([complex(p[0], p[1]) for p in pts])
+        return random_disk_points(grid_spec["count"], float(grid_spec["radius"]), cfg.seed)
+    return np.asarray([complex(p[0], p[1]) for p in grid_spec["points"]])
 
 
 def _fmt(x) -> str:
@@ -474,12 +506,13 @@ def main(argv=None) -> int:
             if args.experiment != "mean-value":
                 raise ConfigError(f"experiment {args.experiment!r} needs --config")
             cfg = parse_config({"experiment": "mean-value"})
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.resolution is not None:
-            cfg.resolution = _in_range("resolution", args.resolution)
-        if args.degree is not None:
-            cfg.degree = _in_range("degree", args.degree)
+        flags = {key: getattr(args, key) for key in _RANGES
+                 if getattr(args, key) is not None}
+        if flags and cfg.experiment == "sweep":
+            raise ConfigError(f"sweep takes no {', '.join('--' + k for k in flags)}; "
+                              f"set them in its entries")
+        for key, value in flags.items():
+            setattr(cfg, key, _in_range(key, value))
         code = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

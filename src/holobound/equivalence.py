@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_kernel_estimate
-from .quadrature import QuadratureRule, integrate, sunflower_points
+from .kernel import build_kernel_estimate, weighted_norm_sq
+from .quadrature import QuadratureRule, sunflower_points
 from .weights import (
     Check,
     ValidationReport,
@@ -168,10 +168,8 @@ def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,
     """
     checks = []
     for k, f in enumerate(samples):
-        lhs = integrate(rule, lambda z: np.abs(np.asarray(m(z)) * np.asarray(f(z))) ** 2
-                        * m.target.density(z))
-        rhs = integrate(rule, lambda z: np.abs(np.asarray(f(z))) ** 2
-                        * m.source.density(z))
+        lhs = weighted_norm_sq(m.target, lambda z: np.asarray(m(z)) * np.asarray(f(z)), rule)
+        rhs = weighted_norm_sq(m.source, f, rule)
         if rhs <= 0.0:
             raise ValueError(f"sample #{k} has zero norm under the source density")
         dev = abs(lhs / rhs - 1.0)

@@ -52,6 +52,7 @@ __all__ = [
     "gram_matrix",
     "build_kernel_estimate",
     "extremal_ratio",
+    "weighted_norm_sq",
 ]
 
 MAX_DEGREE = 64
@@ -284,10 +285,15 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
     )
 
 
+def weighted_norm_sq(w: WeightFunction, f, rule: QuadratureRule) -> float:
+    """||f||^2 under the weight: the rule's integral of |f|^2 e^{-phi}."""
+    return integrate(rule, lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p))
+
+
 def extremal_ratio(w: WeightFunction, f: SampleFunction, z, rule: QuadratureRule):
     """|f(z)|^2 / ||f||^2 under the weight; never exceeds the kernel diagonal
     when f is a polynomial of degree at most the kernel's."""
-    norm_sq = integrate(rule, lambda p: np.abs(f(p)) ** 2 * w.density(p))
+    norm_sq = weighted_norm_sq(w, f, rule)
     if norm_sq <= 0.0:
         raise ValueError("sample function has zero norm under the weight")
     z = np.asarray(z, dtype=complex)

@@ -37,10 +37,12 @@ from .weights import (
     ScalarField,
     ValidationReport,
     WeightFunction,
+    fd_laplacian,
     report_from_checks,
 )
 
 __all__ = [
+    "check_laplacian_range",
     "make_psi",
     "B_EXACT",
     "compute_B",
@@ -56,20 +58,14 @@ B_BRACKET = (0.0, 2.0 * math.log(3.0))
 # certificate needs an upper bound for B
 B_EXACT = 2.0 * math.log(2.0) - 0.5
 
-LAPLACIAN_TOL = 1e-9  # slack of make_psi's check 0 <= lap(phi) <= M
+LAPLACIAN_TOL = 1e-9  # slack of check_laplacian_range's 0 <= lap(phi) <= M
 FD_STEP = 1e-2        # stencil step of the Poisson check
 POISSON_TOL = 5e-3    # Poisson residual allowed per unit of 1 + M
 
 
-def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential:
-    """Build psi = g * lap(phi) after validating 0 <= lap(phi) <= M.
-
-    Returns the potential Phi = Gamma * psi: calling it evaluates Phi, and
-    its ``psi`` is the cutoff density, exactly zero for |z| >= 2 and equal
-    to lap(phi) on the closed unit disk.  The validation grid covers the
-    support D(0, 2) of the cutoff with some margin; a violating weight is
-    rejected with the offending grid point.
-    """
+def check_laplacian_range(w: WeightFunction, M: float) -> None:
+    """Raise ValueError, naming the offending point, unless 0 <= lap(phi) <= M
+    on a grid covering the support D(0, 2) of the cutoff with some margin."""
     grid = sunflower_points(400, 2.2)
     lap = np.asarray(w.laplacian(grid))
     bad = (lap < -LAPLACIAN_TOL) | (lap > M + LAPLACIAN_TOL)
@@ -78,6 +74,17 @@ def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential
         raise ValueError(
             f"weight violates 0 <= lap(phi) <= {M} at z = {grid[idx]!r} "
             f"(lap(phi) = {lap[idx]})")
+
+
+def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential:
+    """Build psi = g * lap(phi) after validating 0 <= lap(phi) <= M.
+
+    Returns the potential Phi = Gamma * psi: calling it evaluates Phi, and
+    its ``psi`` is the cutoff density, exactly zero for |z| >= 2 and equal
+    to lap(phi) on the closed unit disk.  A weight outside the range is
+    rejected by :func:`check_laplacian_range`.
+    """
+    check_laplacian_range(w, M)
     psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(w.laplacian(z)),
                       support_radius=2.0)
     return LogPotential(psi, support_radius=2.0, resolution=resolution,
@@ -130,12 +137,7 @@ def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk
 
     phi_grid = potential(grid)
     phi0 = potential(np.array([0.0 + 0.0j]))[0]
-    h = FD_STEP
-    stencil = np.concatenate([grid, grid + h, grid - h, grid + 1j * h, grid - 1j * h])
-    vals = potential(stencil)
-    n = len(grid)
-    fd = (vals[n:2 * n] + vals[2 * n:3 * n] + vals[3 * n:4 * n]
-          + vals[4 * n:5 * n] - 4.0 * vals[:n]) / (h * h)
+    fd = fd_laplacian(potential, grid, FD_STEP)
     resid = float(np.max(np.abs(fd - potential.psi(grid))))
 
     sup_phi = float(np.max(phi_grid))

@@ -445,15 +445,16 @@ def fd_laplacian(field, z, h: float):
     """Five-point finite-difference Laplacian, O(h^2) accurate.
 
     Independent oracle for the closed-form Laplacians: evaluates
-    (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2.
+    (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, with the field
+    called once on all five stencil points.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     z = np.asarray(z, dtype=complex)
-    total = (np.asarray(field(z + h)) + np.asarray(field(z - h))
-             + np.asarray(field(z + 1j * h)) + np.asarray(field(z - 1j * h))
-             - 4.0 * np.asarray(field(z)))
-    out = total / (h * h)
+    flat = z.ravel()
+    vals = np.asarray(field(np.concatenate(
+        [flat, flat + h, flat - h, flat + 1j * h, flat - 1j * h]))).reshape(5, -1)
+    out = ((vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * vals[0]) / (h * h)).reshape(z.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,7 +19,8 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound import bounds
+from holobound import bounds, greens
+from holobound.bounds import BoundCertificate
 from holobound.quadrature import disk_lattice, random_disk_points, recenter
 
 INV_PI = 1.0 / math.pi
@@ -28,6 +29,20 @@ INV_PI = 1.0 / math.pi
 @pytest.fixture(scope="module")
 def grid_d15():
     return disk_lattice(1.5, 0.25)
+
+
+class TestBoundCertificate:
+    def test_verdict_follows_from_measured_and_error(self):
+        cert = BoundCertificate(2.0, np.zeros(3, complex), np.array([0.5, 1.5, 1.0]), 0.1)
+        assert cert.measured_sup == 1.5
+        assert cert.margin == 0.5
+        assert cert.passed  # 0.5 > 3 * 0.1
+        tight = BoundCertificate(2.0, np.zeros(3, complex), np.array([0.5, 1.5, 1.0]), 0.2)
+        assert tight.margin == 0.5 and not tight.passed  # 0.5 <= 3 * 0.2
+
+    def test_supplied_rule_overrides_margin(self):
+        cert = BoundCertificate(1.0, np.zeros(1, complex), np.array([2.0]), 0.0, passed=True)
+        assert cert.margin == -1.0 and cert.passed
 
 
 class TestConstantCase:
@@ -81,10 +96,6 @@ class TestMeanValue:
         with pytest.raises(ValueError):
             mean_value_check(SampleFunction.monomial(1), 1.5)
 
-    def test_rejects_mismatched_rule(self, unit_disk_rule):
-        with pytest.raises(ValueError):
-            mean_value_check(SampleFunction.monomial(1), 0.5, rule=unit_disk_rule)
-
 
 class TestLocalBound:
     def test_constant_sample_ratio(self, gauss1):
@@ -117,6 +128,19 @@ class TestLocalBound:
         with pytest.raises(ValueError):
             local_bound_certificate(gauss1, 4.0,
                                     [SampleFunction.polynomial([0.0])], 64)
+
+    def test_builds_no_potential(self, gauss1, monkeypatch):
+        def no_potential(*args, **kwargs):
+            raise AssertionError("the local lemma built a LogPotential")
+        monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
+        cert = local_bound_certificate(gauss1, 4.0, [SampleFunction.polynomial([1.0])], 64)
+        assert cert.passed
+
+    def test_violating_weight_rejected_with_point(self):
+        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
+        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
+            local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 5.0,
+                                    [SampleFunction.polynomial([1.0])], 64)
 
 
 class TestGlobalCertificate:

@@ -120,7 +120,8 @@ class TestMainExitCodes:
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("flag, value", [("--degree", "65"), ("--resolution", "7")])
+    @pytest.mark.parametrize("flag, value", [("--degree", "65"), ("--resolution", "7"),
+                                             ("--seed", "-4")])
     def test_out_of_range_override(self, tmp_path, capsys, flag, value):
         # the flags share the config's range check, so they fail the same way
         cfg = write_config(tmp_path, "c.json", {"experiment": "kernel-diag", "weight": GAUSS})
@@ -129,6 +130,45 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert f"{flag[2:]} must lie in" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload, flags, message", [
+        ({"grid": {"kind": "lattice", "radius": 2}}, [], "needs keys ['spacing']"),
+        ({"grid": {"kind": "lattice", "radius": 2, "spacing": 0}}, [], "grid spacing"),
+        ({"grid": {"kind": "random", "radius": 1, "count": 0}}, [], "grid count"),
+        ({"grid": {"kind": "random", "radius": 1, "count": -3}}, [], "grid count"),
+        ({"grid": {"kind": "random", "radius": 1, "count": 2.5}}, [], "grid count"),
+        ({"grid": {"kind": "random", "radius": float("nan"), "count": 3}}, [],
+         "grid radius"),
+        ({"grid": {"kind": "points", "points": [[0]]}}, [], "[x, y] pairs"),
+        ({"degree": 8.9}, [], "degree must be an integer"),
+        ({"degree": "8"}, [], "degree must be an integer"),
+        ({"degree": True}, [], "degree must be an integer"),
+        ({"degree": "x"}, [], "degree must be an integer"),
+        ({"resolution": 64.0}, [], "resolution must be an integer"),
+        ({"seed": -4}, [], "seed must lie in"),
+        ({"experiment": "mean-value", "s_values": [1.5]}, [], "s_values"),
+        ({"experiment": "mean-value", "tolerance": "x"}, [], "tolerance"),
+        ({"experiment": "mean-value", "tolerance": -1.0}, [], "tolerance"),
+        ({"experiment": "sweep", "configs": 5}, [], "'configs' must be a list"),
+        # a label is part of a file name: it may not leave the output directory
+        ({"label": "../escaped"}, [], "label '../escaped'"),
+        # nor add a column to a sweep row
+        ({"experiment": "sweep", "configs": [
+            {"experiment": "kernel-diag", "weight": GAUSS, "label": "a,b"}]}, [],
+         "label 'a,b'"),
+        ({"experiment": "sweep", "configs": [{"experiment": "kernel-diag", "weight": GAUSS}]},
+         ["--degree", "20", "--seed", "3"], "sweep takes no --degree, --seed"),
+    ])
+    def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, payload,
+                                                      flags, message):
+        config = {"experiment": "kernel-diag", "weight": GAUSS, "degree": 4,
+                  "resolution": 16, **payload}
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out" / "o"
+        code = main([config["experiment"], "--config", cfg, "--out", str(out), *flags])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
 
 
 class TestConstantsCommand:
