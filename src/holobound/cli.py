@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ _GRID_KEYS = {
     "random": {"kind", "radius", "count"},
     "points": {"kind", "points"},
 }
+# largest evaluation grid a config may ask for; a lattice counts the points
+# of its square before the clip to the disk, which is what it allocates
+MAX_GRID_POINTS = 10 ** 6
 # a label prefixes output file names and fills a sweep CSV cell: no path
 # separators, no commas
 _LABEL = re.compile(r"[A-Za-z0-9._-]*")
@@ -120,7 +124,20 @@ def _validate_grid(grid: dict) -> dict:
                 isinstance(p, list) and len(p) == 2 and all(map(_number, p)) for p in pts)):
             raise ConfigError("grid kind 'points' needs a nonempty list of "
                               "[x, y] pairs of finite numbers")
+    size = _grid_size(grid)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
     return grid
+
+
+def _grid_size(grid: dict):
+    """Points the grid allocates, computed before any array is built."""
+    if grid["kind"] == "lattice":
+        half = grid["radius"] / grid["spacing"] + 1e-12  # disk_lattice's tick count
+        return (2 * math.floor(half) + 1) ** 2 if math.isfinite(half) else math.inf
+    if grid["kind"] == "random":
+        return grid["count"]
+    return len(grid["points"])
 
 
 def _in_range(key: str, value) -> int:
@@ -167,13 +184,16 @@ def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
             raise ConfigError(f"s_values must be a nonempty list of numbers in (0, 1), "
                               f"got {s_values!r}")
         cfg.s_values = tuple(float(s) for s in s_values)
+    for key in ("label", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
     if "label" in raw:
-        cfg.label = str(raw["label"])
+        cfg.label = raw["label"]
         if not _LABEL.fullmatch(cfg.label):
             raise ConfigError(f"label {cfg.label!r} may hold only letters, digits, "
                               f"'.', '_' and '-'")
     if "out" in raw:
-        cfg.out = str(raw["out"])
+        cfg.out = raw["out"]
     if "configs" in raw:
         if experiment != "sweep":
             raise ConfigError("'configs' is only valid for sweep")
@@ -229,12 +249,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _format_columns(columns) -> list:
+    """Each column's cells as strings, formatted once per column: a float
+    array by ``repr`` of its Python floats, a list cell by cell through
+    :func:`_fmt`, and a scalar as one string repeated down the rows."""
+    n_rows = next((len(c) for c in columns if isinstance(c, (list, np.ndarray))), 0)
+    out = []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            out.append(map(repr, col.tolist()))
+        elif isinstance(col, (list, np.ndarray)):
+            out.append(map(_fmt, col))
+        else:
+            out.append(itertools.repeat(_fmt(col), n_rows))
+    return out
+
+
 @dataclass
 class ExperimentResult:
+    """An experiment's exit code, JSON summary and CSV columns.
+
+    ``columns`` maps each CSV header name to its column: a float array, a
+    list of cells, or one scalar that fills every row.
+    """
+
     code: int
     summary: dict
-    header: tuple
-    rows: list = field(default_factory=list)
+    columns: dict
 
     def metric_row(self) -> dict:
         return {k: v for k, v in self.summary.items()
@@ -252,8 +293,6 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
                                 cfg.resolution, 2 * cfg.resolution)
     est = build_kernel_estimate(w, cfg.degree, rule)
     diag = np.atleast_1d(est.diag(grid))
-    rows = [(z.real, z.imag, cfg.degree, d, est.condition_estimate)
-            for z, d in zip(grid, diag)]
     summary = {
         "experiment": "kernel-diag",
         "n_points": len(grid),
@@ -265,8 +304,9 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
         "diag_min": float(diag.min()),
         "resolution": cfg.resolution,
     }
-    return ExperimentResult(EXIT_OK, summary,
-                            ("z_re", "z_im", "N", "K_N", "condition_estimate"), rows)
+    return ExperimentResult(EXIT_OK, summary, {
+        "z_re": grid.real, "z_im": grid.imag, "N": cfg.degree, "K_N": diag,
+        "condition_estimate": est.condition_estimate})
 
 
 def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
@@ -276,8 +316,6 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
     rule = truncated_plane_rule(truncation_radius(w, cfg.degree),
                                 cfg.resolution, 2 * cfg.resolution)
     cert = bounds_mod.global_certificate(w, M, grid, cfg.degree, rule)
-    rows = [(z.real, z.imag, p, cert.constant_C, cert.constant_C - p)
-            for z, p in zip(grid, cert.measured)]
     summary = {
         "experiment": "verify-bound",
         "pass": bool(cert.passed),
@@ -294,9 +332,9 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         "diagnostics": {"effective_degree": cert.metadata["effective_degree"]},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE
-    return ExperimentResult(code, summary,
-                            ("z_re", "z_im", "weighted_diag", "constant_C", "margin"),
-                            rows)
+    return ExperimentResult(code, summary, {
+        "z_re": grid.real, "z_im": grid.imag, "weighted_diag": cert.measured,
+        "constant_C": cert.constant_C, "margin": cert.constant_C - cert.measured})
 
 
 def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
@@ -305,7 +343,6 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
     B = potential_mod.B_EXACT
     phi0 = potential_mod.make_psi(w, M)(0.0 + 0.0j)
     lo, hi = potential_mod.B_BRACKET
-    rows = [(B, lo, hi, phi0, -M / 4.0)]
     summary = {
         "experiment": "constants",
         "B_used": B,
@@ -316,9 +353,9 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
         "M": M,
         "constant_C": bounds_mod.certificate_constant(M),
     }
-    return ExperimentResult(EXIT_OK, summary,
-                            ("B_used", "bracket_lo", "bracket_hi", "phi0",
-                             "minus_M_over_4"), rows)
+    return ExperimentResult(EXIT_OK, summary, {
+        "B_used": [B], "bracket_lo": [lo], "bracket_hi": [hi], "phi0": [phi0],
+        "minus_M_over_4": [-M / 4.0]})
 
 
 def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -333,17 +370,17 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
         "criterion_deviation": verdict.checks[0].value,
         "tolerance": tol,
     }
-    rows = []
+    columns = {"z_re": [], "z_im": [], "residual": []}
     if verdict.passed:
         emap = equiv_mod.build_equivalence_map(wa, wb)
         residuals = np.abs(np.abs(emap(grid)) ** 2 * wb.density(grid)
                            / wa.density(grid) - 1.0)
-        rows = [(z.real, z.imag, r) for z, r in zip(grid, residuals)]
+        columns = {"z_re": grid.real, "z_im": grid.imag, "residual": residuals}
         summary["exponent_coefficients"] = [[c.real, c.imag]
                                             for c in emap.exponent_coefficients]
         summary["max_residual"] = float(residuals.max())
     code = EXIT_OK if verdict.passed else EXIT_CERTIFICATE
-    return ExperimentResult(code, summary, ("z_re", "z_im", "residual"), rows)
+    return ExperimentResult(code, summary, columns)
 
 
 def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
@@ -354,7 +391,6 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
     report = potential_mod.verify_potential_bounds(potential, M, grid, tol)
     phi_vals = potential(grid)
-    rows = [(z.real, z.imag, p) for z, p in zip(grid, phi_vals)]
     summary = {
         "experiment": "potential",
         "pass": bool(report.passed),
@@ -368,7 +404,8 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         "resolution": cfg.resolution,
     }
     code = EXIT_OK if report.passed else EXIT_CERTIFICATE
-    return ExperimentResult(code, summary, ("z_re", "z_im", "phi"), rows)
+    return ExperimentResult(code, summary,
+                            {"z_re": grid.real, "z_im": grid.imag, "phi": phi_vals})
 
 
 _MEAN_VALUE_SAMPLES = (
@@ -381,14 +418,14 @@ _MEAN_VALUE_SAMPLES = (
 
 def _run_mean_value(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
-    rows = []
-    worst = 0.0
+    columns = {"sample": [], "s": [], "deviation": []}
     for s in cfg.s_values:
         for name, h in _MEAN_VALUE_SAMPLES:
             report = bounds_mod.mean_value_check(h, s, tol=tol)
-            dev = report.checks[0].value
-            worst = max(worst, dev)
-            rows.append((name, s, dev))
+            columns["sample"].append(name)
+            columns["s"].append(s)
+            columns["deviation"].append(report.checks[0].value)
+    worst = max(columns["deviation"])
     summary = {
         "experiment": "mean-value",
         "max_deviation": worst,
@@ -396,7 +433,7 @@ def _run_mean_value(cfg: ExperimentConfig) -> ExperimentResult:
         "pass": worst <= tol,
     }
     code = EXIT_OK if worst <= tol else EXIT_CERTIFICATE
-    return ExperimentResult(code, summary, ("sample", "s", "deviation"), rows)
+    return ExperimentResult(code, summary, columns)
 
 
 _RUNNERS = {
@@ -410,7 +447,6 @@ _RUNNERS = {
 
 
 def _run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = []
     metric_keys: list = []
     results = []
     for entry in cfg.configs:
@@ -422,18 +458,19 @@ def _run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     metric_keys.append(k)
         except Exception as exc:  # individual failures recorded, sweep continues
             results.append((entry, f"error:{type(exc).__name__}", None))
-    header = ("index", "label", "status", *metric_keys)
-    for i, (entry, status, res) in enumerate(results):
-        metrics = res.metric_row() if res is not None else {}
-        rows.append((i, entry.label, status,
-                     *[_fmt(metrics[k]) if k in metrics else "" for k in metric_keys]))
+    metrics = [res.metric_row() if res is not None else {} for _, _, res in results]
+    columns = {"index": list(range(len(results))),
+               "label": [entry.label for entry, _, _ in results],
+               "status": [status for _, status, _ in results]}
+    for k in metric_keys:
+        columns[k] = [row.get(k, "") for row in metrics]
     summary = {
         "experiment": "sweep",
         "n_entries": len(cfg.configs),
         "n_failed": sum(1 for _, status, _ in results if status != "ok"),
         "entry_experiment": cfg.configs[0].experiment if cfg.configs else None,
     }
-    return ExperimentResult(EXIT_OK, summary, header, rows)
+    return ExperimentResult(EXIT_OK, summary, columns)
 
 
 def _execute(cfg: ExperimentConfig) -> ExperimentResult:
@@ -448,8 +485,8 @@ def _write_outputs(cfg: ExperimentConfig, result: ExperimentResult, out_dir: str
     stem = f"{cfg.label}_{cfg.experiment}" if cfg.label else cfg.experiment
     csv_path = out / f"{stem}.csv"
     lines = [f"# schema holobound.{cfg.experiment}.{SCHEMA_VERSION}",
-             ",".join(result.header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
+             ",".join(result.columns)]
+    lines.extend(map(",".join, zip(*_format_columns(result.columns.values()))))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     summary = dict(result.summary)

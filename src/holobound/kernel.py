@@ -13,11 +13,13 @@ G is assembled from the polar tensor structure of the quadrature rule,
 whose nodes are c + r_i e^{i theta_j} with theta_j = 2 pi j / n_theta.  In
 the basis (z - c)^j the node sum of u (z - c)^m conj(z - c)^n (u = rule
 weight times exp(-phi)) is the ring sum of r_i^(m+n) U_i(m - n), where U_i(k)
-is the angular sum of u e^{i k theta} on ring i: one inverse FFT per ring
-instead of a (nodes x (N+1)) Vandermonde product.  It is the same discrete
-sum reordered, exact for every n_theta because U_i is n_theta-periodic.  The
-radii enter as (r_i / rho)^p and rho^m rho^n, rho the outer radius, so no
-power overflows before the weight damps it.
+is the angular sum of u e^{i k theta} on ring i: one real-input FFT per ring
+instead of a (nodes x (N+1)) Vandermonde product.  u is real, so
+U_i(-k) = conj(U_i(k)) and the FFT's nonnegative half holds every frequency.
+It is the same discrete sum reordered, exact for every n_theta, odd or even,
+because U_i is n_theta-periodic: a frequency past n_theta / 2 is read at its
+alias.  The radii enter as (r_i / rho)^p and rho^m rho^n, rho the outer
+radius, so no power overflows before the weight damps it.
 
 K_N(z, z) does not depend on the basis of the polynomials of degree <= N, so
 a kernel estimate factors the Gram in the basis (z - c)^j and evaluates
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import ifft
+from numpy.fft import rfft
 
 from .quadrature import QuadratureRule, integrate
 from .weights import WeightFunction
@@ -140,11 +142,16 @@ def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
     center, r = rule.rings()
     n_theta = rule.n_theta
     u = rule.weights * w.density(rule.nodes)
-    U = n_theta * ifft(u.reshape(rule.n_r, n_theta), axis=1)
+    # u is real, so U_i(k) = conj(F_i(k)) and U_i(-k) = F_i(k) with F_i the
+    # real-input FFT of ring i, which holds the frequencies 0..n_theta // 2;
+    # k is first wrapped to its alias in (-n_theta / 2, n_theta / 2]
+    F = rfft(u.reshape(rule.n_r, n_theta), axis=1)
+    half = (n_theta - 1) // 2
+    ks = (np.arange(-degree, degree + 1) + half) % n_theta - half
     # Q[p, k + degree] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, |k| <= degree
     rho = r.max()
-    ks = np.arange(-degree, degree + 1) % n_theta
-    Q = ((r / rho)[:, None] ** np.arange(2 * degree + 1)).T @ U[:, ks]
+    Q = ((r / rho)[:, None] ** np.arange(2 * degree + 1)).T @ F[:, np.abs(ks)]
+    Q[:, ks >= 0] = Q[:, ks >= 0].conj()
     m = np.arange(degree + 1)
     s = rho ** m
     G = s[:, None] * Q[m[:, None] + m, m[:, None] - m + degree] * s

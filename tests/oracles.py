@@ -14,6 +14,13 @@ Two fixed rules are used:
 Both node sets are fixed (independent of z), so the quadrature error is
 smooth in z and five-point stencils of the oracle stay clean.  At resolution
 256 it agrees with the exact potential to about 2e-8.
+
+``leggauss`` is numpy's Gauss-Legendre rule from the eigenvalues of the n x n
+companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
+per node); ``mp_gauss_legendre`` refines nodes to 40 digits.
+
+``csv_by_rows`` is the CLI's CSV writer as it was before it formatted whole
+columns: one ``_fmt`` call per cell, row after row.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss  # noqa: F401  (the eigensolve oracle)
 
 from holobound.quadrature import disk_rule
 
@@ -83,3 +91,47 @@ class PlanarLogPotential:
         if (~near).any():
             out[~near] = self._far_values(zs[~near])
         return out
+
+
+def mp_gauss_legendre(n: int, guesses, dps: int = 40):
+    """Gauss-Legendre nodes and weights to ``dps`` digits, as mpmath numbers,
+    by Newton's method on the three-term recurrence from ``guesses`` (nodes
+    correct to double precision, so three steps reach 40 digits)."""
+    import mpmath
+
+    def legendre(x):
+        p_prev, p = mpmath.mpf(1), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        return p, n * (p_prev - x * p) / (1 - x * x)
+
+    nodes, weights = [], []
+    with mpmath.workdps(dps):
+        for guess in guesses:
+            x = mpmath.mpf(float(guess))
+            for _ in range(3):
+                p, dp = legendre(x)
+                x -= p / dp
+            _, dp = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp ** 2))
+    return nodes, weights
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def csv_by_rows(experiment: str, columns: dict) -> str:
+    """CSV text of an experiment's columns, transposed to rows (a scalar
+    column repeated on each) and written cell by cell."""
+    n_rows = next((len(c) for c in columns.values() if isinstance(c, (list, np.ndarray))), 0)
+    rows = zip(*(c if isinstance(c, (list, np.ndarray)) else [c] * n_rows
+                 for c in columns.values()))
+    lines = [f"# schema holobound.{experiment}.v1", ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

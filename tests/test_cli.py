@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from holobound import cli
 from holobound.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -17,6 +18,7 @@ from holobound.cli import (
     run,
 )
 from holobound.potential import B_BRACKET, B_EXACT
+from oracles import csv_by_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GAUSS = {"family": "gaussian", "params": {"t": 1.0}, "laplacian_bounds": [4.0, 4.0]}
@@ -158,6 +160,16 @@ class TestMainExitCodes:
          "label 'a,b'"),
         ({"experiment": "sweep", "configs": [{"experiment": "kernel-diag", "weight": GAUSS}]},
          ["--degree", "20", "--seed", "3"], "sweep takes no --degree, --seed"),
+        # a grid is counted before it is built: this lattice would need a
+        # 2000001 x 2000001 meshgrid
+        ({"grid": {"kind": "lattice", "radius": 1e6, "spacing": 1}}, [],
+         "grid of 4000004000001 points exceeds the cap of 1000000"),
+        ({"grid": {"kind": "lattice", "radius": 1e300, "spacing": 1e-300}}, [],
+         "grid of inf points"),
+        ({"grid": {"kind": "random", "radius": 1, "count": 1000001}}, [],
+         "grid of 1000001 points"),
+        ({"label": None}, [], "label must be a string, got None"),
+        ({"out": 5}, [], "out must be a string, got 5"),
     ])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, payload,
                                                       flags, message):
@@ -169,6 +181,62 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
+
+
+def test_grid_cap_counts_points(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 2)
+    with pytest.raises(ConfigError, match="grid of 3 points"):
+        parse_config({"experiment": "kernel-diag", "weight": GAUSS,
+                      "grid": {"kind": "points", "points": [[0, 0], [1, 0], [0, 1]]}})
+    # a lattice of spacing 1 and radius 0.5 allocates the single point 0
+    parse_config({"experiment": "kernel-diag", "weight": GAUSS,
+                  "grid": {"kind": "lattice", "radius": 0.5, "spacing": 1}})
+
+
+class TestCSVWriter:
+    """Each experiment's CSV equals the per-row writer's, byte for byte."""
+
+    POINTS = {"kind": "points", "points": [[0.0, 0.0], [-0.5, 0.25], [1.0, -1.0]]}
+    RANDOM = {"kind": "random", "radius": 0.9, "count": 6}
+    HARMONIC = {"family": "gaussian_harmonic", "params": {"a": 1.0, "c_re": 2.0}}
+    CASES = {
+        "kernel-diag": {"experiment": "kernel-diag", "weight": GAUSS, "degree": 8,
+                        "resolution": 32, "grid": POINTS},
+        "verify-bound": {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
+                         "resolution": 32, "grid": RANDOM, "seed": 5},
+        "constants": {"experiment": "constants", "weight": GAUSS},
+        "equivalence": {"experiment": "equivalence", "weight": GAUSS, "weight_b": HARMONIC,
+                        "grid": POINTS},
+        "inequivalent": {"experiment": "equivalence", "weight": GAUSS,
+                         "weight_b": {"family": "gaussian", "params": {"t": 0.5}}},
+        "potential": {"experiment": "potential", "weight": GAUSS, "resolution": 64,
+                      "grid": RANDOM, "seed": 5},
+        "mean-value": {"experiment": "mean-value"},
+        # true, false and empty cells: a failed entry has no metrics
+        "sweep": {"experiment": "sweep", "configs": [
+            {"experiment": "equivalence", "label": "same", "weight": GAUSS,
+             "weight_b": HARMONIC, "grid": POINTS},
+            {"experiment": "equivalence", "label": "other", "weight": GAUSS,
+             "weight_b": {"family": "gaussian", "params": {"t": 0.5}}},
+            {"experiment": "equivalence", "label": "broken", "weight": GAUSS}]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_row_writer(self, tmp_path, case):
+        cfg = parse_config(self.CASES[case])
+        result = cli._execute(cfg)
+        csv_path, _ = cli._write_outputs(cfg, result, str(tmp_path))
+        text = csv_path.read_text(encoding="utf-8")
+        assert text == csv_by_rows(cfg.experiment, result.columns)
+        assert len(text.splitlines()) > 2 or case == "inequivalent"
+        if case == "sweep":
+            assert {"true", "false", ""} <= set(text.replace("\n", ",").split(","))
+
+    def test_margin_is_the_per_point_difference(self):
+        result = cli._execute(parse_config(self.CASES["verify-bound"]))
+        c = result.columns
+        assert [float(m) for m in c["margin"]] == [c["constant_C"] - float(p)
+                                                  for p in c["weighted_diag"]]
 
 
 class TestConstantsCommand:

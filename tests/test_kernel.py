@@ -157,6 +157,12 @@ class TestFFTAssembly:
         _, G = kernel._assemble_gram(gauss1, 10, tiny)
         assert equilibrated_error(G, direct_gram(gauss1, 10, tiny)) < 1e-12
 
+    def test_frequencies_wrap_past_odd_n_theta(self, gauss1):
+        # an odd n_theta has no Nyquist frequency: 5 angles carry -2..2 only
+        tiny = truncated_plane_rule(6.0, 3, 5)
+        _, G = kernel._assemble_gram(gauss1, 10, tiny)
+        assert equilibrated_error(G, direct_gram(gauss1, 10, tiny)) < 1e-12
+
     def test_masked_rule_rejected(self, gauss1):
         rule = masked_disk_rule(0.0, 6.0, 0.0, 1.0, 32, 64)
         with pytest.raises(ValueError, match="masked_disk"):
@@ -166,11 +172,12 @@ class TestFFTAssembly:
     @given(a=st.floats(0.5, 2.0), b_ratio=st.floats(0.0, 0.9),
            b_arg=st.floats(0.0, 2.0 * math.pi),
            c=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
-           center=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
-    def test_hermitian_and_matches_direct_sum(self, a, b_ratio, b_arg, c, center):
+           center=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+           n_theta=st.sampled_from([96, 97]))
+    def test_hermitian_and_matches_direct_sum(self, a, b_ratio, b_arg, c, center, n_theta):
         w = WeightFunction.gaussian_harmonic(a, b=b_ratio * a * complex(math.cos(b_arg),
                                                                         math.sin(b_arg)), c=c)
-        rule = recenter(truncated_plane_rule(truncation_radius(w, 20), 48, 96), center)
+        rule = recenter(truncated_plane_rule(truncation_radius(w, 20), 48, n_theta), center)
         c, G = kernel._assemble_gram(w, 20, rule)
         assert c == complex(center)
         assert np.array_equal(G, G.conj().T)

@@ -13,7 +13,56 @@ from holobound import (
     recenter,
     truncated_plane_rule,
 )
-from holobound.quadrature import disk_lattice, half_resolution, sunflower_points
+from holobound import quadrature
+from holobound.quadrature import (
+    disk_lattice,
+    gauss_legendre,
+    half_resolution,
+    sunflower_points,
+)
+from oracles import leggauss, mp_gauss_legendre
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 64, 256, 512])
+    def test_matches_eigensolve_oracle(self, n):
+        x, w = gauss_legendre(n)
+        x_eig, w_eig = leggauss(n)
+        assert np.max(np.abs(x - x_eig)) <= 4e-16
+        # the eigensolve's own weights are off by about 4e-16 n^2 relative
+        # (1.1e-10 at n = 512 against a 40-digit reference)
+        assert np.max(np.abs(w / w_eig - 1.0)) <= 1e-15 * n ** 2
+
+    @pytest.mark.parametrize("n, weight_tol", [(5, 1e-15), (16, 1e-14), (64, 1e-13)])
+    def test_matches_40_digit_reference(self, n, weight_tol):
+        pytest.importorskip("mpmath")
+        x, w = gauss_legendre(n)
+        x_ref, w_ref = mp_gauss_legendre(n, leggauss(n)[0])
+        assert max(abs(float(a - b)) for a, b in zip(x, x_ref)) <= 1e-16
+        assert max(abs(float(a / b - 1)) for a, b in zip(w, w_ref)) <= weight_tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 512, 4096])
+    def test_symmetric_and_exact_to_degree_2n_minus_1(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-14
+        # int_{-1}^{1} x^k dx = 2 / (k + 1) for even k; odd k vanish by symmetry
+        for k in np.array_split(np.arange(0, 2 * n, 2), max(1, n // 256)):
+            exact = 2.0 / (k + 1)
+            assert np.max(np.abs(w @ x[:, None] ** k / exact - 1.0)) <= 1e-15 * n + 1e-14
+        assert abs(w @ x ** (2 * n - 1)) <= 1e-15
+
+    def test_read_only_and_cached(self):
+        x, w = gauss_legendre(64)
+        assert gauss_legendre(64)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "NEWTON_CAP", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 steps"):
+            gauss_legendre.__wrapped__(64)
 
 
 class TestDiskRule:
