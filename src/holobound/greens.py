@@ -14,20 +14,23 @@ so, with psi_k(s) the angular Fourier coefficients of psi on |zeta| = s,
     Phi_0(r) = integral from 0 to R of s psi_0(s) log max(r, s) ds,
     Phi_k(r) = -(1 / 2|k|) integral from 0 to R of s psi_k(s) rho^|k| ds.
 
-Phi_0 is the circle-mean identity (Jensen's formula); a radial psi
-(``radial=True``) is the one-mode case of the same code.  For r >= R every
-rho is s / r, and the sum is the multipole expansion: Phi_0 is exactly
-(mass / 2pi) log r and Phi_k is (R / r)^|k| times its value at R.
+Phi_0 is the circle-mean identity (Jensen's formula); a radial psi is the
+one-mode case of the same code.  For r >= R every rho is s / r, and the sum
+is the multipole expansion: Phi_0 is exactly (mass / 2pi) log r and Phi_k is
+(R / r)^|k| times its value at R.
 
 Set-up.  psi is sampled once, on ``resolution`` Chebyshev-Lobatto rings per
 radial piece times ``n_theta`` equispaced angles, and each ring is
 transformed by one FFT.  The pieces end at the seams 1 and 2 of
 ``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
 knob: it doubles from 16 until the top half of the modes lies below
-MODE_TAIL = 1e-14 of the largest, and the bottom half is kept; rounding
-alone leaves the ring FFT's tail near 1e-15, below the limit.  A psi that
-would need more than MAX_N_THETA = 2048 angles, such as one with a jump in
-angle, is rejected with a ValueError that names its tail.
+MODE_TAIL = 1e-14 of the largest; rounding alone leaves the ring FFT's tail
+near 1e-15, below the limit.  Of the bottom half, modes 0..K are kept, with
+K the last mode above MODE_TAIL of the largest on any ring (at least mode
+0, so psi = 0 works): radiality is measured, not declared, and a radial psi
+keeps the single mode Phi_0.  A psi that would need more than
+MAX_N_THETA = 2048 angles, such as one with a jump in angle, is rejected
+with a ValueError that names its tail.
 
 Tabulation.  In the ring angle phi, s = a + (b - a)(1 - cos phi) / 2 on a
 piece [a, b], the interpolant of psi_k through the rings is a cosine series:
@@ -169,14 +172,13 @@ class LogPotential:
     """Evaluator for Phi = Gamma * psi with psi supported in D(0, support_radius).
 
     ``resolution`` is the number of Chebyshev-Lobatto rings per radial
-    piece.  With ``radial=True`` psi must be a function of |z| alone: it is
-    sampled on the positive axis and Phi has the single mode Phi_0.
-    Otherwise ``n_theta``, the number of angles per ring, is chosen from the
-    samples (module docstring).
+    piece.  ``n_theta``, the number of angles per ring, and ``n_modes``, the
+    number of angular modes kept, are measured from the samples (module
+    docstring); a radial psi keeps one mode.  psi is sampled only inside
+    D(0, support_radius) and must vanish outside it.
     """
 
-    def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256,
-                 radial: bool = False):
+    def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256):
         if support_radius <= 0:
             raise ValueError("support_radius must be positive")
         if resolution < 8:
@@ -184,7 +186,6 @@ class LogPotential:
         self.psi = psi
         self.support_radius = R = float(support_radius)
         self.resolution = n = int(resolution)
-        self.radial = bool(radial)
         # pieces end at the seams of cutoff_g, so psi is smooth on each
         self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
         pieces = [_piece_rule(float(a), float(b), n)
@@ -216,11 +217,15 @@ class LogPotential:
         self._moments = below[-1]  # int_0^R s psi_k (s / R)^k ds
         self.mass = _TWO_PI * float(self._moments[0].real)
 
+    @property
+    def n_modes(self) -> int:
+        """The number of angular modes 0..K kept by the tail rule; 1 for a
+        radial psi."""
+        return len(self._k)
+
     def _angular_modes(self, rings: np.ndarray) -> tuple:
         """The angles per ring, and psi_k on every ring with shape
         rings.shape + (modes,)."""
-        if self.radial:
-            return 1, self._psi_on(rings.astype(complex))[..., None].astype(complex)
         n_theta = 16
         while True:
             angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
@@ -229,7 +234,10 @@ class LogPotential:
             largest = float(mag.max())
             tail = float(mag[..., n_theta // 4 + 1:].max())
             if tail <= MODE_TAIL * largest:
-                return n_theta, np.ascontiguousarray(modes[..., :n_theta // 4 + 1])
+                # the last mode above the limit on any ring, or mode 0 alone
+                above = np.flatnonzero(mag.max(axis=(0, 1)) > MODE_TAIL * largest)
+                kept = above[-1] + 1 if above.size else 1
+                return n_theta, np.ascontiguousarray(modes[..., :kept])
             if n_theta >= MAX_N_THETA:
                 raise ValueError(
                     f"psi is not resolved in angle: with {n_theta} angles per ring "

@@ -61,6 +61,9 @@ MAX_DEGREE = 64
 CONDITION_LIMIT = 1e12
 GAP_STEP = 5  # degree step of KernelEstimate.convergence_gap
 
+# entry budget per block of (points x (degree + 1)) in KernelEstimate.diag_at_degree
+_BLOCK_ENTRIES = 1 << 20
+
 
 class PositiveDefinitenessError(ArithmeticError):
     """Gram matrix failed to factor; carries a smallest-eigenvalue estimate.
@@ -209,16 +212,18 @@ class KernelEstimate:
     monomial Gram for an origin-centred rule.
     """
 
-    weight: WeightFunction
     degree: int
-    rule: QuadratureRule
     center: complex
     gram: np.ndarray
     condition_estimate: float
     effective_degree: int
-    degraded: bool
     _scale: np.ndarray = field(repr=False, default=None)
     _chol: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the degree was reduced below the requested one."""
+        return self.effective_degree < self.degree
 
     def diag(self, z):
         """K_N(z, z) at the effective degree, the largest |f(z)|^2 / ||f||^2
@@ -245,7 +250,9 @@ class KernelEstimate:
 
         The Cholesky factor of a leading block of the equilibrated Gram is
         exactly the leading block of its Cholesky factor, so nested-degree
-        diagonals are monotone by construction.
+        diagonals are monotone by construction.  Points are taken in blocks
+        of at most _BLOCK_ENTRIES Vandermonde entries, so memory stays
+        bounded on large grids.
         """
         if degree > self.effective_degree:
             raise ValueError(
@@ -253,14 +260,17 @@ class KernelEstimate:
         z = np.asarray(z, dtype=complex)
         pts = np.atleast_1d(z)
         n = degree + 1
-        V = _vandermonde(pts - self.center, degree) / self._scale[:n]
-        # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v));
-        # forward substitution, one row of L per step, all points at once
         L = self._chol
-        Y = np.empty((n, len(pts)), dtype=complex)
-        for i in range(n):
-            Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
-        out = np.sum(np.abs(Y) ** 2, axis=0)
+        out = np.empty(len(pts))
+        block = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, len(pts), block):
+            V = _vandermonde(pts[start:start + block] - self.center, degree) / self._scale[:n]
+            # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v));
+            # forward substitution, one row of L per step, all block points at once
+            Y = np.empty((n, len(V)), dtype=complex)
+            for i in range(n):
+                Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
+            out[start:start + block] = np.sum(np.abs(Y) ** 2, axis=0)
         return float(out[0]) if z.ndim == 0 else out
 
 
@@ -283,10 +293,9 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
     if chol is None:
         raise _not_positive_definite(scaled, d, N)
     return KernelEstimate(
-        weight=w, degree=N, rule=rule, center=center, gram=G,
+        degree=N, center=center, gram=G,
         condition_estimate=cond,
         effective_degree=effective,
-        degraded=effective < N,
         _scale=d,
         _chol=chol,
     )

@@ -85,10 +85,8 @@ def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential
     rejected by :func:`check_laplacian_range`.
     """
     check_laplacian_range(w, M)
-    psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(w.laplacian(z)),
-                      support_radius=2.0)
-    return LogPotential(psi, support_radius=2.0, resolution=resolution,
-                        radial=w._radial_laplacian)
+    psi = ScalarField(lambda z: cutoff_g(z) * np.asarray(w.laplacian(z)))
+    return LogPotential(psi, support_radius=2.0, resolution=resolution)
 
 
 def compute_B(resolution: int = 64, omega_grid_size: int = 24) -> float:

@@ -254,24 +254,18 @@ def truncated_plane_rule(radius: float, n_r: int, n_theta: int) -> QuadratureRul
     return QuadratureRule(nodes, weights, ("disk", 0j, float(radius)), n_r, n_theta)
 
 
-def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes))
-        if vals.shape != nodes.shape:
-            vals = np.broadcast_to(vals, nodes.shape).copy()
-    except (TypeError, ValueError):
-        vals = np.asarray([f(z) for z in nodes])
-    return vals
-
-
 def integrate(rule: QuadratureRule, f):
     """Sum of weights * f(nodes).
 
-    Raises :class:`NonFiniteIntegrandError` identifying the first offending
-    node if f is not finite there (this catches singular integrands whose
-    singularity was not absorbed by the rule's polar centering).
+    f is called once on the whole node array; a scalar result is broadcast
+    over the nodes.  Raises :class:`NonFiniteIntegrandError` identifying the
+    first offending node if f is not finite there (this catches singular
+    integrands whose singularity was not absorbed by the rule's polar
+    centering).
     """
-    vals = _eval_on_nodes(f, rule.nodes)
+    vals = np.asarray(f(rule.nodes))
+    if vals.shape != rule.nodes.shape:
+        vals = np.broadcast_to(vals, rule.nodes.shape)
     finite = np.isfinite(vals)
     if not finite.all():
         idx = int(np.argmin(finite))

@@ -83,22 +83,17 @@ def report_from_checks(checks) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real-valued field on the plane, optionally with compact support.
-
-    If ``support_radius`` is declared, the field returns exactly 0 outside
-    that radius no matter what the wrapped evaluator does.
-    """
+    """Real-valued field on the plane, ``fn`` with a scalar result broadcast
+    over the points; any support comes from ``fn`` itself, such as the
+    factor ``cutoff_g`` that makes psi vanish outside D(0, 2)."""
 
     fn: Callable
-    support_radius: Optional[float] = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         vals = np.asarray(self.fn(z), dtype=float)
         if vals.shape != z.shape:
             vals = np.broadcast_to(vals, z.shape).copy()
-        if self.support_radius is not None:
-            vals = np.where(np.abs(z) > self.support_radius, 0.0, vals)
         return float(vals) if vals.ndim == 0 else vals
 
 
@@ -127,8 +122,6 @@ class WeightFunction:
     _laplacian_fn: Callable = field(compare=False, repr=False)
     _floor: tuple = field(compare=False, repr=False)
     _poly: Optional[np.ndarray] = field(compare=False, repr=False, default=None)
-    # lap(phi) is a function of |z| alone, from the family's own Laplacian
-    _radial_laplacian: bool = field(compare=False, repr=False, default=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -250,7 +243,6 @@ class _ClosedForms(NamedTuple):
     floor: tuple         # (alpha, beta, gamma): phi >= alpha |z|^2 + beta |z| + gamma
     bounds: tuple        # the exact range (m, M) of lap(phi)
     poly: Optional[np.ndarray] = None  # phi as coefficients c[i, j] of x^i y^j
-    radial: bool = False  # lap(phi) is a function of |z| alone
 
 
 def _gaussian(t):
@@ -309,15 +301,13 @@ def _potential_defined(a, psi_height):
         raise WeightError(f"potential_defined weight needs a > 0, got {a}")
     if psi_height < 0:
         raise WeightError(f"psi_height must be >= 0, got {psi_height}")
-    psi = ScalarField(lambda z: psi_height * cutoff_g(z), support_radius=2.0)
-    potential = LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION,
-                             radial=True)
+    psi = ScalarField(lambda z: psi_height * cutoff_g(z))
+    potential = LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION)
     return _ClosedForms(
         lambda z: a * np.abs(z) ** 2 + potential.values(np.atleast_1d(z)).reshape(np.shape(z)),
         lambda z: 4.0 * a + psi(z),
         (a, 0.0, -psi_height / 4.0),  # Gamma * psi >= -sup(psi)/4 pointwise
         (4.0 * a, 4.0 * a + psi_height),
-        radial=True,  # the bump is radial, so Gamma * psi is too
     )
 
 
@@ -360,9 +350,6 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
         raise WeightError(f"weight parameters must be finite, got {base} at offset {z0}")
     forms = closed_forms(**base)
     m, M = forms.bounds
-    # a constant Laplacian is radial about every point; a wider declared
-    # range does not change that
-    radial = m == M or (forms.radial and z0 == 0)
     if declared is not None:
         if not (isinstance(declared, (list, tuple)) and len(declared) == 2 and all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in declared)):
@@ -387,7 +374,6 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
         _laplacian_fn=_wrap_offset(forms.laplacian, z0),
         _floor=forms.floor,
         _poly=poly,
-        _radial_laplacian=radial,
     )
 
 

@@ -262,6 +262,19 @@ class TestKernelDiag:
         zs = random_disk_points(50, 2.0, seed=8)
         assert (build_kernel_estimate(gauss1, 25, rule_r10).diag(zs) >= 0.0).all()
 
+    def test_blocks_agree_with_one_block(self, rule_r10, monkeypatch):
+        # a budget of 3 points at degree 40 splits 100 points into 34 blocks,
+        # the last one short
+        w = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
+        est = build_kernel_estimate(w, 40, rule_r10)
+        zs = random_disk_points(100, 2.0, seed=12)
+        whole = est.diag(zs)
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 3 * 41)
+        blocked = est.diag(zs)
+        assert blocked.shape == whole.shape
+        assert np.max(np.abs(blocked - whole) / whole) <= 1e-15
+        assert est.diag(zs[7]) == pytest.approx(whole[7], rel=1e-15)
+
 
 class TestDegradation:
     def test_nearly_dependent_basis_degrades(self, gauss1):

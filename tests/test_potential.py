@@ -20,7 +20,7 @@ from holobound import (
     translate_weight,
     verify_potential_bounds,
 )
-from holobound import quadrature
+from holobound import quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
 from oracles import PlanarLogPotential
@@ -104,9 +104,11 @@ class TestMakePsi:
 
 class TestConvolution:
     def test_zero_density_gives_zero(self):
-        zero = ScalarField(lambda z: np.zeros(np.shape(z)), support_radius=2.0)
+        zero = ScalarField(lambda z: np.zeros(np.shape(z)))
+        potential = LogPotential(zero, support_radius=2.0, resolution=64)
+        assert potential.n_modes == 1
         for z in (0.0, 1.0 + 2.0j, 7.0):
-            assert LogPotential(zero, support_radius=2.0, resolution=64)(z) == 0.0
+            assert potential(z) == 0.0
 
     def test_poisson_equation(self, gauss1):
         # lap(Phi) = psi at interior points, via the fd oracle
@@ -136,8 +138,9 @@ class TestRadialPotential:
 
     def test_uniform_disk_closed_form(self):
         # density 1 on the unit disk: Phi = r^2/4 - 1/4 inside, log(r)/2 beyond
-        disk = ScalarField(lambda z: np.ones(np.shape(z)), support_radius=1.0)
-        lp = LogPotential(disk, support_radius=1.0, radial=True)
+        disk = ScalarField(lambda z: np.ones(np.shape(z)))
+        lp = LogPotential(disk, support_radius=1.0)
+        assert lp.n_modes == 1
         assert lp.mass == pytest.approx(math.pi, rel=1e-14)
         for r in (np.array([0.0, 1e-12, 1e-6, 1e-3]), np.linspace(0.0, 3.0, 301)):
             exact = np.where(r <= 1.0, r * r / 4.0 - 0.25, np.log(np.maximum(r, 1.0)) / 2.0)
@@ -149,10 +152,31 @@ class TestRadialPotential:
     ], ids=["gaussian", "potential_defined"])
     def test_agrees_with_2d_engine(self, w, M):
         potential = make_psi(w, M)
-        assert potential.radial and potential.n_theta == 1
+        assert potential.n_modes == 1
         zs = stencil_points()
         planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
         assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
+
+    def test_unflagged_radial_psi_keeps_one_mode(self):
+        # no weight family declares this psi radial: the samples show it
+        psi = ScalarField(lambda z: cutoff_g(z) * np.exp(-np.abs(z) ** 2))
+        potential = LogPotential(psi, support_radius=2.0)
+        assert potential.n_modes == 1
+        zs = stencil_points()
+        planar = PlanarLogPotential(psi, support_radius=2.0, resolution=256)
+        assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
+
+    def test_bump_weight_potential_keeps_one_mode(self, monkeypatch):
+        built = []
+
+        class Recorded(LogPotential):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(weights, "LogPotential", Recorded)
+        WeightFunction.potential_defined(1.0, psi_height=2.0)
+        assert [p.n_modes for p in built] == [1]
 
     def test_builds_no_2d_rule(self, gauss1, monkeypatch):
         def no_rule(*args, **kwargs):
@@ -164,14 +188,14 @@ class TestRadialPotential:
         assert np.all(np.isfinite(make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0)(zs)))
 
     def test_widened_bounds_keep_the_radial_path(self, gauss1):
-        # radiality comes from the family's own Laplacian, not the declared
-        # range: a gaussian declared with [0, 10] is still radial
+        # radiality is measured from psi, not read from the declared range:
+        # a gaussian declared with [0, 10] still keeps one mode
         wide = WeightFunction.from_json(
             {"family": "gaussian", "params": {"t": 1}, "laplacian_bounds": [0, 10]})
         zs = np.concatenate([random_disk_points(50, 3.0, seed=4), [0.3 + 0.1j]])
         expected = make_psi(gauss1, 4.0)(zs)
         widened = make_psi(wide, 10.0)
-        assert widened.radial
+        assert widened.n_modes == 1
         assert np.array_equal(widened(zs), expected)
 
 
@@ -188,7 +212,7 @@ def closed_form_pair(m, k, c):
         f2 = m * (m - 1) * np.maximum(4.0 - q, 0.0) ** (m - 2)
         return np.real(c * z ** k) * 4.0 * (f1 + q * f2 + k * f1)
 
-    return u, ScalarField(psi, support_radius=2.0)
+    return u, ScalarField(psi)
 
 
 class TestFourierPotential:
@@ -223,21 +247,25 @@ class TestFourierPotential:
     ], ids=["oscillatory", "translated_bump"])
     def test_agrees_with_2d_oracle(self, w, M):
         potential = make_psi(w, M)
-        assert not potential.radial
+        assert potential.n_modes > 1
         zs = stencil_points()
         planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
         assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
 
     def test_mode_count_follows_the_samples(self):
-        # the oscillatory psi needs few angles, the translated bump many; a
-        # translated gaussian keeps the one-mode path
+        # the oscillatory psi needs few angles, the translated bump many, and
+        # its trailing modes below the tail limit are cut; a constant
+        # Laplacian keeps one mode about every centre
         assert make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0).n_theta <= 128
-        bump = translate_weight(WeightFunction.potential_defined(1.0), 0.5)
-        assert make_psi(bump, 5.0).n_theta >= 512
-        assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).radial
+        bump = make_psi(translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0)
+        assert bump.n_theta >= 512
+        assert bump.n_modes < bump.n_theta // 4 + 1
+        assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).n_modes == 1
+        harmonic = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
+        assert make_psi(harmonic, 4.0).n_modes == 1
 
     def test_discontinuous_in_angle_rejected_with_tail(self):
-        half = ScalarField(lambda z: cutoff_g(z) * (np.real(z) > 0.0), support_radius=2.0)
+        half = ScalarField(lambda z: cutoff_g(z) * (np.real(z) > 0.0))
         with pytest.raises(ValueError, match="top half of its Fourier modes reaches"):
             LogPotential(half, support_radius=2.0, resolution=32)
 
@@ -287,7 +315,7 @@ class TestVerifyPotentialBounds:
         assert report.passed
 
     def test_zero_psi_trivially_passes(self):
-        zero = ScalarField(lambda z: np.zeros(np.shape(z)), support_radius=2.0)
+        zero = ScalarField(lambda z: np.zeros(np.shape(z)))
         potential = LogPotential(zero, support_radius=2.0, resolution=64)
         grid = sunflower_points(30, 0.9)
         report = verify_potential_bounds(potential, 0.0, grid, tol=1e-6)

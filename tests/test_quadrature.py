@@ -158,10 +158,6 @@ class TestIntegrate:
     def test_scalar_integrand_broadcast(self, unit_disk_rule):
         assert integrate(unit_disk_rule, lambda z: 2.0) == pytest.approx(2 * math.pi)
 
-    def test_nonvectorized_integrand(self, unit_disk_rule):
-        val = integrate(unit_disk_rule, lambda z: abs(complex(z)) ** 2)
-        assert val == pytest.approx(math.pi / 2, rel=1e-10)
-
     def test_non_finite_value_identifies_node(self, unit_disk_rule):
         target = unit_disk_rule.nodes[7]
 

@@ -173,7 +173,6 @@ class TestSerialization:
         desc = w.to_json()
         back = WeightFunction.from_json(desc)
         assert back == w
-        assert back._radial_laplacian == w._radial_laplacian
         grid = sunflower_points(16, 2.0)
         assert np.array_equal(back.weight(grid), w.weight(grid))
 
@@ -250,13 +249,6 @@ class TestTruncationHint:
 
 
 class TestScalarField:
-    def test_support_radius_enforced_exactly(self):
-        field = ScalarField(lambda z: np.ones(np.shape(z)), support_radius=2.0)
-        assert field(3.0) == 0.0
-        assert field(1.9) == 1.0
-        vals = field(np.array([0.5, 2.5, 1.0 + 1.0j]))
-        assert vals[1] == 0.0 and vals[0] == 1.0
-
     def test_scalar_passthrough(self):
         field = ScalarField(lambda z: np.abs(z) ** 2)
         assert field(2.0 + 1.0j) == pytest.approx(5.0)
