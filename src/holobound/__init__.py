@@ -48,6 +48,7 @@ from .potential import (
     B_EXACT,
     compute_B,
     make_psi,
+    phi_at_origin,
     verify_potential_bounds,
 )
 from .quadrature import (

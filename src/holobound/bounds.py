@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .kernel import SampleFunction, build_kernel_estimate, weighted_norm_sq
-from .potential import B_EXACT, check_laplacian_range, make_psi
+from .potential import B_EXACT, check_laplacian_range, phi_at_origin
 from .quadrature import (
     QuadratureRule,
     disk_rule,
@@ -204,9 +204,12 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     at z, dominating it by C certifies the bound for every function in the
     space at once.  The metadata also reports the tighter weight-dependent
     constant e^{B M - Phi(0)} / pi that precedes the M-only simplification.
+    Phi(0) comes from the circle means of psi alone (``phi_at_origin``),
+    whose angle count is the tail rule ``greens.angular_modes`` that
+    ``LogPotential`` uses too; no whole potential is built.
     """
     # validates 0 <= lap(phi) <= M before any Gram matrix is built
-    phi0 = make_psi(w, M)(0.0 + 0.0j)
+    phi0 = phi_at_origin(w, M)
     grid = np.asarray(grid, dtype=complex)
     est, products, err = _weighted_diag(w, N, rule, grid)
     return BoundCertificate(certificate_constant(M), grid, products, err, metadata={

@@ -341,7 +341,7 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     M = w.laplacian_bounds[1]
     B = potential_mod.B_EXACT
-    phi0 = potential_mod.make_psi(w, M)(0.0 + 0.0j)
+    phi0 = potential_mod.phi_at_origin(w, M)
     lo, hi = potential_mod.B_BRACKET
     summary = {
         "experiment": "constants",

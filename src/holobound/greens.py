@@ -23,7 +23,10 @@ Set-up.  psi is sampled once, on ``resolution`` Chebyshev-Lobatto rings per
 radial piece times ``n_theta`` equispaced angles, and each ring is
 transformed by one FFT.  The pieces end at the seams 1 and 2 of
 ``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
-knob: it doubles from 16 until the top half of the modes lies below
+knob.  One tail rule, :func:`angular_modes`, sets it for every caller that
+samples psi on rings (``LogPotential`` here, ``phi_at_origin`` in the
+potential module, which reads the circle means alone): it doubles
+``n_theta`` from 16 until the top half of the modes lies below
 MODE_TAIL = 1e-14 of the largest; rounding alone leaves the ring FFT's tail
 near 1e-15, below the limit.  Of the bottom half, modes 0..K are kept, with
 K the last mode above MODE_TAIL of the largest on any ring (at least mode
@@ -65,7 +68,7 @@ from numpy.fft import ifft, rfft
 
 from .quadrature import gauss_legendre
 
-__all__ = ["gamma", "bump", "cutoff_g", "LogPotential"]
+__all__ = ["gamma", "bump", "cutoff_g", "angular_modes", "LogPotential"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -168,6 +171,37 @@ def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
+def angular_modes(psi, rings: np.ndarray) -> tuple:
+    """The tail rule: the angles per ring, and psi_k on every ring with shape
+    rings.shape + (modes,).
+
+    ``n_theta`` doubles from 16 until the top half of the modes lies below
+    MODE_TAIL of the largest; modes 0..K are kept, K the last above that
+    limit on any ring (module docstring).  psi with more than MAX_N_THETA
+    angles is rejected.  :class:`LogPotential` and
+    :func:`holobound.potential.phi_at_origin` both take their angles here.
+    """
+    n_theta = 16
+    while True:
+        angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
+        values = np.asarray(psi(rings[..., None] * angle), dtype=float)
+        modes = rfft(values, axis=-1) / n_theta
+        mag = np.abs(modes).reshape(-1, modes.shape[-1])
+        largest = float(mag.max())
+        tail = float(mag[:, n_theta // 4 + 1:].max())
+        if tail <= MODE_TAIL * largest:
+            # the last mode above the limit on any ring, or mode 0 alone
+            above = np.flatnonzero(mag.max(axis=0) > MODE_TAIL * largest)
+            kept = above[-1] + 1 if above.size else 1
+            return n_theta, np.ascontiguousarray(modes[..., :kept])
+        if n_theta >= MAX_N_THETA:
+            raise ValueError(
+                f"psi is not resolved in angle: with {n_theta} angles per ring "
+                f"the top half of its Fourier modes reaches {tail / largest:.1e} "
+                f"of the largest, above the tail limit {MODE_TAIL:.0e}")
+        n_theta *= 2
+
+
 class LogPotential:
     """Evaluator for Phi = Gamma * psi with psi supported in D(0, support_radius).
 
@@ -191,7 +225,7 @@ class LogPotential:
         pieces = [_piece_rule(float(a), float(b), n)
                   for a, b in zip(self._knots[:-1], self._knots[1:])]
         rings = np.stack([p[0] for p in pieces])
-        self.n_theta, modes = self._angular_modes(rings)
+        self.n_theta, modes = angular_modes(psi, rings)
         K = modes.shape[-1]
         self._k = k = np.arange(K)
         # per gap, the integrals of s psi_k against rho^k with rho = s / r_right
@@ -222,31 +256,6 @@ class LogPotential:
         """The number of angular modes 0..K kept by the tail rule; 1 for a
         radial psi."""
         return len(self._k)
-
-    def _angular_modes(self, rings: np.ndarray) -> tuple:
-        """The angles per ring, and psi_k on every ring with shape
-        rings.shape + (modes,)."""
-        n_theta = 16
-        while True:
-            angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
-            modes = rfft(self._psi_on(rings[..., None] * angle), axis=-1) / n_theta
-            mag = np.abs(modes)
-            largest = float(mag.max())
-            tail = float(mag[..., n_theta // 4 + 1:].max())
-            if tail <= MODE_TAIL * largest:
-                # the last mode above the limit on any ring, or mode 0 alone
-                above = np.flatnonzero(mag.max(axis=(0, 1)) > MODE_TAIL * largest)
-                kept = above[-1] + 1 if above.size else 1
-                return n_theta, np.ascontiguousarray(modes[..., :kept])
-            if n_theta >= MAX_N_THETA:
-                raise ValueError(
-                    f"psi is not resolved in angle: with {n_theta} angles per ring "
-                    f"the top half of its Fourier modes reaches {tail / largest:.1e} "
-                    f"of the largest, above the tail limit {MODE_TAIL:.0e}")
-            n_theta *= 2
-
-    def _psi_on(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.psi(z), dtype=float)
 
     def _modes_at(self, r: np.ndarray) -> np.ndarray:
         """Phi_k at the radii r, shape (len(r), modes)."""

@@ -135,7 +135,14 @@ class SampleFunction:
 
 
 def _vandermonde(z: np.ndarray, degree: int) -> np.ndarray:
-    return np.asarray(z, dtype=complex)[:, None] ** np.arange(degree + 1)
+    """The (points x (degree + 1)) matrix of powers z^j by a running product,
+    column-contiguous so each power is read in one stride."""
+    z = np.asarray(z, dtype=complex)
+    V = np.empty((degree + 1, len(z)), dtype=complex)
+    V[0] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(V[j - 1], z, out=V[j])
+    return V.T
 
 
 def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
@@ -264,7 +271,8 @@ class KernelEstimate:
         out = np.empty(len(pts))
         block = max(1, _BLOCK_ENTRIES // n)
         for start in range(0, len(pts), block):
-            V = _vandermonde(pts[start:start + block] - self.center, degree) / self._scale[:n]
+            V = _vandermonde(pts[start:start + block] - self.center, degree)
+            V /= self._scale[:n]
             # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v));
             # forward substitution, one row of L per step, all block points at once
             Y = np.empty((n, len(V)), dtype=complex)

@@ -160,13 +160,23 @@ class TestGlobalCertificate:
         cert = global_certificate(w, 5.0, disk_lattice(2.0, 0.25), 40, rule)
         assert cert.passed
 
+    def test_builds_no_potential(self, monkeypatch):
+        # Phi(0) for the tighter constant comes from the circle means alone
+        def no_potential(*args, **kwargs):
+            raise AssertionError("the global certificate built a LogPotential")
+        monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
+        w = WeightFunction.oscillatory(1.0, 0.5)
+        rule = truncated_plane_rule(truncation_radius(w, 16), 64, 128)
+        cert = global_certificate(w, 5.0, disk_lattice(1.0, 0.5), 16, rule)
+        assert math.isfinite(cert.metadata["tighter_constant"])
+
     def test_invalid_weight_rejected_before_gram_builds(self, monkeypatch):
         def no_build(*args, **kwargs):
             raise AssertionError("kernel estimate built before the weight was validated")
         monkeypatch.setattr(bounds, "build_kernel_estimate", no_build)
         w = WeightFunction.oscillatory(1.0, 3.0)
         rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
-        with pytest.raises(ValueError, match="violates"):
+        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= .* at z = "):
             global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
 
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):

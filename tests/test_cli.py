@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from holobound import cli
+from holobound import cli, greens
 from holobound.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -256,6 +256,17 @@ class TestConstantsCommand:
         summary = json.loads((tmp_path / "constants_summary.json").read_text())
         assert summary["M"] == 4.0
 
+    def test_builds_no_potential(self, tmp_path, monkeypatch):
+        # phi0 comes from the circle means alone
+        def no_potential(*args, **kwargs):
+            raise AssertionError("the constants experiment built a LogPotential")
+        monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
+        weight = {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}
+        cfg = write_config(tmp_path, "c.json", {"experiment": "constants", "weight": weight})
+        assert main(["constants", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "constants_summary.json").read_text())
+        assert summary["phi0"] >= summary["minus_M_over_4"]
+
 
 class TestVerifyBoundCommand:
     def test_gaussian_passes(self, tmp_path):
@@ -459,6 +470,20 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert rows[0][2] == "ok"
         assert rows[1][2].startswith("error:")
+
+    def test_violating_verify_bound_entry_is_a_value_error(self, tmp_path):
+        entries = [
+            {"experiment": "verify-bound", "weight": GAUSS, "degree": 8, "resolution": 32,
+             "grid": {"kind": "random", "radius": 1.5, "count": 10}, "label": "ok-entry"},
+            {"experiment": "verify-bound", "label": "bad-entry", "degree": 8,
+             "resolution": 32, "grid": {"kind": "random", "radius": 1.5, "count": 10},
+             "weight": {"family": "oscillatory", "params": {"a": 1.0, "eps": 3.0}}},
+        ]
+        cfg = write_config(tmp_path, "sweep.json",
+                           {"experiment": "sweep", "configs": entries})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[2] for r in rows] == ["ok", "error:ValueError"]
 
 
 def test_import_leaves_scipy_out():

@@ -275,6 +275,17 @@ class TestKernelDiag:
         assert np.max(np.abs(blocked - whole) / whole) <= 1e-15
         assert est.diag(zs[7]) == pytest.approx(whole[7], rel=1e-15)
 
+    def test_vandermonde_matches_the_power_form(self):
+        # the running product against z^j taken directly, on |z| <= 2
+        zs = np.concatenate([[0.0, 2.0, -2.0j, 1e-3], random_disk_points(500, 2.0, seed=5)])
+        powers = zs[:, None] ** np.arange(kernel.MAX_DEGREE + 1)
+        V = kernel._vandermonde(zs, kernel.MAX_DEGREE)
+        assert V.shape == powers.shape
+        assert np.array_equal(V[0], powers[0])  # 0^0 = 1, 0^j = 0
+        nonzero = powers != 0
+        assert np.array_equal(V == 0, ~nonzero)
+        assert np.max(np.abs(V - powers)[nonzero] / np.abs(powers[nonzero])) <= 1e-13
+
 
 class TestDegradation:
     def test_nearly_dependent_basis_degrades(self, gauss1):

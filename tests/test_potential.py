@@ -17,9 +17,11 @@ from holobound import (
     integrate,
     make_psi,
     masked_disk_rule,
+    phi_at_origin,
     translate_weight,
     verify_potential_bounds,
 )
+from holobound import potential as potential_mod
 from holobound import quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
@@ -268,6 +270,66 @@ class TestFourierPotential:
         half = ScalarField(lambda z: cutoff_g(z) * (np.real(z) > 0.0))
         with pytest.raises(ValueError, match="top half of its Fourier modes reaches"):
             LogPotential(half, support_radius=2.0, resolution=32)
+
+
+# one weight per family of the weights table, each at its own upper bound M
+FAMILY_EXAMPLES = {
+    "gaussian": WeightFunction.gaussian(1.0),
+    "gaussian_harmonic": WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j, d=0.1),
+    "oscillatory": WeightFunction.oscillatory(1.5, 1.0),
+    "potential_defined": WeightFunction.potential_defined(1.0),
+}
+
+
+class TestPhiAtOrigin:
+    """Phi(0) from the circle means, against the whole potential at resolution 256."""
+
+    @staticmethod
+    def whole(w):
+        return make_psi(w, w.laplacian_bounds[1], resolution=256)(0.0 + 0.0j)
+
+    def test_every_family_is_listed(self):
+        assert set(FAMILY_EXAMPLES) == set(weights._FAMILIES)
+
+    @pytest.mark.parametrize("w", [
+        *FAMILY_EXAMPLES.values(),
+        translate_weight(WeightFunction.potential_defined(1.0), 0.5),
+        WeightFunction.oscillatory(1.0, 0.5),
+    ], ids=[*FAMILY_EXAMPLES, "translated_bump", "oscillatory_1_0.5"])
+    def test_agrees_with_whole_potential(self, w):
+        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+
+    @settings(deadline=None, max_examples=15)
+    @given(a=st.floats(0.5, 2.0), ratio=st.floats(0.0, 1.0),
+           shift=st.complex_numbers(max_magnitude=1.0))
+    def test_oscillatory_hypothesis(self, a, ratio, shift):
+        # eps <= 2a keeps lap(phi) = 4a - 2 eps cos(x) cos(y) >= 0, about any centre
+        w = translate_weight(WeightFunction.oscillatory(a, 2.0 * a * ratio), shift)
+        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+
+    @settings(deadline=None, max_examples=15)
+    @given(t=st.floats(0.5, 2.0), modulus=st.floats(0.0, 1.5),
+           arg=st.floats(0.0, 2.0 * math.pi))
+    def test_translated_gaussian_hypothesis(self, t, modulus, arg):
+        z0 = modulus * complex(math.cos(arg), math.sin(arg))
+        w = translate_weight(WeightFunction.gaussian(t), z0)
+        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+
+    @pytest.mark.parametrize("w", [
+        translate_weight(WeightFunction.potential_defined(1.0), 0.5),
+        WeightFunction.oscillatory(1.0, 0.5),
+        WeightFunction.gaussian(1.0),
+    ], ids=["translated_bump", "oscillatory", "gaussian"])
+    def test_doubling_the_radial_nodes(self, w, monkeypatch):
+        M = w.laplacian_bounds[1]
+        base = phi_at_origin(w, M)
+        monkeypatch.setattr(potential_mod, "ORIGIN_NODES", 2 * potential_mod.ORIGIN_NODES)
+        assert abs(phi_at_origin(w, M) - base) < 1e-14
+
+    def test_violating_weight_rejected_with_point(self):
+        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
+        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
+            phi_at_origin(WeightFunction.oscillatory(1.0, 2.1), 5.0)
 
 
 class TestComputeB:
