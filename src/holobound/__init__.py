@@ -60,7 +60,6 @@ from .quadrature import (
     integrate_with_error,
     masked_disk_rule,
     random_disk_points,
-    recenter,
     sunflower_points,
     truncated_plane_rule,
 )

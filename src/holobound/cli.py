@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +56,6 @@ EXPERIMENTS = (
     "sweep",
 )
 
-_TOP_KEYS = {
-    "experiment", "weight", "weight_b", "degree", "resolution", "grid",
-    "seed", "tolerance", "s_values", "label", "configs", "out",
-}
 # inclusive ranges of the integer settings a config or a flag may give
 _RANGES = {"degree": (0, MAX_DEGREE), "resolution": (8, 4096), "seed": (0, 2 ** 64 - 1)}
 _GRID_KEYS = {
@@ -93,6 +89,9 @@ class ExperimentConfig:
     label: str = ""
     configs: tuple = ()
     out: str = "."
+
+
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
@@ -386,7 +385,8 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     M = w.laplacian_bounds[1]
-    potential = potential_mod.make_psi(w, M, resolution=max(cfg.resolution, 64))
+    resolution = max(cfg.resolution, 64)
+    potential = potential_mod.make_psi(w, M, resolution=resolution)
     grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
     report = potential_mod.verify_potential_bounds(potential, M, grid, tol)
@@ -401,7 +401,7 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         "phi0": report.check("phi_at_origin").value,
         "phi0_lower_limit": report.check("phi_at_origin").limit,
         "poisson_residual": report.check("poisson_residual").value,
-        "resolution": cfg.resolution,
+        "resolution": resolution,
     }
     code = EXIT_OK if report.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary,
@@ -503,10 +503,15 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run one experiment, writing its CSV and JSON summary.
 
     All computation happens before any file is touched, so failed runs leave
-    no partial outputs.
+    no partial outputs.  An output directory that cannot be created or
+    written is a :class:`ConfigError`.
     """
     result = _execute(cfg)
-    _write_outputs(cfg, result, out_dir if out_dir is not None else cfg.out)
+    out_dir = out_dir if out_dir is not None else cfg.out
+    try:
+        _write_outputs(cfg, result, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
     return result.code
 
 

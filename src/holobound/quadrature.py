@@ -1,9 +1,12 @@
 """Polar quadrature on planar regions: disks, masked disks, truncated planes.
 
-Every rule is a tensor product of Gauss-Legendre in radius (with the area
-jacobian r folded into the weights) and a uniform trapezoid rule in angle.
-Centering a rule on a logarithmic singularity makes the weighted radial
-integrand r*log(r) bounded, so no special singular weights are needed.
+One builder, ``_disk``, makes every rule: a tensor product of Gauss-Legendre
+in radius (with the area jacobian r folded into the weights) and a uniform
+trapezoid rule in angle on D(center, radius).  ``disk_rule`` and
+``truncated_plane_rule`` return it as built; ``masked_disk_rule`` keeps the
+nodes outside the excluded disk.  Centering a rule on a logarithmic
+singularity makes the weighted radial integrand r*log(r) bounded, so no
+special singular weights are needed.
 
 Gauss-Legendre nodes are found per node, not from an eigensolve: Tricomi's
 asymptotic guesses, then Newton's method on the three-term recurrence,
@@ -32,7 +35,6 @@ __all__ = [
     "integrate",
     "integrate_with_error",
     "half_resolution",
-    "recenter",
     "disk_lattice",
     "sunflower_points",
     "random_disk_points",
@@ -50,21 +52,6 @@ class NonFiniteIntegrandError(ValueError):
             f"integrand is not finite at node #{self.index}, z = {self.node!r} "
             f"(value {value!r})"
         )
-
-
-def _circle_overlap_area(c0: complex, r0: float, c1: complex, r1: float) -> float:
-    """Area of the intersection of two disks (standard lens formula)."""
-    d = abs(c1 - c0)
-    if d >= r0 + r1:
-        return 0.0
-    if d <= abs(r0 - r1):
-        return math.pi * min(r0, r1) ** 2
-    a0 = r0 * r0 * math.acos((d * d + r0 * r0 - r1 * r1) / (2.0 * d * r0))
-    a1 = r1 * r1 * math.acos((d * d + r1 * r1 - r0 * r0) / (2.0 * d * r1))
-    s = 0.5 * math.sqrt(
-        (-d + r0 + r1) * (d + r0 - r1) * (d - r0 + r1) * (d + r0 + r1)
-    )
-    return a0 + a1 - s
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,18 +72,6 @@ class QuadratureRule:
     region: tuple
     n_r: int
     n_theta: int
-    mask_tolerance: float = 0.0
-
-    @property
-    def area(self) -> float:
-        """Exact area of the declared region."""
-        if self.region[0] == "disk":
-            return math.pi * self.region[2] ** 2
-        _, c, r, ec, er = self.region
-        return math.pi * r * r - _circle_overlap_area(c, r, ec, er)
-
-    def weight_sum(self) -> float:
-        return float(np.sum(self.weights))
 
     def rings(self):
         """Center c and ring radii r_i of a polar tensor rule, whose node
@@ -109,14 +84,6 @@ class QuadratureRule:
                              f"is not a polar tensor rule")
         center = self.region[1]
         return center, np.abs(self.nodes[::self.n_theta] - center)  # the theta = 0 nodes
-
-    def contains(self, pts) -> np.ndarray:
-        """Boolean mask: which points lie inside the declared region."""
-        pts = np.asarray(pts, dtype=complex)
-        if self.region[0] == "disk":
-            return np.abs(pts - self.region[1]) <= self.region[2]
-        _, c, r, ec, er = self.region
-        return (np.abs(pts - c) <= r) & (np.abs(pts - ec) >= er)
 
 
 NEWTON_CAP = 20  # Newton steps allowed; from Tricomi's guesses 3 or 4 suffice
@@ -166,26 +133,26 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def _polar_tensor(center: complex, radius: float, n_r: int, n_theta: int):
-    """Gauss-Legendre x trapezoid nodes/weights on a disk.
+def _disk(center: complex, radius: float, n_r: int, n_theta: int) -> QuadratureRule:
+    """Gauss-Legendre x trapezoid rule on D(center, radius).
 
     Radial nodes are strictly interior to (0, radius), so no node ever lands
     on the disk center.
     """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if n_r < 2:
+        raise ValueError(f"n_r must be >= 2, got {n_r}")
+    if n_theta < 4:
+        raise ValueError(f"n_theta must be >= 4, got {n_theta}")
+    center, radius = complex(center), float(radius)
     x, u = gauss_legendre(n_r)
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * u * r  # jacobian folded in
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     nodes = (center + np.outer(r, np.exp(1j * theta))).ravel()
     weights = np.repeat(w_r * (2.0 * np.pi / n_theta), n_theta)
-    return nodes, weights
-
-
-def _check_resolution(n_r: int, n_theta: int):
-    if n_r < 2:
-        raise ValueError(f"n_r must be >= 2, got {n_r}")
-    if n_theta < 4:
-        raise ValueError(f"n_theta must be >= 4, got {n_theta}")
+    return QuadratureRule(nodes, weights, ("disk", center, radius), n_r, n_theta)
 
 
 def disk_rule(center: complex, radius: float, n_r: int, n_theta: int) -> QuadratureRule:
@@ -195,11 +162,7 @@ def disk_rule(center: complex, radius: float, n_r: int, n_theta: int) -> Quadrat
     and convergent (error -> 0 as n_r grows) for bounded r*log(r)-type
     radial integrands such as the fundamental solution of the Laplacian.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    _check_resolution(n_r, n_theta)
-    nodes, weights = _polar_tensor(complex(center), float(radius), n_r, n_theta)
-    return QuadratureRule(nodes, weights, ("disk", complex(center), float(radius)), n_r, n_theta)
+    return _disk(center, radius, n_r, n_theta)
 
 
 def masked_disk_rule(
@@ -216,28 +179,15 @@ def masked_disk_rule(
     excluded disk (indicator mask, no boundary-fitted mesh).  The masking
     error near the circular cut is O(1/n_r); callers wanting masked-region
     accuracy comparable to a plain disk rule should use about 4x the
-    resolution.  ``mask_tolerance`` records the rule's observed relative
-    area defect, with a factor-of-two headroom.
+    resolution.
     """
-    if radius <= 0 or excluded_radius <= 0:
-        raise ValueError("radii must be positive")
-    _check_resolution(n_r, n_theta)
-    nodes, weights = _polar_tensor(complex(center), float(radius), n_r, n_theta)
-    keep = np.abs(nodes - excluded_center) >= excluded_radius
-    region = (
-        "masked_disk",
-        complex(center),
-        float(radius),
-        complex(excluded_center),
-        float(excluded_radius),
-    )
-    rule = QuadratureRule(nodes[keep], weights[keep], region, n_r, n_theta)
-    exact = rule.area
-    observed = abs(rule.weight_sum() - exact) / exact if exact > 0 else 0.0
-    return QuadratureRule(
-        nodes[keep], weights[keep], region, n_r, n_theta,
-        mask_tolerance=2.0 * observed + 1e-12,
-    )
+    if excluded_radius <= 0:
+        raise ValueError(f"excluded_radius must be positive, got {excluded_radius}")
+    disk = _disk(center, radius, n_r, n_theta)
+    keep = np.abs(disk.nodes - excluded_center) >= excluded_radius
+    region = ("masked_disk", *disk.region[1:], complex(excluded_center),
+              float(excluded_radius))
+    return QuadratureRule(disk.nodes[keep], disk.weights[keep], region, n_r, n_theta)
 
 
 def truncated_plane_rule(radius: float, n_r: int, n_theta: int) -> QuadratureRule:
@@ -247,11 +197,7 @@ def truncated_plane_rule(radius: float, n_r: int, n_theta: int) -> QuadratureRul
     negligible outside; ``truncation_radius`` provides such radii.  Nodes,
     weights and region tag are those of ``disk_rule(0, radius, n_r, n_theta)``.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    _check_resolution(n_r, n_theta)
-    nodes, weights = _polar_tensor(0j, float(radius), n_r, n_theta)
-    return QuadratureRule(nodes, weights, ("disk", 0j, float(radius)), n_r, n_theta)
+    return _disk(0j, radius, n_r, n_theta)
 
 
 def integrate(rule: QuadratureRule, f):
@@ -294,19 +240,6 @@ def integrate_with_error(rule: QuadratureRule, f):
     value = integrate(rule, f)
     coarse = integrate(half_resolution(rule), f)
     return value, abs(value - coarse)
-
-
-def recenter(rule: QuadratureRule, z0: complex) -> QuadratureRule:
-    """Translate a rule by z0 (nodes shift, weights unchanged)."""
-    z0 = complex(z0)
-    if rule.region[0] == "disk":
-        region = ("disk", rule.region[1] + z0, rule.region[2])
-    else:
-        _, c, r, ec, er = rule.region
-        region = ("masked_disk", c + z0, r, ec + z0, er)
-    return QuadratureRule(
-        rule.nodes + z0, rule.weights, region, rule.n_r, rule.n_theta, rule.mask_tolerance
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,6 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.passed
 
-    def failures(self):
-        return tuple(c for c in self.checks if not c.ok)
-
     def check(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:

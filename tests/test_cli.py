@@ -30,6 +30,14 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def run_cli(*args):
+    """The CLI in a fresh interpreter, importing the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=False)
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# schema holobound.")
@@ -83,6 +91,16 @@ class TestMainExitCodes:
         code = main(["constants", "--config", cfg, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        # the output directory would sit under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "sub"
+        proc = run_cli("-m", "holobound.cli", "mean-value", "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert f"config error: cannot write outputs to {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config(self, tmp_path):
         assert main(["constants", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -396,6 +414,16 @@ class TestPotentialCommand:
         assert summary["pass"] is True
         assert summary["phi0"] >= -1.0 - 1e-4
 
+    def test_reports_the_resolution_used(self, tmp_path):
+        # the potential is built at no less than resolution 64
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": "potential", "weight": GAUSS, "resolution": 32,
+            "grid": {"kind": "random", "radius": 0.9, "count": 10},
+        })
+        assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "potential_summary.json").read_text())
+        assert summary["resolution"] == 64
+
     @staticmethod
     def poisson_summary_at_resolution_128(tmp_path, weight, seed):
         cfg = write_config(tmp_path, "p.json", {
@@ -489,9 +517,5 @@ class TestSweep:
 def test_import_leaves_scipy_out():
     # the package runs on numpy alone; importing scipy.linalg would cost
     # every CLI run about a quarter of a second
-    code = "import sys, holobound.cli; sys.exit('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=False)
+    proc = run_cli("-c", "import sys, holobound.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"

@@ -20,7 +20,7 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import random_disk_points, recenter
+from holobound.quadrature import random_disk_points
 from holobound.weights import translate_weight
 
 
@@ -118,7 +118,8 @@ class TestFFTAssembly:
         assert equilibrated_error(gram_matrix(w, 40, rule), direct_gram(w, 40, rule)) < 1e-12
 
     @pytest.mark.parametrize("make_rule, weight, N", [
-        (lambda rule: recenter(rule, 0.8 - 0.6j), WeightFunction.gaussian(1.0), 30),
+        (lambda rule: disk_rule(0.8 - 0.6j, rule.region[2], rule.n_r, rule.n_theta),
+         WeightFunction.gaussian(1.0), 30),
         (lambda rule: disk_rule(2.0, 0.5, 64, 128), WeightFunction.gaussian(100.0), 40),
     ], ids=["recentred", "off_centre_disk"])
     def test_off_centre_rules_match_direct_sum(self, monkeypatch, gauss1_rule,
@@ -137,10 +138,10 @@ class TestFFTAssembly:
 
     def test_off_centre_rule_rejected(self, gauss1, gauss1_rule):
         # the monomial Gram is the assembly's own only on origin-centred rules
-        rule = recenter(gauss1_rule, 0.8 - 0.6j)
+        rule = disk_rule(0.8 - 0.6j, gauss1_rule.region[2], 256, 512)
         with pytest.raises(ValueError, match=r"centre \(0\.8-0\.6j\)"):
             gram_matrix(gauss1, 10, rule)
-        assert gram_matrix(gauss1, 10, recenter(gauss1_rule, 0.0)).shape == (11, 11)
+        assert gram_matrix(gauss1, 10, gauss1_rule).shape == (11, 11)
 
     def test_large_radius_does_not_overflow(self):
         # R ~ 277 at N = 64: R^128 overflows, the scaled powers do not
@@ -177,7 +178,7 @@ class TestFFTAssembly:
     def test_hermitian_and_matches_direct_sum(self, a, b_ratio, b_arg, c, center, n_theta):
         w = WeightFunction.gaussian_harmonic(a, b=b_ratio * a * complex(math.cos(b_arg),
                                                                         math.sin(b_arg)), c=c)
-        rule = recenter(truncated_plane_rule(truncation_radius(w, 20), 48, n_theta), center)
+        rule = disk_rule(center, truncation_radius(w, 20), 48, n_theta)
         c, G = kernel._assemble_gram(w, 20, rule)
         assert c == complex(center)
         assert np.array_equal(G, G.conj().T)
@@ -251,7 +252,7 @@ class TestKernelDiag:
         # weight and rule both moved to c: the estimate in the basis (z - c)^j
         # reproduces the centred kernel at full degree
         c = 2.0
-        rule = recenter(truncated_plane_rule(truncation_radius(gauss1, 64), 256, 512), c)
+        rule = disk_rule(c, truncation_radius(gauss1, 64), 256, 512)
         est = build_kernel_estimate(translate_weight(gauss1, -c), 64, rule)
         assert est.effective_degree == 64
         zs = np.array([0.0, 0.5, 1.0 + 1.0j, -2.0 + 0.5j, 3j])
@@ -294,7 +295,7 @@ class TestDegradation:
         # dependent under the weight, so the equilibrated Gram is ill
         # conditioned and the estimate must shrink to a well-conditioned
         # leading block
-        rule = recenter(truncated_plane_rule(truncation_radius(gauss1, 40), 128, 256), 3.0)
+        rule = disk_rule(3.0, truncation_radius(gauss1, 40), 128, 256)
         est = build_kernel_estimate(gauss1, 40, rule)
         assert est.degraded
         assert est.effective_degree < 40

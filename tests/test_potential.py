@@ -183,7 +183,7 @@ class TestRadialPotential:
     def test_builds_no_2d_rule(self, gauss1, monkeypatch):
         def no_rule(*args, **kwargs):
             raise AssertionError("the potential built a 2-D rule")
-        monkeypatch.setattr(quadrature, "_polar_tensor", no_rule)
+        monkeypatch.setattr(quadrature, "_disk", no_rule)
         zs = random_disk_points(50, 3.0, seed=4)
         assert np.all(np.isfinite(make_psi(gauss1, 4.0)(zs)))
         assert np.all(np.isfinite(WeightFunction.potential_defined(1.0).weight(zs)))
