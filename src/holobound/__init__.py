@@ -27,7 +27,6 @@ from .equivalence import (
     EquivalenceError,
     EquivalenceMap,
     build_equivalence_map,
-    harmonic_conjugate_poly,
     log_laplacian_equal,
     matching_normalized_gaussian,
     verify_kernel_invariance,

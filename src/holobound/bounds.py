@@ -40,7 +40,6 @@ from .weights import (
     Check,
     ValidationReport,
     WeightFunction,
-    report_from_checks,
     truncation_radius,
 )
 
@@ -150,10 +149,10 @@ def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
     mean = integrate(disk_rule(0.0, s, 64, 128), h) / (math.pi * s * s)
     center = complex(np.asarray(h(np.asarray(0.0 + 0.0j))))
     dev = abs(mean - center)
-    return report_from_checks([
+    return ValidationReport((
         Check("mean_value_deviation", dev, tol, dev <= tol,
               note=f"s = {s}, mean = {mean!r}, h(0) = {center!r}"),
-    ])
+    ))
 
 
 def local_bound_certificate(w: WeightFunction, M: float, samples,
@@ -254,4 +253,4 @@ def translated_pointwise_check(w: WeightFunction, f: SampleFunction, z,
         Check("global_step", lhs, global_side * slack,
               lhs <= global_side * slack),
     )
-    return report_from_checks(checks)
+    return ValidationReport(checks)

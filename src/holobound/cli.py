@@ -36,7 +36,7 @@ from .quadrature import (
     random_disk_points,
     truncated_plane_rule,
 )
-from .weights import WeightError, WeightFunction, truncation_radius
+from .weights import WeightError, WeightFunction, is_number, truncation_radius
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
 
@@ -94,11 +94,6 @@ class ExperimentConfig:
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
-    """Whether x is a JSON number (not a boolean) strictly between lo and hi."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and lo < x < hi
-
-
 def _validate_grid(grid: dict) -> dict:
     if not isinstance(grid, dict):
         raise ConfigError(f"grid must be an object, got {type(grid).__name__}")
@@ -112,15 +107,15 @@ def _validate_grid(grid: dict) -> dict:
     if missing:
         raise ConfigError(f"grid kind {kind!r} needs keys {sorted(missing)}")
     for key in ("radius", "spacing"):
-        if key in grid and not _number(grid[key], 0.0):
+        if key in grid and not is_number(grid[key], 0.0):
             raise ConfigError(f"grid {key} must be a positive finite number, "
                               f"got {grid[key]!r}")
-    if "count" in grid and not (isinstance(grid["count"], int) and _number(grid["count"], 0)):
+    if "count" in grid and not (isinstance(grid["count"], int) and is_number(grid["count"], 0)):
         raise ConfigError(f"grid count must be a positive integer, got {grid['count']!r}")
     if kind == "points":
         pts = grid["points"]
         if not (isinstance(pts, list) and pts and all(
-                isinstance(p, list) and len(p) == 2 and all(map(_number, p)) for p in pts)):
+                isinstance(p, list) and len(p) == 2 and all(map(is_number, p)) for p in pts)):
             raise ConfigError("grid kind 'points' needs a nonempty list of "
                               "[x, y] pairs of finite numbers")
     size = _grid_size(grid)
@@ -172,14 +167,14 @@ def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
     if "grid" in raw:
         cfg.grid = _validate_grid(raw["grid"])
     if "tolerance" in raw:
-        if not _number(raw["tolerance"], 0.0):
+        if not is_number(raw["tolerance"], 0.0):
             raise ConfigError(f"tolerance must be a positive finite number, "
                               f"got {raw['tolerance']!r}")
         cfg.tolerance = float(raw["tolerance"])
     if "s_values" in raw:
         s_values = raw["s_values"]
         if not (isinstance(s_values, list) and s_values
-                and all(_number(s, 0.0, 1.0) for s in s_values)):
+                and all(is_number(s, 0.0, 1.0) for s in s_values)):
             raise ConfigError(f"s_values must be a nonempty list of numbers in (0, 1), "
                               f"got {s_values!r}")
         cfg.s_values = tuple(float(s) for s in s_values)
@@ -215,7 +210,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

@@ -8,11 +8,13 @@ diagonal alpha(z) K_alpha(z, z) invariant.  Each density is given by its
 weight, alpha = exp(-phi) (``WeightFunction.density``), so log alpha = -phi
 is exact.
 
-The constructive branch here covers the case where the difference of the
-weight exponents is a harmonic *polynomial*: the harmonic conjugate is then
-given by a formal substitution and phi_eq = exp(p/2) for an explicit complex
-polynomial p.  Anything else is detected and rejected rather than silently
-approximated.
+The constructive branch covers the quadratic weights, whose exponents
+carry their coefficients (a, b, c, d) in phi = a|z|^2 + Re(b z^2 + c z) + d.
+Translating by z0 keeps a and b and gives c' = c + 2 b z0 + 2 a conj(z0),
+d' = d + a|z0|^2 + Re(b z0^2 + c z0).  Two such weights are equivalent
+exactly when their a agree; then phi_eq = exp(p/2) for the complex
+quadratic p = (d_b - d_a) + (c_b - c_a) z + (b_b - b_a) z^2.  Anything else
+is detected and rejected rather than silently approximated.
 """
 
 from __future__ import annotations
@@ -21,21 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import build_kernel_estimate, weighted_norm_sq
+from .kernel import SampleFunction, build_kernel_estimate, weighted_norm_sq
 from .quadrature import QuadratureRule, sunflower_points
-from .weights import (
-    Check,
-    ValidationReport,
-    WeightFunction,
-    normalized_gaussian,
-    report_from_checks,
-)
+from .weights import Check, ValidationReport, WeightFunction, normalized_gaussian
 
 __all__ = [
     "EquivalenceMap",
     "EquivalenceError",
     "log_laplacian_equal",
-    "harmonic_conjugate_poly",
     "build_equivalence_map",
     "verify_unitary",
     "verify_kernel_invariance",
@@ -60,11 +55,7 @@ class EquivalenceMap:
 
     def exponent(self, z):
         """p(z), the polynomial whose real part is phi_target - phi_source."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c in reversed(self.exponent_coefficients):
-            out = out * z + c
-        return complex(out) if out.ndim == 0 else out
+        return SampleFunction(self.exponent_coefficients)(z)
 
     def __call__(self, z):
         return np.exp(np.asarray(self.exponent(z)) / 2.0)
@@ -88,65 +79,29 @@ def log_laplacian_equal(a: WeightFunction, b: WeightFunction, grid,
         Check("log_laplacian_deviation", float(dev[worst]), tol,
               float(dev[worst]) <= tol, note=f"worst point {grid[worst]!r}"),
     )
-    return report_from_checks(checks)
-
-
-def harmonic_conjugate_poly(u: np.ndarray) -> np.ndarray:
-    """Complex polynomial p with Re p = u for a harmonic polynomial u(x, y).
-
-    ``u`` holds coefficients u[i, j] of x^i y^j.  Harmonicity is checked
-    coefficient-wise and violations are rejected naming the offending
-    Laplacian coefficient.  The construction is the formal substitution
-    p(z) = 2 u(z/2, z/(2i)) - u(0, 0), which has p(0) = u(0, 0) real.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise EquivalenceError("polynomial coefficients must form a 2-D array")
-    nx, ny = u.shape
-    scale = max(1.0, float(np.max(np.abs(u))))
-    pad = np.zeros((nx + 2, ny + 2))
-    pad[:nx, :ny] = u
-    for i in range(nx):
-        for j in range(ny):
-            lap_ij = ((i + 2) * (i + 1) * pad[i + 2, j]
-                      + (j + 2) * (j + 1) * pad[i, j + 2])
-            if abs(lap_ij) > 1e-10 * scale:
-                raise EquivalenceError(
-                    f"polynomial is not harmonic: Laplacian coefficient of "
-                    f"x^{i} y^{j} is {lap_ij}")
-    degree = 0
-    for i in range(nx):
-        for j in range(ny):
-            if u[i, j] != 0.0:
-                degree = max(degree, i + j)
-    p = np.zeros(degree + 1, dtype=complex)
-    for i in range(nx):
-        for j in range(ny):
-            if u[i, j] != 0.0:
-                k = i + j
-                p[k] += 2.0 ** (1 - k) * u[i, j] * (-1j) ** j
-    p[0] = u[0, 0]
-    return p
+    return ValidationReport(checks)
 
 
 def build_equivalence_map(a: WeightFunction, b: WeightFunction) -> EquivalenceMap:
     """Construct phi_eq = exp(p/2) with |phi_eq|^2 = alpha/beta.
 
-    Requires phi_b - phi_a to be a harmonic polynomial (the representable
-    case); other inputs raise :class:`EquivalenceError`.  The construction
-    is verified on a 100-point grid in D(0, 3) before returning.
+    Requires two quadratic weights with equal |z|^2 coefficients, so that
+    phi_b - phi_a is harmonic; other inputs raise :class:`EquivalenceError`.
+    p keeps no trailing zero coefficient, and the construction is verified
+    on a 100-point grid in D(0, 3) before returning.
     """
-    pa, pb = a.poly_xy(), b.poly_xy()
-    if pa is None or pb is None:
+    if a.quadratic is None or b.quadratic is None:
         raise EquivalenceError(
-            "constructive equivalence needs both weight exponents polynomial "
-            "in (x, y); transcendental families are not supported")
-    nx = max(pa.shape[0], pb.shape[0])
-    ny = max(pa.shape[1], pb.shape[1])
-    u = np.zeros((nx, ny))
-    u[:pb.shape[0], :pb.shape[1]] += pb
-    u[:pa.shape[0], :pa.shape[1]] -= pa
-    p = harmonic_conjugate_poly(u)
+            "constructive equivalence needs both weight exponents quadratic "
+            "polynomials; transcendental families are not supported")
+    diff = [qb - qa for qa, qb in zip(a.quadratic, b.quadratic)]
+    scale = max(1.0, *map(abs, diff))
+    if abs(4.0 * diff[0]) > 1e-10 * scale:
+        raise EquivalenceError(
+            f"phi_b - phi_a is not harmonic: its Laplacian is {4.0 * diff[0]}")
+    p = [complex(diff[3]), diff[2], diff[1]]
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
     emap = EquivalenceMap(tuple(p), source=a, target=b)
 
     grid = sunflower_points(100, 3.0)
@@ -174,7 +129,7 @@ def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,
             raise ValueError(f"sample #{k} has zero norm under the source density")
         dev = abs(lhs / rhs - 1.0)
         checks.append(Check(f"norm_ratio_{k}", dev, tol, dev <= tol))
-    return report_from_checks(checks)
+    return ValidationReport(tuple(checks))
 
 
 def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
@@ -202,7 +157,7 @@ def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
               note=note)
         for i in range(len(z))
     )
-    return report_from_checks(checks)
+    return ValidationReport(checks)
 
 
 def matching_normalized_gaussian(c: float) -> WeightFunction:

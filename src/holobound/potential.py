@@ -43,7 +43,6 @@ from .weights import (
     ValidationReport,
     WeightFunction,
     fd_laplacian,
-    report_from_checks,
 )
 
 __all__ = [
@@ -185,4 +184,4 @@ def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk
               phi0 >= -M / 4.0 - tol),
         Check("poisson_residual", resid, fd_tol, resid <= fd_tol),
     )
-    return report_from_checks(checks)
+    return ValidationReport(checks)

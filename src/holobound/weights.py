@@ -58,10 +58,14 @@ class Check:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a numerical validation: per-check values and a pass flag."""
+    """Outcome of a numerical validation: a tuple of checks, passed iff every
+    check is ok."""
 
-    passed: bool
     checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.checks)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -71,11 +75,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def report_from_checks(checks) -> ValidationReport:
-    checks = tuple(checks)
-    return ValidationReport(passed=all(c.ok for c in checks), checks=checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +93,17 @@ class ScalarField:
         return float(vals) if vals.ndim == 0 else vals
 
 
+def is_number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """Whether x is a JSON number (not a boolean) strictly between lo and hi;
+    an integer too large for a float is not."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return lo < float(x) < hi
+    except OverflowError:
+        return False
+
+
 def _scalarize(val, z):
     return float(val) if np.ndim(z) == 0 else val
 
@@ -110,6 +120,10 @@ class WeightFunction:
     (z0_re, z0_im): the evaluators compute phi(z0 + z), which is how
     translated weights are represented.  Equality, hashing and JSON
     round-trips go through (family, params, laplacian_bounds).
+
+    ``quadratic`` holds the coefficients (a, b, c, d) of
+    phi = a|z|^2 + Re(b z^2 + c z) + d, the offset included, for the
+    quadratic families; it is None for the others.
     """
 
     family: str
@@ -118,7 +132,7 @@ class WeightFunction:
     _weight_fn: Callable = field(compare=False, repr=False)
     _laplacian_fn: Callable = field(compare=False, repr=False)
     _floor: tuple = field(compare=False, repr=False)
-    _poly: Optional[np.ndarray] = field(compare=False, repr=False, default=None)
+    quadratic: Optional[tuple] = field(compare=False, repr=False, default=None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -147,13 +161,6 @@ class WeightFunction:
     def base_params(self) -> dict:
         return {k: v for k, v in self.params if k not in ("z0_re", "z0_im")}
 
-    def poly_xy(self) -> Optional[np.ndarray]:
-        """Coefficients c[i, j] of phi as a polynomial sum c_ij x^i y^j.
-
-        None for families that are not polynomial in (x, y).
-        """
-        return None if self._poly is None else self._poly.copy()
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -175,8 +182,8 @@ class WeightFunction:
             raise WeightError(f"weight params must be an object, got {type(params).__name__}")
         params = dict(params)
         for k, v in params.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise WeightError(f"parameter {k!r} must be a number, got {v!r}")
+            if not is_number(v):
+                raise WeightError(f"weight parameters must be finite numbers, got {k} = {v!r}")
         z0 = complex(params.pop("z0_re", 0.0), params.pop("z0_im", 0.0))
         return _build(desc.get("family"), params, z0, desc.get("laplacian_bounds"))
 
@@ -239,20 +246,18 @@ class _ClosedForms(NamedTuple):
     laplacian: Callable
     floor: tuple         # (alpha, beta, gamma): phi >= alpha |z|^2 + beta |z| + gamma
     bounds: tuple        # the exact range (m, M) of lap(phi)
-    poly: Optional[np.ndarray] = None  # phi as coefficients c[i, j] of x^i y^j
+    quadratic: Optional[tuple] = None  # (a, b, c, d): phi = a|z|^2 + Re(b z^2 + c z) + d
 
 
 def _gaussian(t):
     if t <= 0:
         raise WeightError(f"gaussian weight needs t > 0, got {t}")
-    poly = np.zeros((3, 3))
-    poly[2, 0] = poly[0, 2] = 1.0 / t
     return _ClosedForms(
         lambda z: np.abs(z) ** 2 / t,
         lambda z: np.full(np.shape(z), 4.0 / t),
         (1.0 / t, 0.0, 0.0),
         (4.0 / t, 4.0 / t),
-        poly,
+        (1.0 / t, 0j, 0j, 0.0),
     )
 
 
@@ -264,19 +269,12 @@ def _gaussian_harmonic(a, b_re, b_im, c_re, c_im, d):
         raise WeightError(
             f"gaussian_harmonic weight needs |b| < a for integrability, "
             f"got |b| = {abs(b)}, a = {a}")
-    poly = np.zeros((3, 3))
-    poly[2, 0] = a + b.real
-    poly[0, 2] = a - b.real
-    poly[1, 1] = -2.0 * b.imag
-    poly[1, 0] = c.real
-    poly[0, 1] = -c.imag
-    poly[0, 0] = d
     return _ClosedForms(
         lambda z: a * np.abs(z) ** 2 + np.real(b * z * z + c * z) + d,
         lambda z: np.full(np.shape(z), 4.0 * a),
         (a - abs(b), -abs(c), min(d, 0.0)),
         (4.0 * a, 4.0 * a),
-        poly,
+        (a, b, c, d),
     )
 
 
@@ -348,8 +346,8 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
     forms = closed_forms(**base)
     m, M = forms.bounds
     if declared is not None:
-        if not (isinstance(declared, (list, tuple)) and len(declared) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in declared)):
+        if not (isinstance(declared, (list, tuple)) and len(declared) == 2
+                and all(map(is_number, declared))):
             raise WeightError(f"laplacian_bounds must be a pair of numbers [m, M], "
                               f"got {declared!r}")
         dm, dM = float(declared[0]), float(declared[1])
@@ -360,9 +358,12 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
         if dm < 0 or dm > dM:
             raise WeightError(f"laplacian_bounds must satisfy 0 <= m <= M, got [{dm}, {dM}]")
         m, M = dm, dM
-    poly = forms.poly
-    if z0 != 0 and poly is not None:
-        poly = _shift_poly_xy(poly, z0.real, z0.imag)
+    quadratic = forms.quadratic
+    if z0 != 0 and quadratic is not None:
+        # phi(z0 + z) = a|z|^2 + Re(b z^2 + c' z) + d'
+        a, b, c, d = quadratic
+        quadratic = (a, b, c + 2.0 * b * z0 + 2.0 * a * z0.conjugate(),
+                     d + a * abs(z0) ** 2 + (b * z0 * z0 + c * z0).real)
     return WeightFunction(
         family=family,
         params=tuple(sorted({**base, "z0_re": z0.real, "z0_im": z0.imag}.items())),
@@ -370,7 +371,7 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
         _weight_fn=_wrap_offset(forms.weight, z0),
         _laplacian_fn=_wrap_offset(forms.laplacian, z0),
         _floor=forms.floor,
-        _poly=poly,
+        quadratic=quadratic,
     )
 
 
@@ -464,7 +465,7 @@ def validate_laplacian_bounds(w: WeightFunction, grid, tol: float) -> Validation
               note=f"worst point {grid[np.argmax(lap)]!r}"),
         Check("fd_agreement", fd_dev, tol, fd_dev <= tol),
     )
-    return report_from_checks(checks)
+    return ValidationReport(checks)
 
 
 def translate_weight(w: WeightFunction, z0: complex) -> WeightFunction:
@@ -474,22 +475,3 @@ def translate_weight(w: WeightFunction, z0: complex) -> WeightFunction:
     bit-for-bit (the offsets cancel exactly).
     """
     return _build(w.family, w.base_params(), w.offset + complex(z0), w.laplacian_bounds)
-
-
-# ---------------------------------------------------------------------------
-# Small polynomial helpers (phi as a polynomial in x, y)
-# ---------------------------------------------------------------------------
-
-def _shift_poly_xy(poly: np.ndarray, x0: float, y0: float) -> np.ndarray:
-    """Coefficients of p(x0 + x, y0 + y) given those of p(x, y)."""
-    nx, ny = poly.shape
-    out = np.zeros_like(poly)
-    for i in range(nx):
-        for j in range(ny):
-            if poly[i, j] == 0.0:
-                continue
-            for k in range(i + 1):
-                for l in range(j + 1):
-                    out[k, l] += (poly[i, j] * math.comb(i, k) * x0 ** (i - k)
-                                  * math.comb(j, l) * y0 ** (j - l))
-    return out

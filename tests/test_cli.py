@@ -188,6 +188,18 @@ class TestMainExitCodes:
          "grid of 1000001 points"),
         ({"label": None}, [], "label must be a string, got None"),
         ({"out": 5}, [], "out must be a string, got 5"),
+        # a JSON integer beyond the float range (about 1.8e308) is a config
+        # error wherever a number is read, not a failed float conversion
+        ({"grid": {"kind": "lattice", "radius": 10 ** 400, "spacing": 0.5}}, [],
+         "config error: grid radius must be a positive finite number"),
+        ({"grid": {"kind": "points", "points": [[10 ** 400, 0]]}}, [],
+         "config error: grid kind 'points' needs"),
+        ({"tolerance": 10 ** 400}, [], "config error: tolerance must be"),
+        ({"weight": {"family": "gaussian", "params": {"t": 10 ** 400}}}, [],
+         "config error: invalid weight: weight parameters must be finite numbers, "
+         "got t = 1000"),
+        ({"weight": dict(GAUSS, laplacian_bounds=[4, 10 ** 400])}, [],
+         "config error: invalid weight: laplacian_bounds must be a pair of numbers"),
     ])
     def test_malformed_config_exits_2_writing_nothing(self, tmp_path, capsys, payload,
                                                       flags, message):
@@ -198,6 +210,16 @@ class TestMainExitCodes:
         code = main([config["experiment"], "--config", cfg, "--out", str(out), *flags])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
+
+    def test_integer_beyond_parser_limit_exits_2(self, tmp_path, capsys):
+        # json refuses integers of more than 4300 digits with a plain ValueError
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"experiment": "kernel-diag", "seed": ' + "1" * 5000 + "}",
+                       encoding="utf-8")
+        code = main(["kernel-diag", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
 
 

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobound import (
     EquivalenceError,
     SampleFunction,
     WeightFunction,
     build_equivalence_map,
-    harmonic_conjugate_poly,
     log_laplacian_equal,
     matching_normalized_gaussian,
     normalized_gaussian,
+    translate_weight,
     truncated_plane_rule,
     truncation_radius,
     verify_kernel_invariance,
@@ -41,45 +43,6 @@ class TestLogLaplacianCriterion:
         report = log_laplacian_equal(a, b, GRID, 1e-6)
         assert not report
         assert report.checks[0].value == pytest.approx(4.0)
-
-
-class TestHarmonicConjugate:
-    def test_linear(self):
-        u = np.zeros((2, 1))
-        u[1, 0] = 1.0  # u = x
-        p = harmonic_conjugate_poly(u)
-        assert np.allclose(p, [0.0, 1.0])  # p = z
-
-    def test_quadratic(self):
-        u = np.zeros((3, 3))
-        u[2, 0], u[0, 2] = 1.0, -1.0  # u = x^2 - y^2
-        p = harmonic_conjugate_poly(u)
-        assert np.allclose(p, [0.0, 0.0, 1.0])  # p = z^2
-
-    def test_cubic(self):
-        u = np.zeros((4, 3))
-        u[3, 0], u[1, 2] = 1.0, -3.0  # u = x^3 - 3 x y^2 = Re z^3
-        p = harmonic_conjugate_poly(u)
-        assert np.allclose(p, [0.0, 0.0, 0.0, 1.0])  # p = z^3
-
-    def test_real_part_matches_on_random_points(self):
-        rng = np.random.default_rng(11)
-        u = np.zeros((3, 3))
-        u[1, 0], u[0, 1], u[2, 0], u[0, 2], u[1, 1], u[0, 0] = \
-            0.7, -1.2, 0.4, -0.4, 2.0, 3.0  # harmonic: lap = 0.8 - 0.8 = 0... and x y term
-        p = harmonic_conjugate_poly(u)
-        zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        re_p = np.real(np.polyval(p[::-1], zs))
-        x, y = zs.real, zs.imag
-        expected = 0.7 * x - 1.2 * y + 0.4 * x * x - 0.4 * y * y + 2.0 * x * y + 3.0
-        assert np.allclose(re_p, expected, atol=1e-12)
-        assert abs(p[0].imag) < 1e-15  # p(0) is real
-
-    def test_non_harmonic_rejected_with_coefficient(self):
-        u = np.zeros((3, 1))
-        u[2, 0] = 1.0  # u = x^2 has Laplacian 2
-        with pytest.raises(EquivalenceError, match="x\\^0 y\\^0"):
-            harmonic_conjugate_poly(u)
 
 
 class TestBuildEquivalenceMap:
@@ -114,6 +77,40 @@ class TestBuildEquivalenceMap:
         b = WeightFunction.gaussian(0.5)
         with pytest.raises(EquivalenceError, match="harmonic"):
             build_equivalence_map(gauss1, b)
+
+
+OFFSET = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestTranslatedPairs:
+    """A translated gaussian against a translated gaussian_harmonic: the
+    coefficients of phi(z0 + .) feed p, so Re p = phi_b - phi_a checks the
+    translation rule, the xy term (Im b) and the linear terms at once."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.2, 3.0), ratio=st.floats(0.0, 0.95),
+           angle=st.floats(0.0, 2.0 * math.pi), c=OFFSET, d=st.floats(-2.0, 2.0),
+           z1=OFFSET, z2=OFFSET)
+    def test_real_part_is_the_weight_difference(self, a, ratio, angle, c, d, z1, z2):
+        source = translate_weight(WeightFunction.gaussian(1.0 / a), z1)
+        target = translate_weight(WeightFunction.gaussian_harmonic(
+            a, b=ratio * a * complex(math.cos(angle), math.sin(angle)), c=c, d=d), z2)
+        emap = build_equivalence_map(source, target)
+        assert emap.exponent_coefficients[0].imag == 0.0  # p(0) is real
+        zs = sunflower_points(100, 3.0)
+        expected = target.weight(zs) - source.weight(zs)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(np.real(emap.exponent(zs)) - expected)) <= 1e-12 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(0.2, 3.0), excess=st.floats(0.01, 1.0), c=OFFSET,
+           z1=OFFSET, z2=OFFSET)
+    def test_different_a_rejected(self, a, excess, c, z1, z2):
+        source = translate_weight(WeightFunction.gaussian(1.0 / a), z1)
+        target = translate_weight(
+            WeightFunction.gaussian_harmonic(a * (1.0 + excess), c=c), z2)
+        with pytest.raises(EquivalenceError, match="harmonic"):
+            build_equivalence_map(source, target)
 
 
 @pytest.fixture(scope="module")

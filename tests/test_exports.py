@@ -1,0 +1,25 @@
+"""The export lists stay in step with the code: every name a module lists
+in ``__all__`` exists, and the package re-exports only listed names."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import holobound
+
+MODULES = [importlib.import_module(f"holobound.{info.name}")
+           for info in pkgutil.iter_modules(holobound.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_listed_name_exists(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_are_module_exports():
+    listed = set().union(*(module.__all__ for module in MODULES))
+    public = {name for name, value in vars(holobound).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - listed) == []
