@@ -219,6 +219,7 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
         "resolution": rule.n_r,
         "condition_estimate": est.condition_estimate,
         "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
+        "angle_bands": est.angle_bands(),
     })
 
 

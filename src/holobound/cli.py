@@ -297,6 +297,8 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
         "diag_max": float(diag.max()),
         "diag_min": float(diag.min()),
         "resolution": cfg.resolution,
+        # nested, so a sweep's CSV (scalar summary keys only) leaves it out
+        "diagnostics": {"angle_bands": est.angle_bands()},
     }
     return ExperimentResult(EXIT_OK, summary, {
         "z_re": grid.real, "z_im": grid.imag, "N": cfg.degree, "K_N": diag,
@@ -323,7 +325,8 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         "error_estimate": cert.error_estimate,
         "tighter_constant": cert.metadata["tighter_constant"],
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
-        "diagnostics": {"effective_degree": cert.metadata["effective_degree"]},
+        "diagnostics": {"effective_degree": cert.metadata["effective_degree"],
+                        "angle_bands": cert.metadata["angle_bands"]},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary, {

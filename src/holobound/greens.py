@@ -28,7 +28,9 @@ samples psi on rings (``LogPotential`` here, ``phi_at_origin`` in the
 potential module, which reads the circle means alone): it doubles
 ``n_theta`` from 16 until the top half of the modes lies below
 MODE_TAIL = 1e-14 of the largest; rounding alone leaves the ring FFT's tail
-near 1e-15, below the limit.  Of the bottom half, modes 0..K are kept, with
+near 1e-15, below the limit.  Each doubling samples psi only at the new odd
+angles (:func:`holobound.quadrature.angle_levels`, the loop the kernel's
+per-ring angle counts take too).  Of the bottom half, modes 0..K are kept, with
 K the last mode above MODE_TAIL of the largest on any ring (at least mode
 0, so psi = 0 works): radiality is measured, not declared, and a radial psi
 keeps the single mode Phi_0.  A psi that would need more than
@@ -66,7 +68,7 @@ import math
 import numpy as np
 from numpy.fft import ifft, rfft
 
-from .quadrature import gauss_legendre
+from .quadrature import angle_levels, gauss_legendre
 
 __all__ = ["gamma", "bump", "cutoff_g", "angular_modes", "LogPotential"]
 
@@ -76,6 +78,7 @@ _TWO_PI = 2.0 * math.pi
 _BLOCK_ENTRIES = 1 << 20
 
 MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
+START_N_THETA = 16   # angles per ring at which the tail rules start
 MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
 GAP_NODES = 16       # Gauss-Legendre nodes between consecutive rings
 
@@ -175,16 +178,14 @@ def angular_modes(psi, rings: np.ndarray) -> tuple:
     """The tail rule: the angles per ring, and psi_k on every ring with shape
     rings.shape + (modes,).
 
-    ``n_theta`` doubles from 16 until the top half of the modes lies below
-    MODE_TAIL of the largest; modes 0..K are kept, K the last above that
-    limit on any ring (module docstring).  psi with more than MAX_N_THETA
-    angles is rejected.  :class:`LogPotential` and
+    ``n_theta`` doubles from START_N_THETA, sampling psi only at the new
+    angles (:func:`holobound.quadrature.angle_levels`), until the top half of
+    the modes lies below MODE_TAIL of the largest; modes 0..K are kept, K
+    the last above that limit on any ring (module docstring).  psi with more
+    than MAX_N_THETA angles is rejected.  :class:`LogPotential` and
     :func:`holobound.potential.phi_at_origin` both take their angles here.
     """
-    n_theta = 16
-    while True:
-        angle = np.exp(2j * math.pi * np.arange(n_theta) / n_theta)
-        values = np.asarray(psi(rings[..., None] * angle), dtype=float)
+    for n_theta, values in angle_levels(psi, rings, START_N_THETA, MAX_N_THETA):
         modes = rfft(values, axis=-1) / n_theta
         mag = np.abs(modes).reshape(-1, modes.shape[-1])
         largest = float(mag.max())
@@ -194,12 +195,10 @@ def angular_modes(psi, rings: np.ndarray) -> tuple:
             above = np.flatnonzero(mag.max(axis=0) > MODE_TAIL * largest)
             kept = above[-1] + 1 if above.size else 1
             return n_theta, np.ascontiguousarray(modes[..., :kept])
-        if n_theta >= MAX_N_THETA:
-            raise ValueError(
-                f"psi is not resolved in angle: with {n_theta} angles per ring "
-                f"the top half of its Fourier modes reaches {tail / largest:.1e} "
-                f"of the largest, above the tail limit {MODE_TAIL:.0e}")
-        n_theta *= 2
+    raise ValueError(
+        f"psi is not resolved in angle: with {n_theta} angles per ring "
+        f"the top half of its Fourier modes reaches {tail / largest:.1e} "
+        f"of the largest, above the tail limit {MODE_TAIL:.0e}")
 
 
 class LogPotential:

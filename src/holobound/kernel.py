@@ -9,17 +9,40 @@ product.  K_N(z, z) equals the supremum of |f(z)|^2 / ||f||^2 over
 polynomials f of degree at most N, increases monotonically with N, and
 converges to the kernel diagonal of the full space.
 
-G is assembled from the polar tensor structure of the quadrature rule,
-whose nodes are c + r_i e^{i theta_j} with theta_j = 2 pi j / n_theta.  In
-the basis (z - c)^j the node sum of u (z - c)^m conj(z - c)^n (u = rule
-weight times exp(-phi)) is the ring sum of r_i^(m+n) U_i(m - n), where U_i(k)
-is the angular sum of u e^{i k theta} on ring i: one real-input FFT per ring
-instead of a (nodes x (N+1)) Vandermonde product.  u is real, so
-U_i(-k) = conj(U_i(k)) and the FFT's nonnegative half holds every frequency.
-It is the same discrete sum reordered, exact for every n_theta, odd or even,
-because U_i is n_theta-periodic: a frequency past n_theta / 2 is read at its
-alias.  The radii enter as (r_i / rho)^p and rho^m rho^n, rho the outer
-radius, so no power overflows before the weight damps it.
+G is assembled from the polar tensor structure of the quadrature rule: its
+rings c + r_i e^{i theta} carry radial weights w_i (``QuadratureRule.rings``).
+In the basis (z - c)^j the integral of exp(-phi) (z - c)^m conj(z - c)^n is
+the ring sum of r_i^(m+n) U_i(m - n), where U_i(k) is the angular sum of
+u e^{i k theta} on ring i, u = w_i exp(-phi) 2 pi / m_i at m_i equispaced
+angles: one real-input FFT per ring instead of a (nodes x (N+1)) Vandermonde
+product.  u is real, so U_i(-k) = conj(U_i(k)) and the FFT's nonnegative
+half holds every frequency.  The radii enter as (r_i / rho)^p and
+rho^m rho^n, rho the outer radius, so no power overflows before the weight
+damps it.
+
+The Gram reads U_i(k) for |k| <= N only, so each ring takes the angle count
+its density needs, not the rule's n_theta, and no node array is built.  The
+count starts at the smallest n_theta / 2^j above 2N (and at least
+START_N_THETA, where the tail rules of the greens module start), or at
+n_theta when there is none, and doubles, sampling only the new angles
+(:func:`holobound.quadrature.angle_levels`), until two things hold:
+
+* the ring's top half of modes lies below MODE_TAIL times its mode 0, over
+  its equilibrated share s_i = min(1, n_r max_{m<=N} r_i^2m W_i / G_mm), W_i
+  = U_i(0).  By Cauchy-Schwarz, r_i^(m+n) <= (r_i^2m r_i^2n)^(1/2), so a
+  change of U_i(k) by MODE_TAIL W_i / s_i moves an entry of the equilibrated
+  Gram by at most MODE_TAIL / n_r when s_i < 1 (MODE_TAIL when s_i = 1), and
+  all the rings together move it by about MODE_TAIL;
+* the count exceeds N plus the ring's last mode above that limit, so no
+  |k| <= N is aliased.
+
+The count never passes n_theta, and a ring whose samples or share are not
+finite goes there.  At n_theta the ring sum is the rule's own node sum,
+exact for every n_theta, odd or even, because U_i is n_theta-periodic: a
+frequency past n_theta / 2 is read at its alias.  A density with no angular
+structure stops at the first count, so radiality is measured here too, with
+no flag: the Gaussian at N = 40 and resolution 512 is sampled at 1/8 of the
+rule's nodes.
 
 K_N(z, z) does not depend on the basis of the polynomials of degree <= N, so
 a kernel estimate factors the Gram in the basis (z - c)^j and evaluates
@@ -43,7 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import rfft
 
-from .quadrature import QuadratureRule, integrate
+from .greens import MODE_TAIL, START_N_THETA
+from .quadrature import QuadratureRule, angle_levels, integrate
 from .weights import WeightFunction
 
 __all__ = [
@@ -145,43 +169,101 @@ def _vandermonde(z: np.ndarray, degree: int) -> np.ndarray:
     return V.T
 
 
-def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
-    """(c, G) with G_mn the node sum of u (z - c)^m conj(z - c)^n, u = weights
-    * exp(-phi) and c the rule's centre, by one FFT per ring (see the module
-    docstring)."""
-    center, r = rule.rings()
+def _start_count(n_theta: int, degree: int) -> int:
+    """The smallest n_theta / 2^j above 2 degree and at least START_N_THETA,
+    or n_theta itself when there is none."""
+    m = n_theta
+    while m % 2 == 0 and m // 2 > 2 * degree and m // 2 >= START_N_THETA:
+        m //= 2
+    return m
+
+
+def _ring_modes(w: WeightFunction, degree: int, rule: QuadratureRule):
+    """(c, r, U, counts): the rule's centre and radii, U[i, k] = U_i(k) for
+    k = 0..degree, and the angle count each ring was sampled at.
+
+    Every ring starts at ``_start_count`` angles and doubles, sampling only
+    the new angles, until its top half of modes lies below MODE_TAIL times
+    its mode 0 over its equilibrated share s_i, and the count exceeds degree
+    plus its last kept mode (module docstring).  A ring stops at the rule's
+    n_theta in any case, and goes there when its samples or its share are
+    not finite.
+    """
+    center, r, w_r = rule.rings()
     n_theta = rule.n_theta
-    u = rule.weights * w.density(rule.nodes)
-    # u is real, so U_i(k) = conj(F_i(k)) and U_i(-k) = F_i(k) with F_i the
-    # real-input FFT of ring i, which holds the frequencies 0..n_theta // 2;
-    # k is first wrapped to its alias in (-n_theta / 2, n_theta / 2]
-    F = rfft(u.reshape(rule.n_r, n_theta), axis=1)
-    half = (n_theta - 1) // 2
-    ks = (np.arange(-degree, degree + 1) + half) % n_theta - half
-    # Q[p, k + degree] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, |k| <= degree
+    U = np.empty((len(r), degree + 1), dtype=complex)
+    counts = np.empty(len(r), dtype=int)
+    rows = np.arange(len(r))
+    levels = angle_levels(lambda z: w.density(center + z), r, _start_count(n_theta, degree),
+                          n_theta)
+    m, values = next(levels)
+    share = None
+    while True:
+        # u = weight * exp(-phi) on the ring is real, so U_i(k) = conj(F_i(k))
+        # with F_i its real-input FFT, which holds the frequencies 0..m // 2
+        F = rfft(values * (w_r[rows] * (2.0 * np.pi / m))[:, None], axis=1)
+        mag = np.abs(F)
+        if share is None:
+            share = _equilibrated_share(r, F[:, 0].real, degree)
+        with np.errstate(invalid="ignore"):
+            above = mag * share[rows, None] > MODE_TAIL * mag[:, :1]
+        kept = np.where(above.any(axis=1), m // 2 - np.argmax(above[:, ::-1], axis=1), 0)
+        done = (~above[:, m // 4 + 1:].any(axis=1) & (m > degree + kept)
+                & np.isfinite(values).all(axis=1) & np.isfinite(share[rows]))
+        if m == n_theta:
+            done[:] = True
+        # k wraps to its alias in (-m / 2, m / 2]
+        half = (m - 1) // 2
+        ks = (np.arange(degree + 1) + half) % m - half
+        Fk = F[done][:, np.abs(ks)]
+        U[rows[done]] = np.where(ks >= 0, Fk.conj(), Fk)
+        counts[rows[done]] = m
+        if done.all():
+            return center, r, U, counts
+        rows = rows[~done]
+        m, values = levels.send(~done)
+
+
+def _equilibrated_share(r: np.ndarray, W: np.ndarray, degree: int) -> np.ndarray:
+    """s_i = min(1, n_r max_m r_i^2m W_i / G_mm), G_mm = sum_i r_i^2m W_i, with
+    W_i the ring's mode 0 weighted; nan where G_mm does not give one."""
+    A = (r / r.max())[:, None] ** (2 * np.arange(degree + 1)) * W[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.minimum(1.0, len(r) * np.max(A / A.sum(axis=0), axis=1))
+
+
+def _assemble_gram(w: WeightFunction, degree: int, rule: QuadratureRule):
+    """(c, G, counts) with G_mn the integral of exp(-phi) (z - c)^m conj(z - c)^n
+    by the ring sums of the module docstring, c the rule's centre and counts
+    the angle count of each ring."""
+    center, r, U, counts = _ring_modes(w, degree, rule)
+    # Q[p, k] = sum_i (r_i / rho)^p U_i(k) for p = 0..2 degree, k = 0..degree;
+    # the columns -k are the conjugates, since the powers are real
     rho = r.max()
-    Q = ((r / rho)[:, None] ** np.arange(2 * degree + 1)).T @ F[:, np.abs(ks)]
-    Q[:, ks >= 0] = Q[:, ks >= 0].conj()
+    Q = ((r / rho)[:, None] ** np.arange(2 * degree + 1)).T @ U
     m = np.arange(degree + 1)
+    diff = m[:, None] - m
+    Qmn = Q[m[:, None] + m, np.abs(diff)]
+    Qmn = np.where(diff >= 0, Qmn, Qmn.conj())
     s = rho ** m
-    G = s[:, None] * Q[m[:, None] + m, m[:, None] - m + degree] * s
-    return center, 0.5 * (G + G.conj().T)  # exactly Hermitian despite FFT rounding
+    G = s[:, None] * Qmn * s
+    return center, 0.5 * (G + G.conj().T), counts  # exactly Hermitian despite FFT rounding
 
 
 def _equilibrated_gram(w: WeightFunction, N: int, rule: QuadratureRule):
     """Validate N, assemble the centred Gram G and equilibrate it: returns
-    (c, G, d, G / d d^T) with d the square root of G's diagonal, which must
-    be positive."""
+    (c, G, d, G / d d^T, counts) with d the square root of G's diagonal, which
+    must be positive, and counts the angle count of each ring."""
     if N < 0:
         raise ValueError(f"degree must be >= 0, got {N}")
     if N > MAX_DEGREE:
         raise ValueError(f"degree {N} exceeds the supported cap {MAX_DEGREE}")
-    center, G = _assemble_gram(w, N, rule)
+    center, G, counts = _assemble_gram(w, N, rule)
     diag = np.real(np.diag(G))
     if not np.all(diag > 0.0):
         raise PositiveDefinitenessError(float(diag.min()), N)
     d = np.sqrt(diag)
-    return center, G, d, G / np.outer(d, d)
+    return center, G, d, G / np.outer(d, d), counts
 
 
 def _not_positive_definite(scaled: np.ndarray, d: np.ndarray, N: int) -> PositiveDefinitenessError:
@@ -200,7 +282,7 @@ def gram_matrix(w: WeightFunction, N: int, rule: QuadratureRule) -> np.ndarray:
     center = rule.rings()[0]
     if center != 0:
         raise ValueError(f"gram_matrix needs a rule centred at 0, got centre {center!r}")
-    _, G, d, scaled = _equilibrated_gram(w, N, rule)
+    _, G, d, scaled, _ = _equilibrated_gram(w, N, rule)
     try:
         np.linalg.cholesky(scaled)
     except np.linalg.LinAlgError:
@@ -216,7 +298,8 @@ class KernelEstimate:
     equilibrated Gram condition estimate exceeds 1e12 the estimate degrades
     to the largest well-conditioned leading block and records it.  ``gram``
     is the Gram in the basis (z - center)^j, ``center`` the rule's centre: the
-    monomial Gram for an origin-centred rule.
+    monomial Gram for an origin-centred rule.  ``angle_counts`` holds the
+    number of angles at which each ring of the rule was sampled.
     """
 
     degree: int
@@ -224,6 +307,7 @@ class KernelEstimate:
     gram: np.ndarray
     condition_estimate: float
     effective_degree: int
+    angle_counts: np.ndarray
     _scale: np.ndarray = field(repr=False, default=None)
     _chol: np.ndarray = field(repr=False, default=None)
 
@@ -231,6 +315,12 @@ class KernelEstimate:
     def degraded(self) -> bool:
         """Whether the degree was reduced below the requested one."""
         return self.effective_degree < self.degree
+
+    def angle_bands(self) -> list:
+        """[angles, rings] for each run of consecutive rings, innermost
+        first, that the Gram sampled at one angle count."""
+        edges = np.flatnonzero(np.diff(self.angle_counts)) + 1
+        return [[int(band[0]), len(band)] for band in np.split(self.angle_counts, edges)]
 
     def diag(self, z):
         """K_N(z, z) at the effective degree, the largest |f(z)|^2 / ||f||^2
@@ -284,7 +374,7 @@ class KernelEstimate:
 
 def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
     """Assemble and factor the Gram matrix, degrading N if ill-conditioned."""
-    center, G, d, scaled = _equilibrated_gram(w, N, rule)
+    center, G, d, scaled, counts = _equilibrated_gram(w, N, rule)
     effective = N
     chol = None
     while effective >= 0:
@@ -304,6 +394,7 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         degree=N, center=center, gram=G,
         condition_estimate=cond,
         effective_degree=effective,
+        angle_counts=counts,
         _scale=d,
         _chol=chol,
     )

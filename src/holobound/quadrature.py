@@ -1,12 +1,17 @@
 """Polar quadrature on planar regions: disks, masked disks, truncated planes.
 
-One builder, ``_disk``, makes every rule: a tensor product of Gauss-Legendre
-in radius (with the area jacobian r folded into the weights) and a uniform
-trapezoid rule in angle on D(center, radius).  ``disk_rule`` and
-``truncated_plane_rule`` return it as built; ``masked_disk_rule`` keeps the
-nodes outside the excluded disk.  Centering a rule on a logarithmic
-singularity makes the weighted radial integrand r*log(r) bounded, so no
-special singular weights are needed.
+Every rule is a tensor product of Gauss-Legendre in radius (with the area
+jacobian r folded into the weights) and a uniform trapezoid rule in angle on
+D(center, radius), held lazily: a :class:`QuadratureRule` stores the
+centre, the radius and the two node counts.  ``rings()`` gives the radii and
+radial weights, which is all the kernel's Gram assembly reads; it samples
+the density on each ring at its own angle count (``angle_levels``), so no
+node array is built on that path.  ``nodes`` and ``weights`` are built, and
+cached, the first time ``integrate`` or a caller asks for them.
+``disk_rule`` and ``truncated_plane_rule`` return the plain rule;
+``masked_disk_rule`` drops the nodes inside an excluded disk.  Centering a
+rule on a logarithmic singularity makes the weighted radial integrand
+r*log(r) bounded, so no special singular weights are needed.
 
 Gauss-Legendre nodes are found per node, not from an eigensolve: Tricomi's
 asymptotic guesses, then Newton's method on the three-term recurrence,
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +34,7 @@ __all__ = [
     "QuadratureRule",
     "NonFiniteIntegrandError",
     "gauss_legendre",
+    "angle_levels",
     "disk_rule",
     "masked_disk_rule",
     "truncated_plane_rule",
@@ -56,34 +62,58 @@ class NonFiniteIntegrandError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and positive area weights for a planar region.
+    """Polar tensor rule on D(center, radius): ``n_r`` Gauss-Legendre radii
+    times ``n_theta`` equispaced angles, node i * n_theta + j at
+    center + r_i e^{2 pi i j / n_theta} with weight w_i 2 pi / n_theta.
 
-    ``region`` is one of
-      ("disk", center, radius)
-      ("masked_disk", center, radius, excluded_center, excluded_radius)
-
-    Rules are immutable after construction; ``integrate`` is pure, and node
-    sums use numpy's pairwise summation, so results are stable to about
-    1e-13 relative regardless of scheduling.
+    ``excluded``, when set, is the (center, radius) of a disk whose nodes
+    the rule drops (``masked_disk_rule``).  The node and weight arrays are
+    built on first use and cached; rules are otherwise immutable, and
+    ``integrate`` is pure, with numpy's pairwise summation, so results are
+    stable to about 1e-13 relative regardless of scheduling.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    region: tuple
+    center: complex
+    radius: float
     n_r: int
     n_theta: int
+    excluded: tuple | None = None
 
     def rings(self):
-        """Center c and ring radii r_i of a polar tensor rule, whose node
-        i * n_theta + j is c + r_i e^{2 pi i j / n_theta}.
+        """(c, r, w): the centre, the ring radii r_i (ascending) and the
+        radial weights w_i, with the jacobian r_i folded in.
 
         Raises ValueError for a masked rule: its dropped nodes break the rings.
         """
-        if self.region[0] != "disk" or len(self.nodes) != self.n_r * self.n_theta:
-            raise ValueError(f"region {self.region!r} with {len(self.nodes)} nodes "
+        if self.excluded is not None:
+            raise ValueError(f"a masked_disk rule (excluding {self.excluded!r}) "
                              f"is not a polar tensor rule")
-        center = self.region[1]
-        return center, np.abs(self.nodes[::self.n_theta] - center)  # the theta = 0 nodes
+        return (self.center, *self._radial())
+
+    def _radial(self):
+        x, u = gauss_legendre(self.n_r)
+        r = 0.5 * self.radius * (x + 1.0)
+        return r, 0.5 * self.radius * u * r
+
+    @functools.cached_property
+    def _tensor(self):
+        r, w_r = self._radial()
+        nodes = (self.center
+                 + np.outer(r, _angles(np.arange(self.n_theta), self.n_theta))).ravel()
+        weights = np.repeat(w_r * (2.0 * np.pi / self.n_theta), self.n_theta)
+        if self.excluded is not None:
+            excluded_center, excluded_radius = self.excluded
+            keep = np.abs(nodes - excluded_center) >= excluded_radius
+            nodes, weights = nodes[keep], weights[keep]
+        return nodes, weights
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._tensor[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._tensor[1]
 
 
 NEWTON_CAP = 20  # Newton steps allowed; from Tricomi's guesses 3 or 4 suffice
@@ -133,6 +163,41 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
+def _angles(j: np.ndarray, m: int) -> np.ndarray:
+    """e^{2 pi i j / m}.  The angle 2 pi (2j) / (2m) rounds to the same double
+    as 2 pi j / m, so an angle count's samples recur bit for bit at twice it."""
+    return np.exp(2j * math.pi * j / m)
+
+
+def angle_levels(f, radii: np.ndarray, count: int, cap: int):
+    """The doubling loop of the angular tail rules: samples of f on the
+    circles |z| = radii at count, 2 count, 4 count, ... angles, up to cap.
+
+    Yields (m, values) with values[..., j] = f(radii[..., None] e^{2 pi i j / m}).
+    Past the first level f is called only at the m / 2 new odd angles, and
+    the previous samples fill the even ones.  ``next()`` refines every
+    circle; ``send(rows)`` refines only radii[rows] (an index or mask on the
+    leading axis), so a caller may stop each circle at its own count.  The
+    loop ends after the level with cap angles, or, when cap is not count
+    times a power of two, after the last level below it.
+    """
+    def sample(j, m):
+        points = radii[..., None] * _angles(j, m)
+        return np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
+
+    m, values = count, sample(np.arange(count), count)
+    while True:
+        rows = yield m, values
+        if 2 * m > cap:
+            return
+        if rows is not None:
+            radii, values = radii[rows], values[rows]
+        finer = np.empty(values.shape[:-1] + (2 * m,))
+        finer[..., ::2] = values
+        finer[..., 1::2] = sample(np.arange(1, 2 * m, 2), 2 * m)
+        m, values = 2 * m, finer
+
+
 def _disk(center: complex, radius: float, n_r: int, n_theta: int) -> QuadratureRule:
     """Gauss-Legendre x trapezoid rule on D(center, radius).
 
@@ -145,14 +210,7 @@ def _disk(center: complex, radius: float, n_r: int, n_theta: int) -> QuadratureR
         raise ValueError(f"n_r must be >= 2, got {n_r}")
     if n_theta < 4:
         raise ValueError(f"n_theta must be >= 4, got {n_theta}")
-    center, radius = complex(center), float(radius)
-    x, u = gauss_legendre(n_r)
-    r = 0.5 * radius * (x + 1.0)
-    w_r = 0.5 * radius * u * r  # jacobian folded in
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    nodes = (center + np.outer(r, np.exp(1j * theta))).ravel()
-    weights = np.repeat(w_r * (2.0 * np.pi / n_theta), n_theta)
-    return QuadratureRule(nodes, weights, ("disk", center, radius), n_r, n_theta)
+    return QuadratureRule(complex(center), float(radius), int(n_r), int(n_theta))
 
 
 def disk_rule(center: complex, radius: float, n_r: int, n_theta: int) -> QuadratureRule:
@@ -183,19 +241,16 @@ def masked_disk_rule(
     """
     if excluded_radius <= 0:
         raise ValueError(f"excluded_radius must be positive, got {excluded_radius}")
-    disk = _disk(center, radius, n_r, n_theta)
-    keep = np.abs(disk.nodes - excluded_center) >= excluded_radius
-    region = ("masked_disk", *disk.region[1:], complex(excluded_center),
-              float(excluded_radius))
-    return QuadratureRule(disk.nodes[keep], disk.weights[keep], region, n_r, n_theta)
+    return replace(_disk(center, radius, n_r, n_theta),
+                   excluded=(complex(excluded_center), float(excluded_radius)))
 
 
 def truncated_plane_rule(radius: float, n_r: int, n_theta: int) -> QuadratureRule:
     """Polar rule on D(0, radius) standing in for an integral over the plane.
 
     The caller chooses ``radius`` large enough that the weighted integrand is
-    negligible outside; ``truncation_radius`` provides such radii.  Nodes,
-    weights and region tag are those of ``disk_rule(0, radius, n_r, n_theta)``.
+    negligible outside; ``truncation_radius`` provides such radii.  The rule
+    is ``disk_rule(0, radius, n_r, n_theta)``.
     """
     return _disk(0j, radius, n_r, n_theta)
 
@@ -222,12 +277,10 @@ def integrate(rule: QuadratureRule, f):
 
 def half_resolution(rule: QuadratureRule) -> QuadratureRule:
     """Companion rule at half the radial and angular resolution."""
-    n_r = max(2, rule.n_r // 2)
-    n_t = max(4, rule.n_theta // 2)
-    if rule.region[0] == "disk":
-        return disk_rule(rule.region[1], rule.region[2], n_r, n_t)
-    _, c, r, ec, er = rule.region
-    return masked_disk_rule(c, r, ec, er, n_r, n_t)
+    n_r, n_t = max(2, rule.n_r // 2), max(4, rule.n_theta // 2)
+    if rule.excluded is None:
+        return disk_rule(rule.center, rule.radius, n_r, n_t)
+    return masked_disk_rule(rule.center, rule.radius, *rule.excluded, n_r, n_t)
 
 
 def integrate_with_error(rule: QuadratureRule, f):

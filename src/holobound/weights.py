@@ -201,7 +201,11 @@ class WeightFunction:
 
         Requires |b| < a so that exp(-phi) decays in every direction.
         """
-        b, c = complex(b), complex(c)
+        try:
+            b, c = complex(b), complex(c)
+        except (OverflowError, TypeError, ValueError):
+            raise WeightError("gaussian_harmonic parameters b and c must be complex "
+                              "numbers in the float range") from None
         return _build("gaussian_harmonic", {"a": a, "b_re": b.real, "b_im": b.imag,
                                             "c_re": c.real, "c_im": c.imag, "d": d})
 
@@ -340,7 +344,13 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
     missing = [k for k, v in defaults.items() if v is REQUIRED and k not in params]
     if missing:
         raise WeightError(f"weight family {family!r} is missing parameters {missing}")
-    base = {k: float(params.get(k, v)) for k, v in defaults.items()}
+    base = {}
+    for k, v in defaults.items():
+        try:
+            base[k] = float(params.get(k, v))
+        except (OverflowError, TypeError, ValueError):
+            raise WeightError(f"weight parameter {k} must be a number in the float range, "
+                              f"got a value of type {type(params[k]).__name__}") from None
     if not all(map(math.isfinite, base.values())) or not cmath.isfinite(z0):
         raise WeightError(f"weight parameters must be finite, got {base} at offset {z0}")
     forms = closed_forms(**base)

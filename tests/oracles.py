@@ -51,7 +51,7 @@ class PlanarLogPotential:
         self._near_gw = near.weights * np.log(np.abs(near.nodes)) / (2.0 * math.pi)
         # radius-major node layout: ascending radii in blocks of n_theta,
         # so a radius prefix is a contiguous slice
-        _, self._near_radii = near.rings()
+        _, self._near_radii, _ = near.rings()
         self._near_n_theta = near.n_theta
         far = disk_rule(0.0, self.support_radius, FAR_RESOLUTION, 2 * FAR_RESOLUTION)
         self._far_nodes = far.nodes
@@ -135,3 +135,23 @@ def csv_by_rows(experiment: str, columns: dict) -> str:
     lines = [f"# schema holobound.{experiment}.v1", ",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def radial_kernel_diag(w, N: int, z, radius: float, panels: int = 64, nodes: int = 48):
+    """K_N(z, z) for a radial weight by a separate 1-D route: its Gram is
+    diagonal, G_nn = 2 pi int_0^radius r^(2n+1) e^{-phi(r)} dr, so
+    K_N(z, z) = sum_n |z|^(2n) / G_nn.  The integrals take ``nodes``-point
+    Gauss-Legendre (numpy's eigensolve rule) on each of ``panels`` equal
+    panels, with knots added at the radii 1 and 2, where the potential-defined
+    weight's potential joins its pieces."""
+    x, gw = leggauss(nodes)
+    knots = np.union1d(np.linspace(0.0, radius, panels + 1), [1.0, 2.0])
+    knots = knots[knots <= radius]
+    a, h = knots[:-1, None], np.diff(knots)[:, None]
+    r = (a + 0.5 * h * (x + 1.0)).ravel()
+    dr = (0.5 * h * gw).ravel()
+    density = np.exp(-np.asarray(w.weight(r + 0j), dtype=float))
+    n = np.arange(N + 1)
+    G = 2.0 * math.pi * (r[:, None] ** (2 * n + 1) * (dr * density)[:, None]).sum(axis=0)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return (np.abs(z)[:, None] ** (2 * n) / G).sum(axis=1)

@@ -183,14 +183,14 @@ class TestGlobalCertificate:
         z0 = 0.8 - 0.6j
         wt = translate_weight(gauss1, z0)
         lhs = build_kernel_estimate(wt, 30, gauss1_rule).diag(0.0)
-        rule = disk_rule(z0, gauss1_rule.region[2], 256, 512)  # gauss1_rule moved to z0
+        rule = disk_rule(z0, gauss1_rule.radius, 256, 512)  # gauss1_rule moved to z0
         rhs = build_kernel_estimate(gauss1, 30, rule).diag(z0)
         assert lhs == pytest.approx(rhs, rel=1e-5)
 
     def test_translated_certificate_matches_pointwise(self, gauss1, gauss1_rule):
         z0 = 1.0 + 0.5j
         wt = translate_weight(gauss1, z0)
-        rule_t = disk_rule(-z0, gauss1_rule.region[2], 256, 512)
+        rule_t = disk_rule(-z0, gauss1_rule.radius, 256, 512)
         prod_t = (build_kernel_estimate(wt, 30, rule_t).diag(0.0)
                   * math.exp(-wt.weight(0.0)))
         prod = (build_kernel_estimate(gauss1, 30, gauss1_rule).diag(z0)

@@ -18,6 +18,7 @@ from holobound.cli import (
     run,
 )
 from holobound.potential import B_BRACKET, B_EXACT
+from holobound.quadrature import QuadratureRule
 from oracles import csv_by_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -322,6 +323,8 @@ class TestVerifyBoundCommand:
         assert {"constant_C", "measured_sup", "B_used", "M", "N",
                 "resolution", "diagnostics"} <= set(summary)
         assert summary["diagnostics"]["effective_degree"] == 16
+        # the angle count of each band of rings of the 64-ring rule
+        assert summary["diagnostics"]["angle_bands"] == [[64, 64]]
         header, rows = read_csv(tmp_path / "verify-bound.csv")
         assert header == ["z_re", "z_im", "weighted_diag", "constant_C", "margin"]
         assert all(float(r[4]) > 0 for r in rows)
@@ -385,6 +388,21 @@ class TestKernelDiagCommand:
         assert header == ["z_re", "z_im", "N", "K_N", "condition_estimate"]
         assert len(rows) == 3
         assert float(rows[0][3]) == pytest.approx(1.0 / math.pi, rel=1e-6)
+        summary = json.loads((tmp_path / "kernel-diag_summary.json").read_text())
+        # 96 angles halve to 24, the smallest count above 2N = 20
+        assert summary["diagnostics"] == {"angle_bands": [[24, 48]]}
+
+    @pytest.mark.parametrize("experiment", ["kernel-diag", "verify-bound"])
+    def test_builds_no_node_array(self, tmp_path, monkeypatch, experiment):
+        # the Gram samples the density ring by ring at its own angle counts
+        def no_nodes(rule):
+            raise AssertionError(f"{experiment} built the node array of {rule!r}")
+        monkeypatch.setattr(QuadratureRule, "_tensor", property(no_nodes))
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": experiment, "degree": 12, "resolution": 64,
+            "weight": {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}},
+            "grid": {"kind": "lattice", "radius": 1.0, "spacing": 0.5}})
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestEquivalenceCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,8 +21,9 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import random_disk_points
+from holobound.quadrature import disk_lattice, random_disk_points
 from holobound.weights import translate_weight
+from oracles import radial_kernel_diag
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,25 @@ DIAG_FAMILIES = {
     "normalized": normalized_gaussian(1.0),
     "oscillatory": WeightFunction.oscillatory(1.0, 0.5),
 }
+
+
+# the weights of the ring-assembly oracle tests
+RING_FAMILIES = {
+    "gaussian": WeightFunction.gaussian(1.0),
+    "harmonic": WeightFunction.gaussian_harmonic(1.0, b=0.3),
+    "oscillatory": WeightFunction.oscillatory(1.0, 0.5),
+    "potential_defined": WeightFunction.potential_defined(1.0),
+    "gaussian_translated": translate_weight(WeightFunction.gaussian(1.0), 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _full_rule_gram(family, n_theta):
+    """The rule and direct_gram at degree 40 on it; the Gram of a lower degree
+    is its leading block."""
+    w = RING_FAMILIES[family]
+    rule = truncated_plane_rule(truncation_radius(w, 40), 256, n_theta)
+    return rule, direct_gram(w, 40, rule)
 
 
 class TestSbKernel:
@@ -118,7 +139,7 @@ class TestFFTAssembly:
         assert equilibrated_error(gram_matrix(w, 40, rule), direct_gram(w, 40, rule)) < 1e-12
 
     @pytest.mark.parametrize("make_rule, weight, N", [
-        (lambda rule: disk_rule(0.8 - 0.6j, rule.region[2], rule.n_r, rule.n_theta),
+        (lambda rule: disk_rule(0.8 - 0.6j, rule.radius, rule.n_r, rule.n_theta),
          WeightFunction.gaussian(1.0), 30),
         (lambda rule: disk_rule(2.0, 0.5, 64, 128), WeightFunction.gaussian(100.0), 40),
     ], ids=["recentred", "off_centre_disk"])
@@ -129,7 +150,8 @@ class TestFFTAssembly:
         center = rule.rings()[0]
         est = build_kernel_estimate(weight, N, rule)
         monkeypatch.setattr(kernel, "_assemble_gram",
-                            lambda w, N, rule: (center, direct_gram(w, N, rule, center)))
+                            lambda w, N, rule: (center, direct_gram(w, N, rule, center),
+                                                np.full(rule.n_r, rule.n_theta)))
         oracle = build_kernel_estimate(weight, N, rule)
         assert est.center == center
         assert equilibrated_error(est.gram, oracle.gram) < 1e-12
@@ -138,7 +160,7 @@ class TestFFTAssembly:
 
     def test_off_centre_rule_rejected(self, gauss1, gauss1_rule):
         # the monomial Gram is the assembly's own only on origin-centred rules
-        rule = disk_rule(0.8 - 0.6j, gauss1_rule.region[2], 256, 512)
+        rule = disk_rule(0.8 - 0.6j, gauss1_rule.radius, 256, 512)
         with pytest.raises(ValueError, match=r"centre \(0\.8-0\.6j\)"):
             gram_matrix(gauss1, 10, rule)
         assert gram_matrix(gauss1, 10, gauss1_rule).shape == (11, 11)
@@ -155,13 +177,13 @@ class TestFFTAssembly:
         # N = 10 needs angular frequencies up to 10 on a 4-angle rule; the
         # modular index reproduces the node sum, aliasing and all
         tiny = truncated_plane_rule(6.0, 2, 4)
-        _, G = kernel._assemble_gram(gauss1, 10, tiny)
+        _, G, _ = kernel._assemble_gram(gauss1, 10, tiny)
         assert equilibrated_error(G, direct_gram(gauss1, 10, tiny)) < 1e-12
 
     def test_frequencies_wrap_past_odd_n_theta(self, gauss1):
         # an odd n_theta has no Nyquist frequency: 5 angles carry -2..2 only
         tiny = truncated_plane_rule(6.0, 3, 5)
-        _, G = kernel._assemble_gram(gauss1, 10, tiny)
+        _, G, _ = kernel._assemble_gram(gauss1, 10, tiny)
         assert equilibrated_error(G, direct_gram(gauss1, 10, tiny)) < 1e-12
 
     def test_masked_rule_rejected(self, gauss1):
@@ -179,10 +201,75 @@ class TestFFTAssembly:
         w = WeightFunction.gaussian_harmonic(a, b=b_ratio * a * complex(math.cos(b_arg),
                                                                         math.sin(b_arg)), c=c)
         rule = disk_rule(center, truncation_radius(w, 20), 48, n_theta)
-        c, G = kernel._assemble_gram(w, 20, rule)
+        c, G, _ = kernel._assemble_gram(w, 20, rule)
         assert c == complex(center)
         assert np.array_equal(G, G.conj().T)
         assert equilibrated_error(G, direct_gram(w, 20, rule, c)) < 1e-12
+
+
+class TestRingAssembly:
+    """Each ring sampled at the angle count the density's modes need."""
+
+    @pytest.mark.parametrize("n_theta", [512, 511])
+    @pytest.mark.parametrize("N", [0, 1, 8, 40])
+    @pytest.mark.parametrize("family", sorted(RING_FAMILIES))
+    def test_equilibrated_gram_matches_the_full_rule(self, family, N, n_theta):
+        rule, oracle = _full_rule_gram(family, n_theta)
+        _, G, counts = kernel._assemble_gram(RING_FAMILIES[family], N, rule)
+        assert equilibrated_error(G, oracle[:N + 1, :N + 1]) < 1e-12
+        if n_theta % 2:  # no smaller count doubles to an odd one
+            assert np.all(counts == n_theta)
+        else:
+            assert counts.min() == kernel._start_count(n_theta, N)
+            assert counts.sum() < rule.n_r * n_theta
+
+    @pytest.mark.parametrize("n_theta, N, start", [
+        (512, 40, 128), (512, 0, 16), (1024, 40, 128), (192, 32, 96), (64, 8, 32),
+        (4, 10, 4), (511, 8, 511), (80, 40, 80)])
+    def test_start_count(self, n_theta, N, start):
+        # the smallest n_theta / 2^j above 2N (and at least 16), else n_theta
+        assert kernel._start_count(n_theta, N) == start
+
+    def test_rings_where_the_density_underflows_take_the_start_count(self, gauss1):
+        # exp(-r^2) is exactly 0 beyond r ~ 27.3
+        rule = truncated_plane_rule(40.0, 64, 512)
+        _, r, _ = rule.rings()
+        _, _, counts = kernel._assemble_gram(gauss1, 5, rule)
+        zero = gauss1.density(r + 0j) == 0.0
+        assert zero.sum() >= 10
+        assert np.all(counts[zero] == kernel._start_count(512, 5))
+
+    def test_non_finite_ring_goes_to_the_cap(self, gauss1, monkeypatch):
+        rule = truncated_plane_rule(10.0, 16, 256)
+        _, r, _ = rule.rings()
+        density = WeightFunction.density
+        monkeypatch.setattr(WeightFunction, "density", lambda self, z: np.where(
+            np.abs(np.abs(z) - r[3]) < 1e-12, np.nan, density(self, z)))
+        _, G, counts = kernel._assemble_gram(gauss1, 5, rule)
+        assert counts[3] == 256
+        assert not np.all(np.isfinite(G))
+
+    def test_kernel_path_builds_no_node_array(self, gauss1, monkeypatch):
+        rule = truncated_plane_rule(truncation_radius(gauss1, 40), 512, 1024)
+        sizes = []
+        density = WeightFunction.density
+        monkeypatch.setattr(WeightFunction, "density",
+                            lambda self, z: (sizes.append(np.size(z)), density(self, z))[1])
+        est = build_kernel_estimate(gauss1, 40, rule)
+        assert "_tensor" not in vars(rule)
+        assert sum(sizes) == est.angle_counts.sum() <= rule.n_r * rule.n_theta / 4
+        assert est.angle_bands() == [[128, 512]]
+
+    @pytest.mark.parametrize("family", ["gaussian", "potential_defined"])
+    def test_matches_the_radial_1d_gram(self, family):
+        # a radial weight's Gram is diagonal, G_nn = 2 pi int r^(2n+1) e^{-phi} dr;
+        # potential_defined has a Laplacian that is not constant
+        w = RING_FAMILIES[family]
+        R = truncation_radius(w, 40)
+        est = build_kernel_estimate(w, 40, truncated_plane_rule(R, 256, 512))
+        zs = disk_lattice(2.0, 0.1)
+        oracle = radial_kernel_diag(w, 40, zs, R)
+        assert np.max(np.abs(est.diag(zs) - oracle) / oracle) <= 1e-9
 
 
 class TestKernelDiag:

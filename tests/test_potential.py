@@ -22,7 +22,7 @@ from holobound import (
     verify_potential_bounds,
 )
 from holobound import potential as potential_mod
-from holobound import quadrature, weights
+from holobound import greens, quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
 from oracles import PlanarLogPotential
@@ -325,6 +325,19 @@ class TestPhiAtOrigin:
         base = phi_at_origin(w, M)
         monkeypatch.setattr(potential_mod, "ORIGIN_NODES", 2 * potential_mod.ORIGIN_NODES)
         assert abs(phi_at_origin(w, M) - base) < 1e-14
+
+    def test_tail_rule_samples_only_the_new_angles(self):
+        # 256 rings at 16 + 16 + 32 angles, not 16 + 32 + 64: each doubling
+        # samples psi at the new odd angles and keeps the earlier samples
+        psi = potential_mod._cutoff_density(WeightFunction.oscillatory(1.0, 0.5))
+        sizes = []
+        counting = lambda z: (sizes.append(np.size(z)), psi(z))[1]
+        rings = np.linspace(0.0, 2.0, 256)
+        n_theta, modes = greens.angular_modes(counting, rings)
+        assert n_theta == 64 and sum(sizes) == 256 * 64
+        # the same modes as sampling every angle at once, bit for bit
+        values = psi(rings[:, None] * np.exp(2j * math.pi * np.arange(64) / 64))
+        assert np.array_equal(modes, np.fft.rfft(values, axis=-1)[:, :modes.shape[1]] / 64)
 
     def test_violating_weight_rejected_with_point(self):
         # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin

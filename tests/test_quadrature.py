@@ -5,7 +5,6 @@ import pytest
 
 from holobound import (
     NonFiniteIntegrandError,
-    QuadratureRule,
     disk_rule,
     integrate,
     integrate_with_error,
@@ -14,6 +13,7 @@ from holobound import (
 )
 from holobound import quadrature
 from holobound.quadrature import (
+    angle_levels,
     disk_lattice,
     gauss_legendre,
     half_resolution,
@@ -97,6 +97,58 @@ class TestDiskRule:
             disk_rule(0.0, 1.0, 16, 2)
 
 
+class TestLazyRule:
+    def test_rings_build_no_nodes_and_nodes_are_cached(self):
+        rule = disk_rule(1 + 2j, 3.0, 8, 16)
+        center, r, w_r = rule.rings()
+        assert "_tensor" not in vars(rule)
+        nodes = rule.nodes
+        assert rule.nodes is nodes and "_tensor" in vars(rule)
+        # node i * n_theta + j is c + r_i e^{2 pi i j / n_theta}
+        assert np.array_equal(nodes[::16], center + r)
+        assert np.array_equal(rule.weights[::16], w_r * (2.0 * math.pi / 16))
+        assert np.allclose(nodes[3::16], center + r * np.exp(2j * math.pi * 3 / 16),
+                           rtol=0.0, atol=1e-15)
+
+    def test_masked_rule_has_no_rings_and_halves_as_masked(self):
+        rule = masked_disk_rule(0.5, 2.0, 0.0, 1.0, 32, 64)
+        with pytest.raises(ValueError, match="masked_disk"):
+            rule.rings()
+        coarse = half_resolution(rule)
+        assert (coarse.n_r, coarse.n_theta, coarse.excluded) == (16, 32, rule.excluded)
+        assert (np.abs(coarse.nodes) >= 1.0).all()
+
+
+class TestAngleLevels:
+    RADII = np.array([0.5, 1.0, 2.0])
+
+    @staticmethod
+    def field(z):
+        return np.cos(3.0 * z.real) + z.imag ** 2
+
+    def test_levels_match_direct_sampling_at_new_angles_only(self):
+        sizes = []
+        counting = lambda z: (sizes.append(np.size(z)), self.field(z))[1]
+        counts = []
+        for m, values in angle_levels(counting, self.RADII, 4, 32):
+            direct = self.field(self.RADII[:, None] * np.exp(2j * math.pi * np.arange(m) / m))
+            assert np.array_equal(values, direct)  # bit for bit
+            counts.append(m)
+        assert counts == [4, 8, 16, 32]
+        assert sizes == [12, 12, 24, 48]  # each doubling samples the new angles only
+
+    def test_send_refines_the_chosen_rings(self):
+        levels = angle_levels(self.field, self.RADII, 4, 16)
+        m, values = next(levels)
+        m, values = levels.send(np.array([False, True, False]))
+        assert m == 8 and values.shape == (1, 8)
+        assert np.array_equal(values[0], self.field(np.exp(2j * math.pi * np.arange(8) / 8)))
+        m, values = levels.send(None)
+        assert m == 16 and values.shape == (1, 16)
+        with pytest.raises(StopIteration):
+            levels.send(None)
+
+
 class TestMaskedDiskRule:
     def test_annulus_area(self):
         rule = masked_disk_rule(0.0, 2.0, 0.0, 1.0, 256, 512)
@@ -175,15 +227,10 @@ class TestIntegrate:
         assert abs(doubled - val) < 10 * err
 
     def test_rotation_invariance_for_radial_integrand(self, unit_disk_rule):
+        # the rule's nodes turned by 0.37 rad: the integrand turned instead
         f = lambda z: np.exp(-np.abs(z) ** 2) * np.abs(z)
-        rotated = QuadratureRule(
-            unit_disk_rule.nodes * np.exp(0.37j),
-            unit_disk_rule.weights,
-            unit_disk_rule.region,
-            unit_disk_rule.n_r,
-            unit_disk_rule.n_theta,
-        )
-        assert abs(integrate(rotated, f) - integrate(unit_disk_rule, f)) < 1e-12
+        rotated = lambda z: f(z * np.exp(0.37j))
+        assert abs(integrate(unit_disk_rule, rotated) - integrate(unit_disk_rule, f)) < 1e-12
 
 
 def test_recenter_change_of_variables(unit_disk_rule):
@@ -192,13 +239,13 @@ def test_recenter_change_of_variables(unit_disk_rule):
     direct = integrate(shifted, f)
     substituted = integrate(unit_disk_rule, lambda z: f(z + 1.0 + 1.0j))
     assert direct == pytest.approx(substituted, rel=1e-14)
-    assert shifted.region[1] == 1.0 + 1.0j
+    assert shifted.center == 1.0 + 1.0j
 
 
 def test_half_resolution_companion(unit_disk_rule):
     coarse = half_resolution(unit_disk_rule)
     assert coarse.n_r == 32 and coarse.n_theta == 64
-    assert coarse.region == unit_disk_rule.region
+    assert (coarse.center, coarse.radius) == (unit_disk_rule.center, unit_disk_rule.radius)
 
 
 def test_point_sets():

@@ -52,6 +52,18 @@ class TestEvalWeight:
         with pytest.raises(WeightError):
             WeightFunction.potential_defined(1.0, psi_height=-1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: WeightFunction.gaussian(10 ** 400),
+        lambda: WeightFunction.oscillatory(1.0, 10 ** 400),
+        lambda: WeightFunction.gaussian_harmonic(1.0, d=-10 ** 400),
+        lambda: WeightFunction.gaussian_harmonic(1.0, b=10 ** 400),
+        lambda: WeightFunction.potential_defined(1.0, psi_height=None),
+    ], ids=["gaussian", "oscillatory", "harmonic_d", "harmonic_b", "none"])
+    def test_parameter_beyond_float_range_rejected(self, make):
+        # an integer too large for a float is a WeightError, not an OverflowError
+        with pytest.raises(WeightError, match="float range"):
+            make()
+
 
 class TestEvalLaplacian:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
