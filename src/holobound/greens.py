@@ -278,12 +278,14 @@ class LogPotential:
         return out
 
     def values(self, zs) -> np.ndarray:
+        """Phi at the points zs, shaped like zs (a scalar gives one value)."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        shape, zs = zs.shape, zs.ravel()
         # Phi_k depends on |z| alone: evaluate once per distinct radius
         radii, inverse = np.unique(np.abs(zs), return_inverse=True)
         modes = self._modes_at(radii)
         if modes.shape[1] == 1:
-            return modes[inverse, 0].real
+            return modes[inverse, 0].real.reshape(shape)
         out = np.empty(len(zs))
         theta = np.angle(zs)
         k = self._k[1:]
@@ -293,7 +295,7 @@ class LogPotential:
             m = modes[inverse[sl]]
             turn = np.exp(1j * theta[sl, None] * k)
             out[sl] = m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
-        return out
+        return out.reshape(shape)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)

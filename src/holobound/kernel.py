@@ -56,6 +56,24 @@ weights), so its unscaled condition number is astronomically large even when
 the solve is numerically exact.  The reported ``condition_estimate`` is that
 of the equilibrated matrix, which is what actually controls solve accuracy;
 degradation kicks in when it passes 1e12.
+
+Each estimate forms the inverse factor C = L^-1 D^-1 once, L the Cholesky
+factor of the equilibrated Gram and D its scales, by forward substitution on
+the identity, so C is exactly lower triangular (np.linalg.inv would pivot
+and leave rounding above the diagonal).  The rows of C are the
+coefficients of the orthonormal polynomials p_k in the basis (z - c)^j, so
+K_N(z, z) = sum_k |p_k(z)|^2 = |C v(z - c)|^2: one matrix product per block
+of points.  C is lower triangular, and the leading block of a triangular
+inverse is the inverse of the leading block, just as the Cholesky factor of
+a leading block of G is the leading block of its factor.  Every lower degree
+therefore reads the leading block of the same C, and the diagonals of
+nested degrees are monotone by construction.  A block holds at most
+_BLOCK_ENTRIES = 2^15 Vandermonde entries: the Vandermonde block and its
+product take 512 KB each at N = 40, inside the 2 MB per-core L2 cache of
+the Xeon they were measured on, and memory does not grow with the grid.  On the 5025-point benchmark grid at N = 40 larger
+blocks were no faster and doubled the temporaries or more, and smaller ones
+were slower; larger blocks gain 12-22% only on a 200000-point grid at N = 64
+(BENCH_gemm_diag.json).
 """
 
 from __future__ import annotations
@@ -86,7 +104,7 @@ CONDITION_LIMIT = 1e12
 GAP_STEP = 5  # degree step of KernelEstimate.convergence_gap
 
 # entry budget per block of (points x (degree + 1)) in KernelEstimate.diag_at_degree
-_BLOCK_ENTRIES = 1 << 20
+_BLOCK_ENTRIES = 1 << 15
 
 
 class PositiveDefinitenessError(ArithmeticError):
@@ -308,8 +326,7 @@ class KernelEstimate:
     condition_estimate: float
     effective_degree: int
     angle_counts: np.ndarray
-    _scale: np.ndarray = field(repr=False, default=None)
-    _chol: np.ndarray = field(repr=False, default=None)
+    _inverse_factor: np.ndarray = field(repr=False, default=None)
 
     @property
     def degraded(self) -> bool:
@@ -332,44 +349,65 @@ class KernelEstimate:
 
         The diagonals are monotone lower bounds of the full kernel; a small
         gap is the working convergence signal (no rigorous remainder is
-        claimed).
+        claimed).  Both come from one product per block: K_{N-5} sums the
+        leading columns of |Y|^2 and K_N adds the rest, so K_{N-5} <= K_N
+        holds exactly.
         """
         n = self.effective_degree
         if n < GAP_STEP:
             raise ValueError(f"effective degree {n} is below the step {GAP_STEP}")
-        hi = np.atleast_1d(self.diag_at_degree(z, n))
-        lo = np.atleast_1d(self.diag_at_degree(z, n - GAP_STEP))
-        out = (hi - lo) / hi
-        return float(out[0]) if np.ndim(z) == 0 else out
+        lo, hi = self._partial_sums(z, n, n - GAP_STEP)
+        return (hi - lo) / hi
 
     def diag_at_degree(self, z, degree: int):
-        """Kernel diagonal of the leading block of the given degree.
+        """Kernel diagonal of the leading block of the given degree, shaped
+        like z (a float for a scalar).
 
-        The Cholesky factor of a leading block of the equilibrated Gram is
-        exactly the leading block of its Cholesky factor, so nested-degree
-        diagonals are monotone by construction.  Points are taken in blocks
-        of at most _BLOCK_ENTRIES Vandermonde entries, so memory stays
-        bounded on large grids.
+        K = |C v(z - c)|^2 with C = L^-1 D^-1 the inverse factor.  C is lower
+        triangular and the leading block of a triangular inverse is the
+        inverse of the leading block, so every degree reads the leading block
+        of the one C, and nested-degree diagonals are monotone by
+        construction.  Points are taken in blocks of at most _BLOCK_ENTRIES
+        Vandermonde entries, one product each, so the block and its product
+        stay cache-sized and memory does not grow with the grid.
         """
-        if degree > self.effective_degree:
+        return self._partial_sums(z, degree, degree)[0]
+
+    def _partial_sums(self, z, degree: int, lead: int):
+        """(K at degree lead, K at degree) at the points z, shaped like z: the
+        sums of |Y|^2 over the leading lead + 1 columns and over all of
+        them, Y = V(z - c) C^T block by block."""
+        if not 0 <= degree <= self.effective_degree:
             raise ValueError(
-                f"degree {degree} exceeds effective degree {self.effective_degree}")
+                f"degree {degree} is outside 0..{self.effective_degree}, the effective degree")
         z = np.asarray(z, dtype=complex)
-        pts = np.atleast_1d(z)
-        n = degree + 1
-        L = self._chol
-        out = np.empty(len(pts))
+        pts = z.ravel()
+        n, m = degree + 1, 2 * (lead + 1)
+        Ct = self._inverse_factor[:n, :n].T.copy()
+        lo, hi = np.empty(len(pts)), np.empty(len(pts))
         block = max(1, _BLOCK_ENTRIES // n)
         for start in range(0, len(pts), block):
-            V = _vandermonde(pts[start:start + block] - self.center, degree)
-            V /= self._scale[:n]
-            # Y = L^-1 v(z), so sum |Y|^2 = v^H G^-1 v (not v^T G^-1 conj(v));
-            # forward substitution, one row of L per step, all block points at once
-            Y = np.empty((n, len(V)), dtype=complex)
-            for i in range(n):
-                Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
-            out[start:start + block] = np.sum(np.abs(Y) ** 2, axis=0)
-        return float(out[0]) if z.ndim == 0 else out
+            sl = slice(start, start + block)
+            # Y = L^-1 D^-1 v(z) per point, so sum |Y|^2 = v^H G^-1 v (not
+            # v^T G^-1 conj(v)); summed on the real view, no |Y| array
+            Y = (_vandermonde(pts[sl] - self.center, degree) @ Ct).view(float)
+            lo[sl] = np.einsum("ij,ij->i", Y[:, :m], Y[:, :m])
+            hi[sl] = lo[sl] + np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])
+        if z.ndim == 0:
+            return float(lo[0]), float(hi[0])
+        return lo.reshape(z.shape), hi.reshape(z.shape)
+
+
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower-triangular L, by forward substitution on the identity
+    one row at a time, so it is exactly lower triangular: with d the
+    diagonal of L and U = diag(d)^-1 L, L^-1 = U^-1 diag(d)^-1."""
+    d = L.diagonal()
+    U = L / d[:, None]
+    X = np.eye(len(L), dtype=L.dtype)
+    for i in range(1, len(L)):
+        X[i, :i] -= U[i, :i] @ X[:i, :i]
+    return X / d
 
 
 def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
@@ -395,8 +433,7 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         condition_estimate=cond,
         effective_degree=effective,
         angle_counts=counts,
-        _scale=d,
-        _chol=chol,
+        _inverse_factor=_inverse_lower(chol) / d[:effective + 1],
     )
 
 

@@ -19,6 +19,10 @@ smooth in z and five-point stencils of the oracle stay clean.  At resolution
 companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
 per node); ``mp_gauss_legendre`` refines nodes to 40 digits.
 
+``substitution_kernel_diag`` is K_N(z, z) by forward substitution against
+the Cholesky factor, rebuilt from an estimate's Gram alone, the check on
+``KernelEstimate.diag_at_degree`` (one product against the inverse factor).
+
 ``csv_by_rows`` is the CLI's CSV writer as it was before it formatted whole
 columns: one ``_fmt`` call per cell, row after row.
 """
@@ -155,3 +159,19 @@ def radial_kernel_diag(w, N: int, z, radius: float, panels: int = 64, nodes: int
     G = 2.0 * math.pi * (r[:, None] ** (2 * n + 1) * (dr * density)[:, None]).sum(axis=0)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     return (np.abs(z)[:, None] ** (2 * n) / G).sum(axis=1)
+
+
+def substitution_kernel_diag(est, z, degree: int):
+    """K(z, z) of the leading block of the given degree from ``est.gram``
+    alone: equilibrate, factor the leading block with ``np.linalg.cholesky``,
+    and solve L y = D^-1 v(z - c) row by row for every point at once."""
+    n = degree + 1
+    G = est.gram
+    d = np.sqrt(np.real(np.diag(G)))[:n]
+    L = np.linalg.cholesky(G[:n, :n] / np.outer(d, d))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    V = (z - est.center)[:, None] ** np.arange(n) / d
+    Y = np.empty((n, len(z)), dtype=complex)
+    for i in range(n):
+        Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
+    return np.sum(np.abs(Y) ** 2, axis=0)

@@ -23,7 +23,7 @@ from holobound import (
 )
 from holobound.quadrature import disk_lattice, random_disk_points
 from holobound.weights import translate_weight
-from oracles import radial_kernel_diag
+from oracles import radial_kernel_diag, substitution_kernel_diag
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +373,98 @@ class TestKernelDiag:
         nonzero = powers != 0
         assert np.array_equal(V == 0, ~nonzero)
         assert np.max(np.abs(V - powers)[nonzero] / np.abs(powers[nonzero])) <= 1e-13
+
+
+# the ring families with the translated Gaussian moved off the real axis, so
+# one Gram is complex
+ORACLE_FAMILIES = {**RING_FAMILIES,
+                   "gaussian_translated": translate_weight(WeightFunction.gaussian(1.0),
+                                                           0.3 + 0.4j)}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_estimate(family, N):
+    w = ORACLE_FAMILIES[family]
+    return build_kernel_estimate(w, N, truncated_plane_rule(truncation_radius(w, 40), 128, 256))
+
+
+@functools.lru_cache(maxsize=None)
+def _degraded_estimate(center):
+    gauss1 = WeightFunction.gaussian(1.0)
+    return build_kernel_estimate(gauss1, 40, disk_rule(center, truncation_radius(gauss1, 40),
+                                                       128, 256))
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / b))
+
+
+class TestInverseFactor:
+    """diag_at_degree (one product per block against C = L^-1 D^-1) against
+    forward substitution rebuilt from the estimate's Gram alone."""
+
+    @pytest.mark.parametrize("N", [0, 1, 8, 40])
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_agrees_with_substitution(self, family, N):
+        est = _oracle_estimate(family, N)
+        assert est.effective_degree == N and est.condition_estimate <= 1e8
+        block = kernel._BLOCK_ENTRIES // (N + 1)
+        zs = random_disk_points(block + 1, 2.0, seed=N)
+        for count in (1, block - 1, block, block + 1, 5025):
+            pts = zs[:count]
+            assert _max_rel(est.diag(pts), substitution_kernel_diag(est, pts, N)) <= 1e-12
+        value = est.diag(0.7 - 1.1j)
+        assert isinstance(value, float)
+        assert value == pytest.approx(substitution_kernel_diag(est, 0.7 - 1.1j, N)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("N", [0, 1, 8, 40])
+    def test_leading_degrees_agree_with_substitution(self, N):
+        est = _oracle_estimate("harmonic", 40)
+        zs = random_disk_points(300, 2.0, seed=41)
+        assert _max_rel(est.diag_at_degree(zs, N), substitution_kernel_diag(est, zs, N)) <= 1e-12
+
+    @pytest.mark.parametrize("center", [2.0, 3.0])
+    def test_degraded_agrees_with_substitution(self, center):
+        est = _degraded_estimate(center)
+        assert est.degraded
+        zs = np.concatenate([random_disk_points(500, 2.0, seed=4),
+                             center + random_disk_points(500, 2.0, seed=5)])
+        oracle = substitution_kernel_diag(est, zs, est.effective_degree)
+        assert _max_rel(est.diag(zs), oracle) <= 1e-9
+
+    def test_exactly_lower_triangular(self):
+        estimates = [_oracle_estimate(f, N) for f in ORACLE_FAMILIES for N in (1, 8, 40)]
+        for est in estimates + [_degraded_estimate(c) for c in (2.0, 3.0)]:
+            C = est._inverse_factor
+            assert C.shape == (est.effective_degree + 1,) * 2
+            assert np.array_equal(np.triu(C, 1), np.zeros_like(C))
+            assert np.all(np.diag(C).real > 0.0) and np.all(np.diag(C).imag == 0.0)
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_gap_orders_the_diagonals_exactly(self, family):
+        # K_{N-5} and K_N from one product: K_{N-5} <= K_N with no slack
+        est = _oracle_estimate(family, 40)
+        zs = random_disk_points(5025, 2.0, seed=6)
+        gap = est.convergence_gap(zs)
+        assert np.all(gap >= 0.0)
+        hi = est.diag(zs)
+        assert np.max(np.abs(gap - (hi - est.diag_at_degree(zs, 35)) / hi)) <= 1e-14
+
+    def test_point_shapes(self):
+        est = _oracle_estimate("oscillatory", 40)
+        zs = random_disk_points(6, 2.0, seed=7).reshape(2, 3)
+        for f in (est.diag, lambda z: est.diag_at_degree(z, 20), est.convergence_gap):
+            out = f(zs)
+            assert out.shape == (2, 3)
+            assert np.array_equal(out, f(zs.ravel()).reshape(2, 3))
+            assert isinstance(f(zs[0, 0]), float)
+            assert f(np.array([])).shape == (0,)
+            assert f(np.empty((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize("degree", [-1, 41])
+    def test_degree_outside_the_factor_rejected(self, degree):
+        with pytest.raises(ValueError, match="outside 0..40, the effective degree"):
+            _oracle_estimate("gaussian", 40).diag_at_degree(0.5, degree)
 
 
 class TestDegradation:

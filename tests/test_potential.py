@@ -266,6 +266,20 @@ class TestFourierPotential:
         harmonic = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
         assert make_psi(harmonic, 4.0).n_modes == 1
 
+    @pytest.mark.parametrize("w, radial", [(WeightFunction.gaussian(1.0), True),
+                                           (WeightFunction.oscillatory(1.0, 0.5), False)])
+    def test_points_keep_their_shape(self, w, radial):
+        # the radial branch and the multi-mode branch, on a grid inside and
+        # outside the support: bit-identical to the raveled call
+        potential = make_psi(w, 5.0, resolution=32)
+        assert (potential.n_modes == 1) == radial
+        zs = np.concatenate([random_disk_points(6, 3.0, seed=9), [0.0, 2.5j]]).reshape(2, 2, 2)
+        for f in (potential, potential.values):
+            out = f(zs)
+            assert out.shape == (2, 2, 2)
+            assert np.array_equal(out, f(zs.ravel()).reshape(zs.shape))
+        assert potential.values(np.empty((0, 2), dtype=complex)).shape == (0, 2)
+
     def test_discontinuous_in_angle_rejected_with_tail(self):
         half = ScalarField(lambda z: cutoff_g(z) * (np.real(z) > 0.0))
         with pytest.raises(ValueError, match="top half of its Fourier modes reaches"):
