@@ -28,20 +28,15 @@ from .equivalence import (
     EquivalenceMap,
     build_equivalence_map,
     log_laplacian_equal,
-    matching_normalized_gaussian,
-    verify_kernel_invariance,
-    verify_unitary,
 )
 from .kernel import (
     KernelEstimate,
     PositiveDefinitenessError,
     SampleFunction,
     build_kernel_estimate,
-    extremal_ratio,
     gram_matrix,
-    sb_kernel,
 )
-from .greens import cutoff_g, gamma
+from .greens import cutoff_g
 from .potential import (
     B_BRACKET,
     B_EXACT,
@@ -71,7 +66,6 @@ from .weights import (
     normalized_gaussian,
     translate_weight,
     truncation_radius,
-    validate_laplacian_bounds,
 )
 
 __version__ = "0.1.0"

@@ -23,18 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import SampleFunction, build_kernel_estimate, weighted_norm_sq
-from .quadrature import QuadratureRule, sunflower_points
-from .weights import Check, ValidationReport, WeightFunction, normalized_gaussian
+from .kernel import SampleFunction
+from .quadrature import sunflower_points
+from .weights import Check, ValidationReport, WeightFunction
 
 __all__ = [
     "EquivalenceMap",
     "EquivalenceError",
     "log_laplacian_equal",
     "build_equivalence_map",
-    "verify_unitary",
-    "verify_kernel_invariance",
-    "matching_normalized_gaussian",
 ]
 
 
@@ -112,57 +109,3 @@ def build_equivalence_map(a: WeightFunction, b: WeightFunction) -> EquivalenceMa
             f"constructed multiplier fails |phi_eq|^2 * beta = alpha "
             f"(worst relative deviation {worst:.3e})")
     return emap
-
-
-def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,
-                   tol: float) -> ValidationReport:
-    """Check ||phi_eq * f||^2 under beta equals ||f||^2 under alpha.
-
-    Both norms are computed by quadrature on the same rule; the relative
-    deviation must stay within tol for every sample.
-    """
-    checks = []
-    for k, f in enumerate(samples):
-        lhs = weighted_norm_sq(m.target, lambda z: np.asarray(m(z)) * np.asarray(f(z)), rule)
-        rhs = weighted_norm_sq(m.source, f, rule)
-        if rhs <= 0.0:
-            raise ValueError(f"sample #{k} has zero norm under the source density")
-        dev = abs(lhs / rhs - 1.0)
-        checks.append(Check(f"norm_ratio_{k}", dev, tol, dev <= tol))
-    return ValidationReport(tuple(checks))
-
-
-def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
-                             N: int, rule: QuadratureRule,
-                             tol: float) -> ValidationReport:
-    """Check alpha(z) K_alpha(z, z) = beta(z) K_beta(z, z) at the given points.
-
-    Both diagonals are computed at convergence in the truncation degree N
-    (the multiplier shuffles polynomial degrees, so finite-N truncations
-    only agree once both sides have converged); the report notes the
-    effective degrees actually used.
-    """
-    z = np.asarray(z_list, dtype=complex)
-    est_a = build_kernel_estimate(a, N, rule)
-    est_b = build_kernel_estimate(b, N, rule)
-    lhs = np.atleast_1d(est_a.diag(z)) * np.atleast_1d(a.density(z))
-    rhs = np.atleast_1d(est_b.diag(z)) * np.atleast_1d(b.density(z))
-    rel = np.abs(lhs - rhs) / np.abs(lhs)
-    gap = max(float(np.max(est_a.convergence_gap(z))),
-              float(np.max(est_b.convergence_gap(z))))
-    note = (f"effective degrees {est_a.effective_degree} / "
-            f"{est_b.effective_degree}, worst convergence gap {gap:.2e}")
-    checks = tuple(
-        Check(f"weighted_diag_{i}", float(rel[i]), tol, float(rel[i]) <= tol,
-              note=note)
-        for i in range(len(z))
-    )
-    return ValidationReport(checks)
-
-
-def matching_normalized_gaussian(c: float) -> WeightFunction:
-    """The normalized Gaussian density holomorphically equivalent to any
-    density exp(-phi) with constant lap(phi) = c > 0: parameter t = 4/c."""
-    if c <= 0:
-        raise EquivalenceError(f"constant Laplacian must be positive, got {c}")
-    return normalized_gaussian(4.0 / c)

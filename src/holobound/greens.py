@@ -70,7 +70,7 @@ from numpy.fft import ifft, rfft
 
 from .quadrature import angle_levels, gauss_legendre
 
-__all__ = ["gamma", "bump", "cutoff_g", "angular_modes", "LogPotential"]
+__all__ = ["bump", "cutoff_g", "angular_modes", "LogPotential"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -81,19 +81,6 @@ MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
 START_N_THETA = 16   # angles per ring at which the tail rules start
 MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
 GAP_NODES = 16       # Gauss-Legendre nodes between consecutive rings
-
-
-def gamma(z):
-    """Fundamental solution (1/2pi) log|z| of the Laplacian on the plane.
-
-    Rejects z = 0, where the solution is singular.
-    """
-    z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    if np.any(r == 0.0):
-        raise ValueError("fundamental solution is singular at z = 0")
-    out = np.log(r) / _TWO_PI
-    return float(out) if out.ndim == 0 else out
 
 
 def bump(t):

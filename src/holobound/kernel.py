@@ -78,7 +78,6 @@ were slower; larger blocks gain 12-22% only on a 200000-point grid at N = 64
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +91,8 @@ __all__ = [
     "SampleFunction",
     "KernelEstimate",
     "PositiveDefinitenessError",
-    "sb_kernel",
     "gram_matrix",
     "build_kernel_estimate",
-    "extremal_ratio",
     "weighted_norm_sq",
 ]
 
@@ -124,14 +121,6 @@ class PositiveDefinitenessError(ArithmeticError):
             f"lower the degree")
 
 
-def sb_kernel(z: complex, w: complex, t: float) -> complex:
-    """Reproducing kernel exp(z * conj(w) / t) of the normalized Gaussian
-    space with parameter t (closed form, exact)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return complex(np.exp(z * np.conj(w) / t))
-
-
 @dataclass(frozen=True, eq=False)
 class SampleFunction:
     """Entire test function: polynomial times an optional factor exp(a*z)."""
@@ -146,12 +135,6 @@ class SampleFunction:
     @staticmethod
     def monomial(n: int) -> "SampleFunction":
         return SampleFunction((0j,) * n + (1.0 + 0j,))
-
-    @staticmethod
-    def exp_taylor(rate: complex, degree: int) -> "SampleFunction":
-        """Degree-truncated Taylor polynomial of exp(rate * z)."""
-        coeffs = [complex(rate) ** k / math.factorial(k) for k in range(degree + 1)]
-        return SampleFunction(tuple(coeffs))
 
     @staticmethod
     def exponential(rate: complex) -> "SampleFunction":
@@ -440,14 +423,3 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
 def weighted_norm_sq(w: WeightFunction, f, rule: QuadratureRule) -> float:
     """||f||^2 under the weight: the rule's integral of |f|^2 e^{-phi}."""
     return integrate(rule, lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p))
-
-
-def extremal_ratio(w: WeightFunction, f: SampleFunction, z, rule: QuadratureRule):
-    """|f(z)|^2 / ||f||^2 under the weight; never exceeds the kernel diagonal
-    when f is a polynomial of degree at most the kernel's."""
-    norm_sq = weighted_norm_sq(w, f, rule)
-    if norm_sq <= 0.0:
-        raise ValueError("sample function has zero norm under the weight")
-    z = np.asarray(z, dtype=complex)
-    out = np.abs(np.asarray(f(z))) ** 2 / norm_sq
-    return float(out) if out.ndim == 0 else out

@@ -299,24 +299,24 @@ def integrate_with_error(rule: QuadratureRule, f):
 # Planar point sets (evaluation grids, not quadrature nodes)
 # ---------------------------------------------------------------------------
 
-def disk_lattice(radius: float, spacing: float, center: complex = 0j) -> np.ndarray:
-    """Square lattice of the given spacing clipped to a closed disk."""
+def disk_lattice(radius: float, spacing: float) -> np.ndarray:
+    """Square lattice of the given spacing clipped to the closed disk D(0, radius)."""
     n = int(math.floor(radius / spacing + 1e-12))
     ticks = spacing * np.arange(-n, n + 1)
     x, y = np.meshgrid(ticks, ticks)
-    pts = (x + 1j * y).ravel() + center
-    return pts[np.abs(pts - center) <= radius + 1e-12]
+    pts = (x + 1j * y).ravel()
+    return pts[np.abs(pts) <= radius + 1e-12]
 
-def sunflower_points(count: int, radius: float, center: complex = 0j) -> np.ndarray:
-    """Deterministic quasi-uniform points in a disk (golden-angle spiral)."""
+def sunflower_points(count: int, radius: float) -> np.ndarray:
+    """Deterministic quasi-uniform points in D(0, radius) (golden-angle spiral)."""
     k = np.arange(count, dtype=float)
     r = radius * np.sqrt((k + 0.5) / count)
     theta = k * (math.pi * (3.0 - math.sqrt(5.0)))
-    return center + r * np.exp(1j * theta)
+    return r * np.exp(1j * theta)
 
-def random_disk_points(count: int, radius: float, seed: int, center: complex = 0j) -> np.ndarray:
-    """Uniform random points in a disk, reproducible from the seed."""
+def random_disk_points(count: int, radius: float, seed: int) -> np.ndarray:
+    """Uniform random points in D(0, radius), reproducible from the seed."""
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.uniform(size=count))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return center + r * np.exp(1j * theta)
+    return r * np.exp(1j * theta)

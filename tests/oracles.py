@@ -23,6 +23,15 @@ per node); ``mp_gauss_legendre`` refines nodes to 40 digits.
 the Cholesky factor, rebuilt from an estimate's Gram alone, the check on
 ``KernelEstimate.diag_at_degree`` (one product against the inverse factor).
 
+``extremal_ratio`` is |f(z)|^2 / ||f||^2 for one sample function, the lower
+bound that no kernel diagonal K_N(z, z) of degree >= deg f may fall below.
+``verify_unitary`` checks that an equivalence map preserves norms, and
+``verify_kernel_invariance`` that it leaves the weighted kernel diagonal
+alpha(z) K_alpha(z, z) unchanged, both by quadrature on one rule: the checks
+on ``equivalence.build_equivalence_map``.  ``validate_laplacian_bounds``
+compares the closed-form Laplacian with the finite-difference stencil
+(step FD_STEP) and with the weight's declared bounds on a grid.
+
 ``csv_by_rows`` is the CLI's CSV writer as it was before it formatted whole
 columns: one ``_fmt`` call per cell, row after row.
 """
@@ -34,11 +43,15 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # noqa: F401  (the eigensolve oracle)
 
-from holobound.quadrature import disk_rule
+from holobound.equivalence import EquivalenceMap
+from holobound.kernel import build_kernel_estimate, weighted_norm_sq
+from holobound.quadrature import QuadratureRule, disk_rule
+from holobound.weights import Check, ValidationReport, WeightFunction, fd_laplacian
 
 NEAR_REACH = 5.5      # |z| up to which the near-field rule is used
 FAR_RESOLUTION = 64   # radial node count of the far-field rule
 _BLOCK_ENTRIES = 1 << 23  # pair entries per block of points x nodes
+FD_STEP = 1e-3        # step of the finite-difference check in validate_laplacian_bounds
 
 
 class PlanarLogPotential:
@@ -175,3 +188,86 @@ def substitution_kernel_diag(est, z, degree: int):
     for i in range(n):
         Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
     return np.sum(np.abs(Y) ** 2, axis=0)
+
+
+def extremal_ratio(w: WeightFunction, f, z, rule: QuadratureRule):
+    """|f(z)|^2 / ||f||^2 under the weight; never exceeds the kernel diagonal
+    when f is a polynomial of degree at most the kernel's."""
+    norm_sq = weighted_norm_sq(w, f, rule)
+    if norm_sq <= 0.0:
+        raise ValueError("sample function has zero norm under the weight")
+    z = np.asarray(z, dtype=complex)
+    out = np.abs(np.asarray(f(z))) ** 2 / norm_sq
+    return float(out) if out.ndim == 0 else out
+
+
+def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,
+                   tol: float) -> ValidationReport:
+    """Check ||phi_eq * f||^2 under beta equals ||f||^2 under alpha.
+
+    Both norms are computed by quadrature on the same rule; the relative
+    deviation must stay within tol for every sample.
+    """
+    checks = []
+    for k, f in enumerate(samples):
+        lhs = weighted_norm_sq(m.target, lambda z: np.asarray(m(z)) * np.asarray(f(z)), rule)
+        rhs = weighted_norm_sq(m.source, f, rule)
+        if rhs <= 0.0:
+            raise ValueError(f"sample #{k} has zero norm under the source density")
+        dev = abs(lhs / rhs - 1.0)
+        checks.append(Check(f"norm_ratio_{k}", dev, tol, dev <= tol))
+    return ValidationReport(tuple(checks))
+
+
+def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
+                             N: int, rule: QuadratureRule,
+                             tol: float) -> ValidationReport:
+    """Check alpha(z) K_alpha(z, z) = beta(z) K_beta(z, z) at the given points.
+
+    Both diagonals are computed at convergence in the truncation degree N
+    (the multiplier shuffles polynomial degrees, so finite-N truncations
+    only agree once both sides have converged); the report notes the
+    effective degrees actually used.
+    """
+    z = np.asarray(z_list, dtype=complex)
+    est_a = build_kernel_estimate(a, N, rule)
+    est_b = build_kernel_estimate(b, N, rule)
+    lhs = np.atleast_1d(est_a.diag(z)) * np.atleast_1d(a.density(z))
+    rhs = np.atleast_1d(est_b.diag(z)) * np.atleast_1d(b.density(z))
+    rel = np.abs(lhs - rhs) / np.abs(lhs)
+    gap = max(float(np.max(est_a.convergence_gap(z))),
+              float(np.max(est_b.convergence_gap(z))))
+    note = (f"effective degrees {est_a.effective_degree} / "
+            f"{est_b.effective_degree}, worst convergence gap {gap:.2e}")
+    checks = tuple(
+        Check(f"weighted_diag_{i}", float(rel[i]), tol, float(rel[i]) <= tol,
+              note=note)
+        for i in range(len(z))
+    )
+    return ValidationReport(checks)
+
+
+def validate_laplacian_bounds(w: WeightFunction, grid, tol: float) -> ValidationReport:
+    """Check lap(phi) stays within the declared bounds on a grid.
+
+    Reports the grid min/max of the closed-form Laplacian, the worst
+    disagreement against the finite-difference stencil, and passes iff all
+    grid values lie in [m - tol, M + tol].  Failures are reported, never
+    raised.
+    """
+    grid = np.asarray(grid, dtype=complex)
+    if grid.size == 0:
+        raise ValueError("validation grid must be nonempty")
+    lap = np.atleast_1d(np.asarray(w.laplacian(grid)))
+    fd = np.atleast_1d(np.asarray(fd_laplacian(w.weight, grid, FD_STEP)))
+    m, M = w.laplacian_bounds
+    lap_min, lap_max = float(lap.min()), float(lap.max())
+    fd_dev = float(np.max(np.abs(lap - fd) / (1.0 + np.abs(lap))))
+    checks = (
+        Check("laplacian_min", lap_min, m - tol, lap_min >= m - tol,
+              note=f"worst point {grid[np.argmin(lap)]!r}"),
+        Check("laplacian_max", lap_max, M + tol, lap_max <= M + tol,
+              note=f"worst point {grid[np.argmax(lap)]!r}"),
+        Check("fd_agreement", fd_dev, tol, fd_dev <= tol),
+    )
+    return ValidationReport(checks)

@@ -21,18 +21,16 @@ from holobound import (
     integrate,
     log_laplacian_equal,
     make_psi,
-    matching_normalized_gaussian,
     mean_value_check,
     normalized_gaussian,
     truncated_plane_rule,
     truncation_radius,
-    verify_kernel_invariance,
-    verify_unitary,
 )
 from holobound.cli import main as cli_main
 from holobound.equivalence import EquivalenceError
 from holobound.potential import B_BRACKET, B_EXACT
 from holobound.quadrature import disk_lattice, random_disk_points
+from oracles import verify_kernel_invariance, verify_unitary
 
 INV_PI = 1.0 / math.pi
 
@@ -172,7 +170,7 @@ def test_criterion_08_equivalence_suite():
     for c in (1.0, 4.0, 10.0):
         a = c / 4.0
         w = WeightFunction.gaussian_harmonic(a, b=0.1 * a, c=0.2, d=0.1)
-        target = matching_normalized_gaussian(c)
+        target = normalized_gaussian(4.0 / c)
         emap = build_equivalence_map(w, target)
         radius = max(truncation_radius(w, 40), truncation_radius(target, 40))
         rule = truncated_plane_rule(radius, 256, 512)

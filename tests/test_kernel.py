@@ -13,17 +13,15 @@ from holobound import (
     WeightFunction,
     build_kernel_estimate,
     disk_rule,
-    extremal_ratio,
     gram_matrix,
     masked_disk_rule,
     normalized_gaussian,
-    sb_kernel,
     truncated_plane_rule,
     truncation_radius,
 )
 from holobound.quadrature import disk_lattice, random_disk_points
 from holobound.weights import translate_weight
-from oracles import radial_kernel_diag, substitution_kernel_diag
+from oracles import extremal_ratio, radial_kernel_diag, substitution_kernel_diag
 
 
 @pytest.fixture(scope="module")
@@ -76,25 +74,6 @@ def _full_rule_gram(family, n_theta):
     w = RING_FAMILIES[family]
     rule = truncated_plane_rule(truncation_radius(w, 40), 256, n_theta)
     return rule, direct_gram(w, 40, rule)
-
-
-class TestSbKernel:
-    def test_zero_argument(self):
-        for w, t in [(1.0, 1.0), (2.0 - 1.0j, 0.5)]:
-            assert sb_kernel(0.0, w, t) == 1.0
-
-    def test_diagonal_at_one(self):
-        assert sb_kernel(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-15)
-
-    def test_off_diagonal_phase(self):
-        # z * conj(w) = -i, so the kernel is exp(-i) with unit modulus
-        val = sb_kernel(1.0, 1.0j, 1.0)
-        assert val == pytest.approx(complex(math.cos(1), -math.sin(1)), rel=1e-15)
-        assert abs(val) == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            sb_kernel(0.0, 0.0, 0.0)
 
 
 class TestGramMatrix:
@@ -509,7 +488,7 @@ class TestExtremalRatio:
 
     def test_exponential_sample_approaches_kernel(self, gauss1, rule_r10):
         # e^omega truncated to degree 30 is the extremal function at z = 1
-        f = SampleFunction.exp_taylor(1.0, 30)
+        f = SampleFunction.polynomial([1 / math.factorial(k) for k in range(31)])
         ratio = extremal_ratio(gauss1, f, 1.0, rule_r10)
         diag = build_kernel_estimate(gauss1, 30, rule_r10).diag(1.0)
         assert ratio <= diag * (1 + 1e-10)
@@ -539,10 +518,6 @@ class TestSampleFunction:
         assert SampleFunction.polynomial([1.0, 0.0, 2.0]).degree == 2
         assert SampleFunction.polynomial([1.0, 0.0]).degree == 0
         assert SampleFunction.monomial(5).degree == 5
-
-    def test_exp_taylor_coefficients(self):
-        f = SampleFunction.exp_taylor(2.0, 3)
-        assert f.coefficients == (1.0, 2.0, 2.0, 4.0 / 3.0)
 
     def test_exponential_factor(self):
         f = SampleFunction.exponential(1.0)

@@ -13,7 +13,6 @@ from holobound import (
     compute_B,
     cutoff_g,
     fd_laplacian,
-    gamma,
     integrate,
     make_psi,
     masked_disk_rule,
@@ -32,25 +31,6 @@ def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
     """Random points of the disk and their five-point stencils."""
     pts = random_disk_points(n, radius, seed=seed)
     return np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-
-
-class TestGamma:
-    def test_unit_circle_zero(self):
-        assert gamma(1.0) == 0.0
-        assert abs(gamma(1j)) < 1e-16
-
-    def test_at_e(self):
-        assert gamma(math.e) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
-
-    def test_at_half(self):
-        assert gamma(0.5) == pytest.approx(-0.110318, abs=1e-6)
-        assert gamma(0.5) == pytest.approx(math.log(0.5) / (2 * math.pi), rel=1e-15)
-
-    def test_singular_at_origin(self):
-        with pytest.raises(ValueError):
-            gamma(0.0)
-        with pytest.raises(ValueError):
-            gamma(np.array([1.0, 0.0]))
 
 
 class TestCutoff:

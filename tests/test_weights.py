@@ -13,9 +13,9 @@ from holobound import (
     normalized_gaussian,
     translate_weight,
     truncation_radius,
-    validate_laplacian_bounds,
 )
 from holobound.quadrature import random_disk_points, sunflower_points
+from oracles import validate_laplacian_bounds
 
 ALL_FAMILIES = [
     WeightFunction.gaussian(1.0),
@@ -151,10 +151,21 @@ class TestTranslateWeight:
         assert wt.weight(0.0) == pytest.approx(1.0)
 
     def test_roundtrip_is_exact(self):
+        # offset 0: (0 + z0) - z0 is exactly 0
         grid = sunflower_points(32, 3.0)
         for w in ALL_FAMILIES:
             back = translate_weight(translate_weight(w, 1.3 - 0.8j), -1.3 + 0.8j)
+            assert back == w
             assert np.array_equal(back.weight(grid), w.weight(grid))
+
+    def test_roundtrip_of_translated_weight_is_rounded(self):
+        # (0.1 + 0.7) - 0.7 rounds to 0.09999999999999998, not 0.1
+        grid = sunflower_points(32, 3.0)
+        for base in ALL_FAMILIES:
+            w = translate_weight(base, 0.1)
+            back = translate_weight(translate_weight(w, 0.7), -0.7)
+            assert abs(back.offset - w.offset) <= 1e-16
+            assert np.allclose(back.weight(grid), w.weight(grid), rtol=1e-14, atol=1e-14)
 
     def test_laplacian_chain_rule(self):
         z0 = 0.7 - 1.1j
@@ -174,6 +185,7 @@ class TestTranslateWeight:
         w = WeightFunction.gaussian_harmonic(1.0, b=0.2, c=0.1j)
         grid = sunflower_points(8, 2.0)
         back = translate_weight(translate_weight(w, z0), -z0)
+        assert back == w
         assert np.array_equal(back.weight(grid), w.weight(grid))
 
 
