@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from holobound import (
     EquivalenceError,
     SampleFunction,
+    WeightError,
     WeightFunction,
     build_equivalence_map,
     log_laplacian_equal,
@@ -204,3 +205,12 @@ class TestConstantLaplacianRealization:
         assert not log_laplacian_equal(a, b, GRID, 1e-8)
         with pytest.raises(EquivalenceError):
             build_equivalence_map(a, b)
+
+    def test_rejects_nonpositive_constant(self):
+        # t = 4/c is positive exactly when c is: no normalized Gaussian has
+        # a nonpositive Laplacian
+        for c in (-1.0, -4.0):
+            with pytest.raises(WeightError):
+                normalized_gaussian(4.0 / c)
+        with pytest.raises(WeightError):
+            normalized_gaussian(0.0)

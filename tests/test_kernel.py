@@ -19,7 +19,7 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import disk_lattice, random_disk_points
+from holobound.quadrature import disk_lattice, random_disk_points, sunflower_points
 from holobound.weights import translate_weight
 from oracles import extremal_ratio, radial_kernel_diag, substitution_kernel_diag
 
@@ -280,6 +280,15 @@ class TestKernelDiag:
             expected = math.exp(abs(z) ** 2 / 2.0)
             assert est.diag(z) == pytest.approx(expected, rel=1e-6)
 
+    def test_normalized_gaussian_narrow_parameter(self):
+        # e^{|z|^2 / t} at t = 1/2: 1 at the origin for every t, e^2 at |z| = 1
+        w = normalized_gaussian(0.5)
+        rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
+        est = build_kernel_estimate(w, 40, rule)
+        assert est.diag(0.0) == pytest.approx(1.0, rel=1e-10)
+        for z in (0.5j, 1.0, -0.6 + 0.8j):
+            assert est.diag(z) == pytest.approx(math.exp(2.0 * abs(z) ** 2), rel=1e-6)
+
     def test_convergence_gap_shrinks(self, gauss1, rule_r10):
         est = build_kernel_estimate(gauss1, 40, rule_r10)
         assert est.convergence_gap(1.0) < 1e-8
@@ -494,6 +503,17 @@ class TestExtremalRatio:
         assert ratio <= diag * (1 + 1e-10)
         assert ratio == pytest.approx(math.e / math.pi, rel=1e-4)
 
+    def test_off_diagonal_kernel_section(self, gauss1, rule_r10):
+        # pi K(z, i) = e^{-iz}, truncated to degree 30, is the extremal function
+        # at z = i; at z = 1 it is e^{-i}, of unit modulus
+        f = SampleFunction.polynomial([(-1j) ** k / math.factorial(k) for k in range(31)])
+        assert f(1.0) == pytest.approx(complex(math.cos(1), -math.sin(1)), rel=1e-15)
+        assert abs(f(1.0)) == pytest.approx(1.0, rel=1e-15)
+        ratio = extremal_ratio(gauss1, f, 1j, rule_r10)
+        diag = build_kernel_estimate(gauss1, 30, rule_r10).diag(1j)
+        assert ratio <= diag * (1 + 1e-10)
+        assert ratio == pytest.approx(math.e / math.pi, rel=1e-4)
+
     def test_zero_norm_rejected(self, gauss1, rule_r10):
         f = SampleFunction.polynomial([0.0])
         with pytest.raises(ValueError):
@@ -518,6 +538,12 @@ class TestSampleFunction:
         assert SampleFunction.polynomial([1.0, 0.0, 2.0]).degree == 2
         assert SampleFunction.polynomial([1.0, 0.0]).degree == 0
         assert SampleFunction.monomial(5).degree == 5
+
+    def test_exponential_taylor_polynomial(self):
+        # the degree-30 Taylor polynomial of e^z is e^z to rounding on |z| <= 1
+        f = SampleFunction.polynomial([1 / math.factorial(k) for k in range(31)])
+        zs = np.concatenate([[0.0, 1.0, -1.0, 1j], sunflower_points(40, 1.0)])
+        assert np.allclose(f(zs), SampleFunction.exponential(1.0)(zs), rtol=1e-14, atol=0)
 
     def test_exponential_factor(self):
         f = SampleFunction.exponential(1.0)

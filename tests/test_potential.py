@@ -33,6 +33,45 @@ def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
     return np.concatenate([pts, pts + h, pts - h, pts + 1j * h, pts - 1j * h])
 
 
+class TestPointMassLimit:
+    """Seen from outside its support, the potential of a unit mass is the
+    fundamental solution Gamma(z) = log|z| / (2 pi)."""
+
+    R = 0.25
+
+    def _unit_mass(self, tilt=0.0):
+        # height 1 / (pi R^2) on D(0, R); the tilt Re(z) / R adds no mass
+        height = 1.0 / (math.pi * self.R ** 2)
+        return LogPotential(
+            ScalarField(lambda z: height * (1.0 + tilt * np.real(z) / self.R)),
+            support_radius=self.R)
+
+    def test_unit_circle_zero(self):
+        lp = self._unit_mass()
+        assert lp.mass == pytest.approx(1.0, rel=1e-14)
+        assert lp(1.0) == 0.0
+        assert abs(lp(1j)) < 1e-16
+
+    def test_at_e(self):
+        assert self._unit_mass()(math.e) == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
+
+    def test_at_half(self):
+        val = self._unit_mass()(0.5)
+        assert val == pytest.approx(-0.110318, abs=1e-6)
+        assert val == pytest.approx(math.log(0.5) / (2 * math.pi), rel=1e-14)
+
+    def test_circle_mean_of_tilted_mass(self):
+        # a non-radial unit mass keeps mode 0 = Gamma (Jensen), so its
+        # circle means beyond the support are Gamma while the values are not
+        lp = self._unit_mass(tilt=0.5)
+        assert lp.n_modes > 1
+        for r in (0.5, 1.0, math.e):
+            ring = r * np.exp(2j * np.pi * np.arange(64) / 64)
+            vals = lp(ring)
+            assert np.ptp(vals) > 1e-3
+            assert np.mean(vals) == pytest.approx(math.log(r) / (2 * math.pi), abs=1e-14)
+
+
 class TestCutoff:
     def test_one_on_unit_disk(self):
         assert cutoff_g(0.5) == 1.0

@@ -17,6 +17,7 @@ from holobound.quadrature import (
     disk_lattice,
     gauss_legendre,
     half_resolution,
+    random_disk_points,
     sunflower_points,
 )
 from oracles import leggauss, mp_gauss_legendre
@@ -255,3 +256,25 @@ def test_point_sets():
     spiral = sunflower_points(100, 3.0)
     assert len(spiral) == 100
     assert np.abs(spiral).max() <= 3.0
+
+
+def test_random_points_reproducible_in_disk():
+    pts = random_disk_points(200, 1.5, seed=7)
+    assert len(pts) == 200
+    assert np.abs(pts).max() <= 1.5
+    assert np.array_equal(pts, random_disk_points(200, 1.5, seed=7))
+    assert not np.array_equal(pts, random_disk_points(200, 1.5, seed=8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda radius, **kw: disk_lattice(radius, 0.1, **kw),
+    lambda radius, **kw: sunflower_points(50, radius, **kw),
+    lambda radius, **kw: random_disk_points(50, radius, seed=0, **kw),
+], ids=["disk_lattice", "sunflower_points", "random_disk_points"])
+def test_point_sets_fill_a_disk_about_the_origin(make):
+    # each point set fills D(0, radius) and takes no other centre
+    modulus = np.abs(make(1.5))
+    assert modulus.max() <= 1.5 + 1e-12
+    assert modulus.max() > 1.2
+    with pytest.raises(TypeError):
+        make(1.5, center=1.0)
