@@ -387,8 +387,7 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     potential = potential_mod.make_psi(w, M, resolution=resolution)
     grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    report = potential_mod.verify_potential_bounds(potential, M, grid, tol)
-    phi_vals = potential(grid)
+    report, phi_vals = potential_mod.verify_potential_bounds(potential, M, grid, tol)
     summary = {
         "experiment": "potential",
         "pass": bool(report.passed),

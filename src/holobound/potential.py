@@ -42,7 +42,8 @@ from .weights import (
     ScalarField,
     ValidationReport,
     WeightFunction,
-    fd_laplacian,
+    stencil_laplacian,
+    stencil_points,
 )
 
 __all__ = [
@@ -153,7 +154,7 @@ def compute_B(resolution: int = 64, omega_grid_size: int = 24) -> float:
 
 
 def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk,
-                            tol: float) -> ValidationReport:
+                            tol: float) -> tuple:
     """Check the three potential bounds on a grid inside the unit disk.
 
     * Phi(omega) <= B * M + tol on the grid;
@@ -161,7 +162,9 @@ def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk
     * lap(Phi) = psi within 5e-3 * (1 + M) at the grid points, via the
       finite-difference oracle.
 
-    Failures are reported, never raised.
+    Returns the report, whose failures are reported, never raised, and Phi
+    on the grid.  Phi is evaluated once, on the grid's five-point stencils
+    and the origin together.
     """
     grid = np.asarray(grid_in_unit_disk, dtype=complex)
     if grid.size == 0:
@@ -171,17 +174,18 @@ def verify_potential_bounds(potential: LogPotential, M: float, grid_in_unit_disk
     fd_tol = POISSON_TOL * (1.0 + M)
     upper = B_EXACT * M + tol
 
-    phi_grid = potential(grid)
-    phi0 = potential(np.array([0.0 + 0.0j]))[0]
-    fd = fd_laplacian(potential, grid, FD_STEP)
+    values = potential(np.append(stencil_points(grid, FD_STEP), 0.0))
+    phi_grid = values[:grid.size].reshape(grid.shape)
+    phi0 = values[-1]
+    fd = stencil_laplacian(values[:-1], FD_STEP).reshape(grid.shape)
     resid = float(np.max(np.abs(fd - potential.psi(grid))))
 
     sup_phi = float(np.max(phi_grid))
     checks = (
         Check("phi_upper", sup_phi, upper, sup_phi <= upper,
-              note=f"worst point {grid[np.argmax(phi_grid)]!r}"),
+              note=f"worst point {grid.flat[np.argmax(phi_grid)]!r}"),
         Check("phi_at_origin", float(phi0), -M / 4.0 - tol,
               phi0 >= -M / 4.0 - tol),
         Check("poisson_residual", resid, fd_tol, resid <= fd_tol),
     )
-    return ValidationReport(checks)
+    return ValidationReport(checks), phi_grid

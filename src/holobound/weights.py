@@ -31,6 +31,8 @@ __all__ = [
     "WeightFunction",
     "WeightError",
     "fd_laplacian",
+    "stencil_points",
+    "stencil_laplacian",
     "translate_weight",
     "truncation_radius",
     "normalized_gaussian",
@@ -438,16 +440,27 @@ def fd_laplacian(field, z, h: float):
 
     Independent oracle for the closed-form Laplacians: evaluates
     (f(z+h) + f(z-h) + f(z+ih) + f(z-ih) - 4 f(z)) / h^2, with the field
-    called once on all five stencil points.
+    called once on all five stencil points (:func:`stencil_points`).
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    vals = np.asarray(field(np.concatenate(
-        [flat, flat + h, flat - h, flat + 1j * h, flat - 1j * h]))).reshape(5, -1)
-    out = ((vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * vals[0]) / (h * h)).reshape(z.shape)
+    out = stencil_laplacian(field(stencil_points(z, h)), h).reshape(z.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def stencil_points(z, h: float) -> np.ndarray:
+    """The five-point stencil of step h around the points z, flattened and
+    end to end: z, z + h, z - h, z + ih, z - ih."""
+    flat = np.asarray(z, dtype=complex).ravel()
+    return np.concatenate([flat, flat + h, flat - h, flat + 1j * h, flat - 1j * h])
+
+
+def stencil_laplacian(values, h: float) -> np.ndarray:
+    """The five-point Laplacian, flat, from a field's values at
+    :func:`stencil_points` (z, h)."""
+    v = np.asarray(values).reshape(5, -1)
+    return (v[1] + v[2] + v[3] + v[4] - 4.0 * v[0]) / (h * h)
 
 
 def translate_weight(w: WeightFunction, z0: complex) -> WeightFunction:

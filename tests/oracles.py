@@ -15,6 +15,12 @@ Both node sets are fixed (independent of z), so the quadrature error is
 smooth in z and five-point stencils of the oracle stay clean.  At resolution
 256 it agrees with the exact potential to about 2e-8.
 
+``dense_modes_at`` is Phi_k between the rings of a ``greens.LogPotential``
+as it was evaluated before the blocked real-view product: one dense
+barycentric matrix (``barycentric_rows``, normalised before the product, in
+the coordinate x in [-1, 1] of each piece) times the complex mode table,
+the check on ``LogPotential._modes_at``.
+
 ``leggauss`` is numpy's Gauss-Legendre rule from the eigenvalues of the n x n
 companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
 per node); ``mp_gauss_legendre`` refines nodes to 40 digits.
@@ -108,6 +114,40 @@ class PlanarLogPotential:
         if (~near).any():
             out[~near] = self._far_values(zs[~near])
         return out
+
+
+def barycentric_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows mapping values at the n Chebyshev-Lobatto points -cos(pi j / (n - 1))
+    to the values of their interpolant at x in [-1, 1]."""
+    nodes = -np.cos(np.pi * np.arange(n) / (n - 1))
+    w = (-1.0) ** np.arange(n)
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes[None, :]
+    exact = diff == 0.0
+    c = w / np.where(exact, 1.0, diff)
+    hit = exact.any(axis=1)
+    c[hit] = exact[hit]
+    return c / c.sum(axis=1, keepdims=True)
+
+
+def dense_modes_at(potential, r: np.ndarray) -> np.ndarray:
+    """Phi_k of ``potential`` at the radii r, shape (len(r), modes): the
+    multipole form at r >= R, and inside each piece one dense barycentric
+    matrix times the piece's complex table."""
+    k, R = potential._k, potential.support_radius
+    out = np.empty((len(r), len(k)), dtype=complex)
+    far = r >= R
+    rf = r[far]
+    out[far, 0] = np.log(rf) * potential._moments[0]
+    out[far, 1:] = (-(R / rf)[:, None] ** k[1:]
+                    * potential._moments[1:] / (2.0 * k[1:]))
+    knots = potential._knots
+    piece = np.searchsorted(knots, r, side="right") - 1
+    for p, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
+        idx = np.flatnonzero((piece == p) & ~far)
+        x = (2.0 * r[idx] - a - b) / (b - a)
+        out[idx] = barycentric_rows(x, potential.resolution) @ potential._table[p]
+    return out
 
 
 def mp_gauss_legendre(n: int, guesses, dps: int = 40):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from holobound import cli, greens
@@ -494,6 +495,32 @@ class TestPotentialCommand:
         summary = self.poisson_summary_at_resolution_128(tmp_path, weight, seed)
         assert summary["pass"] is True
         assert summary["poisson_residual"] < 5e-5
+
+
+    @pytest.mark.parametrize("weight", [
+        GAUSS, {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}},
+    ], ids=["gaussian", "oscillatory"])
+    def test_one_evaluation_per_op(self, tmp_path, monkeypatch, weight):
+        # the grid's stencils, the origin and the CSV's phi column share one
+        # evaluation of Phi; the column matches a separate call on the grid
+        calls, values = [], greens.LogPotential.values
+
+        def spy(self, zs):
+            calls.append((self, np.size(zs)))
+            return values(self, zs)
+
+        monkeypatch.setattr(greens.LogPotential, "values", spy)
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": "potential", "weight": weight, "resolution": 128,
+            "grid": {"kind": "random", "radius": 0.98, "count": 200}, "seed": 4,
+        })
+        assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert [n for _, n in calls] == [5 * 200 + 1]
+        header, rows = read_csv(tmp_path / "potential.csv")
+        table = np.array(rows, dtype=float)
+        grid = table[:, header.index("z_re")] + 1j * table[:, header.index("z_im")]
+        separate = values(calls[0][0], grid)
+        assert np.max(np.abs(table[:, header.index("phi")] - separate)) <= 1e-15
 
 
 class TestSweep:

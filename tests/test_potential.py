@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from holobound import potential as potential_mod
 from holobound import greens, quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
-from oracles import PlanarLogPotential
+from oracles import PlanarLogPotential, dense_modes_at
 
 
 def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
@@ -305,6 +306,69 @@ class TestFourierPotential:
             LogPotential(half, support_radius=2.0, resolution=32)
 
 
+# the one-mode branch and the multi-mode branch of LogPotential.values
+BRANCHES = pytest.mark.parametrize("w, M", [
+    (WeightFunction.gaussian(1.0), 4.0),
+    (WeightFunction.oscillatory(1.0, 0.5), 5.0),
+], ids=["gaussian", "oscillatory"])
+
+
+class TestBlockedEvaluation:
+    """Phi_k between the rings, block by block on the real view of the mode
+    table, against the dense barycentric product it replaced."""
+
+    @BRANCHES
+    def test_nan_point_gives_nan(self, w, M):
+        potential = make_psi(w, M, resolution=64)
+        zs = np.array([0.3 + 0.1j, np.nan, 1.5j, complex(np.nan, 1.0), 2.5])
+        potential(zs[:1])  # an earlier evaluation leaves its memory behind
+        out = potential(zs)
+        assert np.array_equal(np.isnan(out), np.isnan(zs))
+        assert np.isnan(potential(complex(np.nan)))
+        finite = ~np.isnan(zs)
+        assert np.max(np.abs(out[finite] - potential(zs[finite]))) <= 1e-15
+
+    @BRANCHES
+    def test_memory(self, w, M):
+        # one dense (5000 x 256) interpolation matrix and its complex copy
+        # take 25-27 MB here
+        potential = make_psi(w, M, resolution=256)
+        zs = sunflower_points(5000, 0.98)
+        tracemalloc.start()
+        try:
+            potential.values(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @BRANCHES
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges_against_dense_oracle(self, w, M, offset, monkeypatch):
+        potential = make_psi(w, M, resolution=64)
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 5 * 64)
+        rng = np.random.default_rng(offset + 2)
+        # one piece alone, then every piece and the multipole range at once
+        for lo, hi in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.5)):
+            count = 5 * (3 if hi > 2.0 else 1) + offset
+            r = np.sort(rng.uniform(lo, hi, count))
+            got = potential._modes_at(r)
+            assert np.max(np.abs(got - dense_modes_at(potential, r))) <= 1e-14
+
+    @BRANCHES
+    def test_rings_give_table_rows(self, w, M, monkeypatch):
+        # every ring, the piece ends 0, 1 and 2 included, is an exact hit
+        potential = make_psi(w, M, resolution=64)
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 7 * 64)
+        r = potential._rings.ravel()
+        rows = potential._table.reshape(-1, potential.n_modes)
+        r, first = np.unique(r, return_index=True)
+        assert r[0] == 0.0 and 1.0 in r and r[-1] == 2.0
+        got = potential._modes_at(r)
+        assert np.array_equal(got, rows[first])
+        assert np.max(np.abs(got - dense_modes_at(potential, r))) <= 1e-14
+
+
 # one weight per family of the weights table, each at its own upper bound M
 FAMILY_EXAMPLES = {
     "gaussian": WeightFunction.gaussian(1.0),
@@ -412,21 +476,21 @@ class TestVerifyPotentialBounds:
     def test_gaussian_all_checks_pass(self, gauss1):
         potential = make_psi(gauss1, 4.0, resolution=256)
         grid = random_disk_points(60, 0.95, seed=5)
-        report = verify_potential_bounds(potential, 4.0, grid, tol=1e-3)
+        report, _ = verify_potential_bounds(potential, 4.0, grid, tol=1e-3)
         assert report.passed
 
     def test_oscillatory_passes(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
         potential = make_psi(w, 5.0, resolution=256)
         grid = random_disk_points(60, 0.95, seed=6)
-        report = verify_potential_bounds(potential, 5.0, grid, tol=1e-3)
+        report, _ = verify_potential_bounds(potential, 5.0, grid, tol=1e-3)
         assert report.passed
 
     def test_zero_psi_trivially_passes(self):
         zero = ScalarField(lambda z: np.zeros(np.shape(z)))
         potential = LogPotential(zero, support_radius=2.0, resolution=64)
         grid = sunflower_points(30, 0.9)
-        report = verify_potential_bounds(potential, 0.0, grid, tol=1e-6)
+        report, _ = verify_potential_bounds(potential, 0.0, grid, tol=1e-6)
         assert report.passed
         assert report.check("phi_upper").value == pytest.approx(0.0, abs=1e-15)
 
