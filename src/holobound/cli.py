@@ -33,8 +33,8 @@ from .kernel import (
 from .quadrature import (
     NonFiniteIntegrandError,
     disk_lattice,
+    disk_rule,
     random_disk_points,
-    truncated_plane_rule,
 )
 from .weights import WeightError, WeightFunction, is_number, truncation_radius
 
@@ -45,16 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CERTIFICATE = 4
-
-EXPERIMENTS = (
-    "kernel-diag",
-    "verify-bound",
-    "constants",
-    "equivalence",
-    "potential",
-    "mean-value",
-    "sweep",
-)
 
 # inclusive ranges of the integer settings a config or a flag may give
 _RANGES = {"degree": (0, MAX_DEGREE), "resolution": (8, 4096), "seed": (0, 2 ** 64 - 1)}
@@ -157,10 +147,9 @@ def parse_config(raw: dict, allow_sweep: bool = True) -> ExperimentConfig:
     if experiment == "sweep" and not allow_sweep:
         raise ConfigError("sweep entries may not be nested sweeps")
     cfg = ExperimentConfig(experiment=experiment)
-    if "weight" in raw:
-        cfg.weight = raw["weight"]
-    if "weight_b" in raw:
-        cfg.weight_b = raw["weight_b"]
+    for key in ("weight", "weight_b"):
+        if key in raw:
+            setattr(cfg, key, raw[key])
     for key in _RANGES:
         if key in raw:
             setattr(cfg, key, _in_range(key, raw[key]))
@@ -273,22 +262,29 @@ class ExperimentResult:
 
     def metric_row(self) -> dict:
         return {k: v for k, v in self.summary.items()
-                if isinstance(v, (int, float, bool, str)) and k != "experiment"}
+                if isinstance(v, (int, float, bool, str))}
 
 
 # ---------------------------------------------------------------------------
 # Experiment implementations
 # ---------------------------------------------------------------------------
 
-def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
+def _kernel_inputs(cfg: ExperimentConfig):
+    """The weight, the grid and the kernel's rule.  A weight with offset z0
+    is phi(z0 + .), with its mass at -z0: the rule is centred there, so a
+    translated weight keeps its degree (the radius already adds |z0|)."""
     w = _require_weight(cfg)
     grid = _build_grid(cfg, {"kind": "lattice", "radius": 2.0, "spacing": 0.1})
-    rule = truncated_plane_rule(truncation_radius(w, cfg.degree),
-                                cfg.resolution, 2 * cfg.resolution)
+    rule = disk_rule(-w.offset, truncation_radius(w, cfg.degree),
+                     cfg.resolution, 2 * cfg.resolution)
+    return w, grid, rule
+
+
+def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
+    w, grid, rule = _kernel_inputs(cfg)
     est = build_kernel_estimate(w, cfg.degree, rule)
     diag = np.atleast_1d(est.diag(grid))
     summary = {
-        "experiment": "kernel-diag",
         "n_points": len(grid),
         "degree": cfg.degree,
         "effective_degree": est.effective_degree,
@@ -306,14 +302,10 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
-    w = _require_weight(cfg)
+    w, grid, rule = _kernel_inputs(cfg)
     M = w.laplacian_bounds[1]
-    grid = _build_grid(cfg, {"kind": "lattice", "radius": 2.0, "spacing": 0.1})
-    rule = truncated_plane_rule(truncation_radius(w, cfg.degree),
-                                cfg.resolution, 2 * cfg.resolution)
     cert = bounds_mod.global_certificate(w, M, grid, cfg.degree, rule)
     summary = {
-        "experiment": "verify-bound",
         "pass": bool(cert.passed),
         "constant_C": cert.constant_C,
         "measured_sup": cert.measured_sup,
@@ -341,7 +333,6 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
     phi0 = potential_mod.phi_at_origin(w, M)
     lo, hi = potential_mod.B_BRACKET
     summary = {
-        "experiment": "constants",
         "B_used": B,
         "bracket_lo": lo,
         "bracket_hi": hi,
@@ -351,8 +342,8 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
         "constant_C": bounds_mod.certificate_constant(M),
     }
     return ExperimentResult(EXIT_OK, summary, {
-        "B_used": [B], "bracket_lo": [lo], "bracket_hi": [hi], "phi0": [phi0],
-        "minus_M_over_4": [-M / 4.0]})
+        k: [summary[k]] for k in ("B_used", "bracket_lo", "bracket_hi", "phi0",
+                                  "minus_M_over_4")})
 
 
 def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
@@ -362,7 +353,6 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     grid = _build_grid(cfg, {"kind": "lattice", "radius": 2.0, "spacing": 0.25})
     verdict = equiv_mod.log_laplacian_equal(wa, wb, grid, tol)
     summary = {
-        "experiment": "equivalence",
         "equivalent": bool(verdict.passed),
         "criterion_deviation": verdict.checks[0].value,
         "tolerance": tol,
@@ -389,7 +379,6 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
     report, phi_vals = potential_mod.verify_potential_bounds(potential, M, grid, tol)
     summary = {
-        "experiment": "potential",
         "pass": bool(report.passed),
         "B_used": potential_mod.B_EXACT,
         "M": M,
@@ -424,7 +413,6 @@ def _run_mean_value(cfg: ExperimentConfig) -> ExperimentResult:
             columns["deviation"].append(report.checks[0].value)
     worst = max(columns["deviation"])
     summary = {
-        "experiment": "mean-value",
         "max_deviation": worst,
         "tolerance": tol,
         "pass": worst <= tol,
@@ -433,47 +421,37 @@ def _run_mean_value(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(code, summary, columns)
 
 
-_RUNNERS = {
+def _run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+    results = []  # (entry, status, metric row)
+    for entry in cfg.configs:
+        try:
+            results.append((entry, "ok", EXPERIMENTS[entry.experiment](entry).metric_row()))
+        except Exception as exc:  # individual failures recorded, sweep continues
+            results.append((entry, f"error:{type(exc).__name__}", {}))
+    columns = {"index": list(range(len(results))),
+               "label": [entry.label for entry, _, _ in results],
+               "status": [status for _, status, _ in results]}
+    # every metric in order of first appearance; a failed entry's cells are empty
+    for k in dict.fromkeys(k for _, _, row in results for k in row):
+        columns[k] = [row.get(k, "") for _, _, row in results]
+    summary = {
+        "n_entries": len(cfg.configs),
+        "n_failed": sum(status != "ok" for _, status, _ in results),
+        "entry_experiment": cfg.configs[0].experiment if cfg.configs else None,
+    }
+    return ExperimentResult(EXIT_OK, summary, columns)
+
+
+# experiment name -> runner, in the order the help text lists them
+EXPERIMENTS = {
     "kernel-diag": _run_diagonal,
     "verify-bound": _run_verify_bound,
     "constants": _run_constants,
     "equivalence": _run_equivalence,
     "potential": _run_potential,
     "mean-value": _run_mean_value,
+    "sweep": _run_sweep,
 }
-
-
-def _run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    metric_keys: list = []
-    results = []
-    for entry in cfg.configs:
-        try:
-            res = _RUNNERS[entry.experiment](entry)
-            results.append((entry, "ok", res))
-            for k in res.metric_row():
-                if k not in metric_keys:
-                    metric_keys.append(k)
-        except Exception as exc:  # individual failures recorded, sweep continues
-            results.append((entry, f"error:{type(exc).__name__}", None))
-    metrics = [res.metric_row() if res is not None else {} for _, _, res in results]
-    columns = {"index": list(range(len(results))),
-               "label": [entry.label for entry, _, _ in results],
-               "status": [status for _, status, _ in results]}
-    for k in metric_keys:
-        columns[k] = [row.get(k, "") for row in metrics]
-    summary = {
-        "experiment": "sweep",
-        "n_entries": len(cfg.configs),
-        "n_failed": sum(1 for _, status, _ in results if status != "ok"),
-        "entry_experiment": cfg.configs[0].experiment if cfg.configs else None,
-    }
-    return ExperimentResult(EXIT_OK, summary, columns)
-
-
-def _execute(cfg: ExperimentConfig) -> ExperimentResult:
-    if cfg.experiment == "sweep":
-        return _run_sweep(cfg)
-    return _RUNNERS[cfg.experiment](cfg)
 
 
 def _write_outputs(cfg: ExperimentConfig, result: ExperimentResult, out_dir: str):
@@ -481,15 +459,13 @@ def _write_outputs(cfg: ExperimentConfig, result: ExperimentResult, out_dir: str
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.label}_{cfg.experiment}" if cfg.label else cfg.experiment
     csv_path = out / f"{stem}.csv"
-    lines = [f"# schema holobound.{cfg.experiment}.{SCHEMA_VERSION}",
-             ",".join(result.columns)]
+    schema = f"holobound.{cfg.experiment}.{SCHEMA_VERSION}"
+    lines = [f"# schema {schema}", ",".join(result.columns)]
     lines.extend(map(",".join, zip(*_format_columns(result.columns.values()))))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    summary = dict(result.summary)
-    summary["schema"] = f"holobound.{cfg.experiment}.{SCHEMA_VERSION}"
-    summary["seed"] = cfg.seed
-    summary["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    summary = dict(result.summary, experiment=cfg.experiment, schema=schema, seed=cfg.seed,
+                   timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
     json_path = out / f"{stem}_summary.json"
     json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
@@ -503,7 +479,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     no partial outputs.  An output directory that cannot be created or
     written is a :class:`ConfigError`.
     """
-    result = _execute(cfg)
+    result = EXPERIMENTS[cfg.experiment](cfg)
     out_dir = out_dir if out_dir is not None else cfg.out
     try:
         _write_outputs(cfg, result, out_dir)
@@ -518,17 +494,12 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="holobound",
-        description="Weighted holomorphic L2 kernel experiments",
-    )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--out", help="output directory (default: config's, else '.')")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--resolution", type=int, help="override the quadrature resolution")
-        p.add_argument("--degree", type=int, help="override the truncation degree")
+        prog="holobound", description="Weighted holomorphic L2 kernel experiments")
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", help="path to a JSON experiment config")
+    parser.add_argument("--out", help="output directory (default: config's, else '.')")
+    for key in _RANGES:
+        parser.add_argument(f"--{key}", type=int, help=f"override the config's {key}")
     return parser
 
 

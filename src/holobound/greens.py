@@ -50,8 +50,9 @@ no 0 * inf.  This gives Phi_k at every ring.
 
 Evaluation.  Phi_k is smooth on each piece (it solves a regular radial ODE
 with a smooth right side), so Phi_k at r < R is the barycentric interpolant
-on the piece holding r; Phi is then resummed in theta.  No psi call is made
-per point, and each distinct radius is handled once.  The interpolant takes
+on the piece holding r; Phi is then resummed in theta, by Horner's rule in
+e^{i theta}: one complex exponential per point.  No psi call is made per
+point, and each distinct radius is handled once.  The interpolant takes
 the "true" barycentric formula of Berrut and Trefethen (SIAM Review 46,
 2004) in r, with the rings as nodes and the Chebyshev-Lobatto weights
 w_j = (-1)^j (halved at both ends), both built once:
@@ -89,7 +90,7 @@ __all__ = ["bump", "cutoff_g", "angular_modes", "LogPotential"]
 
 _TWO_PI = 2.0 * math.pi
 
-# entry budget per block of (radii x rings) or (points x modes)
+# entry budget per block of (radii x rings)
 _BLOCK_ENTRIES = 1 << 15
 
 MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
@@ -255,9 +256,10 @@ class LogPotential:
         out = np.full((len(r), len(k)), np.nan, dtype=complex)
         ends = np.searchsorted(r, self._knots)  # piece p holds r[ends[p]:ends[p + 1]]
         far = slice(ends[-1], np.searchsorted(r, np.inf, side="right"))
-        # multipole form: every rho is s / r
-        rf = r[far]
-        out[far, 0] = np.log(rf) * self._moments[0]
+        # multipole form: every rho is s / r; mode 0 is real, and zero mass
+        # gives 0 at r = inf too
+        rf, m0 = r[far], self._moments[0].real
+        out[far, 0] = np.log(rf) * m0 if m0 else 0.0
         out[far, 1:] = -(R / rf)[:, None] ** k[1:] * self._moments[1:] / (2.0 * k[1:])
         real = out.view(float)
         rows = max(1, min(len(r), _BLOCK_ENTRIES // self.resolution))
@@ -279,30 +281,26 @@ class LogPotential:
                 real[start:stop] /= total[:, None]
         return out
 
-    def values(self, zs) -> np.ndarray:
-        """Phi at the points zs, shaped like zs (a scalar gives one value)."""
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        shape, zs = zs.shape, zs.ravel()
+    def values(self, z):
+        """Phi at the points z, shaped like z (a float for a scalar)."""
+        z = np.asarray(z, dtype=complex)
+        zs = z.ravel()
         # Phi_k depends on |z| alone: evaluate once per distinct radius
         radii, inverse = np.unique(np.abs(zs), return_inverse=True)
         modes = self._modes_at(radii)
-        if modes.shape[1] == 1:
-            return modes[inverse, 0].real.reshape(shape)
-        out = np.empty(len(zs))
-        theta = np.angle(zs)
-        k = self._k[1:]
-        block = max(1, _BLOCK_ENTRIES // len(k))
-        for start in range(0, len(zs), block):
-            sl = slice(start, start + block)
-            m = modes[inverse[sl]]
-            turn = np.exp(1j * theta[sl, None] * k)
-            out[sl] = m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
-        return out.reshape(shape)
+        out = modes[inverse, 0].real
+        if modes.shape[1] > 1:
+            # sum_{k >= 1} Phi_k u^k by Horner's rule in u = e^{i theta}
+            u = np.exp(1j * np.angle(zs))
+            acc = modes[inverse, -1]
+            for k in range(modes.shape[1] - 2, 0, -1):
+                acc *= u
+                acc += modes[inverse, k]
+            out += 2.0 * (acc * u).real
+        out = out.reshape(z.shape)
+        return float(out) if z.ndim == 0 else out
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            return float(self.values(z.reshape(1))[0])
         return self.values(z)
 
 

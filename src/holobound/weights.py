@@ -303,7 +303,7 @@ def _potential_defined(a, psi_height):
     psi = ScalarField(lambda z: psi_height * cutoff_g(z))
     potential = LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION)
     return _ClosedForms(
-        lambda z: a * np.abs(z) ** 2 + potential.values(np.atleast_1d(z)).reshape(np.shape(z)),
+        lambda z: a * np.abs(z) ** 2 + potential.values(z),
         lambda z: 4.0 * a + psi(z),
         (a, 0.0, -psi_height / 4.0),  # Gamma * psi >= -sup(psi)/4 pointwise
         (4.0 * a, 4.0 * a + psi_height),

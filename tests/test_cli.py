@@ -266,7 +266,7 @@ class TestCSVWriter:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_row_writer(self, tmp_path, case):
         cfg = parse_config(self.CASES[case])
-        result = cli._execute(cfg)
+        result = cli.EXPERIMENTS[cfg.experiment](cfg)
         csv_path, _ = cli._write_outputs(cfg, result, str(tmp_path))
         text = csv_path.read_text(encoding="utf-8")
         assert text == csv_by_rows(cfg.experiment, result.columns)
@@ -275,7 +275,8 @@ class TestCSVWriter:
             assert {"true", "false", ""} <= set(text.replace("\n", ",").split(","))
 
     def test_margin_is_the_per_point_difference(self):
-        result = cli._execute(parse_config(self.CASES["verify-bound"]))
+        cfg = parse_config(self.CASES["verify-bound"])
+        result = cli.EXPERIMENTS[cfg.experiment](cfg)
         c = result.columns
         assert [float(m) for m in c["margin"]] == [c["constant_C"] - float(p)
                                                   for p in c["weighted_diag"]]
@@ -404,6 +405,68 @@ class TestKernelDiagCommand:
             "weight": {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}},
             "grid": {"kind": "lattice", "radius": 1.0, "spacing": 0.5}})
         assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+
+
+class TestTranslatedWeight:
+    """A weight translated by z0 is phi(z0 + .): the kernel rule is centred
+    on its mass at -z0, so the full degree is kept and K_N is the exact
+    partial sum (1/pi) sum_{n <= N} |z + z0|^{2n} / n! of the Gaussian."""
+
+    POINTS = [[0.0, 0.0], [1.0, 0.0], [-1.5, 0.5], [0.0, -2.0], [1.2, 1.2]]
+
+    @staticmethod
+    def weight(z0):
+        return dict(GAUSS, params={"t": 1.0, "z0_re": z0.real, "z0_im": z0.imag})
+
+    @pytest.mark.parametrize("z0", [2, 3, 5, 3 - 4j])
+    def test_kernel_diag_exact_partial_sums(self, tmp_path, z0):
+        cfg = write_config(tmp_path, "kd.json", {
+            "experiment": "kernel-diag", "weight": self.weight(complex(z0)),
+            "degree": 40, "resolution": 256, "grid": {"kind": "points", "points": self.POINTS}})
+        assert main(["kernel-diag", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "kernel-diag_summary.json").read_text())
+        assert summary["effective_degree"] == 40 and summary["degraded"] is False
+        header, rows = read_csv(tmp_path / "kernel-diag.csv")
+        for (x, y), row in zip(self.POINTS, rows):
+            s = abs(complex(x, y) + z0) ** 2
+            exact = math.fsum(s ** n / math.factorial(n) for n in range(41)) / math.pi
+            assert float(row[header.index("K_N")]) == pytest.approx(exact, rel=1e-13)
+
+    def test_verify_bound_keeps_its_degree(self, tmp_path):
+        # with the rule at the origin this run fell to degree 8 and passed
+        # on a measured_sup of 0.145, an artefact of the low degree
+        cfg = write_config(tmp_path, "vb.json", {
+            "experiment": "verify-bound", "weight": self.weight(5 + 0j),
+            "degree": 40, "resolution": 256})
+        assert main(["verify-bound", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "verify-bound_summary.json").read_text())
+        assert summary["diagnostics"]["effective_degree"] == 40
+        assert summary["measured_sup"] == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+
+class TestFrontEnd:
+    """``python -m holobound.cli`` in a fresh interpreter."""
+
+    def test_help_names_every_experiment(self):
+        proc = run_cli("-m", "holobound.cli", "--help")
+        assert proc.returncode == EXIT_OK
+        for name in ("kernel-diag", "verify-bound", "constants", "equivalence",
+                     "potential", "mean-value", "sweep"):
+            assert name in proc.stdout
+
+    def test_unknown_experiment_exits_2(self, tmp_path):
+        proc = run_cli("-m", "holobound.cli", "frobnicate", "--out", str(tmp_path))
+        assert proc.returncode == EXIT_CONFIG
+        assert "invalid choice: 'frobnicate'" in proc.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_mean_value_writes_its_csv(self, tmp_path):
+        proc = run_cli("-m", "holobound.cli", "mean-value", "--out", str(tmp_path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "mean-value.csv").exists()
+        summary = json.loads((tmp_path / "mean-value_summary.json").read_text())
+        assert summary["experiment"] == "mean-value"
+        assert summary["schema"] == "holobound.mean-value.v1"
 
 
 class TestEquivalenceCommand:

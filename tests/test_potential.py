@@ -328,6 +328,36 @@ class TestBlockedEvaluation:
         finite = ~np.isnan(zs)
         assert np.max(np.abs(out[finite] - potential(zs[finite]))) <= 1e-15
 
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: LogPotential(ScalarField(lambda z: np.ones(np.shape(z))), 1.0, 32), math.inf),
+        (lambda: LogPotential(ScalarField(lambda z: np.zeros(np.shape(z))), 1.0, 32), 0.0),
+        (lambda: make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0, resolution=32), math.inf),
+    ], ids=["unit_disk", "zero", "oscillatory"])
+    def test_points_at_infinity(self, make, expected):
+        # mode 0 is log(r) times the mass / 2 pi: +inf for a positive mass,
+        # 0 for psi = 0 (not inf * 0); the other modes vanish; no warning
+        potential = make()
+        zs = np.array([math.inf, -math.inf, complex(math.inf, math.inf)])
+        assert potential.values(zs).tolist() == [expected] * 3
+        assert potential(complex(math.inf, math.inf)) == expected
+
+    def test_resummation_against_direct_sum(self):
+        # Horner's rule in e^{i theta} against one exponential per (point, mode)
+        potential = make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0, resolution=64)
+        assert potential.n_modes > 2
+        zs = np.append(random_disk_points(300, 2.5, seed=3), 0.0)
+        m = np.stack([potential._modes_at(np.array([r]))[0] for r in np.abs(zs)])
+        turn = np.exp(1j * np.angle(zs)[:, None] * potential._k[1:])
+        direct = m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
+        assert np.max(np.abs(potential.values(zs) - direct)) <= 1e-14
+
+    @BRANCHES
+    def test_scalar_gives_a_float(self, w, M):
+        potential = make_psi(w, M, resolution=32)
+        for f in (potential, potential.values):
+            assert type(f(0.5 + 0.25j)) is float
+            assert f(0.5 + 0.25j) == f(np.array([0.5 + 0.25j]))[0]
+
     @BRANCHES
     def test_memory(self, w, M):
         # one dense (5000 x 256) interpolation matrix and its complex copy
