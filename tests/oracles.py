@@ -40,6 +40,11 @@ compares the closed-form Laplacian with the finite-difference stencil
 
 ``csv_by_rows`` is the CLI's CSV writer as it was before it formatted whole
 columns: one ``_fmt`` call per cell, row after row.
+
+``numpy_random_disk_points`` is ``quadrature.random_disk_points`` as it was
+before it reproduced the PCG64 stream itself: numpy's own
+``default_rng(seed)``, the check on the seed mixing, the constants and the
+blocked uint64 arithmetic.
 """
 
 from __future__ import annotations
@@ -192,6 +197,14 @@ def csv_by_rows(experiment: str, columns: dict) -> str:
     lines = [f"# schema holobound.{experiment}.v1", ",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def numpy_random_disk_points(count: int, radius: float, seed: int) -> np.ndarray:
+    """Uniform random points in D(0, radius) from numpy's ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(size=count))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    return r * np.exp(1j * theta)
 
 
 def radial_kernel_diag(w, N: int, z, radius: float, panels: int = 64, nodes: int = 48):

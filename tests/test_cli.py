@@ -649,3 +649,23 @@ def test_import_leaves_scipy_out():
     # every CLI run about a quarter of a second
     proc = run_cli("-c", "import sys, holobound.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_random_grids_leave_numpy_random_out(tmp_path):
+    # random grids reproduce default_rng's points without importing
+    # numpy.random, which costs about 15 ms per CLI run
+    grid = {"kind": "random", "radius": 0.9, "count": 20}
+    potential = write_config(tmp_path, "potential.json", {
+        "experiment": "potential", "weight": GAUSS, "resolution": 64, "grid": grid})
+    sweep = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": [
+        {"experiment": "verify-bound", "weight": GAUSS, "degree": 8, "resolution": 32,
+         "grid": grid}]})
+    script = (
+        "import sys\n"
+        "from holobound.cli import main\n"
+        f"codes = [main([name, '--config', path, '--out', {str(tmp_path)!r}])\n"
+        f"         for name, path in [('potential', {potential!r}), ('sweep', {sweep!r})]]\n"
+        "sys.exit(f'exit codes {codes}' if any(codes) else 'numpy.random' in sys.modules)\n")
+    proc = run_cli("-c", script)
+    assert proc.returncode == 0, proc.stderr or "numpy.random was imported"
+    assert (tmp_path / "potential.csv").exists() and (tmp_path / "sweep.csv").exists()

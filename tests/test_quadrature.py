@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobound import (
     NonFiniteIntegrandError,
@@ -20,7 +23,7 @@ from holobound.quadrature import (
     random_disk_points,
     sunflower_points,
 )
-from oracles import leggauss, mp_gauss_legendre
+from oracles import leggauss, mp_gauss_legendre, numpy_random_disk_points
 
 
 class TestGaussLegendre:
@@ -264,6 +267,54 @@ def test_random_points_reproducible_in_disk():
     assert np.abs(pts).max() <= 1.5
     assert np.array_equal(pts, random_disk_points(200, 1.5, seed=7))
     assert not np.array_equal(pts, random_disk_points(200, 1.5, seed=8))
+
+
+_BLOCK = quadrature._DRAW_BLOCK
+# a call draws 2 * count doubles, radii first: these counts put the end of
+# the radii, and of the stream, on both sides of a block edge
+_COUNTS = [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRandomDiskPoints:
+    """The PCG64 stream reproduced in uint64 arithmetic gives numpy's
+    ``default_rng`` points bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), count=st.sampled_from(_COUNTS))
+    def test_matches_numpy_bit_for_bit(self, seed, count):
+        assert _same_bits(random_disk_points(count, 0.98, seed),
+                          numpy_random_disk_points(count, 0.98, seed))
+
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 128 + 5, 2 ** 200 + 12345])
+    @pytest.mark.parametrize("count", _COUNTS)
+    def test_matches_numpy_beyond_64_bit_seeds(self, seed, count):
+        # seeds of 3 to 7 words: the pool's padding and the folding of words 5 and up
+        assert _same_bits(random_disk_points(count, 1.5, seed),
+                          numpy_random_disk_points(count, 1.5, seed))
+
+    def test_matches_numpy_on_the_largest_grid(self):
+        assert _same_bits(random_disk_points(10 ** 6, 2.0, 977),
+                          numpy_random_disk_points(10 ** 6, 2.0, 977))
+
+    def test_edge_cases_raise_as_numpy_does_and_never_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = random_disk_points(0, 1.0, 3)
+            assert empty.dtype == np.complex128 and empty.shape == (0,)
+            with pytest.raises(ValueError):
+                random_disk_points(5, 1.0, -1)
+            for seed in (1.5, "3", None):
+                with pytest.raises(TypeError):
+                    random_disk_points(5, 1.0, seed)
+            expected = random_disk_points(50, 1.0, 12345)
+            for seed in (np.int64(12345), np.uint64(12345), np.uint32(12345)):
+                assert _same_bits(random_disk_points(50, 1.0, seed), expected)
+            top = random_disk_points(50, 1.0, np.uint64(2 ** 64 - 1))
+            assert _same_bits(top, random_disk_points(50, 1.0, 2 ** 64 - 1))
 
 
 @pytest.mark.parametrize("make", [
