@@ -1,10 +1,12 @@
 """Batch experiment driver with machine-readable CSV/JSON outputs.
 
 Every experiment is described by a JSON config; outputs are deterministic
-given the config and its seed (float fields are emitted with shortest
-round-trip repr), except for a timestamp confined to the JSON summary.
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 certificate
-failure.
+given the config and its seed, except for a timestamp confined to the JSON
+summary.  A float CSV cell is the shortest round-trip ``repr`` of its
+double (``-0.0`` keeps its sign; ``nan``, ``inf`` and ``-inf`` for the
+non-finite values), and a float array column formats each distinct value
+once.  The CSV and the summary are written both or neither.  Exit codes:
+0 success, 2 config error, 3 numeric failure, 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import datetime
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -233,14 +236,18 @@ def _fmt(x) -> str:
 
 
 def _format_columns(columns) -> list:
-    """Each column's cells as strings, formatted once per column: a float
-    array by ``repr`` of its Python floats, a list cell by cell through
-    :func:`_fmt`, and a scalar as one string repeated down the rows."""
+    """Each column's cells as strings.  A float64 array formats each distinct
+    value once, by ``repr`` of its Python float, and spreads the strings
+    down the rows; its values are told apart by their bits, so ``-0.0``
+    keeps its sign.  A list goes cell by cell through :func:`_fmt`, and a
+    scalar is one string repeated down the rows."""
     n_rows = next((len(c) for c in columns if isinstance(c, (list, np.ndarray))), 0)
     out = []
     for col in columns:
         if isinstance(col, np.ndarray) and col.dtype == np.float64:
-            out.append(map(repr, col.tolist()))
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            cells = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            out.append(cells[inverse].tolist())
         elif isinstance(col, (list, np.ndarray)):
             out.append(map(_fmt, col))
         else:
@@ -455,29 +462,42 @@ EXPERIMENTS = {
 
 
 def _write_outputs(cfg: ExperimentConfig, result: ExperimentResult, out_dir: str):
+    """Write the CSV and the JSON summary, both or neither: each goes to a
+    temporary file beside its target, and the two are moved into place only
+    once both are written (a target that is a directory stops both moves)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.label}_{cfg.experiment}" if cfg.label else cfg.experiment
-    csv_path = out / f"{stem}.csv"
     schema = f"holobound.{cfg.experiment}.{SCHEMA_VERSION}"
     lines = [f"# schema {schema}", ",".join(result.columns)]
     lines.extend(map(",".join, zip(*_format_columns(result.columns.values()))))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
     summary = dict(result.summary, experiment=cfg.experiment, schema=schema, seed=cfg.seed,
                    timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    json_path = out / f"{stem}_summary.json"
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                         encoding="utf-8")
-    return csv_path, json_path
+    texts = {out / f"{stem}.csv": "\n".join(lines) + "\n",
+             out / f"{stem}_summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n"}
+    temps = {path: out / f".{path.name}.{os.getpid()}.tmp" for path in texts}
+    try:
+        for path, text in texts.items():
+            temps[path].write_text(text, encoding="utf-8", newline="\n")
+        for path in texts:
+            if path.is_dir():
+                raise IsADirectoryError(f"is a directory: {path}")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except OSError:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    return tuple(texts)
 
 
 def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run one experiment, writing its CSV and JSON summary.
 
-    All computation happens before any file is touched, so failed runs leave
-    no partial outputs.  An output directory that cannot be created or
-    written is a :class:`ConfigError`.
+    All computation happens before any file is touched, and the two files
+    are moved into place together, so failed runs leave no partial outputs.
+    An output directory that cannot be created or written is a
+    :class:`ConfigError`.
     """
     result = EXPERIMENTS[cfg.experiment](cfg)
     out_dir = out_dir if out_dir is not None else cfg.out

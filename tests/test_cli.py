@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holobound import cli, greens
 from holobound.cli import (
@@ -103,6 +105,27 @@ class TestMainExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert f"config error: cannot write outputs to {out}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("blocked", ["kernel-diag.csv", "kernel-diag_summary.json"])
+    def test_unwritable_output_file_writes_neither(self, tmp_path, capsys, blocked):
+        # one target is a directory: the run exits 2, writes neither file
+        # and leaves the files of an earlier run as they were
+        cfg = write_config(tmp_path, "kd.json", {
+            "experiment": "kernel-diag", "weight": GAUSS, "degree": 4, "resolution": 16,
+            "grid": {"kind": "points", "points": [[0.0, 0.0]]}})
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        old = {"kernel-diag.csv": "old csv\n", "kernel-diag_summary.json": "{}\n"}
+        for name, text in old.items():
+            if name != blocked:
+                (out / name).write_text(text, encoding="utf-8")
+        assert main(["kernel-diag", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: cannot write outputs" in capsys.readouterr().err
+        assert sorted(p.name for p in out.rglob("*")) == sorted(old)
+        assert not any((out / blocked).iterdir())
+        for name, text in old.items():
+            if name != blocked:
+                assert (out / name).read_text(encoding="utf-8") == text
 
     def test_missing_config(self, tmp_path):
         assert main(["constants", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
@@ -239,13 +262,22 @@ class TestCSVWriter:
     """Each experiment's CSV equals the per-row writer's, byte for byte."""
 
     POINTS = {"kind": "points", "points": [[0.0, 0.0], [-0.5, 0.25], [1.0, -1.0]]}
+    # signed zeros, which a float comparison would merge, and a repeated point
+    ZEROS = {"kind": "points", "points": [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.5], [0.5, 0.5]]}
+    LATTICE = {"kind": "lattice", "radius": 1.0, "spacing": 0.25}
     RANDOM = {"kind": "random", "radius": 0.9, "count": 6}
     HARMONIC = {"family": "gaussian_harmonic", "params": {"a": 1.0, "c_re": 2.0}}
     CASES = {
         "kernel-diag": {"experiment": "kernel-diag", "weight": GAUSS, "degree": 8,
                         "resolution": 32, "grid": POINTS},
+        "kernel-diag-lattice": {"experiment": "kernel-diag", "weight": GAUSS, "degree": 8,
+                                "resolution": 32, "grid": LATTICE},
+        "kernel-diag-zeros": {"experiment": "kernel-diag", "weight": GAUSS, "degree": 8,
+                              "resolution": 32, "grid": ZEROS},
         "verify-bound": {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
                          "resolution": 32, "grid": RANDOM, "seed": 5},
+        "verify-bound-lattice": {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
+                                 "resolution": 32, "grid": LATTICE},
         "constants": {"experiment": "constants", "weight": GAUSS},
         "equivalence": {"experiment": "equivalence", "weight": GAUSS, "weight_b": HARMONIC,
                         "grid": POINTS},
@@ -273,6 +305,28 @@ class TestCSVWriter:
         assert len(text.splitlines()) > 2 or case == "inequivalent"
         if case == "sweep":
             assert {"true", "false", ""} <= set(text.replace("\n", ",").split(","))
+
+    # bit patterns a float comparison would get wrong or merge: signed zeros,
+    # NaNs with sign and payload, infinities, subnormals and the extremes
+    SPECIAL_BITS = [0x0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000,
+                    0x7FF0000000000001, 0x7FF4000000000abc, 0xFFFFFFFFFFFFFFFF,
+                    0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                    0x0010000000000000, 0x7FEFFFFFFFFFFFFF]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_float_columns_format_like_repr(self, data):
+        # every special pattern, drawn ones, and repeats of both, shuffled
+        bits = self.SPECIAL_BITS + data.draw(st.lists(st.one_of(
+            st.integers(0, 2 ** 64 - 1),
+            st.floats().map(lambda x: int(np.float64(x).view(np.uint64)))), max_size=16))
+        bits += data.draw(st.lists(st.sampled_from(bits), max_size=48))
+        col = np.array(data.draw(st.permutations(bits)), dtype=np.uint64).view(np.float64)
+        z = np.empty(len(col), dtype=complex)
+        z.real, z.imag = col, col[::-1]
+        columns = [col, z.real, z.imag, col[::2]]  # strided views too
+        assert [list(cells) for cells in cli._format_columns(columns)] == [
+            list(map(repr, c.tolist())) for c in columns]
 
     def test_margin_is_the_per_point_difference(self):
         cfg = parse_config(self.CASES["verify-bound"])
@@ -418,6 +472,11 @@ class TestTranslatedWeight:
     def weight(z0):
         return dict(GAUSS, params={"t": 1.0, "z0_re": z0.real, "z0_im": z0.imag})
 
+    @staticmethod
+    def partial_sum(z, z0):
+        s = abs(z + z0) ** 2
+        return math.fsum(s ** n / math.factorial(n) for n in range(41)) / math.pi
+
     @pytest.mark.parametrize("z0", [2, 3, 5, 3 - 4j])
     def test_kernel_diag_exact_partial_sums(self, tmp_path, z0):
         cfg = write_config(tmp_path, "kd.json", {
@@ -428,9 +487,23 @@ class TestTranslatedWeight:
         assert summary["effective_degree"] == 40 and summary["degraded"] is False
         header, rows = read_csv(tmp_path / "kernel-diag.csv")
         for (x, y), row in zip(self.POINTS, rows):
-            s = abs(complex(x, y) + z0) ** 2
-            exact = math.fsum(s ** n / math.factorial(n) for n in range(41)) / math.pi
-            assert float(row[header.index("K_N")]) == pytest.approx(exact, rel=1e-13)
+            assert float(row[header.index("K_N")]) == pytest.approx(
+                self.partial_sum(complex(x, y), z0), rel=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(z0=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
+    def test_kernel_diag_keeps_full_degree_at_any_offset(self, z0):
+        # the fixed points and the same points about the mass at -z0
+        zs = [complex(x, y) for x, y in self.POINTS]
+        zs += [z - z0 for z in zs]
+        cfg = parse_config({
+            "experiment": "kernel-diag", "weight": self.weight(z0), "degree": 40,
+            "resolution": 256,
+            "grid": {"kind": "points", "points": [[z.real, z.imag] for z in zs]}})
+        result = cli.EXPERIMENTS["kernel-diag"](cfg)
+        assert result.summary["effective_degree"] == 40
+        for z, k_n in zip(zs, result.columns["K_N"]):
+            assert k_n == pytest.approx(self.partial_sum(z, z0), rel=1e-13)
 
     def test_verify_bound_keeps_its_degree(self, tmp_path):
         # with the rule at the origin this run fell to degree 8 and passed
