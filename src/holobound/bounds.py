@@ -216,6 +216,7 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
         "M": M,
         "N": N,
         "effective_degree": est.effective_degree,
+        "degraded": est.degraded,
         "resolution": rule.n_r,
         "condition_estimate": est.condition_estimate,
         "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,

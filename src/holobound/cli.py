@@ -325,6 +325,7 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         "tighter_constant": cert.metadata["tighter_constant"],
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
         "diagnostics": {"effective_degree": cert.metadata["effective_degree"],
+                        "degraded": bool(cert.metadata["degraded"]),
                         "angle_bands": cert.metadata["angle_bands"]},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE

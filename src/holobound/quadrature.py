@@ -13,13 +13,30 @@ cached, the first time ``integrate`` or a caller asks for them.
 rule on a logarithmic singularity makes the weighted radial integrand
 r*log(r) bounded, so no special singular weights are needed.
 
-Gauss-Legendre nodes are found per node, not from an eigensolve: Tricomi's
-asymptotic guesses, then Newton's method on the three-term recurrence,
-vectorised over the nodes in (0, 1) and mirrored (Hale and Townsend, SIAM J.
-Sci. Comput. 35, 2013).  That is O(n^2) work instead of the O(n^3) companion
-matrix eigensolve, and the weights 2 / ((1 - x^2) P_n'(x)^2) come out more
-accurate: at n = 512 they are within 2e-12 relative of a 40-digit reference,
-where the eigensolve's are within 1.1e-10.
+Gauss-Legendre rules come from the finite cosine series of P_n, not from
+its three-term recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013,
+solve for the angles theta = arccos x).  With g_k = C(2k, k) / 4^k,
+f(t) = P_n(cos t) = sum_{k=0..n} g_k g_(n-k) cos((n - 2k) t), so
+f^(p)(t) = Re(i^p e^{i n t} sum_k g_k g_(n-k) (n - 2k)^p e^{-2ikt}).  At the
+angles phi_j = pi (4j - 1) / (4n + 2), where Tricomi's asymptotic guesses
+start, that sum is entry 4j - 1 of a DFT of length 4n + 2, so one real FFT
+of ten rows gives f, f', ..., f^(9) at every phi_j.  Each root theta_j lies
+within 0.049 / n of phi_j (every n <= 4096), so Newton's method on the
+degree-8 Taylor polynomial in delta_j = theta_j - phi_j converges in three
+steps (a fourth confirms it), to within 1e-17 of the root.  The weight is
+2 / f'(theta_j)^2, because (1 - x^2) P_n'(x)^2 = f'(theta)^2.  Two details
+keep the rule at rounding level.  A running product for g_k drifts to
+4e-15 by k = 4096, which puts the weight sum 1.2e-14 off 2, so from k = 40
+on g_k comes from the asymptotic series of log(g_k sqrt(pi k)).  And
+cos(phi_j + delta_j), with phi_j rounded, misses the nodes by 1.7e-16 to
+3.3e-16 at n = 16 to 512, so phi_j is split into an exact product t_j c_hi
+and a remainder s that carries pi's low word, and x_j = cos(t_j c_hi) -
+(sin(t_j c_hi) sin(s) + cos(t_j c_hi) 2 sin^2(s / 2)).  At n = 64 to 1024
+the nodes are within 1.1e-16 and the weights within 3.3e-15 relative of a
+40-digit reference, where the recurrence's weights were within 3.7e-14 to
+3.4e-12 and numpy's eigensolve's are within 1.1e-10 at n = 512.  The cost
+is O(n log n): about 1 ms for n = 512 in a fresh process on a 2-vCPU Xeon,
+against 5-9 ms for Newton on the recurrence.
 
 ``random_disk_points`` returns, bit for bit, the points that
 ``np.random.default_rng(seed)`` gives (``uniform(size=count)`` for the radii,
@@ -140,15 +157,21 @@ class QuadratureRule:
         return self._tensor[1]
 
 
-NEWTON_CAP = 20  # Newton steps allowed; from Tricomi's guesses 3 or 4 suffice
+NEWTON_CAP = 20  # Newton steps allowed; from the angles phi_j 3 or 4 suffice
+_TAYLOR = 9  # terms of the Taylor polynomial in theta - phi_j, degrees 0..8
+_PI_LO = 1.2246467991473532e-16  # pi - float(pi)
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) for x in (-1, 1) by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) / (j + 1)) * x * p - (j / (j + 1)) * p_prev
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+def _central_binomials(n: int) -> np.ndarray:
+    """g_k = C(2k, k) / 4^k for k = 0..n: a running product below k = 40 and
+    the asymptotic series of log(g_k sqrt(pi k)) from there, each within
+    3e-16 relative (the running product drifts to 4e-15 by k = 4096)."""
+    k = np.arange(1.0, n + 1)
+    head, tail = k[:39], k[39:]
+    series = -1 / (8 * tail) + 1 / (192 * tail ** 3) - 1 / (640 * tail ** 5) \
+        + 17 / (14336 * tail ** 7)
+    return np.concatenate(([1.0], np.cumprod((2 * head - 1) / (2 * head)),
+                           np.exp(series) / np.sqrt(np.pi * tail)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -156,28 +179,56 @@ def gauss_legendre(n: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], computed once
     per n.
 
-    Newton's method on P_n from Tricomi's guesses, for the nodes in [0, 1)
-    only; the others are their mirror images.  The arrays are shared by every
+    Newton's method in the angle theta = arccos x on the Taylor polynomials
+    of f(t) = P_n(cos t) about phi_j, whose derivatives come from one FFT of
+    P_n's cosine series (module docstring), for the nodes in [0, 1) only;
+    the others are their mirror images.  The arrays are shared by every
     caller, so they are read-only.
     """
-    # the k-th largest root is near cos(theta_k), k = 1..ceil(n / 2)
-    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)
-         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)) * np.cos(theta)
-    if n % 2:
-        x[-1] = 0.0  # the middle root of an odd P_n, which Newton leaves fixed
+    # row p holds the coefficients g_k g_(n-k) (n - 2k)^p of f^(p)'s series
+    rows = np.empty((_TAYLOR + 1, n + 1))
+    g, frequency = _central_binomials(n), n - 2.0 * np.arange(n + 1)
+    rows[0] = g * g[::-1]
+    for p in range(1, _TAYLOR + 1):
+        rows[p] = rows[p - 1] * frequency
+    # the j-th largest root is near cos(phi_j), phi_j = pi t_j / size
+    size = 4 * n + 2
+    t = 4 * np.arange(1, (n + 1) // 2 + 1) - 1
+    turn = np.exp(1j * np.pi * (n * t % (2 * size)) / size)  # e^{i n phi_j}
+    # f^(p)(phi_j) = Re(i^p e^{i n phi_j} S_p[t_j]), S_p the DFT of row p
+    power_of_i = np.array([1, 1j, -1, -1j])[np.arange(_TAYLOR + 1) % 4, None]
+    f = (power_of_i * turn * np.fft.rfft(rows, size)[:, t]).real
+    factor = 1.0 / np.arange(1, _TAYLOR)
+
+    def taylor(coef, d):
+        """sum_{p < _TAYLOR} coef[p] d^p / p!, by Horner's rule."""
+        acc = coef[_TAYLOR - 1]
+        for p in range(_TAYLOR - 2, -1, -1):
+            acc = coef[p] + factor[p] * d * acc
+        return acc
+
+    delta = np.zeros(len(t))  # theta_j - phi_j
     for _ in range(NEWTON_CAP):
-        p, dp = _legendre_with_derivative(n, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= 4.0 * np.finfo(float).eps:
+        step = taylor(f, delta) / taylor(f[1:], delta)
+        delta = delta - step
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps:
             break
     else:
         raise ArithmeticError(f"Gauss-Legendre Newton iteration for n = {n} did not "
                               f"converge in {NEWTON_CAP} steps (last step "
-                              f"{np.max(np.abs(dx)):.3e})")
-    _, dp = _legendre_with_derivative(n, x)  # at the converged nodes
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+                              f"{np.max(np.abs(step)):.3e})")
+    # (1 - x^2) P_n'(x)^2 = f'(theta)^2
+    w = 2.0 / taylor(f[1:], delta) ** 2
+    # x_j = cos(phi_hi + s) with phi_hi = t_j c_hi exact: c_hi is pi / size
+    # split to 26 bits, and s carries the rest of phi_j
+    c = math.pi / size
+    c_hi = c * 134217729.0 - (c * 134217729.0 - c)
+    c_lo = ((math.pi - c_hi * size) + _PI_LO) / size
+    phi_hi, s = t * c_hi, t * c_lo + delta
+    cos_hi, sin_hi = np.cos(phi_hi), np.sin(phi_hi)
+    x = cos_hi - (sin_hi * np.sin(s) + cos_hi * (2.0 * np.sin(0.5 * s) ** 2))
+    if n % 2:
+        x[-1] = 0.0  # the middle root of an odd P_n
     # for odd n the mirror image must not repeat the root 0
     inner = len(x) - n % 2
     nodes = np.concatenate((-x[:inner], x[::-1]))

@@ -23,7 +23,8 @@ the check on ``LogPotential._modes_at``.
 
 ``leggauss`` is numpy's Gauss-Legendre rule from the eigenvalues of the n x n
 companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
-per node); ``mp_gauss_legendre`` refines nodes to 40 digits.
+in the angle, on P_n's cosine series); ``mp_gauss_legendre`` refines nodes to
+40 digits on the three-term recurrence.
 
 ``substitution_kernel_diag`` is K_N(z, z) by forward substitution against
 the Cholesky factor, rebuilt from an estimate's Gram alone, the check on

@@ -379,11 +379,26 @@ class TestVerifyBoundCommand:
         assert {"constant_C", "measured_sup", "B_used", "M", "N",
                 "resolution", "diagnostics"} <= set(summary)
         assert summary["diagnostics"]["effective_degree"] == 16
+        assert summary["diagnostics"]["degraded"] is False
         # the angle count of each band of rings of the 64-ring rule
         assert summary["diagnostics"]["angle_bands"] == [[64, 64]]
         header, rows = read_csv(tmp_path / "verify-bound.csv")
         assert header == ["z_re", "z_im", "weighted_diag", "constant_C", "margin"]
         assert all(float(r[4]) > 0 for r in rows)
+
+    def test_reports_a_degraded_degree(self, tmp_path):
+        # the anisotropic weight stops at degree 28 of 40; the run still
+        # passes, and its summary says that the degree was reduced
+        cfg = write_config(tmp_path, "vb.json", {
+            "experiment": "verify-bound", "degree": 40, "resolution": 256,
+            "weight": {"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.9}},
+        })
+        assert main(["verify-bound", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "verify-bound_summary.json").read_text())
+        assert summary["diagnostics"]["effective_degree"] == 28
+        assert summary["diagnostics"]["degraded"] is True
+        header, _ = read_csv(tmp_path / "verify-bound.csv")
+        assert "degraded" not in header
 
     def test_sweep_csv_keeps_scalar_metrics_only(self, tmp_path):
         entry = {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holobound import (
@@ -36,7 +36,8 @@ class TestGaussLegendre:
         # (1.1e-10 at n = 512 against a 40-digit reference)
         assert np.max(np.abs(w / w_eig - 1.0)) <= 1e-15 * n ** 2
 
-    @pytest.mark.parametrize("n, weight_tol", [(5, 1e-15), (16, 1e-14), (64, 1e-13)])
+    @pytest.mark.parametrize("n, weight_tol",
+                             [(5, 1e-15), (16, 1e-14), (64, 1e-13), (128, 1e-14)])
     def test_matches_40_digit_reference(self, n, weight_tol):
         pytest.importorskip("mpmath")
         x, w = gauss_legendre(n)
@@ -55,6 +56,19 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1)
             assert np.max(np.abs(w @ x[:, None] ** k / exact - 1.0)) <= 1e-15 * n + 1e-14
         assert abs(w @ x ** (2 * n - 1)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4096))
+    @example(n=4095)
+    def test_any_degree_is_a_mirrored_positive_rule(self, n):
+        # crosses the k = 40 switch of the central binomials and FFT lengths
+        # 4n + 2 with a large prime factor (n = 4095: 2n + 1 = 8191)
+        x, w = gauss_legendre.__wrapped__(n)
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-14
+        if n % 2:
+            assert x[n // 2] == 0.0
 
     def test_read_only_and_cached(self):
         x, w = gauss_legendre(64)
