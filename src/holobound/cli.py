@@ -396,6 +396,8 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         "phi0_lower_limit": report.check("phi_at_origin").limit,
         "poisson_residual": report.check("poisson_residual").value,
         "resolution": resolution,
+        # nested, so a sweep's CSV (scalar summary keys only) leaves it out
+        "diagnostics": {"n_theta": potential.n_theta, "n_modes": potential.n_modes},
     }
     code = EXIT_OK if report.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary,

@@ -16,6 +16,7 @@ experiments simply do not sample it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -39,7 +40,10 @@ __all__ = [
 ]
 
 NEGLIGIBLE_LOG = math.log(1e-18)
-POTENTIAL_RESOLUTION = 320  # rings per radial piece of the potential_defined weight's Gamma * psi
+# rings per radial piece of the potential_defined weight's Gamma * psi, which
+# is built on the first evaluation of phi (one mode; about 4 ms as the first
+# build in a process)
+POTENTIAL_RESOLUTION = 320
 REQUIRED = None  # the default of a family parameter that has none
 
 
@@ -301,9 +305,12 @@ def _potential_defined(a, psi_height):
     if psi_height < 0:
         raise WeightError(f"psi_height must be >= 0, got {psi_height}")
     psi = ScalarField(lambda z: psi_height * cutoff_g(z))
-    potential = LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION)
+    # built on the first evaluation of phi: the Laplacian, the floor and the
+    # bounds are closed forms and never need it
+    potential = functools.cache(
+        lambda: LogPotential(psi, support_radius=2.0, resolution=POTENTIAL_RESOLUTION))
     return _ClosedForms(
-        lambda z: a * np.abs(z) ** 2 + potential.values(z),
+        lambda z: a * np.abs(z) ** 2 + potential().values(z),
         lambda z: 4.0 * a + psi(z),
         (a, 0.0, -psi_height / 4.0),  # Gamma * psi >= -sup(psi)/4 pointwise
         (4.0 * a, 4.0 * a + psi_height),

@@ -21,6 +21,14 @@ barycentric matrix (``barycentric_rows``, normalised before the product, in
 the coordinate x in [-1, 1] of each piece) times the complex mode table,
 the check on ``LogPotential._modes_at``.
 
+``ifft_at_gaps`` and ``sequential_ring_sums`` are the set-up of a
+``greens.LogPotential`` as it was before the inverse real FFTs and the
+blocked scan: the gap values as the real part of one complex inverse FFT
+per Gauss-Legendre offset, along the strided ring axis, of the halved and
+scaled cosine coefficients, and the ring sums as two Python loops over the
+rings with the decay factors as powers.  They are the checks on
+``greens._at_gaps`` and ``greens._ring_sums``.
+
 ``leggauss`` is numpy's Gauss-Legendre rule from the eigenvalues of the n x n
 companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
 in the angle, on P_n's cosine series); ``mp_gauss_legendre`` refines nodes to
@@ -154,6 +162,37 @@ def dense_modes_at(potential, r: np.ndarray) -> np.ndarray:
         x = (2.0 * r[idx] - a - b) / (b - a)
         out[idx] = barycentric_rows(x, potential.resolution) @ potential._table[p]
     return out
+
+
+def ifft_at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The real columns ``values`` at the n rings of a piece interpolated to
+    its gap nodes, in the layout of ``greens._at_gaps``: (offsets, columns,
+    n - 1), for the phases ``shift`` of shape (offsets, n)."""
+    N = len(values) - 1
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / N
+    coef[[0, -1]] *= 0.5
+    out = np.empty((N, len(shift), values.shape[1]))
+    for l, phase in enumerate(shift):
+        out[:, l] = np.fft.ifft(coef * phase[:, None], n=2 * N, axis=0)[:N].real * (2 * N)
+    return out.transpose(1, 2, 0)
+
+
+def sequential_ring_sums(r: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+    """``greens._ring_sums`` ring by ring: below[j + 1] = decay_j below[j] +
+    inner[j] upwards and above[j] = decay_j above[j + 1] + outer[j]
+    downwards, with decay_j = (r_j / r_{j+1})^k (mode 0: plain sums)."""
+    G, K = inner.shape
+    below = np.zeros((G + 1, K), dtype=complex)
+    above = np.zeros((G + 1, K), dtype=complex)
+    below[1:, 0] = np.cumsum(inner[:, 0])
+    above[:-1, 0] = np.cumsum(outer[::-1, 0])[::-1]
+    if K > 1:
+        decay = (r[:-1] / r[1:])[:, None] ** np.arange(1, K)
+        for j in range(G):
+            below[j + 1, 1:] = decay[j] * below[j, 1:] + inner[j, 1:]
+        for j in range(G - 1, -1, -1):
+            above[j, 1:] = decay[j] * above[j + 1, 1:] + outer[j, 1:]
+    return below, above
 
 
 def mp_gauss_legendre(n: int, guesses, dps: int = 40):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holobound import cli, greens
+from holobound import potential as potential_mod
 from holobound.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -164,6 +165,31 @@ class TestMainExitCodes:
         code = main(["potential", "--config", cfg, "--out", str(out)])
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
+
+    # numpy warns of the overflow, and of the invalid values after it, on the
+    # way to the numeric failure; the suite's warnings-as-errors would make
+    # a warning the outcome in place of the exit code a user sees
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("psi_height, codes", [(1e300, (EXIT_OK, 3, 3)),
+                                                   (1e308, (3, 3, 3))])
+    def test_huge_bump_height(self, tmp_path, psi_height, codes):
+        # potential, verify-bound and constants on a bump weight near the
+        # float limit: the weight's own potential, built on the first
+        # evaluation of phi, fails where and as it failed when built eagerly
+        weight = {"family": "potential_defined", "params": {"a": 1.0, "psi_height": psi_height}}
+        configs = (
+            {"experiment": "potential", "resolution": 64,
+             "grid": {"kind": "random", "radius": 0.9, "count": 10}, "seed": 1},
+            {"experiment": "verify-bound", "degree": 8, "resolution": 64,
+             "grid": {"kind": "lattice", "radius": 1.0, "spacing": 0.5}},
+            {"experiment": "constants"},
+        )
+        got = []
+        for i, config in enumerate(configs):
+            cfg = write_config(tmp_path, f"{i}.json", dict(config, weight=weight))
+            got.append(main([config["experiment"], "--config", cfg,
+                             "--out", str(tmp_path / str(i))]))
+        assert tuple(got) == codes
 
     @pytest.mark.parametrize("flag, value", [("--degree", "65"), ("--resolution", "7"),
                                              ("--seed", "-4")])
@@ -615,6 +641,46 @@ class TestPotentialCommand:
         assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "potential_summary.json").read_text())
         assert summary["resolution"] == 64
+
+    @pytest.mark.parametrize("weight, n_theta, n_modes", [
+        (GAUSS, 16, 1),
+        ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 64, 17),
+    ], ids=["gaussian", "oscillatory"])
+    def test_reports_the_angular_modes(self, tmp_path, weight, n_theta, n_modes):
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": "potential", "weight": weight, "resolution": 256,
+            "grid": {"kind": "random", "radius": 0.9, "count": 10},
+        })
+        assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "potential_summary.json").read_text())
+        assert summary["diagnostics"] == {"n_theta": n_theta, "n_modes": n_modes}
+        header, _ = read_csv(tmp_path / "potential.csv")
+        assert header == ["z_re", "z_im", "phi"]
+
+    def test_bump_weight_builds_one_potential(self, tmp_path, monkeypatch):
+        # the weight's own potential is never evaluated here, so the only
+        # LogPotential built is the one make_psi returns
+        built, returned = [], []
+        init, make_psi = greens.LogPotential.__init__, potential_mod.make_psi
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        def spy(*args, **kwargs):
+            returned.append(make_psi(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(greens.LogPotential, "__init__", record)
+        monkeypatch.setattr(potential_mod, "make_psi", spy)
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": "potential", "resolution": 64,
+            "weight": {"family": "potential_defined", "params": {"a": 1.0}},
+            "grid": {"kind": "random", "radius": 0.9, "count": 10},
+        })
+        assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(returned) == 1
+        assert built == returned
 
     @staticmethod
     def poisson_summary_at_resolution_128(tmp_path, weight, seed):

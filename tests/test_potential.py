@@ -25,7 +25,7 @@ from holobound import potential as potential_mod
 from holobound import greens, quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
-from oracles import PlanarLogPotential, dense_modes_at
+from oracles import PlanarLogPotential, dense_modes_at, ifft_at_gaps, sequential_ring_sums
 
 
 def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
@@ -189,6 +189,8 @@ class TestRadialPotential:
         assert np.max(np.abs(potential(zs) - planar(zs))) < 1e-7
 
     def test_bump_weight_potential_keeps_one_mode(self, monkeypatch):
+        # the weight builds its own potential on the first evaluation of phi,
+        # and only then: its Laplacian and bounds are closed forms
         built = []
 
         class Recorded(LogPotential):
@@ -197,7 +199,12 @@ class TestRadialPotential:
                 built.append(self)
 
         monkeypatch.setattr(weights, "LogPotential", Recorded)
-        WeightFunction.potential_defined(1.0, psi_height=2.0)
+        w = WeightFunction.potential_defined(1.0, psi_height=2.0)
+        w.laplacian(0.3)
+        assert w.laplacian_bounds == (4.0, 6.0)
+        assert built == []
+        w.weight(0.3)
+        w.weight(np.array([0.1, 0.5j]))
         assert [p.n_modes for p in built] == [1]
 
     def test_builds_no_2d_rule(self, gauss1, monkeypatch):
@@ -406,6 +413,35 @@ FAMILY_EXAMPLES = {
     "oscillatory": WeightFunction.oscillatory(1.5, 1.0),
     "potential_defined": WeightFunction.potential_defined(1.0),
 }
+
+
+class TestSetUpOracles:
+    """The set-up's inverse real FFTs and blocked scan against the complex
+    inverse FFTs and the ring-by-ring loops they replaced."""
+
+    @pytest.mark.parametrize("columns", [2, 34])
+    @pytest.mark.parametrize("n", [8, 9, 64, 256, 320])
+    def test_gap_values_match_complex_ifft(self, n, columns):
+        _, _, _, shift = greens._piece_rule(0.0, 1.0, n)
+        values = np.random.default_rng(n + columns).standard_normal((n, columns))
+        got = greens._at_gaps(values, shift)
+        expected = ifft_at_gaps(values, shift)
+        assert got.shape == (greens.GAP_NODES, columns, n - 1)
+        scale = np.max(np.abs(expected), axis=(0, 2))
+        assert np.all(np.max(np.abs(got - expected), axis=(0, 2)) <= 1e-14 * scale)
+
+    @settings(deadline=None, max_examples=40)
+    @given(G=st.integers(1, 700), K=st.integers(1, 250), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ring_sums_match_sequential_loops(self, G, K, seed):
+        # ascending rings from an exact 0 (decay 0); radii spread over decades
+        # make high powers of the decay underflow
+        rng = np.random.default_rng(seed)
+        r = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-4.0, 0.5, G))])
+        inner, outer = (rng.standard_normal((G, K)) + 1j * rng.standard_normal((G, K))
+                        for _ in range(2))
+        for got, expected in zip(greens._ring_sums(r, inner, outer),
+                                 sequential_ring_sums(r, inner, outer)):
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestPhiAtOrigin:

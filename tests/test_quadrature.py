@@ -32,12 +32,16 @@ class TestGaussLegendre:
         x, w = gauss_legendre(n)
         x_eig, w_eig = leggauss(n)
         assert np.max(np.abs(x - x_eig)) <= 4e-16
-        # the eigensolve's own weights are off by about 4e-16 n^2 relative
-        # (1.1e-10 at n = 512 against a 40-digit reference)
+        # against the 40-digit reference the eigensolve's own weights are off
+        # by 1e-17 to 4e-15 n^2 relative, irregularly in n: 1.3e-12 at n = 64
+        # and 1.1e-10 at 512, but 8.2e-12 at 90 and 5.7e-10 at 400, above
+        # this bound.  So the list keeps to degrees where the oracle itself
+        # is within 1e-15 n^2; test_matches_40_digit_reference holds the
+        # rule to the reference
         assert np.max(np.abs(w / w_eig - 1.0)) <= 1e-15 * n ** 2
 
     @pytest.mark.parametrize("n, weight_tol",
-                             [(5, 1e-15), (16, 1e-14), (64, 1e-13), (128, 1e-14)])
+                             [(5, 1e-15), (16, 1e-14), (64, 1e-14), (128, 1e-14)])
     def test_matches_40_digit_reference(self, n, weight_tol):
         pytest.importorskip("mpmath")
         x, w = gauss_legendre(n)
