@@ -397,7 +397,8 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         "poisson_residual": report.check("poisson_residual").value,
         "resolution": resolution,
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
-        "diagnostics": {"n_theta": potential.n_theta, "n_modes": potential.n_modes},
+        "diagnostics": {"n_theta": potential.n_theta, "n_modes": potential.n_modes,
+                        "n_columns": potential.n_columns},
     }
     code = EXIT_OK if report.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary,

@@ -15,7 +15,7 @@ so, with psi_k(s) the angular Fourier coefficients of psi on |zeta| = s,
     Phi_k(r) = -(1 / 2|k|) integral from 0 to R of s psi_k(s) rho^|k| ds.
 
 Phi_0 is the circle-mean identity (Jensen's formula); a radial psi is the
-one-mode case of the same code.  For r >= R every rho is s / r, and the sum
+one-column case of the same code.  For r >= R every rho is s / r, and the sum
 is the multipole expansion: Phi_0 is exactly (mass / 2pi) log r and Phi_k is
 (R / r)^|k| times its value at R.
 
@@ -37,6 +37,17 @@ keeps the single mode Phi_0.  A psi that would need more than
 MAX_N_THETA = 2048 angles, such as one with a jump in angle, is rejected
 with a ValueError that names its tail.
 
+Live columns.  Each kept mode is two real columns, the real and the
+imaginary part of psi_k (column 2k + 1 is Im psi_k).  Only the live ones
+are carried on: those whose peak over all rings exceeds MODE_TAIL of the
+largest mode, the limit of the tail rule, and mode 0's real part always (so
+psi = 0 works and table column 0 is Phi_0).  Symmetry leaves most columns
+at rounding: oscillatory(1, 0.5) keeps 5 of 34, the real parts of modes 0,
+4, 8, 12 and 16 (four-fold and mirror symmetry); the bump translated by
+0.5 along the real axis 187 of 374, the real parts; a radial psi 1 of 2.
+Everything below, the gap values, the weights, the ring sums, the table,
+the moments and the evaluation, runs on the live columns alone.
+
 Tabulation.  In the ring angle phi, s = a + (b - a)(1 - cos phi) / 2 on a
 piece [a, b], the interpolant of psi_k through the rings is a cosine series:
 one real FFT of the even extension of the ring values gives its
@@ -44,21 +55,23 @@ coefficients, and one inverse real FFT per Gauss-Legendre offset gives its
 values at GAP_NODES nodes inside every gap between consecutive rings, both
 along the contiguous last axis, with no dense interpolation matrix.  Near
 s = 0, phi is proportional to sqrt(s), which weakens the s log s
-singularity to phi^3 log phi.  The powers rho^k are running products in k.
+singularity to phi^3 log phi.  The weights rho^k are running products
+over the live k, a gap of d modes one product by rho^d.
 The inner and outer integrals of Phi_k are accumulated ring by ring, each
 step scaling the running sum by (r_j / r_{j+1})^|k| <= 1: no power of s
 overflows, and the ring r = 0 contributes to mode 0 only, with no 0 * inf.
 That recurrence is one blocked scan, about 2 sqrt(G) vectorised steps over
 the G gaps in place of G.  This gives Phi_k at every ring.  The set-up of
-oscillatory(1, 0.5) at resolution 256 (64 angles, 17 modes) takes about
-12 ms, against 25 ms with a complex inverse FFT along the strided ring
-axis and a Python loop over the rings (the first build in a fresh process,
-medians of 11 on a 2-vCPU machine).
+oscillatory(1, 0.5) at resolution 256 (64 angles, 17 modes, 5 live
+columns) takes about 8 ms, against 15 ms with all 34 columns (the first
+build in a fresh process, medians of 11 on a 2-vCPU machine); the bump
+translated by 0.5 at resolution 320 about 0.13 s, against 0.22 s.
 
 Evaluation.  Phi_k is smooth on each piece (it solves a regular radial ODE
 with a smooth right side), so Phi_k at r < R is the barycentric interpolant
 on the piece holding r; Phi is then resummed in theta, by Horner's rule in
-e^{i theta}: one complex exponential per point.  No psi call is made per
+u = e^{i theta} over the live modes, stepping by u^d across a gap of d: one
+complex exponential per point.  No psi call is made per
 point, and each distinct radius is handled once.  The interpolant takes
 the "true" barycentric formula of Berrut and Trefethen (SIAM Review 46,
 2004) in r, with the rings as nodes and the Chebyshev-Lobatto weights
@@ -69,9 +82,13 @@ w_j = (-1)^j (halved at both ends), both built once:
 The radii are taken in blocks of at most _BLOCK_ENTRIES (radii x rings)
 entries.  Each block fills one float array c in place (a radius on a ring
 gives an infinite c_j, and its row becomes one-hot, so the result is that
-ring's table row exactly), multiplies it by the real view of the piece's
-complex mode table, of shape (rings, 2 modes), and divides by the row sums:
-no dense matrix over all radii and no complex copy of c.  The budget 2^15
+ring's table row exactly), multiplies it by the piece's real table of the
+live columns, of shape (rings, columns), and divides by the row sums: no
+dense matrix over all radii and no complex copy of c.  For
+oscillatory(1, 0.5) at resolution 256 a block's product is about
+128 x 256 x 5; in fresh processes with OpenBLAS's default threads none of
+its evaluations stalled, where the 128 x 256 x 34 product of all columns
+took about 55 ms in place of 2 ms in some of them.  The budget 2^15
 was chosen from fresh-process runs of the potential benchmark op on a
 2-vCPU machine, where larger blocks raised the peak RSS (2^18: 43 MB,
 2^20: 45 MB, against 39.8 MB) without a faster pass.
@@ -176,37 +193,40 @@ def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gap_integrals(modes: np.ndarray, rings: np.ndarray, s: np.ndarray, u: np.ndarray,
-                   shift: np.ndarray):
-    """Per gap of one piece, the integrals of s psi_k against rho^k with
+def _gap_integrals(values: np.ndarray, k: np.ndarray, rings: np.ndarray, s: np.ndarray,
+                   u: np.ndarray, shift: np.ndarray):
+    """Per gap of one piece, the integrals of s f against rho^k with
     rho = s / r_right (inner sums) and r_left / s (outer sums; log s for the
-    outer mode 0), each of shape (gaps, modes), from psi_k at the rings.
+    outer mode 0), each of shape (gaps, columns), from the live real columns
+    f of psi_k at the rings, shape (rings, columns), of the modes k.
 
-    The weights u rho^k are running products in k, contracted with psi_k at
-    the gap nodes by one einsum each; one weight array is alive at a time,
-    and a piece's arrays are freed before the next piece is built.
+    The weights u rho^k, one per column, are running products over the live
+    k (:func:`_powers`), contracted with the columns at the gap nodes by one
+    einsum each; one weight array is alive at a time, and a piece's arrays
+    are freed before the next piece is built.
     """
-    K = modes.shape[-1]
-    # psi_k at the gap nodes: (GAP_NODES, mode, real and imaginary, gap)
-    f = _at_gaps(modes.view(float), shift).reshape(GAP_NODES, K, 2, -1)
-
-    def integrals(w):
-        parts = np.einsum("lktj,klj->jkt", f, w)
-        return parts[..., 0] + 1j * parts[..., 1]
-
-    inner = integrals(_powers(s / rings[1:], u, K))
-    w = _powers(rings[:-1] / s, u, K)
-    w[0] *= np.log(s)
-    return inner, integrals(w)
+    f = _at_gaps(values, shift)  # (GAP_NODES, column, gap)
+    inner = np.einsum("lcj,clj->jc", f, _powers(s / rings[1:], u, k))
+    w = _powers(rings[:-1] / s, u, k)
+    w[0] *= np.log(s)  # column 0 is mode 0
+    return inner, np.einsum("lcj,clj->jc", f, w)
 
 
-def _powers(ratio: np.ndarray, first, count: int) -> np.ndarray:
-    """first * ratio^k for k = 0..count - 1, stacked on a new first axis:
-    running products, one vectorised step per k."""
-    out = np.empty((count,) + ratio.shape)
-    out[0] = first
-    for k in range(1, count):
-        np.multiply(out[k - 1], ratio, out=out[k])
+def _powers(ratio: np.ndarray, first, k: np.ndarray) -> np.ndarray:
+    """first * ratio^k for the ascending integers k, stacked on a new first
+    axis: running products, one vectorised step per entry.  A step of d > 1
+    multiplies by ratio^d, taken once per distinct d; a repeated k copies."""
+    out = np.empty((len(k),) + ratio.shape)
+    steps = {1: ratio}
+    prev = first
+    for i, d in enumerate(np.diff(k, prepend=0).tolist()):
+        if d == 0:
+            out[i] = prev
+        else:
+            if d not in steps:
+                steps[d] = ratio ** d
+            np.multiply(prev, steps[d], out=out[i])
+        prev = out[i]
     return out
 
 
@@ -242,9 +262,11 @@ class LogPotential:
 
     ``resolution`` is the number of Chebyshev-Lobatto rings per radial
     piece.  ``n_theta``, the number of angles per ring, and ``n_modes``, the
-    number of angular modes kept, are measured from the samples (module
-    docstring); a radial psi keeps one mode.  psi is sampled only inside
-    D(0, support_radius) and must vanish outside it.
+    number of angular modes 0..K kept by the tail rule, are measured from
+    the samples (module docstring); a radial psi keeps one mode.
+    ``n_columns`` is the number of live real columns (mode, real or
+    imaginary part) carried through the set-up and the evaluation.  psi is
+    sampled only inside D(0, support_radius) and must vanish outside it.
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256):
@@ -261,11 +283,20 @@ class LogPotential:
                   for a, b in zip(self._knots[:-1], self._knots[1:])]
         rings = np.stack([p[0] for p in pieces])
         self.n_theta, modes = angular_modes(psi, rings)
-        self._k = k = np.arange(modes.shape[-1])
-        inner, outer = zip(*(_gap_integrals(m, *piece) for piece, m in zip(pieces, modes)))
+        self.n_modes = modes.shape[-1]
+        # the live columns of the real view (column 2k + 1 is Im psi_k): peak
+        # over the rings above the tail limit; mode 0's real part always
+        real = modes.view(float)
+        peak = np.abs(real).max(axis=(0, 1))
+        live = peak > MODE_TAIL * float(np.abs(modes).max())
+        live[0] = True
+        self._columns = np.flatnonzero(live)
+        self._k = k = self._columns // 2
+        columns = np.ascontiguousarray(real[..., self._columns])
+        inner, outer = zip(*(_gap_integrals(c, k, *piece) for piece, c in zip(pieces, columns)))
         inner, outer = np.concatenate(inner), np.concatenate(outer)
         r = np.concatenate([rg[:-1] for rg in rings] + [rings[-1, -1:]])  # every ring once
-        below, above = _ring_sums(r, inner, outer)
+        below, above = _ring_sums(r, k, inner, outer)
         table = np.empty_like(below)
         log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0 meets zero mass only
         table[:, 0] = log_r * below[:, 0] + above[:, 0]
@@ -276,32 +307,28 @@ class LogPotential:
         # barycentric weights of n Chebyshev-Lobatto points (Berrut and Trefethen)
         self._weights = (-1.0) ** np.arange(n)
         self._weights[[0, -1]] *= 0.5
-        self._moments = below[-1]  # int_0^R s psi_k (s / R)^k ds
-        self.mass = _TWO_PI * float(self._moments[0].real)
+        self._moments = below[-1]  # int_0^R s psi_k (s / R)^k ds, per column
+        self.mass = _TWO_PI * float(self._moments[0])
 
     @property
-    def n_modes(self) -> int:
-        """The number of angular modes 0..K kept by the tail rule; 1 for a
-        radial psi."""
-        return len(self._k)
+    def n_columns(self) -> int:
+        """The number of live real columns; 1 for a radial psi."""
+        return len(self._columns)
 
     def _modes_at(self, r: np.ndarray) -> np.ndarray:
-        """Phi_k at the ascending radii r, shape (len(r), modes); NaN at a NaN
-        radius, which sorts last."""
+        """The live columns of Phi_k at the ascending radii r, shape
+        (len(r), columns); NaN at a NaN radius, which sorts last."""
         k, R = self._k, self.support_radius
-        out = np.full((len(r), len(k)), np.nan, dtype=complex)
+        out = np.full((len(r), len(k)), np.nan)
         ends = np.searchsorted(r, self._knots)  # piece p holds r[ends[p]:ends[p + 1]]
         far = slice(ends[-1], np.searchsorted(r, np.inf, side="right"))
-        # multipole form: every rho is s / r; mode 0 is real, and zero mass
-        # gives 0 at r = inf too
-        rf, m0 = r[far], self._moments[0].real
+        # multipole form: every rho is s / r; zero mass gives 0 at r = inf too
+        rf, m0 = r[far], self._moments[0]
         out[far, 0] = np.log(rf) * m0 if m0 else 0.0
         out[far, 1:] = -(R / rf)[:, None] ** k[1:] * self._moments[1:] / (2.0 * k[1:])
-        real = out.view(float)
         rows = max(1, min(len(r), _BLOCK_ENTRIES // self.resolution))
         c = np.empty((rows, self.resolution))
         for rings, table, lo, hi in zip(self._rings, self._table, ends[:-1], ends[1:]):
-            table = table.view(float)  # (rings, 2 modes): no complex copy of c
             for start in range(lo, hi, len(c)):
                 stop = min(start + len(c), hi)
                 cb = c[:stop - start]
@@ -313,8 +340,8 @@ class LogPotential:
                 if hit.any():
                     cb[hit] = np.isinf(cb[hit])
                     total[hit] = 1.0
-                np.matmul(cb, table, out=real[start:stop])
-                real[start:stop] /= total[:, None]
+                np.matmul(cb, table, out=out[start:stop])
+                out[start:stop] /= total[:, None]
         return out
 
     def values(self, z):
@@ -324,15 +351,21 @@ class LogPotential:
         # Phi_k depends on |z| alone: evaluate once per distinct radius
         radii, inverse = np.unique(np.abs(zs), return_inverse=True)
         modes = self._modes_at(radii)
-        out = modes[inverse, 0].real
-        if modes.shape[1] > 1:
-            # sum_{k >= 1} Phi_k u^k by Horner's rule in u = e^{i theta}
+        out = modes[inverse, 0]
+        if len(self._k) > 1:
+            # sum_{k >= 1} Phi_k u^k by Horner's rule in u = e^{i theta} over
+            # the live modes, stepping by u^d across a gap of d (the last step
+            # from k_1 to mode 0); a column 2k + 1 adds to the imaginary part
             u = np.exp(1j * np.angle(zs))
-            acc = modes[inverse, -1]
-            for k in range(modes.shape[1] - 2, 0, -1):
-                acc *= u
-                acc += modes[inverse, k]
-            out += 2.0 * (acc * u).real
+            k, imag = self._k.tolist(), (self._columns % 2).tolist()
+            steps = {d: u ** d for d in set(np.diff(k).tolist()) - {0}}
+            acc = np.zeros(len(zs), dtype=complex)
+            for i in range(len(k) - 1, 0, -1):
+                part = acc.imag if imag[i] else acc.real
+                part += modes[inverse, i]
+                if k[i] > k[i - 1]:
+                    acc *= steps[k[i] - k[i - 1]]
+            out += 2.0 * acc.real
         out = out.reshape(z.shape)
         return float(out) if z.ndim == 0 else out
 
@@ -340,34 +373,36 @@ class LogPotential:
         return self.values(z)
 
 
-def _ring_sums(r: np.ndarray, inner: np.ndarray, outer: np.ndarray):
-    """Running sums of the gap integrals at the rings r (ascending).
+def _ring_sums(r: np.ndarray, k: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+    """Running sums of the gap integrals at the rings r (ascending), per
+    column of the modes k (ascending, k[0] = 0 alone).
 
-    ``below[j]`` is the integral over [0, r_j] of s psi_k (s / r_j)^k, and
-    ``above[j]`` that over [r_j, R] of s psi_k (r_j / s)^k (mode 0:
-    int s psi_0 and int s psi_0 log s).  Moving one ring scales a sum by
+    ``below[j]`` is the integral over [0, r_j] of s f (s / r_j)^k, and
+    ``above[j]`` that over [r_j, R] of s f (r_j / s)^k (column 0:
+    int s f and int s f log s).  Moving one ring scales a sum by
     (r_j / r_{j+1})^k <= 1, so nothing overflows and r_0 = 0 contributes
-    only to mode 0.  The modes k >= 1 are one :func:`_scan`: the sums
-    above, taken from the outermost ring in, are the same recurrence on the
-    reversed rows, so they ride along as further columns.
+    only to mode 0.  The columns k >= 1 are one :func:`_scan`, with decay
+    factors for those k alone: the sums above, taken from the outermost
+    ring in, are the same recurrence on the reversed rows, so they ride
+    along as further columns.
     """
-    G, K = inner.shape
-    below = np.zeros((G + 1, K), dtype=complex)
-    above = np.zeros((G + 1, K), dtype=complex)
+    G, C = inner.shape
+    below = np.zeros((G + 1, C))
+    above = np.zeros((G + 1, C))
     below[1:, 0] = np.cumsum(inner[:, 0])
     above[:-1, 0] = np.cumsum(outer[::-1, 0])[::-1]
-    if K > 1:
-        decay = _powers(r[:-1] / r[1:], 1.0, K)[1:].T  # (r_j / r_{j+1})^k, k >= 1
+    if C > 1:
+        decay = _powers(r[:-1] / r[1:], 1.0, k[1:]).T  # (r_j / r_{j+1})^k, k >= 1
         sums = _scan(np.concatenate([decay, decay[::-1]], axis=1),
                      np.concatenate([inner[:, 1:], outer[::-1, 1:]], axis=1))
-        below[1:, 1:] = sums[:, :K - 1]
-        above[:-1, 1:] = sums[::-1, K - 1:]
+        below[1:, 1:] = sums[:, :C - 1]
+        above[:-1, 1:] = sums[::-1, C - 1:]
     return below, above
 
 
 def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x_j = a_j x_{j-1} + b_j from x_{-1} = 0, along the first axis, for
-    factors a in [0, 1] and complex b of shape (G, columns).
+    factors a in [0, 1] and real b of shape (G, columns).
 
     A blocked scan (Blelloch, "Prefix sums and their applications", 1990):
     the rows split into blocks of L = isqrt(G), padded with a = 1, b = 0.
@@ -380,7 +415,7 @@ def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     G = len(a)
     L = math.isqrt(G)
     blocks = -(-G // L)
-    x = np.zeros((blocks * L, b.shape[1]), dtype=complex)
+    x = np.zeros((blocks * L, b.shape[1]))
     p = np.ones_like(x)
     x[:G], p[:G] = b, a
     x, p = x.reshape(blocks, L, -1), p.reshape(blocks, L, -1)

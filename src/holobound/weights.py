@@ -41,8 +41,8 @@ __all__ = [
 
 NEGLIGIBLE_LOG = math.log(1e-18)
 # rings per radial piece of the potential_defined weight's Gamma * psi, which
-# is built on the first evaluation of phi (one mode; about 4 ms as the first
-# build in a process)
+# is built on the first evaluation of phi (one live column; about 3 ms as the
+# first build in a process)
 POTENTIAL_RESOLUTION = 320
 REQUIRED = None  # the default of a family parameter that has none
 

@@ -18,16 +18,23 @@ smooth in z and five-point stencils of the oracle stay clean.  At resolution
 ``dense_modes_at`` is Phi_k between the rings of a ``greens.LogPotential``
 as it was evaluated before the blocked real-view product: one dense
 barycentric matrix (``barycentric_rows``, normalised before the product, in
-the coordinate x in [-1, 1] of each piece) times the complex mode table,
-the check on ``LogPotential._modes_at``.
+the coordinate x in [-1, 1] of each piece) times the mode table, the check
+on ``LogPotential._modes_at``.
+
+``AllModesLogPotential`` is ``greens.LogPotential`` as it was before it
+carried only the live real columns: every mode 0..K the tail rule keeps,
+real and imaginary parts, through the gap integrals (weights u rho^k as
+powers), the ring sums (``sequential_ring_sums``), the complex mode table
+(``dense_modes_at``) and the resummation (one exponential per point and
+mode), the check on the live-column set-up and evaluation.
 
 ``ifft_at_gaps`` and ``sequential_ring_sums`` are the set-up of a
 ``greens.LogPotential`` as it was before the inverse real FFTs and the
 blocked scan: the gap values as the real part of one complex inverse FFT
 per Gauss-Legendre offset, along the strided ring axis, of the halved and
 scaled cosine coefficients, and the ring sums as two Python loops over the
-rings with the decay factors as powers.  They are the checks on
-``greens._at_gaps`` and ``greens._ring_sums``.
+rings with the decay factors as powers of the mode numbers.  They are the
+checks on ``greens._at_gaps`` and ``greens._ring_sums``.
 
 ``leggauss`` is numpy's Gauss-Legendre rule from the eigenvalues of the n x n
 companion matrix, the check on ``quadrature.gauss_legendre`` (Newton's method
@@ -63,6 +70,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # noqa: F401  (the eigensolve oracle)
 
+from holobound import greens
 from holobound.equivalence import EquivalenceMap
 from holobound.kernel import build_kernel_estimate, weighted_norm_sq
 from holobound.quadrature import QuadratureRule, disk_rule
@@ -145,11 +153,12 @@ def barycentric_rows(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def dense_modes_at(potential, r: np.ndarray) -> np.ndarray:
-    """Phi_k of ``potential`` at the radii r, shape (len(r), modes): the
-    multipole form at r >= R, and inside each piece one dense barycentric
-    matrix times the piece's complex table."""
+    """Phi_k of ``potential`` at the radii r, one column per column of its
+    table (of the modes ``potential._k``): the multipole form at r >= R,
+    and inside each piece one dense barycentric matrix times the piece's
+    table."""
     k, R = potential._k, potential.support_radius
-    out = np.empty((len(r), len(k)), dtype=complex)
+    out = np.empty((len(r), len(k)), dtype=potential._table.dtype)
     far = r >= R
     rf = r[far]
     out[far, 0] = np.log(rf) * potential._moments[0]
@@ -177,22 +186,62 @@ def ifft_at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out.transpose(1, 2, 0)
 
 
-def sequential_ring_sums(r: np.ndarray, inner: np.ndarray, outer: np.ndarray):
+def sequential_ring_sums(r: np.ndarray, k: np.ndarray, inner: np.ndarray, outer: np.ndarray):
     """``greens._ring_sums`` ring by ring: below[j + 1] = decay_j below[j] +
     inner[j] upwards and above[j] = decay_j above[j + 1] + outer[j]
-    downwards, with decay_j = (r_j / r_{j+1})^k (mode 0: plain sums)."""
-    G, K = inner.shape
-    below = np.zeros((G + 1, K), dtype=complex)
-    above = np.zeros((G + 1, K), dtype=complex)
+    downwards, with decay_j = (r_j / r_{j+1})^k per column of the modes k
+    (column 0, mode 0: plain sums)."""
+    G, C = inner.shape
+    below = np.zeros((G + 1, C), dtype=inner.dtype)
+    above = np.zeros((G + 1, C), dtype=inner.dtype)
     below[1:, 0] = np.cumsum(inner[:, 0])
     above[:-1, 0] = np.cumsum(outer[::-1, 0])[::-1]
-    if K > 1:
-        decay = (r[:-1] / r[1:])[:, None] ** np.arange(1, K)
+    if C > 1:
+        decay = (r[:-1] / r[1:])[:, None] ** k[1:]
         for j in range(G):
             below[j + 1, 1:] = decay[j] * below[j, 1:] + inner[j, 1:]
         for j in range(G - 1, -1, -1):
             above[j, 1:] = decay[j] * above[j + 1, 1:] + outer[j, 1:]
     return below, above
+
+
+class AllModesLogPotential:
+    """``greens.LogPotential`` on every mode 0..K of the tail rule, real and
+    imaginary parts alike: the same rings, gap rule and tail rule, with the
+    weights u rho^k as powers, the ring sums ring by ring, a complex mode
+    table and one exponential per (point, mode) in the resummation."""
+
+    def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256):
+        self.support_radius = R = float(support_radius)
+        self.resolution = n = int(resolution)
+        self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
+        pieces = [greens._piece_rule(float(a), float(b), n)
+                  for a, b in zip(self._knots[:-1], self._knots[1:])]
+        rings = np.stack([p[0] for p in pieces])
+        self.n_theta, modes = greens.angular_modes(psi, rings)
+        self._k = k = np.arange(modes.shape[-1])
+        inner, outer = [], []
+        for (rg, s, u, shift), m in zip(pieces, modes):
+            f = ifft_at_gaps(m.view(float), shift)
+            f = f[:, 0::2] + 1j * f[:, 1::2]  # (offset, mode, gap)
+            w_in = u * (s / rg[1:]) ** k[:, None, None]
+            w_out = u * (rg[:-1] / s) ** k[:, None, None]
+            w_out[0] *= np.log(s)
+            inner.append(np.einsum("lkj,klj->jk", f, w_in))
+            outer.append(np.einsum("lkj,klj->jk", f, w_out))
+        r = np.concatenate([rg[:-1] for rg in rings] + [rings[-1, -1:]])
+        below, above = sequential_ring_sums(r, k, np.concatenate(inner), np.concatenate(outer))
+        table = np.empty_like(below)
+        table[:, 0] = np.log(np.where(r > 0.0, r, 1.0)) * below[:, 0] + above[:, 0]
+        table[:, 1:] = -(below[:, 1:] + above[:, 1:]) / (2.0 * k[1:])
+        self._table = np.stack([table[i * (n - 1):i * (n - 1) + n] for i in range(len(pieces))])
+        self._moments = below[-1]
+
+    def __call__(self, z) -> np.ndarray:
+        zs = np.asarray(z, dtype=complex).ravel()
+        m = dense_modes_at(self, np.abs(zs))
+        turn = np.exp(1j * np.angle(zs)[:, None] * self._k[1:])
+        return m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
 
 
 def mp_gauss_legendre(n: int, guesses, dps: int = 40):

@@ -642,18 +642,19 @@ class TestPotentialCommand:
         summary = json.loads((tmp_path / "potential_summary.json").read_text())
         assert summary["resolution"] == 64
 
-    @pytest.mark.parametrize("weight, n_theta, n_modes", [
-        (GAUSS, 16, 1),
-        ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 64, 17),
+    @pytest.mark.parametrize("weight, n_theta, n_modes, n_columns", [
+        (GAUSS, 16, 1, 1),
+        ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 64, 17, 5),
     ], ids=["gaussian", "oscillatory"])
-    def test_reports_the_angular_modes(self, tmp_path, weight, n_theta, n_modes):
+    def test_reports_the_angular_modes(self, tmp_path, weight, n_theta, n_modes, n_columns):
         cfg = write_config(tmp_path, "p.json", {
             "experiment": "potential", "weight": weight, "resolution": 256,
             "grid": {"kind": "random", "radius": 0.9, "count": 10},
         })
         assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "potential_summary.json").read_text())
-        assert summary["diagnostics"] == {"n_theta": n_theta, "n_modes": n_modes}
+        assert summary["diagnostics"] == {"n_theta": n_theta, "n_modes": n_modes,
+                                          "n_columns": n_columns}
         header, _ = read_csv(tmp_path / "potential.csv")
         assert header == ["z_re", "z_im", "phi"]
 
@@ -803,6 +804,35 @@ def test_import_leaves_scipy_out():
     # every CLI run about a quarter of a second
     proc = run_cli("-c", "import sys, holobound.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_experiments_leave_numpy_ma_out(tmp_path):
+    # np.union1d, and np.unique without return_inverse, import numpy.ma (in
+    # numpy 2.4 through np.ma.is_masked), which took a first potential
+    # build from 3 ms to 12-22 ms; no experiment may reach that path
+    grid = {"kind": "random", "radius": 0.9, "count": 20}
+    oscillatory = {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}
+    runs = [
+        ("potential", {"experiment": "potential", "weight": oscillatory, "resolution": 64,
+                       "grid": grid}),
+        ("verify-bound", {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
+                          "resolution": 32, "grid": grid}),
+        ("kernel-diag", {"experiment": "kernel-diag", "weight": GAUSS, "degree": 8,
+                         "resolution": 32, "grid": grid}),
+        ("sweep", {"experiment": "sweep", "configs": [
+            {"experiment": "verify-bound", "weight": GAUSS, "degree": 8, "resolution": 32,
+             "grid": grid}]}),
+    ]
+    runs = [(name, write_config(tmp_path, f"{name}.json", payload)) for name, payload in runs]
+    script = (
+        "import sys\n"
+        "from holobound.cli import main\n"
+        f"codes = [main([name, '--config', path, '--out', {str(tmp_path)!r}])\n"
+        f"         for name, path in {runs!r}]\n"
+        "sys.exit(f'exit codes {codes}' if any(codes) else 'numpy.ma' in sys.modules)\n")
+    proc = run_cli("-c", script)
+    assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
+    assert (tmp_path / "potential.csv").exists() and (tmp_path / "sweep.csv").exists()
 
 
 def test_random_grids_leave_numpy_random_out(tmp_path):

@@ -25,7 +25,13 @@ from holobound import potential as potential_mod
 from holobound import greens, quadrature, weights
 from holobound.greens import LogPotential
 from holobound.quadrature import random_disk_points, sunflower_points
-from oracles import PlanarLogPotential, dense_modes_at, ifft_at_gaps, sequential_ring_sums
+from oracles import (
+    AllModesLogPotential,
+    PlanarLogPotential,
+    dense_modes_at,
+    ifft_at_gaps,
+    sequential_ring_sums,
+)
 
 
 def stencil_points(n=200, radius=0.98, seed=17, h=1e-2):
@@ -128,7 +134,7 @@ class TestConvolution:
     def test_zero_density_gives_zero(self):
         zero = ScalarField(lambda z: np.zeros(np.shape(z)))
         potential = LogPotential(zero, support_radius=2.0, resolution=64)
-        assert potential.n_modes == 1
+        assert potential.n_modes == potential.n_columns == 1
         for z in (0.0, 1.0 + 2.0j, 7.0):
             assert potential(z) == 0.0
 
@@ -289,6 +295,9 @@ class TestFourierPotential:
         bump = make_psi(translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0)
         assert bump.n_theta >= 512
         assert bump.n_modes < bump.n_theta // 4 + 1
+        # translated along the real axis, the bump is mirror-symmetric: the
+        # real part of every kept mode is live, no imaginary part is
+        assert bump._columns.tolist() == list(range(0, 2 * bump.n_modes, 2))
         assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).n_modes == 1
         harmonic = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
         assert make_psi(harmonic, 4.0).n_modes == 1
@@ -321,8 +330,8 @@ BRANCHES = pytest.mark.parametrize("w, M", [
 
 
 class TestBlockedEvaluation:
-    """Phi_k between the rings, block by block on the real view of the mode
-    table, against the dense barycentric product it replaced."""
+    """Phi_k between the rings, block by block on the real table of the live
+    columns, against the dense barycentric product it replaced."""
 
     @BRANCHES
     def test_nan_point_gives_nan(self, w, M):
@@ -349,13 +358,15 @@ class TestBlockedEvaluation:
         assert potential(complex(math.inf, math.inf)) == expected
 
     def test_resummation_against_direct_sum(self):
-        # Horner's rule in e^{i theta} against one exponential per (point, mode)
+        # Horner's rule in e^{i theta} over the live modes 0, 4, 8, ...
+        # against one exponential per (point, column)
         potential = make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0, resolution=64)
-        assert potential.n_modes > 2
+        assert potential.n_columns > 2 and np.all(np.diff(potential._k) == 4)
         zs = np.append(random_disk_points(300, 2.5, seed=3), 0.0)
         m = np.stack([potential._modes_at(np.array([r]))[0] for r in np.abs(zs)])
         turn = np.exp(1j * np.angle(zs)[:, None] * potential._k[1:])
-        direct = m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
+        turn *= np.where(potential._columns[1:] % 2, 1j, 1.0)  # column 2k + 1: Im Phi_k
+        direct = m[:, 0] + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
         assert np.max(np.abs(potential.values(zs) - direct)) <= 1e-14
 
     @BRANCHES
@@ -398,7 +409,7 @@ class TestBlockedEvaluation:
         potential = make_psi(w, M, resolution=64)
         monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 7 * 64)
         r = potential._rings.ravel()
-        rows = potential._table.reshape(-1, potential.n_modes)
+        rows = potential._table.reshape(-1, potential.n_columns)
         r, first = np.unique(r, return_index=True)
         assert r[0] == 0.0 and 1.0 in r and r[-1] == 2.0
         got = potential._modes_at(r)
@@ -434,14 +445,82 @@ class TestSetUpOracles:
     @given(G=st.integers(1, 700), K=st.integers(1, 250), seed=st.integers(0, 2 ** 32 - 1))
     def test_ring_sums_match_sequential_loops(self, G, K, seed):
         # ascending rings from an exact 0 (decay 0); radii spread over decades
-        # make high powers of the decay underflow
+        # make high powers of the decay underflow; the K columns carry mode 0
+        # and ascending modes up to 249 with gaps and repeats (a mode whose
+        # real and imaginary parts are both live)
         rng = np.random.default_rng(seed)
         r = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-4.0, 0.5, G))])
-        inner, outer = (rng.standard_normal((G, K)) + 1j * rng.standard_normal((G, K))
-                        for _ in range(2))
-        for got, expected in zip(greens._ring_sums(r, inner, outer),
-                                 sequential_ring_sums(r, inner, outer)):
+        k = np.concatenate([[0], np.sort(rng.integers(1, 250, K - 1))])
+        inner, outer = (rng.standard_normal((G, K)) for _ in range(2))
+        for got, expected in zip(greens._ring_sums(r, k, inner, outer),
+                                 sequential_ring_sums(r, k, inner, outer)):
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@st.composite
+def trig_densities(draw):
+    """psi = cutoff_g (c0 + sum_j a_j r^k_j cos(k_j theta + p_j)) with a
+    k-fold symmetric, a mirror-symmetric (p_j a multiple of pi / 2) or a
+    general set of modes, and the live columns it must give: 0, and 2k + 1
+    and 2k for the nonzero sine and cosine parts of each mode.  The modes
+    stop at 7, which 16 angles, where the tail rule starts, resolve without
+    aliasing; a_j carries 2^-k_j, so each term is at most 1 on the support."""
+    kind = draw(st.sampled_from(["k_fold", "mirror", "neither"]))
+    if kind == "k_fold":
+        fold = draw(st.integers(2, 3))
+        ks = draw(st.sets(st.integers(1, 7 // fold), min_size=1, max_size=3))
+        ks = {fold * j for j in ks}
+    else:
+        ks = draw(st.sets(st.integers(1, 7), min_size=1, max_size=3))
+    ks = sorted(ks)
+    quarter = st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    if kind == "mirror":
+        phases = [draw(quarter) for _ in ks]
+    else:  # at least 0.2 from every multiple of pi / 2: both parts nonzero
+        phases = [draw(quarter) + draw(st.floats(0.2, 0.5 * math.pi - 0.2)) for _ in ks]
+    amps = [draw(st.floats(0.1, 1.0)) * 0.5 ** k for k in ks]
+    c0 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+
+    def psi(z):
+        z = np.asarray(z, dtype=complex)
+        trig = sum(a * np.real(np.exp(1j * p) * z ** k) for k, p, a in zip(ks, phases, amps))
+        return cutoff_g(z) * (c0 + trig)
+
+    live = [0]
+    for k, p in zip(ks, phases):
+        if abs(math.cos(p)) > 1e-3:
+            live.append(2 * k)
+        if abs(math.sin(p)) > 1e-3:
+            live.append(2 * k + 1)
+    return ScalarField(psi), live, ks[-1]
+
+
+class TestLiveColumns:
+    """The live real columns of psi_k, and Phi from them against every mode
+    of the tail rule."""
+
+    @pytest.mark.parametrize("w, columns, n_modes", [
+        (WeightFunction.gaussian(1.0), [0], 1),
+        # four-fold and mirror symmetry: the real parts of modes 0, 4, ..., 16
+        (WeightFunction.oscillatory(1.0, 0.5), [0, 8, 16, 24, 32], 17),
+    ], ids=["gaussian", "oscillatory"])
+    def test_benchmark_densities(self, w, columns, n_modes):
+        potential = make_psi(w, 5.0, resolution=256)
+        assert potential._columns.tolist() == columns
+        assert (potential.n_columns, potential.n_modes) == (len(columns), n_modes)
+
+    @settings(deadline=None, max_examples=40)
+    @given(density=trig_densities(), seed=st.integers(0, 2 ** 16))
+    def test_against_every_mode(self, density, seed):
+        psi, live, top = density
+        potential = LogPotential(psi, support_radius=2.0, resolution=64)
+        assert potential._columns.tolist() == live
+        assert potential.n_modes == top + 1
+        # inside and outside the support, the origin, the seams and the rings
+        zs = np.concatenate([random_disk_points(200, 3.0, seed=seed),
+                             [0.0, 1.0, 2.0j, 2.5, np.exp(0.3j) * potential._rings[1, 5]]])
+        expected = AllModesLogPotential(psi, support_radius=2.0, resolution=64)(zs)
+        assert np.max(np.abs(potential(zs) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestPhiAtOrigin:
