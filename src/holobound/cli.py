@@ -380,10 +380,14 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
+    grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
+    outside = np.flatnonzero(np.abs(grid) >= 1.0)
+    if outside.size:
+        i, z = outside[0], complex(grid[outside[0]])
+        raise ConfigError(f"potential grid point #{i}, z = {z!r}, lies outside D(0, 1)")
     M = w.laplacian_bounds[1]
     resolution = max(cfg.resolution, 64)
     potential = potential_mod.make_psi(w, M, resolution=resolution)
-    grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
     report, phi_vals = potential_mod.verify_potential_bounds(potential, M, grid, tol)
     summary = {

@@ -38,28 +38,9 @@ the nodes are within 1.1e-16 and the weights within 3.3e-15 relative of a
 is O(n log n): about 1 ms for n = 512 in a fresh process on a 2-vCPU Xeon,
 against 5-9 ms for Newton on the recurrence.
 
-``random_disk_points`` returns, bit for bit, the points that
-``np.random.default_rng(seed)`` gives (``uniform(size=count)`` for the radii,
-then ``uniform(0, 2 pi, size=count)`` for the angles), without importing
-``numpy.random``: that import took about 15 ms on a 2-vCPU Xeon, more than
-a 200-point grid.  Only numpy's bit generator is stable across releases
-(NEP 19), so the points also stop depending on its ``Generator``.  The seed
-is mixed as numpy's
-``SeedSequence`` does, in 32-bit words, into four 64-bit words w0..w3; PCG64
-(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation", 2014) then starts from
-``inc = 2 (w2 2^64 + w3) + 1`` and ``state = (inc + w0 2^64 + w1) a + inc``
-mod 2^128.  Each draw steps ``state = a state + inc`` and outputs
-``rotr64(hi ^ lo, hi >> 58)`` of the new state, and the double is
-``(out >> 11) 2^-53``.  The stream is drawn in blocks of uint64 arrays.  With
-``state = 2^64 h + l``, the low half is a 64-bit LCG, so ``l_k = a_lo^k l_0 +
-c_lo (1 + ... + a_lo^(k-1))`` from one table of powers, and the high half is
-``h_k = a_lo h_(k-1) + d_k`` with ``d_k = mulhi(a_lo, l_(k-1)) + a_hi l_(k-1)
-+ c_hi + carry``, where the carry of the low sum is ``[l_k < a_lo l_(k-1)]``
-and ``mulhi`` comes from four 32-bit partial products.  ``a_lo`` is odd, so
-it is invertible mod 2^64 and ``h_k = a_lo^k (h_0 + sum_(j<=k) a_lo^-j d_j)``
-is one cumulative sum.  Every product wraps mod 2^64 in the array arithmetic,
-as the derivation needs.
+``random_disk_points`` draws its points from the standard library's
+``random.Random(seed)``, radii first; Python keeps the ``random()`` stream of
+an integer seed the same across versions.
 """
 
 from __future__ import annotations
@@ -67,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,90 +372,12 @@ def sunflower_points(count: int, radius: float) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 def random_disk_points(count: int, radius: float, seed: int) -> np.ndarray:
-    """Uniform random points in D(0, radius), reproducible from the seed: the
-    points of ``np.random.default_rng(seed)`` (module docstring).
-
-    A negative seed raises ValueError, a seed that is not an integer TypeError.
-    """
-    u = _pcg64_doubles(seed, 2 * count)
-    r = radius * np.sqrt(u[:count])
-    # numpy's uniform(0, 2 pi) is 0 + (2 pi - 0) d, which is exactly 2 pi d
-    theta = (2.0 * math.pi) * u[count:]
-    return r * np.exp(1j * theta)
-
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-# draws per block in _pcg64_doubles: on a 2-vCPU Xeon, blocks of 2^13 to 2^15
-# took 48-59 ms per 2e6 draws, 2^11 took 107 ms and 2^17 took 83 ms
-_DRAW_BLOCK = 1 << 13
-
-
-def _seed_words(seed) -> list[int]:
-    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for an
-    integer seed, on Python ints masked to 32 bits."""
-    seed = operator.index(seed)
+    """Uniform random points in D(0, radius) from ``random.Random(seed)``: radii
+    from its first ``count`` doubles, angles from the next ``count``.  A
+    negative seed raises ValueError, a seed that is not an integer TypeError."""
+    seed = operator.index(seed)  # Random would also take str, float and bytes
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    h = 0x43B0D7E5
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v ^= h
-        h = h * 0x931E8875 & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    def mix(x: int, y: int) -> int:
-        v = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return v ^ v >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for s in range(4):
-        for d in range(4):
-            if s != d:
-                pool[d] = mix(pool[d], hashmix(pool[s]))
-    for word in entropy[4:]:
-        for d in range(4):
-            pool[d] = mix(pool[d], hashmix(word))
-    hb, words = 0x8B51F9DD, []
-    for i in range(8):
-        v = pool[i % 4] ^ hb
-        hb = hb * 0x58F38DED & _M32
-        v = v * hb & _M32
-        words.append(v ^ v >> 16)
-    return [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
-
-
-def _pcg64_doubles(seed, count: int) -> np.ndarray:
-    """The first ``count`` doubles of numpy's ``PCG64(seed)``, drawn
-    ``_DRAW_BLOCK`` at a time (module docstring)."""
-    w = _seed_words(seed)
-    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
-    u64 = np.uint64
-    a_lo, a_hi = _PCG_MULT & _M64, _PCG_MULT >> 64
-    a0, a1 = a_lo & _M32, a_lo >> 32
-    c_hi = u64(inc >> 64)
-    n = max(1, min(count, _DRAW_BLOCK))
-    powers = np.multiply.accumulate(np.full(n, a_lo, dtype=u64))  # a_lo^k, k = 1..n
-    inverses = np.multiply.accumulate(np.full(n, pow(a_lo, -1, 1 << 64), dtype=u64))
-    offsets = u64(inc & _M64) * np.cumsum(np.concatenate(([u64(1)], powers[:-1])))
-    h, l = u64(state >> 64), u64(state & _M64)
-    out = np.empty(count)
-    for start in range(0, count, n):
-        m = min(n, count - start)
-        lk = powers[:m] * l + offsets[:m]
-        lp = np.concatenate(([l], lk[:-1]))
-        x0, x1 = lp & _M32, lp >> 32
-        p01, p10 = a0 * x1, a1 * x0
-        mid = (a0 * x0 >> 32) + (p01 & _M32) + (p10 & _M32)
-        d = (a1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-             + a_hi * lp + c_hi + (lk < a_lo * lp))
-        hk = powers[:m] * (h + np.cumsum(inverses[:m] * d))
-        x, rot = hk ^ lk, hk >> 58
-        out[start:start + m] = (x >> rot | x << ((64 - rot) & 63)) >> 11
-        h, l = hk[-1], lk[-1]
-    return out * 2.0 ** -53
+    # random() never returns the sentinel -1.0, so fromiter stops at the count
+    u = np.fromiter(iter(random.Random(seed).random, -1.0), float, 2 * count)
+    return radius * np.sqrt(u[:count]) * np.exp(2j * math.pi * u[count:])

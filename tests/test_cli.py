@@ -22,7 +22,7 @@ from holobound.cli import (
     run,
 )
 from holobound.potential import B_BRACKET, B_EXACT
-from holobound.quadrature import QuadratureRule
+from holobound.quadrature import QuadratureRule, random_disk_points
 from oracles import csv_by_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -683,6 +683,28 @@ class TestPotentialCommand:
         assert len(returned) == 1
         assert built == returned
 
+    @pytest.mark.parametrize("grid", [
+        {"kind": "points", "points": [[0.5, 0.0], [1.0, 0.0]]},
+        {"kind": "random", "radius": 1.5, "count": 20},
+    ], ids=["points", "random"])
+    def test_grid_outside_the_unit_disk_is_a_config_error(self, tmp_path, capsys,
+                                                          monkeypatch, grid):
+        # the grid is checked before the potential is built, and no file is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_psi ran on an invalid grid")
+
+        monkeypatch.setattr(potential_mod, "make_psi", refuse)
+        cfg = write_config(tmp_path, "p.json", {
+            "experiment": "potential", "weight": GAUSS, "grid": grid, "seed": 5})
+        out = tmp_path / "out"
+        assert main(["potential", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        points = (np.array([0.5, 1.0 + 0j]) if grid["kind"] == "points"
+                  else random_disk_points(20, 1.5, 5))
+        first = int(np.flatnonzero(np.abs(points) >= 1.0)[0])
+        assert (f"config error: potential grid point #{first}, z = {complex(points[first])!r}, "
+                f"lies outside D(0, 1)") in capsys.readouterr().err
+
     @staticmethod
     def poisson_summary_at_resolution_128(tmp_path, weight, seed):
         cfg = write_config(tmp_path, "p.json", {
@@ -784,6 +806,19 @@ class TestSweep:
         assert rows[0][2] == "ok"
         assert rows[1][2].startswith("error:")
 
+    def test_potential_grid_outside_the_unit_disk_is_a_config_error(self, tmp_path):
+        entries = [
+            {"experiment": "potential", "weight": GAUSS, "label": "ok-entry",
+             "grid": {"kind": "points", "points": [[0.5, 0.0]]}},
+            {"experiment": "potential", "weight": GAUSS, "label": "bad-entry",
+             "grid": {"kind": "points", "points": [[1.0, 0.0]]}},
+        ]
+        cfg = write_config(tmp_path, "sweep.json",
+                           {"experiment": "sweep", "configs": entries})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[2] for r in rows] == ["ok", "error:ConfigError"]
+
     def test_violating_verify_bound_entry_is_a_value_error(self, tmp_path):
         entries = [
             {"experiment": "verify-bound", "weight": GAUSS, "degree": 8, "resolution": 32,
@@ -809,7 +844,9 @@ def test_import_leaves_scipy_out():
 def test_experiments_leave_numpy_ma_out(tmp_path):
     # np.union1d, and np.unique without return_inverse, import numpy.ma (in
     # numpy 2.4 through np.ma.is_masked), which took a first potential
-    # build from 3 ms to 12-22 ms; no experiment may reach that path
+    # build from 3 ms to 12-22 ms; no experiment may reach that path.  Random
+    # grids come from the standard library, so numpy.random (about 15 ms per
+    # CLI run) stays out too
     grid = {"kind": "random", "radius": 0.9, "count": 20}
     oscillatory = {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}
     runs = [
@@ -829,27 +866,10 @@ def test_experiments_leave_numpy_ma_out(tmp_path):
         "from holobound.cli import main\n"
         f"codes = [main([name, '--config', path, '--out', {str(tmp_path)!r}])\n"
         f"         for name, path in {runs!r}]\n"
-        "sys.exit(f'exit codes {codes}' if any(codes) else 'numpy.ma' in sys.modules)\n")
+        "loaded = [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules]\n"
+        "sys.exit(f'exit codes {codes}' if any(codes)\n"
+        "         else f'imported {loaded}' if loaded else 0)\n")
     proc = run_cli("-c", script)
-    assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
+    assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "potential.csv").exists() and (tmp_path / "sweep.csv").exists()
 
-
-def test_random_grids_leave_numpy_random_out(tmp_path):
-    # random grids reproduce default_rng's points without importing
-    # numpy.random, which costs about 15 ms per CLI run
-    grid = {"kind": "random", "radius": 0.9, "count": 20}
-    potential = write_config(tmp_path, "potential.json", {
-        "experiment": "potential", "weight": GAUSS, "resolution": 64, "grid": grid})
-    sweep = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": [
-        {"experiment": "verify-bound", "weight": GAUSS, "degree": 8, "resolution": 32,
-         "grid": grid}]})
-    script = (
-        "import sys\n"
-        "from holobound.cli import main\n"
-        f"codes = [main([name, '--config', path, '--out', {str(tmp_path)!r}])\n"
-        f"         for name, path in [('potential', {potential!r}), ('sweep', {sweep!r})]]\n"
-        "sys.exit(f'exit codes {codes}' if any(codes) else 'numpy.random' in sys.modules)\n")
-    proc = run_cli("-c", script)
-    assert proc.returncode == 0, proc.stderr or "numpy.random was imported"
-    assert (tmp_path / "potential.csv").exists() and (tmp_path / "sweep.csv").exists()

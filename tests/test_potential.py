@@ -30,6 +30,7 @@ from oracles import (
     PlanarLogPotential,
     dense_modes_at,
     ifft_at_gaps,
+    leggauss,
     sequential_ring_sums,
 )
 
@@ -275,6 +276,22 @@ class TestFourierPotential:
         for m, c in ((3, 1.0), (3, 10.0 * np.exp(2.1j)), (4, 1j)):
             _, psi = closed_form_pair(m, 8, c)
             assert LogPotential(psi, support_radius=2.0).n_theta == 32
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "angular_modes stops at 16 angles, where mode 12 folds onto mode 4 and "
+        "the top half (modes 5..8) stays at rounding: n_modes 5, Phi(0.5) = -0.0723"))
+    def test_mode_that_aliases_at_the_first_angle_count(self):
+        # psi = g(s) s^12 cos(12 theta), so Phi(0.5) = -(1/24) int_0^2 s^13 g(s)
+        # rho^12 ds with rho = min(0.5, s) / max(0.5, s): Gauss-Legendre on
+        # each piece where the integrand is smooth
+        exact = 0.0
+        for a, b in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)):
+            x, w = leggauss(64)
+            s = 0.5 * (b - a) * x + 0.5 * (a + b)
+            rho = np.minimum(0.5, s) / np.maximum(0.5, s)
+            exact -= 0.5 * (b - a) * np.sum(w * s ** 13 * cutoff_g(s) * rho ** 12) / 24.0
+        potential = LogPotential(ScalarField(lambda z: cutoff_g(z) * (z ** 12).real), 2.0, 64)
+        assert abs(potential(0.5) - exact) <= 1e-6 * abs(exact)
 
     @pytest.mark.parametrize("w, M", [
         (WeightFunction.oscillatory(1.0, 0.5), 5.0),
