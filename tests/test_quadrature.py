@@ -312,6 +312,14 @@ class TestRandomDiskPoints:
         assert _same_bits(random_disk_points(count, 0.98, seed),
                           _stdlib_points(count, 0.98, seed))
 
+    @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 128 + 5, 2 ** 200 + 12345])
+    @pytest.mark.parametrize("count", [0, 1, 2, 50, 200, 5025, 8193])
+    def test_matches_the_stdlib_stream_beyond_64_bit_seeds(self, seed, count):
+        # seeds of 3, 5 and 7 32-bit key words; 50 and 200 are the sweep's
+        # and the potential benchmark's grids, 5025 a lattice-sized one
+        assert _same_bits(random_disk_points(count, 1.5, seed),
+                          _stdlib_points(count, 1.5, seed))
+
     def test_matches_the_stdlib_stream_on_the_largest_grid(self):
         assert _same_bits(random_disk_points(10 ** 6, 2.0, 977),
                           _stdlib_points(10 ** 6, 2.0, 977))
