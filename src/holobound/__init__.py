@@ -21,7 +21,6 @@ from .bounds import (
     global_certificate,
     local_bound_certificate,
     mean_value_check,
-    translated_pointwise_check,
 )
 from .equivalence import (
     EquivalenceError,
@@ -32,7 +31,6 @@ from .equivalence import (
 from .kernel import (
     KernelEstimate,
     PositiveDefinitenessError,
-    SampleFunction,
     build_kernel_estimate,
     gram_matrix,
 )

@@ -27,21 +27,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .kernel import SampleFunction, build_kernel_estimate, weighted_norm_sq
+from .kernel import build_kernel_estimate, weighted_norm_sq
 from .potential import B_EXACT, check_laplacian_range, phi_at_origin
-from .quadrature import (
-    QuadratureRule,
-    disk_rule,
-    half_resolution,
-    integrate,
-    truncated_plane_rule,
-)
-from .weights import (
-    Check,
-    ValidationReport,
-    WeightFunction,
-    truncation_radius,
-)
+from .quadrature import QuadratureRule, disk_rule, half_resolution, integrate
+from .weights import Check, ValidationReport, WeightFunction
 
 __all__ = [
     "BoundCertificate",
@@ -51,12 +40,10 @@ __all__ = [
     "mean_value_check",
     "local_bound_certificate",
     "global_certificate",
-    "translated_pointwise_check",
 ]
 
 FLATNESS_TOL = 1e-3
 ERROR_MARGIN_FACTOR = 3.0
-POINTWISE_REL_TOL = 1e-9  # relative slack of each step in translated_pointwise_check
 
 
 class NonConstantLaplacianError(ValueError):
@@ -141,8 +128,8 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
 def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
     """Check h(0) equals the area average of h over D(0, s), 0 < s < 1.
 
-    ``h`` may be any holomorphic callable (a SampleFunction, say); the
-    average is taken with a 64 x 128 polar rule on D(0, s).
+    ``h`` may be any holomorphic callable (``np.exp``, say); the average is
+    taken with a 64 x 128 polar rule on D(0, s).
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must lie in (0, 1), got {s}")
@@ -222,37 +209,3 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
         "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
         "angle_bands": est.angle_bands(),
     })
-
-
-def translated_pointwise_check(w: WeightFunction, f: SampleFunction, z,
-                               resolution: int) -> ValidationReport:
-    """Replay the translation proof of the global bound at one point.
-
-    Verifies the chain
-        |f(z)|^2 <= C e^{phi(z)} * integral over D(z,1) of |f|^2 e^{-phi}
-                 <= C e^{phi(z)} * ||f||^2
-    with both integrals by quadrature and relative tolerance 1e-9.
-    """
-    z = complex(z)
-    C = certificate_constant(w.laplacian_bounds[1])
-    local_int = weighted_norm_sq(w, f, disk_rule(z, 1.0, resolution, 2 * resolution))
-    radius = truncation_radius(w, max(f.degree, 1),
-                               linear_rate=2.0 * abs(f.exp_rate)) + abs(z)
-    whole_int = weighted_norm_sq(w, f, truncated_plane_rule(radius, resolution,
-                                                            2 * resolution))
-    phi_z = w.weight(z)
-    lhs = abs(complex(np.asarray(f(np.asarray(z))))) ** 2
-    local_side = C * math.exp(phi_z) * local_int
-    global_side = C * math.exp(phi_z) * whole_int
-    slack = 1.0 + POINTWISE_REL_TOL
-    checks = (
-        Check("local_step", lhs, local_side * slack,
-              lhs <= local_side * slack,
-              note=f"|f(z)|^2 = {lhs:.6e}, bound = {local_side:.6e}"),
-        Check("monotone_step", local_int, whole_int * slack,
-              local_int <= whole_int * slack,
-              note=f"disk integral {local_int:.6e}, plane integral {whole_int:.6e}"),
-        Check("global_step", lhs, global_side * slack,
-              lhs <= global_side * slack),
-    )
-    return ValidationReport(checks)

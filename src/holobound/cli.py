@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,6 @@ from . import potential as potential_mod
 from .kernel import (
     MAX_DEGREE,
     PositiveDefinitenessError,
-    SampleFunction,
     build_kernel_estimate,
 )
 from .quadrature import (
@@ -410,10 +410,10 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 _MEAN_VALUE_SAMPLES = (
-    ("one", SampleFunction.polynomial([1.0])),
-    ("omega", SampleFunction.polynomial([0.0, 1.0])),
-    ("omega_sq", SampleFunction.polynomial([0.0, 0.0, 1.0])),
-    ("exp_omega", SampleFunction.exponential(1.0)),
+    ("one", functools.partial(np.polyval, [1 + 0j])),
+    ("omega", functools.partial(np.polyval, [1 + 0j, 0j])),
+    ("omega_sq", functools.partial(np.polyval, [1 + 0j, 0j, 0j])),
+    ("exp_omega", np.exp),
 )
 
 

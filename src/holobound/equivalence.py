@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import SampleFunction
 from .quadrature import sunflower_points
 from .weights import Check, ValidationReport, WeightFunction
 
@@ -52,7 +51,7 @@ class EquivalenceMap:
 
     def exponent(self, z):
         """p(z), the polynomial whose real part is phi_target - phi_source."""
-        return SampleFunction(self.exponent_coefficients)(z)
+        return np.polyval(self.exponent_coefficients[::-1], np.asarray(z, dtype=complex))
 
     def __call__(self, z):
         return np.exp(np.asarray(self.exponent(z)) / 2.0)

@@ -70,10 +70,10 @@ therefore reads the leading block of the same C, and the diagonals of
 nested degrees are monotone by construction.  A block holds at most
 _BLOCK_ENTRIES = 2^15 Vandermonde entries: the Vandermonde block and its
 product take 512 KB each at N = 40, inside the 2 MB per-core L2 cache of
-the Xeon they were measured on, and memory does not grow with the grid.  On the 5025-point benchmark grid at N = 40 larger
-blocks were no faster and doubled the temporaries or more, and smaller ones
-were slower; larger blocks gain 12-22% only on a 200000-point grid at N = 64
-(BENCH_gemm_diag.json).
+the Xeon they were measured on, and memory does not grow with the grid.  On
+the 5025-point benchmark grid at N = 40 larger blocks were no faster and
+doubled the temporaries or more, and smaller ones were slower; larger blocks
+gain 12-22% only on a 200000-point grid at N = 64 (BENCH_gemm_diag.json).
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .quadrature import QuadratureRule, angle_levels, integrate
 from .weights import WeightFunction
 
 __all__ = [
-    "SampleFunction",
     "KernelEstimate",
     "PositiveDefinitenessError",
     "gram_matrix",
@@ -119,44 +118,6 @@ class PositiveDefinitenessError(ArithmeticError):
             f"(smallest eigenvalue estimate {smallest_eigenvalue:.3e}); "
             f"increase the truncation radius or quadrature resolution, or "
             f"lower the degree")
-
-
-@dataclass(frozen=True, eq=False)
-class SampleFunction:
-    """Entire test function: polynomial times an optional factor exp(a*z)."""
-
-    coefficients: tuple
-    exp_rate: complex = 0j
-
-    @staticmethod
-    def polynomial(coefficients) -> "SampleFunction":
-        return SampleFunction(tuple(complex(c) for c in coefficients))
-
-    @staticmethod
-    def monomial(n: int) -> "SampleFunction":
-        return SampleFunction((0j,) * n + (1.0 + 0j,))
-
-    @staticmethod
-    def exponential(rate: complex) -> "SampleFunction":
-        """The exact function exp(rate * z)."""
-        return SampleFunction((1.0 + 0j,), exp_rate=complex(rate))
-
-    @property
-    def degree(self) -> int:
-        deg = 0
-        for k, c in enumerate(self.coefficients):
-            if c != 0:
-                deg = k
-        return deg
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        for c in reversed(self.coefficients):
-            out = out * z + c
-        if self.exp_rate != 0:
-            out = out * np.exp(self.exp_rate * z)
-        return complex(out) if out.ndim == 0 else out
 
 
 def _vandermonde(z: np.ndarray, degree: int) -> np.ndarray:

@@ -405,21 +405,15 @@ def _floor_min(floor: tuple, shift: float, r: float) -> float:
     return min(alpha * s * s + beta * s + gamma for s in candidates)
 
 
-def truncation_radius(w: "WeightFunction", max_degree: int,
-                      linear_rate: float = 0.0) -> float:
-    """Radius R with exp(-phi(R)) * R^(2*max_degree+1) * exp(linear_rate*R)
-    below 1e-18, found by bisection on the family's decay envelope.
-
-    ``linear_rate`` accommodates an extra exponential factor exp(rate*|z|)
-    in the integrand (sample functions with an exponential part).
-    """
+def truncation_radius(w: "WeightFunction", max_degree: int) -> float:
+    """Radius R with exp(-phi(R)) * R^(2*max_degree+1) below 1e-18, found by
+    bisection on the family's decay envelope."""
     shift = abs(w.offset)
     floor = w._floor
 
     def excess(r: float) -> float:
         return (-_floor_min(floor, shift, r)
-                + (2 * max_degree + 1) * math.log(r)
-                + linear_rate * r - NEGLIGIBLE_LOG)
+                + (2 * max_degree + 1) * math.log(r) - NEGLIGIBLE_LOG)
 
     hi = 2.0
     while excess(hi) > 0.0:

@@ -54,6 +54,14 @@ on ``equivalence.build_equivalence_map``.  ``validate_laplacian_bounds``
 compares the closed-form Laplacian with the finite-difference stencil
 (step FD_STEP) and with the weight's declared bounds on a grid.
 
+``translated_pointwise_check`` replays the translation proof of the
+global bound for one sample polynomial at one point: |f(z)|^2 against
+C e^{phi(z)} times the integral of |f|^2 e^{-phi} over D(z, 1), and that
+disk integral against the whole-plane norm ||f||^2 on a truncated plane
+rule wide enough for f's degree.  The package certifies the bound through
+the kernel diagonal K_N(z, z) e^{-phi(z)}, the smallest constant for every
+f at once; the replay checks the proof's chain one sample at a time.
+
 ``csv_by_rows`` is the CLI's CSV writer as it was before it formatted whole
 columns: one ``_fmt`` call per cell, row after row.
 """
@@ -63,18 +71,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss  # noqa: F401  (the eigensolve oracle)
 
 from holobound import greens
+from holobound.bounds import certificate_constant
 from holobound.equivalence import EquivalenceMap
 from holobound.kernel import build_kernel_estimate, weighted_norm_sq
-from holobound.quadrature import QuadratureRule, disk_rule
-from holobound.weights import Check, ValidationReport, WeightFunction, fd_laplacian
+from holobound.quadrature import QuadratureRule, disk_rule, truncated_plane_rule
+from holobound.weights import (
+    Check,
+    ValidationReport,
+    WeightFunction,
+    fd_laplacian,
+    truncation_radius,
+)
 
 NEAR_REACH = 5.5      # |z| up to which the near-field rule is used
 FAR_RESOLUTION = 64   # radial node count of the far-field rule
 _BLOCK_ENTRIES = 1 << 23  # pair entries per block of points x nodes
 FD_STEP = 1e-3        # step of the finite-difference check in validate_laplacian_bounds
+POINTWISE_REL_TOL = 1e-9  # relative slack of each step in translated_pointwise_check
 
 
 class PlanarLogPotential:
@@ -328,6 +345,39 @@ def extremal_ratio(w: WeightFunction, f, z, rule: QuadratureRule):
     z = np.asarray(z, dtype=complex)
     out = np.abs(np.asarray(f(z))) ** 2 / norm_sq
     return float(out) if out.ndim == 0 else out
+
+
+def translated_pointwise_check(w: WeightFunction, f: Polynomial, z,
+                               resolution: int) -> ValidationReport:
+    """Replay the translation proof of the global bound at one point.
+
+    Verifies the chain
+        |f(z)|^2 <= C e^{phi(z)} * integral over D(z,1) of |f|^2 e^{-phi}
+                 <= C e^{phi(z)} * ||f||^2
+    with both integrals by quadrature and relative tolerance 1e-9.
+    """
+    z = complex(z)
+    C = certificate_constant(w.laplacian_bounds[1])
+    local_int = weighted_norm_sq(w, f, disk_rule(z, 1.0, resolution, 2 * resolution))
+    radius = truncation_radius(w, max(f.degree(), 1)) + abs(z)
+    whole_int = weighted_norm_sq(w, f, truncated_plane_rule(radius, resolution,
+                                                            2 * resolution))
+    phi_z = w.weight(z)
+    lhs = abs(complex(f(z))) ** 2
+    local_side = C * math.exp(phi_z) * local_int
+    global_side = C * math.exp(phi_z) * whole_int
+    slack = 1.0 + POINTWISE_REL_TOL
+    checks = (
+        Check("local_step", lhs, local_side * slack,
+              lhs <= local_side * slack,
+              note=f"|f(z)|^2 = {lhs:.6e}, bound = {local_side:.6e}"),
+        Check("monotone_step", local_int, whole_int * slack,
+              local_int <= whole_int * slack,
+              note=f"disk integral {local_int:.6e}, plane integral {whole_int:.6e}"),
+        Check("global_step", lhs, global_side * slack,
+              lhs <= global_side * slack),
+    )
+    return ValidationReport(checks)
 
 
 def verify_unitary(m: EquivalenceMap, samples, rule: QuadratureRule,

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from holobound import (
     B_EXACT,
     NonConstantLaplacianError,
-    SampleFunction,
     WeightFunction,
     build_kernel_estimate,
     certificate_constant,
@@ -15,13 +15,13 @@ from holobound import (
     local_bound_certificate,
     mean_value_check,
     translate_weight,
-    translated_pointwise_check,
     truncated_plane_rule,
     truncation_radius,
 )
 from holobound import bounds, greens
 from holobound.bounds import BoundCertificate
 from holobound.quadrature import disk_lattice, disk_rule, random_disk_points
+from oracles import translated_pointwise_check
 
 INV_PI = 1.0 / math.pi
 
@@ -77,38 +77,37 @@ class TestConstantCase:
 
 class TestMeanValue:
     def test_constant_exact(self):
-        h = SampleFunction.polynomial([1.0])
+        h = Polynomial([1.0])
         for s in (0.3, 0.9):
             report = mean_value_check(h, s, tol=1e-14)
             assert report.passed
 
     def test_quadratic_monomial(self):
-        h = SampleFunction.monomial(2)
+        h = Polynomial.basis(2)
         report = mean_value_check(h, 0.5, tol=1e-12)
         assert report.passed
 
     def test_exponential(self):
-        h = SampleFunction.exponential(1.0)
+        h = np.exp
         report = mean_value_check(h, 0.9, tol=1e-8)
         assert report.passed
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            mean_value_check(SampleFunction.monomial(1), 1.5)
+            mean_value_check(Polynomial.basis(1), 1.5)
 
 
 class TestLocalBound:
     def test_constant_sample_ratio(self, gauss1):
         # closed form: ratio for f = 1 is 1 / (pi (1 - e^{-1}))
-        cert = local_bound_certificate(gauss1, 4.0,
-                                       [SampleFunction.polynomial([1.0])], 128)
+        cert = local_bound_certificate(gauss1, 4.0, [Polynomial([1.0])], 128)
         expected = 1.0 / (math.pi * (1.0 - math.exp(-1.0)))
         assert cert.measured_sup == pytest.approx(expected, rel=1e-9)
         assert cert.measured_sup <= cert.constant_C
         assert cert.passed
 
     def test_vanishing_sample(self, gauss1):
-        cert = local_bound_certificate(gauss1, 4.0, [SampleFunction.monomial(1)], 128)
+        cert = local_bound_certificate(gauss1, 4.0, [Polynomial.basis(1)], 128)
         assert cert.measured_sup == 0.0
 
     def test_fifty_random_polynomials(self, gauss1):
@@ -116,7 +115,7 @@ class TestLocalBound:
         samples = []
         for _ in range(50):
             deg = int(rng.integers(0, 11))
-            samples.append(SampleFunction.polynomial(
+            samples.append(Polynomial(
                 rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
         cert = local_bound_certificate(gauss1, 4.0, samples, 128)
         assert cert.passed
@@ -126,21 +125,20 @@ class TestLocalBound:
 
     def test_all_samples_skipped_rejected(self, gauss1):
         with pytest.raises(ValueError):
-            local_bound_certificate(gauss1, 4.0,
-                                    [SampleFunction.polynomial([0.0])], 64)
+            local_bound_certificate(gauss1, 4.0, [Polynomial([0.0])], 64)
 
     def test_builds_no_potential(self, gauss1, monkeypatch):
         def no_potential(*args, **kwargs):
             raise AssertionError("the local lemma built a LogPotential")
         monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
-        cert = local_bound_certificate(gauss1, 4.0, [SampleFunction.polynomial([1.0])], 64)
+        cert = local_bound_certificate(gauss1, 4.0, [Polynomial([1.0])], 64)
         assert cert.passed
 
     def test_violating_weight_rejected_with_point(self):
         # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
         with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
             local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 5.0,
-                                    [SampleFunction.polynomial([1.0])], 64)
+                                    [Polynomial([1.0])], 64)
 
 
 class TestGlobalCertificate:
@@ -200,23 +198,21 @@ class TestGlobalCertificate:
 
 class TestTranslatedPointwise:
     def test_constant_sample_at_origin(self, gauss1):
-        report = translated_pointwise_check(
-            gauss1, SampleFunction.polynomial([1.0]), 0.0, 128)
+        report = translated_pointwise_check(gauss1, Polynomial([1.0]), 0.0, 128)
         assert report.passed
         # first chain value reproduces the local-lemma ratio bound
         lhs = report.check("local_step").value
         assert lhs == pytest.approx(1.0)
 
     def test_linear_sample_at_one(self, gauss1):
-        report = translated_pointwise_check(
-            gauss1, SampleFunction.monomial(1), 1.0, 128)
+        report = translated_pointwise_check(gauss1, Polynomial.basis(1), 1.0, 128)
         assert report.passed
 
     def test_hundred_random_trials(self, gauss1):
         rng = np.random.default_rng(31)
         for _ in range(100):
             deg = int(rng.integers(0, 9))
-            f = SampleFunction.polynomial(
+            f = Polynomial(
                 rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
             z = complex(*rng.uniform(-1.4, 1.4, 2))
             report = translated_pointwise_check(gauss1, f, z, 64)

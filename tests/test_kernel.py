@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from holobound import kernel
 from holobound import (
     PositiveDefinitenessError,
-    SampleFunction,
     WeightFunction,
     build_kernel_estimate,
     disk_rule,
@@ -19,7 +19,7 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import disk_lattice, random_disk_points, sunflower_points
+from holobound.quadrature import disk_lattice, random_disk_points
 from holobound.weights import translate_weight
 from oracles import extremal_ratio, radial_kernel_diag, substitution_kernel_diag
 
@@ -486,18 +486,18 @@ class TestDegradation:
 
 class TestExtremalRatio:
     def test_constant_function(self, gauss1, rule_r10):
-        f = SampleFunction.polynomial([1.0])
+        f = Polynomial([1.0])
         # ||1||^2 = pi under e^{-|z|^2}
         assert extremal_ratio(gauss1, f, 0.0, rule_r10) == pytest.approx(
             1.0 / math.pi, rel=1e-10)
 
     def test_vanishing_at_point(self, gauss1, rule_r10):
-        f = SampleFunction.polynomial([0.0, 1.0])
+        f = Polynomial([0.0, 1.0])
         assert extremal_ratio(gauss1, f, 0.0, rule_r10) == 0.0
 
     def test_exponential_sample_approaches_kernel(self, gauss1, rule_r10):
         # e^omega truncated to degree 30 is the extremal function at z = 1
-        f = SampleFunction.polynomial([1 / math.factorial(k) for k in range(31)])
+        f = Polynomial([1 / math.factorial(k) for k in range(31)])
         ratio = extremal_ratio(gauss1, f, 1.0, rule_r10)
         diag = build_kernel_estimate(gauss1, 30, rule_r10).diag(1.0)
         assert ratio <= diag * (1 + 1e-10)
@@ -506,7 +506,7 @@ class TestExtremalRatio:
     def test_off_diagonal_kernel_section(self, gauss1, rule_r10):
         # pi K(z, i) = e^{-iz}, truncated to degree 30, is the extremal function
         # at z = i; at z = 1 it is e^{-i}, of unit modulus
-        f = SampleFunction.polynomial([(-1j) ** k / math.factorial(k) for k in range(31)])
+        f = Polynomial([(-1j) ** k / math.factorial(k) for k in range(31)])
         assert f(1.0) == pytest.approx(complex(math.cos(1), -math.sin(1)), rel=1e-15)
         assert abs(f(1.0)) == pytest.approx(1.0, rel=1e-15)
         ratio = extremal_ratio(gauss1, f, 1j, rule_r10)
@@ -515,7 +515,7 @@ class TestExtremalRatio:
         assert ratio == pytest.approx(math.e / math.pi, rel=1e-4)
 
     def test_zero_norm_rejected(self, gauss1, rule_r10):
-        f = SampleFunction.polynomial([0.0])
+        f = Polynomial([0.0])
         with pytest.raises(ValueError):
             extremal_ratio(gauss1, f, 0.0, rule_r10)
 
@@ -527,31 +527,7 @@ class TestExtremalRatio:
             degree = int(rng.integers(0, 11))
             coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             z = complex(*rng.uniform(-1.5, 1.5, 2))
-            f = SampleFunction.polynomial(coeffs)
+            f = Polynomial(coeffs)
             ratio = extremal_ratio(gauss1, f, z, rule)
             diag = est.diag(z)
             assert ratio <= diag * (1 + 1e-8)
-
-
-class TestSampleFunction:
-    def test_degree(self):
-        assert SampleFunction.polynomial([1.0, 0.0, 2.0]).degree == 2
-        assert SampleFunction.polynomial([1.0, 0.0]).degree == 0
-        assert SampleFunction.monomial(5).degree == 5
-
-    def test_exponential_taylor_polynomial(self):
-        # the degree-30 Taylor polynomial of e^z is e^z to rounding on |z| <= 1
-        f = SampleFunction.polynomial([1 / math.factorial(k) for k in range(31)])
-        zs = np.concatenate([[0.0, 1.0, -1.0, 1j], sunflower_points(40, 1.0)])
-        assert np.allclose(f(zs), SampleFunction.exponential(1.0)(zs), rtol=1e-14, atol=0)
-
-    def test_exponential_factor(self):
-        f = SampleFunction.exponential(1.0)
-        assert f(1.0) == pytest.approx(math.e, rel=1e-15)
-        g = SampleFunction(coefficients=(0.0, 1.0), exp_rate=1.0)
-        assert g(2.0) == pytest.approx(2.0 * math.e ** 2, rel=1e-14)
-
-    def test_vectorized_evaluation(self):
-        f = SampleFunction.polynomial([1.0, 1.0])
-        zs = np.array([0.0, 1.0, 1.0j])
-        assert np.allclose(f(zs), [1.0, 2.0, 1.0 + 1.0j])

@@ -268,9 +268,6 @@ class TestTruncationHint:
     def test_monotone_in_degree(self, gauss1):
         assert truncation_radius(gauss1, 10) < truncation_radius(gauss1, 40)
 
-    def test_linear_rate_enlarges(self, gauss1):
-        assert truncation_radius(gauss1, 10, linear_rate=2.0) > truncation_radius(gauss1, 10)
-
 
 class TestScalarField:
     def test_scalar_passthrough(self):
