@@ -368,8 +368,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     columns = {"z_re": [], "z_im": [], "residual": []}
     if verdict.passed:
         emap = equiv_mod.build_equivalence_map(wa, wb)
-        residuals = np.abs(np.abs(emap(grid)) ** 2 * wb.density(grid)
-                           / wa.density(grid) - 1.0)
+        residuals = emap.residual(grid)
         columns = {"z_re": grid.real, "z_im": grid.imag, "residual": residuals}
         summary["exponent_coefficients"] = [[c.real, c.imag]
                                             for c in emap.exponent_coefficients]

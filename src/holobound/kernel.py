@@ -320,7 +320,8 @@ class KernelEstimate:
     def _partial_sums(self, z, degree: int, lead: int):
         """(K at degree lead, K at degree) at the points z, shaped like z: the
         sums of |Y|^2 over the leading lead + 1 columns and over all of
-        them, Y = V(z - c) C^T block by block."""
+        them, Y = V(z - c) C^T block by block.  Raises ArithmeticError at the
+        first point where K is not finite (a power or its square overflowed)."""
         if not 0 <= degree <= self.effective_degree:
             raise ValueError(
                 f"degree {degree} is outside 0..{self.effective_degree}, the effective degree")
@@ -330,13 +331,17 @@ class KernelEstimate:
         Ct = self._inverse_factor[:n, :n].T.copy()
         lo, hi = np.empty(len(pts)), np.empty(len(pts))
         block = max(1, _BLOCK_ENTRIES // n)
-        for start in range(0, len(pts), block):
-            sl = slice(start, start + block)
-            # Y = L^-1 D^-1 v(z) per point, so sum |Y|^2 = v^H G^-1 v (not
-            # v^T G^-1 conj(v)); summed on the real view, no |Y| array
-            Y = (_vandermonde(pts[sl] - self.center, degree) @ Ct).view(float)
-            lo[sl] = np.einsum("ij,ij->i", Y[:, :m], Y[:, :m])
-            hi[sl] = lo[sl] + np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(pts), block):
+                sl = slice(start, start + block)
+                # Y = L^-1 D^-1 v(z) per point, so sum |Y|^2 = v^H G^-1 v (not
+                # v^T G^-1 conj(v)); summed on the real view, no |Y| array
+                Y = (_vandermonde(pts[sl] - self.center, degree) @ Ct).view(float)
+                lo[sl] = np.einsum("ij,ij->i", Y[:, :m], Y[:, :m])
+                hi[sl] = lo[sl] + np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])
+        bad = ~np.isfinite(hi)
+        if bad.any():
+            raise ArithmeticError(f"K_N is not finite at z = {complex(pts[np.argmax(bad)])!r}")
         if z.ndim == 0:
             return float(lo[0]), float(hi[0])
         return lo.reshape(z.shape), hi.reshape(z.shape)

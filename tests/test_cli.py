@@ -558,6 +558,35 @@ class TestTranslatedWeight:
         assert summary["measured_sup"] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
 
+# |z| = 1e10 overflows the Vandermonde at degree 31; at |z| = 1e5 the powers
+# stay finite up to degree 40 and their squares overflow
+OVERFLOW_POINTS = [(1e10, "(10000000000+0j)"), (1e5, "(100000+0j)")]
+
+
+class TestKernelOverflow:
+    @pytest.mark.parametrize("experiment", ["kernel-diag", "verify-bound"])
+    @pytest.mark.parametrize("x, shown", OVERFLOW_POINTS)
+    def test_exits_3_naming_the_point(self, tmp_path, capsys, experiment, x, shown):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": experiment, "weight": GAUSS, "degree": 40, "resolution": 64,
+            "grid": {"kind": "points", "points": [[0.5, 0.0], [x, 0.0]]}})
+        out = tmp_path / "out"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
+        assert f"numeric failure: K_N is not finite at z = {shown}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_sweep_records_an_arithmetic_error(self, tmp_path):
+        entries = [{"experiment": "verify-bound", "weight": GAUSS, "degree": 40,
+                    "resolution": 64, "label": f"entry-{i}",
+                    "grid": {"kind": "points", "points": [[0.5, 0.0], [x, 0.0]]}}
+                   for i, x in enumerate([1.0, *(x for x, _ in OVERFLOW_POINTS)])]
+        cfg = write_config(tmp_path, "sweep.json",
+                           {"experiment": "sweep", "configs": entries})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[2] for r in rows] == ["ok", "error:ArithmeticError", "error:ArithmeticError"]
+
+
 class TestFrontEnd:
     """``python -m holobound.cli`` in a fresh interpreter."""
 
@@ -584,6 +613,28 @@ class TestFrontEnd:
 
 
 class TestEquivalenceCommand:
+    @pytest.mark.parametrize("radius, spacing", [(40.0, 10.0), (1000.0, 250.0)])
+    def test_wide_grid_residuals_are_finite(self, tmp_path, radius, spacing):
+        # the densities underflow far out; the residual is taken in log form
+        cfg = write_config(tmp_path, "eq.json", {
+            "experiment": "equivalence",
+            "weight": {"family": "gaussian_harmonic",
+                       "params": {"a": 1.0, "b_re": 0.3, "c_re": 0.5}},
+            "weight_b": GAUSS,
+            "grid": {"kind": "lattice", "radius": radius, "spacing": spacing},
+        })
+        assert main(["equivalence", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the summary")
+        summary = json.loads((tmp_path / "equivalence_summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["max_residual"] < 1e-12
+        header, rows = read_csv(tmp_path / "equivalence.csv")
+        residuals = [float(row[header.index("residual")]) for row in rows]
+        assert len(residuals) == 49
+        assert all(math.isfinite(r) for r in residuals)
+
     def test_equivalent_pair(self, tmp_path):
         cfg = write_config(tmp_path, "eq.json", {
             "experiment": "equivalence",

@@ -17,7 +17,7 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import sunflower_points
+from holobound.quadrature import disk_lattice, sunflower_points
 from oracles import verify_kernel_invariance, verify_unitary
 
 GRID = sunflower_points(60, 2.0)
@@ -66,6 +66,18 @@ class TestBuildEquivalenceMap:
         emap = build_equivalence_map(gauss1, b)
         assert complex(np.asarray(emap(0.7 + 0.2j))) == pytest.approx(
             1.0 / math.sqrt(s), rel=1e-14)
+
+    def test_residual_stays_finite_where_the_densities_underflow(self):
+        # exp(-phi) underflows to 0 once phi passes about 745, so the ratio form
+        # |phi_eq|^2 beta / alpha - 1 reads nan there, or 1 where only beta has
+        # underflowed; the log form keeps the rounding of phi, about eps |z|^2
+        a = WeightFunction.gaussian_harmonic(1.0, 0.3, 0.5)
+        emap = build_equivalence_map(a, WeightFunction.gaussian(1.0))
+        zs = disk_lattice(1000.0, 7.3)
+        assert a.density(zs).min() == 0.0
+        residual = emap.residual(zs)
+        assert np.all(np.isfinite(residual))
+        assert residual.max() <= 1e-15 * np.abs(zs).max() ** 2
 
     def test_non_polynomial_rejected(self, gauss1):
         osc = WeightFunction.oscillatory(1.0, 0.5)

@@ -338,6 +338,16 @@ class TestKernelDiag:
         zs = random_disk_points(50, 2.0, seed=8)
         assert (build_kernel_estimate(gauss1, 25, rule_r10).diag(zs) >= 0.0).all()
 
+    @pytest.mark.parametrize("method", ["diag", "convergence_gap"])
+    def test_overflow_raises_at_the_first_point(self, rule_r10, gauss1, method):
+        # at degree 40 the squares of 1e5^40 overflow, and 1e10^31 itself
+        est = build_kernel_estimate(gauss1, 40, rule_r10)
+        zs = np.array([0.5, 1e5j, 1e10, 1.0])
+        with pytest.raises(ArithmeticError, match=r"not finite at z = 100000j$"):
+            getattr(est, method)(zs)
+        with pytest.raises(ArithmeticError, match=r"not finite at z = \(10000000000\+0j\)$"):
+            getattr(est, method)(1e10)
+
     def test_blocks_agree_with_one_block(self, rule_r10, monkeypatch):
         # a budget of 3 points at degree 40 splits 100 points into 34 blocks,
         # the last one short
