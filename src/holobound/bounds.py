@@ -1,20 +1,19 @@
 """Pointwise-bound certificates for weighted holomorphic L2 spaces.
 
-Three certificate kinds:
+Every certificate measures K_N(z,z) e^{-phi(z)} with the one builder
+``_weighted_diag``: a kernel estimate on a rule, and the largest change of
+the product at half the rule's resolution as the error estimate.  K_N(z,z)
+is the largest |f(z)|^2 / ||f||^2 over polynomials f of degree <= N, so
+dominating it bounds all of them at once.  The three kinds:
 
 * ``constant_case``: for lap(phi) = c > 0 the kernel diagonal is exactly
-  (c / 4pi) e^{phi(z)}, so the weighted product K(z,z) e^{-phi(z)} must be
-  flat at c / 4pi; the certificate measures that flatness.
+  (c / 4pi) e^{phi(z)}, so the product must be flat at c / 4pi on the grid.
 
 * ``local_lemma``: with 0 <= lap(phi) <= M, every f satisfies
   |f(0)|^2 <= C e^{phi(0)} * integral over D(0,1) of |f|^2 e^{-phi},
-  where C = e^{(B + 1/4) M} / pi depends only on M.
+  C = e^{(B + 1/4) M} / pi; the product is taken for the space over D(0, 1).
 
 * ``global``: |f(z)|^2 <= C e^{phi(z)} ||f||^2 for the same C and all z.
-  Because the kernel diagonal is the smallest constant in the pointwise
-  bound at each z, dominating K_N(z,z) e^{-phi(z)} by C certifies the bound
-  for the whole function class at once; sampled functions remain as an
-  independent oracle.
 
 A certificate passes only when its margin exceeds three times the quadrature
 error estimate, so a pass is never an artifact of discretization noise.
@@ -23,11 +22,11 @@ error estimate, so a pass is never an artifact of discretization noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import build_kernel_estimate, weighted_norm_sq
+from .kernel import KernelEstimate, build_kernel_estimate
 from .potential import B_EXACT, check_laplacian_range, phi_at_origin
 from .quadrature import QuadratureRule, disk_rule, half_resolution, integrate
 from .weights import Check, ValidationReport, WeightFunction
@@ -54,22 +53,22 @@ class NonConstantLaplacianError(ValueError):
 class BoundCertificate:
     """Outcome of one certificate run.
 
-    ``measured`` holds the measured quantity at each point of ``grid``; the
-    record derives ``measured_sup``, its maximum, and ``margin``,
-    constant_C - measured_sup.  ``passed`` is the margin beyond three error
-    estimates unless the certificate supplies its own rule (flatness, for
-    the constant case).  ``metadata`` carries N, resolution, B_used, M and
-    auxiliary diagnostics.
+    ``measured`` holds K_N(z,z) e^{-phi(z)} at each measured point, from
+    ``estimate``, the kernel estimate built; the record derives
+    ``measured_sup``, its maximum, and ``margin``, constant_C - measured_sup.
+    ``passed`` is the margin beyond three error estimates unless the
+    certificate supplies its own rule (flatness, for the constant case).
+    ``tighter_constant`` is set by the global certificate only.
     """
 
     constant_C: float
-    grid: np.ndarray
     measured: np.ndarray
     error_estimate: float
+    estimate: KernelEstimate
     passed: bool | None = None
-    metadata: dict = dataclass_field(default_factory=dict)
-    measured_sup: float = dataclass_field(init=False)
-    margin: float = dataclass_field(init=False)
+    tighter_constant: float | None = None
+    measured_sup: float = field(init=False)
+    margin: float = field(init=False)
 
     def __post_init__(self):
         self.measured_sup = float(np.max(self.measured))
@@ -115,14 +114,7 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     est, products, err = _weighted_diag(w, N, rule, grid)
     # |p / C - 1| is convex in p, so its grid maximum sits at the max or the min
     flat_dev = float(np.max(np.abs(products / C - 1.0)))
-    return BoundCertificate(C, grid, products, err, passed=flat_dev <= FLATNESS_TOL, metadata={
-        "c": c,
-        "N": N,
-        "effective_degree": est.effective_degree,
-        "measured_inf": float(products.min()),
-        "flatness_deviation": flat_dev,
-        "flatness_tol": FLATNESS_TOL,
-    })
+    return BoundCertificate(C, products, err, est, passed=flat_dev <= FLATNESS_TOL)
 
 
 def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
@@ -142,43 +134,22 @@ def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
     ))
 
 
-def local_bound_certificate(w: WeightFunction, M: float, samples,
+def local_bound_certificate(w: WeightFunction, M: float, N: int,
                             resolution: int) -> BoundCertificate:
     """Certificate for the unit-disk bound with C = e^{(B + 1/4) M} / pi.
 
-    For each sample f the measured quantity is
-    |f(0)|^2 e^{-phi(0)} / integral over D(0,1) of |f|^2 e^{-phi}; the
-    certificate passes when the worst sample stays below C by more than
-    three error estimates.  Samples with vanishing disk integral are
-    skipped with a note.  A weight outside 0 <= lap(phi) <= M is rejected
-    with the offending point.
+    The measured quantity is K_N(0,0) e^{-phi(0)} for the space over
+    D(0, 1), on a resolution x 2 resolution disk rule: the largest
+    |f(0)|^2 e^{-phi(0)} / integral over D(0,1) of |f|^2 e^{-phi} over
+    polynomials f of degree at most N, the local lemma's sharp constant
+    for all of them at once.  A weight outside 0 <= lap(phi) <= M is
+    rejected with the offending point before any Gram is built.
     """
     check_laplacian_range(w, M)
-    rule = disk_rule(0.0, 1.0, resolution, 2 * resolution)
-    coarse = half_resolution(rule)
-    phi0 = w.weight(0.0 + 0.0j)
-
-    ratios, ratios_coarse, skipped = [], [], []
-    for k, f in enumerate(samples):
-        den = weighted_norm_sq(w, f, rule)
-        if den <= 0.0:
-            skipped.append(k)
-            continue
-        num = abs(complex(np.asarray(f(np.asarray(0.0 + 0.0j))))) ** 2 * math.exp(-phi0)
-        ratios.append(num / den)
-        ratios_coarse.append(num / weighted_norm_sq(w, f, coarse))
-    if not ratios:
-        raise ValueError("all samples were skipped (zero disk integrals)")
-    ratios = np.asarray(ratios)
-    err = float(np.max(np.abs(ratios - np.asarray(ratios_coarse))))
-    return BoundCertificate(certificate_constant(M), np.asarray([0.0 + 0.0j]),
-                            np.asarray([ratios.max()]), err, metadata={
-        "B_used": B_EXACT,
-        "M": M,
-        "resolution": resolution,
-        "n_samples": len(ratios),
-        "skipped_samples": skipped,
-    })
+    C = certificate_constant(M)
+    est, products, err = _weighted_diag(w, N, disk_rule(0.0, 1.0, resolution, 2 * resolution),
+                                        np.zeros(1, complex))
+    return BoundCertificate(C, products, err, est)
 
 
 def global_certificate(w: WeightFunction, M: float, grid, N: int,
@@ -188,24 +159,15 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     measured_sup is the grid maximum of K_N(z,z) e^{-phi(z)}.  Since the
     kernel diagonal is the smallest constant making the pointwise bound hold
     at z, dominating it by C certifies the bound for every function in the
-    space at once.  The metadata also reports the tighter weight-dependent
-    constant e^{B M - Phi(0)} / pi that precedes the M-only simplification.
+    space at once.  ``tighter_constant`` is the weight-dependent constant
+    e^{B M - Phi(0)} / pi that precedes the M-only simplification.
     Phi(0) comes from the circle means of psi alone (``phi_at_origin``),
     whose angle count is the tail rule ``greens.angular_modes`` that
     ``LogPotential`` uses too; no whole potential is built.
     """
-    # validates 0 <= lap(phi) <= M before any Gram matrix is built
+    # validates 0 <= lap(phi) <= M, and C its range, before any Gram is built
     phi0 = phi_at_origin(w, M)
-    grid = np.asarray(grid, dtype=complex)
-    est, products, err = _weighted_diag(w, N, rule, grid)
-    return BoundCertificate(certificate_constant(M), grid, products, err, metadata={
-        "B_used": B_EXACT,
-        "M": M,
-        "N": N,
-        "effective_degree": est.effective_degree,
-        "degraded": est.degraded,
-        "resolution": rule.n_r,
-        "condition_estimate": est.condition_estimate,
-        "tighter_constant": math.exp(B_EXACT * M - phi0) / math.pi,
-        "angle_bands": est.angle_bands(),
-    })
+    C = certificate_constant(M)
+    est, products, err = _weighted_diag(w, N, rule, np.asarray(grid, dtype=complex))
+    return BoundCertificate(C, products, err, est,
+                            tighter_constant=math.exp(B_EXACT * M - phi0) / math.pi)

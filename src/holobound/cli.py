@@ -316,17 +316,17 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         "pass": bool(cert.passed),
         "constant_C": cert.constant_C,
         "measured_sup": cert.measured_sup,
-        "B_used": cert.metadata["B_used"],
+        "B_used": potential_mod.B_EXACT,
         "M": M,
         "N": cfg.degree,
         "resolution": cfg.resolution,
         "margin": cert.margin,
         "error_estimate": cert.error_estimate,
-        "tighter_constant": cert.metadata["tighter_constant"],
+        "tighter_constant": cert.tighter_constant,
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
-        "diagnostics": {"effective_degree": cert.metadata["effective_degree"],
-                        "degraded": bool(cert.metadata["degraded"]),
-                        "angle_bands": cert.metadata["angle_bands"]},
+        "diagnostics": {"effective_degree": cert.estimate.effective_degree,
+                        "degraded": bool(cert.estimate.degraded),
+                        "angle_bands": cert.estimate.angle_bands()},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary, {

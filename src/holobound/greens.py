@@ -24,11 +24,11 @@ radial piece times ``n_theta`` equispaced angles, and each ring is
 transformed by one FFT.  The pieces end at the seams 1 and 2 of
 ``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
 knob.  One tail rule, :func:`angular_modes`, sets it for every caller that
-samples psi on rings (``LogPotential`` here, ``phi_at_origin`` in the
+evaluates psi on rings (``LogPotential`` here, ``phi_at_origin`` in the
 potential module, which reads the circle means alone): it doubles
 ``n_theta`` from 16 until the top half of the modes lies below
 MODE_TAIL = 1e-14 of the largest; rounding alone leaves the ring FFT's tail
-near 1e-15, below the limit.  Each doubling samples psi only at the new odd
+near 1e-15, below the limit.  Each doubling evaluates psi only at the new odd
 angles (:func:`holobound.quadrature.angle_levels`, the loop the kernel's
 per-ring angle counts take too).  Of the bottom half, modes 0..K are kept, with
 K the last mode above MODE_TAIL of the largest on any ring (at least mode
@@ -263,7 +263,7 @@ class LogPotential:
     ``resolution`` is the number of Chebyshev-Lobatto rings per radial
     piece.  ``n_theta``, the number of angles per ring, and ``n_modes``, the
     number of angular modes 0..K kept by the tail rule, are measured from
-    the samples (module docstring); a radial psi keeps one mode.
+    the ring values (module docstring); a radial psi keeps one mode.
     ``n_columns`` is the number of live real columns (mode, real or
     imaginary part) carried through the set-up and the evaluation.  psi is
     sampled only inside D(0, support_radius) and must vanish outside it.

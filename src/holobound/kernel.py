@@ -36,7 +36,7 @@ n_theta when there is none, and doubles, sampling only the new angles
 * the count exceeds N plus the ring's last mode above that limit, so no
   |k| <= N is aliased.
 
-The count never passes n_theta, and a ring whose samples or share are not
+The count never passes n_theta, and a ring whose values or share are not
 finite goes there.  At n_theta the ring sum is the rule's own node sum,
 exact for every n_theta, odd or even, because U_i is n_theta-periodic: a
 frequency past n_theta / 2 is read at its alias.  A density with no angular
@@ -84,7 +84,7 @@ import numpy as np
 from numpy.fft import rfft
 
 from .greens import MODE_TAIL, START_N_THETA
-from .quadrature import QuadratureRule, angle_levels, integrate
+from .quadrature import QuadratureRule, angle_levels
 from .weights import WeightFunction
 
 __all__ = [
@@ -92,7 +92,6 @@ __all__ = [
     "PositiveDefinitenessError",
     "gram_matrix",
     "build_kernel_estimate",
-    "weighted_norm_sq",
 ]
 
 MAX_DEGREE = 64
@@ -148,7 +147,7 @@ def _ring_modes(w: WeightFunction, degree: int, rule: QuadratureRule):
     the new angles, until its top half of modes lies below MODE_TAIL times
     its mode 0 over its equilibrated share s_i, and the count exceeds degree
     plus its last kept mode (module docstring).  A ring stops at the rule's
-    n_theta in any case, and goes there when its samples or its share are
+    n_theta in any case, and goes there when its values or its share are
     not finite.
     """
     center, r, w_r = rule.rings()
@@ -385,7 +384,3 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         _inverse_factor=_inverse_lower(chol) / d[:effective + 1],
     )
 
-
-def weighted_norm_sq(w: WeightFunction, f, rule: QuadratureRule) -> float:
-    """||f||^2 under the weight: the rule's integral of |f|^2 e^{-phi}."""
-    return integrate(rule, lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p))

@@ -4,7 +4,7 @@ Every rule is a tensor product of Gauss-Legendre in radius (with the area
 jacobian r folded into the weights) and a uniform trapezoid rule in angle on
 D(center, radius), held lazily: a :class:`QuadratureRule` stores the
 centre, the radius and the two node counts.  ``rings()`` gives the radii and
-radial weights, which is all the kernel's Gram assembly reads; it samples
+radial weights, which is all the kernel's Gram assembly reads; it evaluates
 the density on each ring at its own angle count (``angle_levels``), so no
 node array is built on that path.  ``nodes`` and ``weights`` are built, and
 cached, the first time ``integrate`` or a caller asks for them.
@@ -222,17 +222,17 @@ def gauss_legendre(n: int):
 
 def _angles(j: np.ndarray, m: int) -> np.ndarray:
     """e^{2 pi i j / m}.  The angle 2 pi (2j) / (2m) rounds to the same double
-    as 2 pi j / m, so an angle count's samples recur bit for bit at twice it."""
+    as 2 pi j / m, so an angle count's values recur bit for bit at twice it."""
     return np.exp(2j * math.pi * j / m)
 
 
 def angle_levels(f, radii: np.ndarray, count: int, cap: int):
-    """The doubling loop of the angular tail rules: samples of f on the
+    """The doubling loop of the angular tail rules: values of f on the
     circles |z| = radii at count, 2 count, 4 count, ... angles, up to cap.
 
     Yields (m, values) with values[..., j] = f(radii[..., None] e^{2 pi i j / m}).
     Past the first level f is called only at the m / 2 new odd angles, and
-    the previous samples fill the even ones.  ``next()`` refines every
+    the previous values fill the even ones.  ``next()`` refines every
     circle; ``send(rows)`` refines only radii[rows] (an index or mask on the
     leading axis), so a caller may stop each circle at its own count.  The
     loop ends after the level with cap angles, or, when cap is not count

@@ -45,8 +45,10 @@ in the angle, on P_n's cosine series); ``mp_gauss_legendre`` refines nodes to
 the Cholesky factor, rebuilt from an estimate's Gram alone, the check on
 ``KernelEstimate.diag_at_degree`` (one product against the inverse factor).
 
-``extremal_ratio`` is |f(z)|^2 / ||f||^2 for one sample function, the lower
-bound that no kernel diagonal K_N(z, z) of degree >= deg f may fall below.
+``weighted_norm_sq`` is ||f||^2 under a weight for one function f, by the
+rule's integral of |f|^2 e^{-phi} on its nodes.  ``extremal_ratio`` is
+|f(z)|^2 / ||f||^2 for one sample function, the lower bound that no kernel
+diagonal K_N(z, z) of degree >= deg f may fall below.
 ``verify_unitary`` checks that an equivalence map preserves norms, and
 ``verify_kernel_invariance`` that it leaves the weighted kernel diagonal
 alpha(z) K_alpha(z, z) unchanged, both by quadrature on one rule: the checks
@@ -77,8 +79,8 @@ from numpy.polynomial.legendre import leggauss  # noqa: F401  (the eigensolve or
 from holobound import greens
 from holobound.bounds import certificate_constant
 from holobound.equivalence import EquivalenceMap
-from holobound.kernel import build_kernel_estimate, weighted_norm_sq
-from holobound.quadrature import QuadratureRule, disk_rule, truncated_plane_rule
+from holobound.kernel import build_kernel_estimate
+from holobound.quadrature import QuadratureRule, disk_rule, integrate, truncated_plane_rule
 from holobound.weights import (
     Check,
     ValidationReport,
@@ -334,6 +336,11 @@ def substitution_kernel_diag(est, z, degree: int):
     for i in range(n):
         Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]
     return np.sum(np.abs(Y) ** 2, axis=0)
+
+
+def weighted_norm_sq(w: WeightFunction, f, rule: QuadratureRule) -> float:
+    """||f||^2 under the weight: the rule's integral of |f|^2 e^{-phi}."""
+    return integrate(rule, lambda p: np.abs(np.asarray(f(p))) ** 2 * w.density(p))
 
 
 def extremal_ratio(w: WeightFunction, f, z, rule: QuadratureRule):

@@ -20,8 +20,8 @@ from holobound import (
 )
 from holobound import bounds, greens
 from holobound.bounds import BoundCertificate
-from holobound.quadrature import disk_lattice, disk_rule, random_disk_points
-from oracles import translated_pointwise_check
+from holobound.quadrature import disk_lattice, disk_rule
+from oracles import extremal_ratio, translated_pointwise_check
 
 INV_PI = 1.0 / math.pi
 
@@ -33,16 +33,17 @@ def grid_d15():
 
 class TestBoundCertificate:
     def test_verdict_follows_from_measured_and_error(self):
-        cert = BoundCertificate(2.0, np.zeros(3, complex), np.array([0.5, 1.5, 1.0]), 0.1)
+        cert = BoundCertificate(2.0, np.array([0.5, 1.5, 1.0]), 0.1, None)
         assert cert.measured_sup == 1.5
         assert cert.margin == 0.5
         assert cert.passed  # 0.5 > 3 * 0.1
-        tight = BoundCertificate(2.0, np.zeros(3, complex), np.array([0.5, 1.5, 1.0]), 0.2)
+        tight = BoundCertificate(2.0, np.array([0.5, 1.5, 1.0]), 0.2, None)
         assert tight.margin == 0.5 and not tight.passed  # 0.5 <= 3 * 0.2
 
     def test_supplied_rule_overrides_margin(self):
-        cert = BoundCertificate(1.0, np.zeros(1, complex), np.array([2.0]), 0.0, passed=True)
+        cert = BoundCertificate(1.0, np.array([2.0]), 0.0, None, passed=True)
         assert cert.margin == -1.0 and cert.passed
+        assert cert.tighter_constant is None
 
 
 class TestConstantCase:
@@ -50,7 +51,8 @@ class TestConstantCase:
         cert = constant_case_certificate(gauss1, grid_d15, 40, gauss1_rule)
         assert cert.constant_C == pytest.approx(INV_PI, rel=1e-15)
         assert cert.measured_sup <= INV_PI + 1e-4
-        assert cert.metadata["measured_inf"] >= INV_PI - 1e-4
+        assert cert.measured.min() >= INV_PI - 1e-4
+        assert cert.estimate.effective_degree == 40
         assert cert.passed
 
     def test_scaled_gaussian_constant(self):
@@ -66,7 +68,7 @@ class TestConstantCase:
         rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
         cert = constant_case_certificate(w, grid_d15, 40, rule)
         assert cert.constant_C == pytest.approx(INV_PI, rel=1e-15)
-        assert cert.metadata["flatness_deviation"] < 1e-3
+        assert np.max(np.abs(cert.measured / cert.constant_C - 1.0)) < 1e-3
         assert cert.passed
 
     def test_nonconstant_laplacian_rejected(self, gauss1_rule, grid_d15):
@@ -98,47 +100,55 @@ class TestMeanValue:
 
 
 class TestLocalBound:
-    def test_constant_sample_ratio(self, gauss1):
-        # closed form: ratio for f = 1 is 1 / (pi (1 - e^{-1}))
-        cert = local_bound_certificate(gauss1, 4.0, [Polynomial([1.0])], 128)
+    @pytest.mark.parametrize("N", [0, 10, 20])
+    def test_gaussian_closed_form(self, gauss1, N):
+        # the disk's monomials are orthogonal, so K(0, 0) = 1 / ||1||^2 at every
+        # degree, with ||1||^2 = pi (1 - e^{-1}) over D(0, 1)
+        cert = local_bound_certificate(gauss1, 4.0, N, 128)
         expected = 1.0 / (math.pi * (1.0 - math.exp(-1.0)))
-        assert cert.measured_sup == pytest.approx(expected, rel=1e-9)
-        assert cert.measured_sup <= cert.constant_C
+        assert cert.measured_sup == pytest.approx(expected, rel=1e-13)
+        assert cert.estimate.effective_degree == N
         assert cert.passed
-
-    def test_vanishing_sample(self, gauss1):
-        cert = local_bound_certificate(gauss1, 4.0, [Polynomial.basis(1)], 128)
-        assert cert.measured_sup == 0.0
 
     def test_fifty_random_polynomials(self, gauss1):
+        # K_N(0, 0) over D(0, 1) dominates |f(0)|^2 / ||f||^2 for every f of
+        # degree <= N, each ratio by quadrature on the same disk rule
+        cert = local_bound_certificate(gauss1, 4.0, 10, 128)
+        rule = disk_rule(0.0, 1.0, 128, 256)
         rng = np.random.default_rng(7)
-        samples = []
+        density0 = math.exp(-gauss1.weight(0.0))
         for _ in range(50):
             deg = int(rng.integers(0, 11))
-            samples.append(Polynomial(
-                rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)))
-        cert = local_bound_certificate(gauss1, 4.0, samples, 128)
+            f = Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            ratio = extremal_ratio(gauss1, f, 0.0, rule) * density0
+            assert ratio <= cert.measured_sup * (1.0 + 1e-12)
         assert cert.passed
-        assert cert.measured_sup <= cert.constant_C
         # the certificate constant is far from sharp; expect a wide gap
         assert cert.measured_sup < 0.5 * cert.constant_C
 
-    def test_all_samples_skipped_rejected(self, gauss1):
-        with pytest.raises(ValueError):
-            local_bound_certificate(gauss1, 4.0, [Polynomial([0.0])], 64)
+    @pytest.mark.parametrize("w", [WeightFunction.oscillatory(1.0, 0.5),
+                                   WeightFunction.potential_defined(1.0)],
+                             ids=["oscillatory", "potential_defined"])
+    def test_keeps_full_degree(self, w):
+        cert = local_bound_certificate(w, 5.0, 20, 64)
+        assert cert.estimate.effective_degree == 20 and not cert.estimate.degraded
+        assert cert.error_estimate < 1e-10
+        assert cert.passed
 
     def test_builds_no_potential(self, gauss1, monkeypatch):
         def no_potential(*args, **kwargs):
             raise AssertionError("the local lemma built a LogPotential")
         monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
-        cert = local_bound_certificate(gauss1, 4.0, [Polynomial([1.0])], 64)
+        cert = local_bound_certificate(gauss1, 4.0, 10, 64)
         assert cert.passed
 
-    def test_violating_weight_rejected_with_point(self):
+    def test_violating_weight_rejected_with_point(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("kernel estimate built before the weight was validated")
+        monkeypatch.setattr(bounds, "build_kernel_estimate", no_build)
         # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
         with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
-            local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 5.0,
-                                    [Polynomial([1.0])], 64)
+            local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 5.0, 10, 64)
 
 
 class TestGlobalCertificate:
@@ -150,7 +160,8 @@ class TestGlobalCertificate:
         # C = e^{(B + 1/4) 4} / pi is far above e / pi
         assert cert.constant_C > math.e / math.pi
         assert cert.margin > 3 * cert.error_estimate
-        assert cert.metadata["tighter_constant"] < cert.constant_C
+        assert cert.tighter_constant < cert.constant_C
+        assert cert.estimate.effective_degree == 40 and not cert.estimate.degraded
 
     def test_oscillatory(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
@@ -166,7 +177,7 @@ class TestGlobalCertificate:
         w = WeightFunction.oscillatory(1.0, 0.5)
         rule = truncated_plane_rule(truncation_radius(w, 16), 64, 128)
         cert = global_certificate(w, 5.0, disk_lattice(1.0, 0.5), 16, rule)
-        assert math.isfinite(cert.metadata["tighter_constant"])
+        assert math.isfinite(cert.tighter_constant)
 
     def test_invalid_weight_rejected_before_gram_builds(self, monkeypatch):
         def no_build(*args, **kwargs):

@@ -29,7 +29,8 @@ def test_package_exports_are_module_exports():
 # test-only checks and closed forms that the package does not provide
 TEST_ONLY = ["sb_kernel", "exp_taylor", "matching_normalized_gaussian", "gamma",
              "extremal_ratio", "verify_unitary", "verify_kernel_invariance",
-             "validate_laplacian_bounds", "SampleFunction", "translated_pointwise_check"]
+             "validate_laplacian_bounds", "SampleFunction", "translated_pointwise_check",
+             "weighted_norm_sq"]
 
 
 def test_test_only_names_stay_out_of_the_package():
