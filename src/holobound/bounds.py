@@ -22,6 +22,7 @@ error estimate, so a pass is never an artifact of discretization noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
 
 FLATNESS_TOL = 1e-3
 ERROR_MARGIN_FACTOR = 3.0
+# the largest M whose constant e^{(B + 1/4) M} / pi is a finite double
+MAX_M = math.log(sys.float_info.max) / (B_EXACT + 0.25)
 
 
 class NonConstantLaplacianError(ValueError):
@@ -78,7 +81,11 @@ class BoundCertificate:
 
 
 def certificate_constant(M: float) -> float:
-    """The M-only certificate constant exp((B + 1/4) M) / pi."""
+    """The M-only certificate constant exp((B + 1/4) M) / pi; OverflowError,
+    naming M, past MAX_M."""
+    if M > MAX_M:
+        raise OverflowError(f"certificate constant e^((B + 1/4) M) / pi overflows at M = {M}; "
+                            f"a double allows M <= {MAX_M}")
     return math.exp((B_EXACT + 0.25) * M) / math.pi
 
 

@@ -406,24 +406,34 @@ def _floor_min(floor: tuple, shift: float, r: float) -> float:
 
 
 def truncation_radius(w: "WeightFunction", max_degree: int) -> float:
-    """Radius R with exp(-phi(R)) * R^(2*max_degree+1) below 1e-18, found by
-    bisection on the family's decay envelope."""
+    """Radius R past the peak of the envelope exp(-phi(r)) r^(2N+1), N =
+    max_degree, where it falls below 1e-18 times the smaller of 1 and its
+    peak value, by bisection on the family's floor for phi.
+
+    The log envelope is concave, with its peak at the positive root of
+    2 alpha r^2 + (beta - 2 alpha shift) r - (2N+1) = 0, or at the shift if
+    that is larger.  Below a peak value of 1 the threshold is relative, so a
+    concentrated weight (a Gaussian of small t) keeps a radius past its mass.
+    """
     shift = abs(w.offset)
-    floor = w._floor
+    alpha, beta, _ = floor = w._floor
+    k = 2 * max_degree + 1
+    b = beta - 2.0 * alpha * shift
+    peak = max(shift, (math.sqrt(b * b + 8.0 * alpha * k) - b) / (4.0 * alpha))
 
-    def excess(r: float) -> float:
-        return (-_floor_min(floor, shift, r)
-                + (2 * max_degree + 1) * math.log(r) - NEGLIGIBLE_LOG)
+    def envelope(r: float) -> float:
+        return -_floor_min(floor, shift, r) + k * math.log(r)
 
+    limit = NEGLIGIBLE_LOG + min(0.0, envelope(peak))
     hi = 2.0
-    while excess(hi) > 0.0:
+    while envelope(hi) > limit:
         hi *= 2.0
         if hi > 1e9:
             raise WeightError("weight decays too slowly for a truncation radius")
-    lo = hi / 2.0 if hi > 2.0 else 1e-6
+    lo = hi / 2.0 if hi > 2.0 else peak
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        if envelope(mid) > limit:
             lo = mid
         else:
             hi = mid

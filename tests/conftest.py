@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from holobound import (
@@ -24,8 +23,3 @@ def gauss1_rule(gauss1):
     # covers the degree-40 truncation hint of the unit Gaussian
     return truncated_plane_rule(truncation_radius(gauss1, 40), 256, 512)
 
-
-def random_polynomial(rng, max_degree):
-    degree = int(rng.integers(0, max_degree + 1))
-    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return coeffs

@@ -188,6 +188,15 @@ class TestGlobalCertificate:
         with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= .* at z = "):
             global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
 
+    def test_overflowing_constant_raises_before_gram_builds(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("kernel estimate built for an overflowing constant")
+        monkeypatch.setattr(bounds, "build_kernel_estimate", no_build)
+        w = WeightFunction.gaussian(0.006)
+        rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
+        with pytest.raises(OverflowError, match=r"at M = 666.66+\d*; a double allows M <= 624.64"):
+            global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
+
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j
         wt = translate_weight(gauss1, z0)
@@ -244,3 +253,8 @@ class TestNormalization:
     def test_certificate_constant_formula(self):
         assert certificate_constant(4.0) == pytest.approx(
             math.exp((B_EXACT + 0.25) * 4.0) / math.pi, rel=1e-15)
+
+    def test_certificate_constant_range(self):
+        assert math.isfinite(certificate_constant(bounds.MAX_M))
+        with pytest.raises(OverflowError, match="overflows at M = "):
+            certificate_constant(math.nextafter(bounds.MAX_M, math.inf))

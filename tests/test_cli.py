@@ -19,7 +19,6 @@ from holobound.cli import (
     ConfigError,
     main,
     parse_config,
-    run,
 )
 from holobound.potential import B_BRACKET, B_EXACT
 from holobound.quadrature import QuadratureRule, random_disk_points
@@ -489,6 +488,22 @@ class TestKernelDiagCommand:
         # 96 angles halve to 24, the smallest count above 2N = 20
         assert summary["diagnostics"] == {"angle_bands": [[24, 48]]}
 
+    def test_concentrated_gaussian_keeps_full_degree(self, tmp_path):
+        # lap(phi) = 200: the truncation radius covers the mass near the origin,
+        # and K_N is the partial sum (1/(pi t)) sum_{n <= 40} (|z|^2 / t)^n / n!
+        t = 0.02
+        cfg = write_config(tmp_path, "kd.json", {
+            "experiment": "kernel-diag", "degree": 40, "resolution": 256,
+            "weight": {"family": "gaussian", "params": {"t": t}}})
+        assert main(["kernel-diag", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "kernel-diag_summary.json").read_text())
+        assert summary["effective_degree"] == 40 and summary["degraded"] is False
+        header, rows = read_csv(tmp_path / "kernel-diag.csv")
+        for row in rows:
+            s = (float(row[0]) ** 2 + float(row[1]) ** 2) / t
+            exact = math.fsum(s ** n / math.factorial(n) for n in range(41)) / (math.pi * t)
+            assert float(row[header.index("K_N")]) == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("experiment", ["kernel-diag", "verify-bound"])
     def test_builds_no_node_array(self, tmp_path, monkeypatch, experiment):
         # the Gram samples the density ring by ring at its own angle counts
@@ -585,6 +600,28 @@ class TestKernelOverflow:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert [r[2] for r in rows] == ["ok", "error:ArithmeticError", "error:ArithmeticError"]
+
+
+class TestConstantOverflow:
+    """Past M = 624.65 the constant e^((B + 1/4) M) / pi leaves the double
+    range: the run exits 3 naming M, and builds no kernel estimate."""
+
+    @pytest.mark.parametrize("experiment, params, M", [
+        ("verify-bound", {"family": "gaussian", "params": {"t": 0.006}}, 4.0 / 0.006),
+        ("verify-bound", {"family": "oscillatory", "params": {"a": 160.0, "eps": 1.0}}, 642.0),
+        ("constants", {"family": "gaussian", "params": {"t": 0.006}}, 4.0 / 0.006),
+    ])
+    def test_exits_3_naming_M(self, tmp_path, capsys, monkeypatch, experiment, params, M):
+        def no_build(*args, **kwargs):
+            raise AssertionError("kernel estimate built for an overflowing constant")
+        monkeypatch.setattr(cli.bounds_mod, "build_kernel_estimate", no_build)
+        cfg = write_config(tmp_path, "c.json", {"experiment": experiment, "weight": params,
+                                                "degree": 8, "resolution": 64})
+        out = tmp_path / "out"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
+        assert (f"numeric failure: certificate constant e^((B + 1/4) M) / pi overflows "
+                f"at M = {M}" in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestFrontEnd:

@@ -1,10 +1,13 @@
 """The export lists stay in step with the code: every name a module lists
-in ``__all__`` exists, the package re-exports only listed names, and the
-checks that live in the tests' oracles module stay out of the package."""
+in ``__all__`` exists, the package re-exports only listed names, the
+checks that live in the tests' oracles module stay out of the package, and
+no test module imports a name it never reads."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +41,27 @@ def test_test_only_names_stay_out_of_the_package():
     leaked = sorted(f"{owner.__name__}.{name}"
                     for owner in owners for name in TEST_ONLY if hasattr(owner, name))
     assert leaked == []
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every name a test module imports is read somewhere in it, unless its
+    line says ``# noqa: F401``; a stale import keeps a package name looking
+    used by the tests."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and "noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[name] = alias.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    assert sorted((line, name) for name, line in imported.items() if name not in read) == []

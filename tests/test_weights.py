@@ -9,9 +9,11 @@ from holobound import (
     ScalarField,
     WeightError,
     WeightFunction,
+    build_kernel_estimate,
     fd_laplacian,
     normalized_gaussian,
     translate_weight,
+    truncated_plane_rule,
     truncation_radius,
 )
 from holobound.quadrature import random_disk_points, sunflower_points
@@ -267,6 +269,19 @@ class TestTruncationHint:
 
     def test_monotone_in_degree(self, gauss1):
         assert truncation_radius(gauss1, 10) < truncation_radius(gauss1, 40)
+
+    @pytest.mark.parametrize("N", [8, 40])
+    @pytest.mark.parametrize("t", [0.02, 0.01, 0.005, 0.001])
+    def test_concentrated_gaussian_partial_sums(self, t, N):
+        # below an envelope peak of 1 the threshold is relative, so the rule
+        # covers the mass: K_N is (1/(pi t)) sum_{n <= N} (|z|^2 / t)^n / n!
+        w = WeightFunction.gaussian(t)
+        est = build_kernel_estimate(w, N, truncated_plane_rule(truncation_radius(w, N), 128, 256))
+        z = math.sqrt(t) * np.array([0.0, 0.5, 1.0, 1.5 + 0.5j, 2.0j, 3.0])
+        exact = [math.fsum((abs(x) ** 2 / t) ** n / math.factorial(n) for n in range(N + 1))
+                 / (math.pi * t) for x in z]
+        assert est.effective_degree == N
+        np.testing.assert_allclose(est.diag(z), exact, rtol=1e-12, atol=0)
 
 
 class TestScalarField:
