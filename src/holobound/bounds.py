@@ -172,7 +172,7 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     whose angle count is the tail rule ``greens.angular_modes`` that
     ``LogPotential`` uses too; no whole potential is built.
     """
-    # validates 0 <= lap(phi) <= M, and C its range, before any Gram is built
+    # 0 <= lap(phi) <= M, and C's double range, are checked before any Gram is built
     phi0 = phi_at_origin(w, M)
     C = certificate_constant(M)
     est, products, err = _weighted_diag(w, N, rule, np.asarray(grid, dtype=complex))

@@ -383,4 +383,3 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         angle_counts=counts,
         _inverse_factor=_inverse_lower(chol) / d[:effective + 1],
     )
-
