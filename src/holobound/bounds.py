@@ -57,17 +57,20 @@ class BoundCertificate:
     """Outcome of one certificate run.
 
     ``measured`` holds K_N(z,z) e^{-phi(z)} at each measured point, from
-    ``estimate``, the kernel estimate built; the record derives
-    ``measured_sup``, its maximum, and ``margin``, constant_C - measured_sup.
-    ``passed`` is the margin beyond three error estimates unless the
-    certificate supplies its own rule (flatness, for the constant case).
-    ``tighter_constant`` is set by the global certificate only.
+    ``estimate``, the kernel estimate built, and ``convergence_gap`` the
+    estimate's (K_N - K_{N-5}) / K_N there (None below the degree step);
+    the record derives ``measured_sup``, its maximum, and ``margin``,
+    constant_C - measured_sup.  ``passed`` is the margin beyond three error
+    estimates unless the certificate supplies its own rule (flatness, for
+    the constant case).  ``tighter_constant`` is set by the global
+    certificate only.
     """
 
     constant_C: float
     measured: np.ndarray
     error_estimate: float
     estimate: KernelEstimate
+    convergence_gap: np.ndarray | None = None
     passed: bool | None = None
     tighter_constant: float | None = None
     measured_sup: float = field(init=False)
@@ -90,14 +93,17 @@ def certificate_constant(M: float) -> float:
 
 
 def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray):
-    """(estimate, K_N(z,z) e^{-phi(z)} on the grid, the largest change of that
-    product when the rule is halved in resolution)."""
+    """(K_N(z,z) e^{-phi(z)} on the grid, the largest change of that product
+    when the rule is halved in resolution, the estimate, its convergence
+    gap on the grid or None): a certificate's fields after constant_C."""
     density = w.density(grid)
     est = build_kernel_estimate(w, N, rule)
-    products = np.atleast_1d(est.diag(grid)) * density
+    diag, gap = est.diag_and_gap(grid)
+    products = np.atleast_1d(diag) * density
     coarse = build_kernel_estimate(w, N, half_resolution(rule))
     products_coarse = np.atleast_1d(coarse.diag(grid)) * density
-    return est, products, float(np.max(np.abs(products - products_coarse)))
+    err = float(np.max(np.abs(products - products_coarse)))
+    return products, err, est, None if gap is None else np.atleast_1d(gap)
 
 
 def constant_case_certificate(w: WeightFunction, grid, N: int,
@@ -118,10 +124,10 @@ def constant_case_certificate(w: WeightFunction, grid, N: int,
     if c <= 0:
         raise NonConstantLaplacianError(f"lap(phi) must be positive, got {c}")
     C = c / (4.0 * math.pi)
-    est, products, err = _weighted_diag(w, N, rule, grid)
+    measured = _weighted_diag(w, N, rule, grid)
     # |p / C - 1| is convex in p, so its grid maximum sits at the max or the min
-    flat_dev = float(np.max(np.abs(products / C - 1.0)))
-    return BoundCertificate(C, products, err, est, passed=flat_dev <= FLATNESS_TOL)
+    flat_dev = float(np.max(np.abs(measured[0] / C - 1.0)))
+    return BoundCertificate(C, *measured, passed=flat_dev <= FLATNESS_TOL)
 
 
 def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
@@ -154,9 +160,8 @@ def local_bound_certificate(w: WeightFunction, M: float, N: int,
     """
     check_laplacian_range(w, M)
     C = certificate_constant(M)
-    est, products, err = _weighted_diag(w, N, disk_rule(0.0, 1.0, resolution, 2 * resolution),
-                                        np.zeros(1, complex))
-    return BoundCertificate(C, products, err, est)
+    return BoundCertificate(C, *_weighted_diag(
+        w, N, disk_rule(0.0, 1.0, resolution, 2 * resolution), np.zeros(1, complex)))
 
 
 def global_certificate(w: WeightFunction, M: float, grid, N: int,
@@ -175,6 +180,5 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     # 0 <= lap(phi) <= M, and C's double range, are checked before any Gram is built
     phi0 = phi_at_origin(w, M)
     C = certificate_constant(M)
-    est, products, err = _weighted_diag(w, N, rule, np.asarray(grid, dtype=complex))
-    return BoundCertificate(C, products, err, est,
+    return BoundCertificate(C, *_weighted_diag(w, N, rule, np.asarray(grid, dtype=complex)),
                             tighter_constant=math.exp(B_EXACT * M - phi0) / math.pi)

@@ -287,10 +287,21 @@ def _kernel_inputs(cfg: ExperimentConfig):
     return w, grid, rule
 
 
+def _gap_diagnostics(gap, grid: np.ndarray) -> dict:
+    """The grid maximum of the convergence gap (K_N - K_{N-5}) / K_N and its
+    [x, y]; both None when the effective degree is below the gap's step."""
+    if gap is None:
+        return {"convergence_gap": None, "convergence_gap_at": None}
+    i = int(np.argmax(gap))
+    return {"convergence_gap": float(gap[i]),
+            "convergence_gap_at": [float(grid[i].real), float(grid[i].imag)]}
+
+
 def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
     w, grid, rule = _kernel_inputs(cfg)
     est = build_kernel_estimate(w, cfg.degree, rule)
-    diag = np.atleast_1d(est.diag(grid))
+    diag, gap = est.diag_and_gap(grid)
+    diag = np.atleast_1d(diag)
     summary = {
         "n_points": len(grid),
         "degree": cfg.degree,
@@ -301,7 +312,7 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
         "diag_min": float(diag.min()),
         "resolution": cfg.resolution,
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
-        "diagnostics": {"angle_bands": est.angle_bands()},
+        "diagnostics": {"angle_bands": est.angle_bands(), **_gap_diagnostics(gap, grid)},
     }
     return ExperimentResult(EXIT_OK, summary, {
         "z_re": grid.real, "z_im": grid.imag, "N": cfg.degree, "K_N": diag,
@@ -326,7 +337,8 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
         "diagnostics": {"effective_degree": cert.estimate.effective_degree,
                         "degraded": bool(cert.estimate.degraded),
-                        "angle_bands": cert.estimate.angle_bands()},
+                        "angle_bands": cert.estimate.angle_bands(),
+                        **_gap_diagnostics(cert.convergence_gap, grid)},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary, {

@@ -78,6 +78,7 @@ gain 12-22% only on a 200000-point grid at N = 64 (BENCH_gemm_diag.json).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +97,7 @@ __all__ = [
 
 MAX_DEGREE = 64
 CONDITION_LIMIT = 1e12
-GAP_STEP = 5  # degree step of KernelEstimate.convergence_gap
+GAP_STEP = 5  # degree step of the convergence gap of KernelEstimate.diag_and_gap
 
 # entry budget per block of (points x (degree + 1)) in KernelEstimate.diag_at_degree
 _BLOCK_ENTRIES = 1 << 15
@@ -251,7 +252,7 @@ def gram_matrix(w: WeightFunction, N: int, rule: QuadratureRule) -> np.ndarray:
     return G
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KernelEstimate:
     """Factorized truncated-kernel evaluator for one (weight, degree, rule).
 
@@ -261,6 +262,9 @@ class KernelEstimate:
     is the Gram in the basis (z - center)^j, ``center`` the rule's centre: the
     monomial Gram for an origin-centred rule.  ``angle_counts`` holds the
     number of angles at which each ring of the rule was sampled.
+
+    :func:`build_kernel_estimate` caches its estimates, so one estimate may
+    sit in several certificates: it is frozen and its arrays are read-only.
     """
 
     degree: int
@@ -270,6 +274,10 @@ class KernelEstimate:
     effective_degree: int
     angle_counts: np.ndarray
     _inverse_factor: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        for array in (self.gram, self.angle_counts, self._inverse_factor):
+            array.flags.writeable = False
 
     @property
     def degraded(self) -> bool:
@@ -287,48 +295,47 @@ class KernelEstimate:
         over polynomials f of that degree; nonnegative, vectorized."""
         return self.diag_at_degree(z, self.effective_degree)
 
-    def convergence_gap(self, z):
-        """Relative gap (K_N - K_{N-5}) / K_N at the effective degree.
+    def diag_and_gap(self, z):
+        """(K_N, the convergence gap (K_N - K_{N-5}) / K_N) at the effective
+        degree, from one product per block; the gap is None when the
+        effective degree is below GAP_STEP.  K_N is :meth:`diag` bit for bit.
 
         The diagonals are monotone lower bounds of the full kernel; a small
         gap is the working convergence signal (no rigorous remainder is
-        claimed).  Both come from one product per block: K_{N-5} sums the
-        leading columns of |Y|^2 and K_N adds the rest, so K_{N-5} <= K_N
-        holds exactly.
+        claimed).
         """
         n = self.effective_degree
         if n < GAP_STEP:
-            raise ValueError(f"effective degree {n} is below the step {GAP_STEP}")
-        lo, hi = self._partial_sums(z, n, n - GAP_STEP)
-        return (hi - lo) / hi
+            return self.diag(z), None
+        return self.diag_at_degree(z, n, gap=True)
 
-    def diag_at_degree(self, z, degree: int):
+    def diag_at_degree(self, z, degree: int, gap: bool = False):
         """Kernel diagonal of the leading block of the given degree, shaped
-        like z (a float for a scalar).
+        like z (a float for a scalar); with ``gap``, the pair (K, (K -
+        K_{degree-5}) / K) from the same products.
 
         K = |C v(z - c)|^2 with C = L^-1 D^-1 the inverse factor.  C is lower
         triangular and the leading block of a triangular inverse is the
         inverse of the leading block, so every degree reads the leading block
         of the one C, and nested-degree diagonals are monotone by
         construction.  Points are taken in blocks of at most _BLOCK_ENTRIES
-        Vandermonde entries, one product each, so the block and its product
-        stay cache-sized and memory does not grow with the grid.
+        Vandermonde entries, one product Y = V(z - c) C^T each, so the block
+        and its product stay cache-sized and memory does not grow with the
+        grid.  K is the sum of |Y|^2 over all columns, and K - K_{degree-5}
+        the sum over the trailing columns, degrees degree-4..degree, so the
+        gap is nonnegative and carries no cancellation.  Raises
+        ArithmeticError at the first point where K is not finite (a power or
+        its square overflowed).
         """
-        return self._partial_sums(z, degree, degree)[0]
-
-    def _partial_sums(self, z, degree: int, lead: int):
-        """(K at degree lead, K at degree) at the points z, shaped like z: the
-        sums of |Y|^2 over the leading lead + 1 columns and over all of
-        them, Y = V(z - c) C^T block by block.  Raises ArithmeticError at the
-        first point where K is not finite (a power or its square overflowed)."""
         if not 0 <= degree <= self.effective_degree:
             raise ValueError(
                 f"degree {degree} is outside 0..{self.effective_degree}, the effective degree")
         z = np.asarray(z, dtype=complex)
         pts = z.ravel()
-        n, m = degree + 1, 2 * (lead + 1)
+        n = degree + 1
         Ct = self._inverse_factor[:n, :n].T.copy()
-        lo, hi = np.empty(len(pts)), np.empty(len(pts))
+        K = np.empty(len(pts))
+        tail = np.empty(len(pts)) if gap else None
         block = max(1, _BLOCK_ENTRIES // n)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(pts), block):
@@ -336,14 +343,18 @@ class KernelEstimate:
                 # Y = L^-1 D^-1 v(z) per point, so sum |Y|^2 = v^H G^-1 v (not
                 # v^T G^-1 conj(v)); summed on the real view, no |Y| array
                 Y = (_vandermonde(pts[sl] - self.center, degree) @ Ct).view(float)
-                lo[sl] = np.einsum("ij,ij->i", Y[:, :m], Y[:, :m])
-                hi[sl] = lo[sl] + np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])
-        bad = ~np.isfinite(hi)
+                K[sl] = np.einsum("ij,ij->i", Y, Y)
+                if gap:
+                    past = Y[:, max(0, 2 * (n - GAP_STEP)):]
+                    tail[sl] = np.einsum("ij,ij->i", past, past)
+        bad = ~np.isfinite(K)
         if bad.any():
             raise ArithmeticError(f"K_N is not finite at z = {complex(pts[np.argmax(bad)])!r}")
         if z.ndim == 0:
-            return float(lo[0]), float(hi[0])
-        return lo.reshape(z.shape), hi.reshape(z.shape)
+            K = float(K[0])
+            return (K, float(tail[0]) / K) if gap else K
+        K = K.reshape(z.shape)
+        return (K, tail.reshape(z.shape) / K) if gap else K
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -358,8 +369,19 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return X / d
 
 
+@functools.lru_cache(maxsize=8)
 def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
-    """Assemble and factor the Gram matrix, degrading N if ill-conditioned."""
+    """Assemble and factor the Gram matrix, degrading N if ill-conditioned.
+
+    Cached on (w, N, rule): a weight is equal to another with the same
+    family, parameters and Laplacian bounds, which fix its evaluators, and
+    a rule to another with the same fields, which fix its nodes (see
+    :class:`holobound.quadrature.QuadratureRule`), so an equal key gives the
+    estimate the uncached build would.  A sweep that doubles the resolution
+    builds each half-resolution estimate once: the certificate at 64 x 128
+    reuses the 32 x 64 estimate its neighbour measured with.  Errors are
+    not cached; the estimate is frozen and read-only.
+    """
     center, G, d, scaled, counts = _equilibrated_gram(w, N, rule)
     effective = N
     chol = None

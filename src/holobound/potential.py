@@ -26,6 +26,7 @@ independent 2-D quadrature oracle the tests compare it against.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -100,6 +101,7 @@ def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential
     return LogPotential(_cutoff_density(w), support_radius=2.0, resolution=resolution)
 
 
+@functools.lru_cache(maxsize=16)
 def phi_at_origin(w: WeightFunction, M: float) -> float:
     """Phi(0) for the psi of :func:`make_psi`, without building the whole field.
 
@@ -116,6 +118,12 @@ def phi_at_origin(w: WeightFunction, M: float) -> float:
     in u on [0, 1], so that s log s ds becomes 4 u^3 log u du near s = 0.
     For the bump weight translated by 0.5 the rule's error is 9.3e-12 at 64
     nodes and 4e-16 at 128.
+
+    Cached on (w, M): Phi(0) depends on the weight only through lap(phi),
+    and weights compare equal by family, parameters and Laplacian bounds,
+    which fix their evaluators, so a sweep over one weight computes it
+    once.  A weight outside the range raises on every call, since errors
+    are not cached.
     """
     check_laplacian_range(w, M)
     x, gw = gauss_legendre(ORIGIN_NODES)

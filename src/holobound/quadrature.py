@@ -83,7 +83,7 @@ class NonFiniteIntegrandError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadratureRule:
     """Polar tensor rule on D(center, radius): ``n_r`` Gauss-Legendre radii
     times ``n_theta`` equispaced angles, node i * n_theta + j at
@@ -94,6 +94,12 @@ class QuadratureRule:
     built on first use and cached; rules are otherwise immutable, and
     ``integrate`` is pure, with numpy's pairwise summation, so results are
     stable to about 1e-13 relative regardless of scheduling.
+
+    Rules compare and hash by value, by the five fields alone: the nodes
+    and weights are functions of them, and the lazy arrays are a cached
+    property, not a field.  So ``half_resolution`` of a 64 x 128 rule equals
+    the 32 x 64 rule on the same disk, and a cache keyed on the rule
+    (``kernel.build_kernel_estimate``) serves both.
     """
 
     center: complex

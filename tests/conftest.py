@@ -3,9 +3,34 @@ import pytest
 from holobound import (
     WeightFunction,
     disk_rule,
+    greens,
+    kernel,
+    potential,
+    quadrature,
     truncated_plane_rule,
     truncation_radius,
 )
+
+# every functools cache in the package; tests/test_exports.py checks that the
+# list misses none
+CACHES = (
+    quadrature.gauss_legendre,
+    greens._piece_rule,
+    potential.phi_at_origin,
+    kernel.build_kernel_estimate,
+)
+
+
+def clear_caches():
+    for cached in CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    # a test that monkeypatches a module constant (MODE_TAIL, CONDITION_LIMIT,
+    # ORIGIN_NODES, ...) must not read a result cached by an earlier test
+    clear_caches()
 
 
 @pytest.fixture(scope="session")
@@ -22,4 +47,3 @@ def gauss1():
 def gauss1_rule(gauss1):
     # covers the degree-40 truncation hint of the unit Gaussian
     return truncated_plane_rule(truncation_radius(gauss1, 40), 256, 512)
-

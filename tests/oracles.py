@@ -421,8 +421,8 @@ def verify_kernel_invariance(a: WeightFunction, b: WeightFunction, z_list,
     lhs = np.atleast_1d(est_a.diag(z)) * np.atleast_1d(a.density(z))
     rhs = np.atleast_1d(est_b.diag(z)) * np.atleast_1d(b.density(z))
     rel = np.abs(lhs - rhs) / np.abs(lhs)
-    gap = max(float(np.max(est_a.convergence_gap(z))),
-              float(np.max(est_b.convergence_gap(z))))
+    gap = max(float(np.max(est_a.diag_and_gap(z)[1])),
+              float(np.max(est_b.diag_and_gap(z)[1])))
     note = (f"effective degrees {est_a.effective_degree} / "
             f"{est_b.effective_degree}, worst convergence gap {gap:.2e}")
     checks = tuple(

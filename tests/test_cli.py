@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobound import cli, greens
+from holobound import cli, greens, kernel
 from holobound import potential as potential_mod
 from holobound.cli import (
     EXIT_CERTIFICATE,
@@ -22,6 +22,7 @@ from holobound.cli import (
 )
 from holobound.potential import B_BRACKET, B_EXACT
 from holobound.quadrature import QuadratureRule, random_disk_points
+from conftest import clear_caches
 from oracles import csv_by_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -456,6 +457,37 @@ class TestVerifyBoundCommand:
         assert sum_a == sum_b
 
 
+class TestConvergenceGap:
+    """The nested convergence gap (K_N - K_{N-5}) / K_N at N = 40, resolution
+    256, on the default radius-2 lattice, where a verdict does not show it."""
+
+    @pytest.mark.parametrize("experiment", ["verify-bound", "kernel-diag"])
+    @pytest.mark.parametrize("weight, gap, at", [
+        # the rule centred on the mass at -5, the grid 3 to 7 away from it
+        ({"family": "gaussian", "params": {"t": 1.0, "z0_re": 5.0}}, 0.795, [2.0, 0.0]),
+        # degraded to degree 28
+        ({"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.9}}, 0.368,
+         [-2.0, 0.0]),
+        ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 2.5e-11, None),
+        (GAUSS, 0.0, None),
+    ], ids=["translated_gaussian", "anisotropic", "oscillatory", "gaussian"])
+    def test_gap_at_degree_40(self, experiment, weight, gap, at):
+        cfg = parse_config({"experiment": experiment, "weight": weight, "degree": 40,
+                            "resolution": 256})
+        diagnostics = cli.EXPERIMENTS[experiment](cfg).summary["diagnostics"]
+        assert diagnostics["convergence_gap"] == pytest.approx(gap, rel=0.02, abs=1e-20)
+        if at is not None:
+            assert diagnostics["convergence_gap_at"] == at
+
+    @pytest.mark.parametrize("experiment", ["verify-bound", "kernel-diag"])
+    def test_null_below_the_step(self, experiment):
+        cfg = parse_config({"experiment": experiment, "weight": GAUSS, "degree": 4,
+                            "resolution": 32})
+        diagnostics = cli.EXPERIMENTS[experiment](cfg).summary["diagnostics"]
+        assert diagnostics["convergence_gap"] is None
+        assert diagnostics["convergence_gap_at"] is None
+
+
 class TestBUsed:
     @pytest.mark.parametrize("experiment, extra", [
         ("verify-bound", {"degree": 8, "resolution": 32,
@@ -485,8 +517,13 @@ class TestKernelDiagCommand:
         assert len(rows) == 3
         assert float(rows[0][3]) == pytest.approx(1.0 / math.pi, rel=1e-6)
         summary = json.loads((tmp_path / "kernel-diag_summary.json").read_text())
-        # 96 angles halve to 24, the smallest count above 2N = 20
-        assert summary["diagnostics"] == {"angle_bands": [[24, 48]]}
+        # 96 angles halve to 24, the smallest count above 2N = 20; the gap
+        # (K_10 - K_5) / K_10 is largest at |z| = 1, first at z = 1
+        series = [1.0 / math.factorial(k) for k in range(11)]
+        assert summary["diagnostics"] == {
+            "angle_bands": [[24, 48]],
+            "convergence_gap": pytest.approx(sum(series[6:]) / sum(series), rel=1e-9),
+            "convergence_gap_at": [1.0, 0.0]}
 
     def test_concentrated_gaussian_keeps_full_degree(self, tmp_path):
         # lap(phi) = 200: the truncation radius covers the mass near the origin,
@@ -920,6 +957,45 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert [r[2] for r in rows] == ["ok", "error:ValueError"]
+
+    def test_doubling_sweep_builds_the_shared_estimate_once(self, tmp_path, monkeypatch):
+        # the resolution-64 entry's half-resolution rule is the resolution-32
+        # entry's rule: 3 Gram assemblies, not 4
+        calls = []
+        assemble = kernel._equilibrated_gram
+        monkeypatch.setattr(kernel, "_equilibrated_gram",
+                            lambda w, N, rule: (calls.append(rule), assemble(w, N, rule))[1])
+        entries = [{"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
+                    "resolution": res, "grid": {"kind": "random", "radius": 1.5, "count": 10}}
+                   for res in (32, 64)]
+        cfg = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": entries})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert [(rule.n_r, rule.n_theta) for rule in calls] == [(32, 64), (16, 32), (64, 128)]
+
+    def test_caches_leave_the_csv_unchanged(self, tmp_path, monkeypatch):
+        # the last run clears every cache before each entry; the violating
+        # entry raises again though its weight was seen.  The two weights
+        # differ in lap(phi), so in Phi(0) and tighter_constant too
+        grid = {"kind": "random", "radius": 1.5, "count": 20}
+        narrow = {"family": "gaussian", "params": {"t": 0.5}}
+        violating = {"family": "oscillatory", "params": {"a": 1.0, "eps": 3.0}}
+        entries = [{"experiment": "verify-bound", "weight": w, "degree": n,
+                    "resolution": res, "grid": grid, "seed": 7}
+                   for w in (GAUSS, narrow) for n in (8, 16) for res in (32, 64, 96)]
+        entries.append({"experiment": "verify-bound", "weight": violating, "degree": 8,
+                        "resolution": 32, "grid": grid})
+        cfg = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": entries})
+        outputs = []
+        for name in ("shared", "again", "cleared"):
+            if name == "cleared":
+                run_entry = cli.EXPERIMENTS["verify-bound"]
+                monkeypatch.setitem(cli.EXPERIMENTS, "verify-bound",
+                                    lambda entry: (clear_caches(), run_entry(entry))[1])
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+            outputs.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        _, rows = read_csv(tmp_path / "shared" / "sweep.csv")
+        assert [r[2] for r in rows] == ["ok"] * 12 + ["error:ValueError"]
 
 
 def test_import_leaves_scipy_out():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import holobound
+from conftest import CACHES
 
 MODULES = [importlib.import_module(f"holobound.{info.name}")
            for info in pkgutil.iter_modules(holobound.__path__)]
@@ -41,6 +42,24 @@ def test_test_only_names_stay_out_of_the_package():
     leaked = sorted(f"{owner.__name__}.{name}"
                     for owner in owners for name in TEST_ONLY if hasattr(owner, name))
     assert leaked == []
+
+
+def test_fixture_clears_every_cache():
+    """The autouse fixture in conftest.py clears every functools cache of the
+    package, module-level or on a class, so no test reads a result that an
+    earlier test cached under other monkeypatched constants."""
+    found = set()
+    for module in MODULES:
+        owners = [module] + [v for v in vars(module).values()
+                             if isinstance(v, type) and v.__module__ == module.__name__]
+        for owner in owners:
+            for value in vars(owner).values():
+                value = getattr(value, "__func__", value)  # staticmethod, classmethod
+                if callable(value) and hasattr(value, "cache_clear"):
+                    found.add(f"{value.__module__}.{value.__qualname__}")
+    listed = {f"{c.__module__}.{c.__qualname__}" for c in CACHES}
+    assert "holobound.kernel.build_kernel_estimate" in found
+    assert sorted(found - listed) == []
 
 
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -131,7 +132,8 @@ class TestFFTAssembly:
         monkeypatch.setattr(kernel, "_assemble_gram",
                             lambda w, N, rule: (center, direct_gram(w, N, rule, center),
                                                 np.full(rule.n_r, rule.n_theta)))
-        oracle = build_kernel_estimate(weight, N, rule)
+        # past the cache, which holds est for these arguments
+        oracle = build_kernel_estimate.__wrapped__(weight, N, rule)
         assert est.center == center
         assert equilibrated_error(est.gram, oracle.gram) < 1e-12
         assert est.effective_degree == oracle.effective_degree
@@ -291,8 +293,9 @@ class TestKernelDiag:
 
     def test_convergence_gap_shrinks(self, gauss1, rule_r10):
         est = build_kernel_estimate(gauss1, 40, rule_r10)
-        assert est.convergence_gap(1.0) < 1e-8
-        assert est.convergence_gap(1.0) < est.diag_at_degree(1.0, 10)
+        gap = est.diag_and_gap(1.0)[1]
+        assert gap < 1e-8
+        assert gap < est.diag_at_degree(1.0, 10)
 
     def test_monotone_in_degree(self, rule_r10):
         w = WeightFunction.gaussian_harmonic(1.0, b=0.3)
@@ -338,7 +341,7 @@ class TestKernelDiag:
         zs = random_disk_points(50, 2.0, seed=8)
         assert (build_kernel_estimate(gauss1, 25, rule_r10).diag(zs) >= 0.0).all()
 
-    @pytest.mark.parametrize("method", ["diag", "convergence_gap"])
+    @pytest.mark.parametrize("method", ["diag", "diag_and_gap"])
     def test_overflow_raises_at_the_first_point(self, rule_r10, gauss1, method):
         # at degree 40 the squares of 1e5^40 overflow, and 1e10^31 itself
         est = build_kernel_estimate(gauss1, 40, rule_r10)
@@ -440,10 +443,11 @@ class TestInverseFactor:
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_gap_orders_the_diagonals_exactly(self, family):
-        # K_{N-5} and K_N from one product: K_{N-5} <= K_N with no slack
+        # K_N - K_{N-5} is the sum over the trailing columns of K_N's own
+        # product, so K_{N-5} <= K_N with no slack
         est = _oracle_estimate(family, 40)
         zs = random_disk_points(5025, 2.0, seed=6)
-        gap = est.convergence_gap(zs)
+        gap = est.diag_and_gap(zs)[1]
         assert np.all(gap >= 0.0)
         hi = est.diag(zs)
         assert np.max(np.abs(gap - (hi - est.diag_at_degree(zs, 35)) / hi)) <= 1e-14
@@ -451,7 +455,8 @@ class TestInverseFactor:
     def test_point_shapes(self):
         est = _oracle_estimate("oscillatory", 40)
         zs = random_disk_points(6, 2.0, seed=7).reshape(2, 3)
-        for f in (est.diag, lambda z: est.diag_at_degree(z, 20), est.convergence_gap):
+        for f in (est.diag, lambda z: est.diag_at_degree(z, 20),
+                  lambda z: est.diag_and_gap(z)[1]):
             out = f(zs)
             assert out.shape == (2, 3)
             assert np.array_equal(out, f(zs.ravel()).reshape(2, 3))
@@ -492,6 +497,48 @@ class TestDegradation:
         assert not est.degraded
         assert est.effective_degree == 40
         assert est.condition_estimate < 1e3
+
+
+class TestSharedEstimates:
+    def test_equal_arguments_share_one_estimate(self, gauss1):
+        # equal weights and rules, not the same objects, give the cached estimate
+        rule = disk_rule(0.0, 5.0, 32, 64)
+        est = build_kernel_estimate(gauss1, 8, rule)
+        twin = WeightFunction.from_json(gauss1.to_json())
+        assert twin is not gauss1
+        assert build_kernel_estimate(twin, 8, disk_rule(0.0, 5.0, 32, 64)) is est
+        assert build_kernel_estimate(gauss1, 9, rule) is not est
+        assert np.array_equal(build_kernel_estimate.__wrapped__(gauss1, 8, rule).gram, est.gram)
+
+    def test_estimate_is_read_only(self, gauss1):
+        est = build_kernel_estimate(gauss1, 8, disk_rule(0.0, 5.0, 32, 64))
+        with pytest.raises(ValueError, match="read-only"):
+            est.gram[0, 0] = 0.0
+        for array in (est.angle_counts, est._inverse_factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.effective_degree = 7
+
+    def test_errors_are_not_cached(self, gauss1):
+        rule = disk_rule(0.0, 5.0, 32, 64)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds the supported cap"):
+                build_kernel_estimate(gauss1, kernel.MAX_DEGREE + 1, rule)
+        assert build_kernel_estimate.cache_info().currsize == 0
+
+    def test_diag_and_gap(self, gauss1, rule_r10):
+        # K_N is diag bit for bit; the gap of the unit Gaussian at |z| = 2 is
+        # its series' last five terms over the whole, read with no cancellation
+        est = build_kernel_estimate(gauss1, 40, rule_r10)
+        zs = random_disk_points(300, 2.0, seed=8)
+        K, gap = est.diag_and_gap(zs)
+        assert np.array_equal(K, est.diag(zs))
+        terms = [4.0 ** k / math.factorial(k) for k in range(41)]
+        assert est.diag_and_gap(2.0)[1] == pytest.approx(sum(terms[36:]) / sum(terms), rel=1e-6)
+        low = build_kernel_estimate(gauss1, kernel.GAP_STEP - 1, rule_r10)
+        assert low.diag_and_gap(zs)[1] is None
+        assert np.array_equal(low.diag_and_gap(zs)[0], low.diag(zs))
 
 
 class TestExtremalRatio:

@@ -583,7 +583,8 @@ class TestPhiAtOrigin:
         M = w.laplacian_bounds[1]
         base = phi_at_origin(w, M)
         monkeypatch.setattr(potential_mod, "ORIGIN_NODES", 2 * potential_mod.ORIGIN_NODES)
-        assert abs(phi_at_origin(w, M) - base) < 1e-14
+        # past the cache, which holds base for (w, M)
+        assert abs(phi_at_origin.__wrapped__(w, M) - base) < 1e-14
 
     def test_tail_rule_samples_only_the_new_angles(self):
         # 256 rings at 16 + 16 + 32 angles, not 16 + 32 + 64: each doubling
@@ -602,6 +603,21 @@ class TestPhiAtOrigin:
         # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
         with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
             phi_at_origin(WeightFunction.oscillatory(1.0, 2.1), 5.0)
+
+    def test_computed_once_per_weight(self):
+        w = WeightFunction.oscillatory(1.0, 0.5)
+        value = phi_at_origin(w, 5.0)
+        assert phi_at_origin(WeightFunction.from_json(w.to_json()), 5.0) == value
+        assert phi_at_origin.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert phi_at_origin(w, 6.0) == value  # a looser M is checked anew
+        assert phi_at_origin.cache_info()[:2] == (1, 2)
+
+    def test_violating_weight_raises_on_every_call(self):
+        # lap(phi) = 4 - 6 cos(x) cos(y) is -2 at the origin; errors are not cached
+        w = WeightFunction.oscillatory(1.0, 3.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="violates"):
+                phi_at_origin(w, w.laplacian_bounds[1])
 
 
 class TestComputeB:

@@ -271,6 +271,23 @@ def test_half_resolution_companion(unit_disk_rule):
     assert (coarse.center, coarse.radius) == (unit_disk_rule.center, unit_disk_rule.radius)
 
 
+def test_rules_are_equal_by_value():
+    # the half-resolution companion of a 64 x 128 rule is the 32 x 64 rule
+    # on the same disk, so the kernel's cache keys them alike
+    c, R = 0.25 - 0.5j, 7.5
+    rule = disk_rule(c, R, 32, 64)
+    assert half_resolution(disk_rule(c, R, 64, 128)) == rule
+    assert hash(half_resolution(disk_rule(c, R, 64, 128))) == hash(rule)
+    rule.nodes  # the lazy arrays take no part in equality
+    assert rule == disk_rule(c, R, 32, 64)
+    variants = [disk_rule(c + 1e-12, R, 32, 64), disk_rule(c, R * (1 + 1e-15), 32, 64),
+                disk_rule(c, R, 33, 64), disk_rule(c, R, 32, 65),
+                masked_disk_rule(c, R, 0.0, 0.5, 32, 64)]
+    for other in variants:
+        assert other != rule
+    assert len(set(variants + [rule])) == 6
+
+
 def test_point_sets():
     lattice = disk_lattice(1.5, 0.1)
     assert np.abs(lattice).max() <= 1.5 + 1e-9
