@@ -15,8 +15,10 @@ dominating it bounds all of them at once.  The three kinds:
 
 * ``global``: |f(z)|^2 <= C e^{phi(z)} ||f||^2 for the same C and all z.
 
-A certificate passes only when its margin exceeds three times the quadrature
-error estimate, so a pass is never an artifact of discretization noise.
+The local and global certificates read M from the weight's
+``laplacian_bounds``.  A certificate passes only when its margin exceeds
+three times the quadrature error estimate, so a pass is never an artifact
+of discretization noise.
 """
 
 from __future__ import annotations
@@ -147,8 +149,7 @@ def mean_value_check(h, s: float, tol: float = 1e-10) -> ValidationReport:
     ))
 
 
-def local_bound_certificate(w: WeightFunction, M: float, N: int,
-                            resolution: int) -> BoundCertificate:
+def local_bound_certificate(w: WeightFunction, N: int, resolution: int) -> BoundCertificate:
     """Certificate for the unit-disk bound with C = e^{(B + 1/4) M} / pi.
 
     The measured quantity is K_N(0,0) e^{-phi(0)} for the space over
@@ -158,13 +159,13 @@ def local_bound_certificate(w: WeightFunction, M: float, N: int,
     for all of them at once.  A weight outside 0 <= lap(phi) <= M is
     rejected with the offending point before any Gram is built.
     """
-    check_laplacian_range(w, M)
-    C = certificate_constant(M)
+    check_laplacian_range(w)
+    C = certificate_constant(w.laplacian_bounds[1])
     return BoundCertificate(C, *_weighted_diag(
         w, N, disk_rule(0.0, 1.0, resolution, 2 * resolution), np.zeros(1, complex)))
 
 
-def global_certificate(w: WeightFunction, M: float, grid, N: int,
+def global_certificate(w: WeightFunction, grid, N: int,
                        rule: QuadratureRule) -> BoundCertificate:
     """Certificate for the plane-wide bound with C = e^{(B + 1/4) M} / pi.
 
@@ -178,7 +179,8 @@ def global_certificate(w: WeightFunction, M: float, grid, N: int,
     ``LogPotential`` uses too; no whole potential is built.
     """
     # 0 <= lap(phi) <= M, and C's double range, are checked before any Gram is built
-    phi0 = phi_at_origin(w, M)
+    phi0 = phi_at_origin(w)
+    M = w.laplacian_bounds[1]
     C = certificate_constant(M)
     return BoundCertificate(C, *_weighted_diag(w, N, rule, np.asarray(grid, dtype=complex)),
                             tighter_constant=math.exp(B_EXACT * M - phi0) / math.pi)

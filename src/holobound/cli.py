@@ -321,14 +321,13 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
     w, grid, rule = _kernel_inputs(cfg)
-    M = w.laplacian_bounds[1]
-    cert = bounds_mod.global_certificate(w, M, grid, cfg.degree, rule)
+    cert = bounds_mod.global_certificate(w, grid, cfg.degree, rule)
     summary = {
         "pass": bool(cert.passed),
         "constant_C": cert.constant_C,
         "measured_sup": cert.measured_sup,
         "B_used": potential_mod.B_EXACT,
-        "M": M,
+        "M": w.laplacian_bounds[1],
         "N": cfg.degree,
         "resolution": cfg.resolution,
         "margin": cert.margin,
@@ -350,7 +349,7 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
     M = w.laplacian_bounds[1]
     B = potential_mod.B_EXACT
-    phi0 = potential_mod.phi_at_origin(w, M)
+    phi0 = potential_mod.phi_at_origin(w)
     lo, hi = potential_mod.B_BRACKET
     summary = {
         "B_used": B,
@@ -391,6 +390,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
     w = _require_weight(cfg)
+    potential_mod.check_laplacian_range(w)  # a numeric failure, whatever the grid
     grid = _build_grid(cfg, {"kind": "random", "radius": 0.98, "count": 200})
     outside = np.flatnonzero(np.abs(grid) >= 1.0)
     if outside.size:
@@ -398,7 +398,7 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"potential grid point #{i}, z = {z!r}, lies outside D(0, 1)")
     M = w.laplacian_bounds[1]
     resolution = max(cfg.resolution, 64)
-    potential = potential_mod.make_psi(w, M, resolution=resolution)
+    potential = potential_mod.make_psi(w, resolution=resolution)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
     report, phi_vals = potential_mod.verify_potential_bounds(potential, M, grid, tol)
     summary = {

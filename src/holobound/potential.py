@@ -1,7 +1,8 @@
 """Potential-theory pipeline for the local kernel bound.
 
-From a weight phi with 0 <= lap(phi) <= M this module builds the cutoff
-density psi = g * lap(phi) (equal to lap(phi) on the closed unit disk, zero
+From a weight phi with 0 <= lap(phi) <= M on the plane, M the upper end of
+its ``laplacian_bounds``, this module builds the cutoff density
+psi = g * lap(phi) (equal to lap(phi) on the closed unit disk, zero
 outside D(0, 2), valued in [0, M]), the potential Phi = Gamma * psi solving
 lap(Phi) = psi, and the geometric constant
 
@@ -32,12 +33,7 @@ import math
 import numpy as np
 
 from .greens import LogPotential, angular_modes, cutoff_g
-from .quadrature import (
-    gauss_legendre,
-    integrate_with_error,
-    masked_disk_rule,
-    sunflower_points,
-)
+from .quadrature import gauss_legendre, integrate_with_error, masked_disk_rule
 from .weights import (
     Check,
     ScalarField,
@@ -65,23 +61,20 @@ B_BRACKET = (0.0, 2.0 * math.log(3.0))
 # certificate needs an upper bound for B
 B_EXACT = 2.0 * math.log(2.0) - 0.5
 
-LAPLACIAN_TOL = 1e-9  # slack of check_laplacian_range's 0 <= lap(phi) <= M
 FD_STEP = 1e-2        # stencil step of the Poisson check
 POISSON_TOL = 5e-3    # Poisson residual allowed per unit of 1 + M
 ORIGIN_NODES = 128    # Gauss-Legendre nodes per radial piece of phi_at_origin
 
 
-def check_laplacian_range(w: WeightFunction, M: float) -> None:
-    """Raise ValueError, naming the offending point, unless 0 <= lap(phi) <= M
-    on a grid covering the support D(0, 2) of the cutoff with some margin."""
-    grid = sunflower_points(400, 2.2)
-    lap = np.asarray(w.laplacian(grid))
-    bad = (lap < -LAPLACIAN_TOL) | (lap > M + LAPLACIAN_TOL)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise ValueError(
-            f"weight violates 0 <= lap(phi) <= {M} at z = {grid[idx]!r} "
-            f"(lap(phi) = {lap[idx]})")
+def check_laplacian_range(w: WeightFunction) -> None:
+    """Raise ValueError, naming a point where lap(phi) < 0, unless the weight
+    is in the class 0 <= lap(phi) <= M.  Its ``laplacian_bounds`` (m, M)
+    contain the exact plane-wide range, so only m < 0 fails, and a negative
+    m is the family's own, attained at ``laplacian_min_at``."""
+    m, M = w.laplacian_bounds
+    if m < 0:
+        raise ValueError(f"weight violates 0 <= lap(phi) <= {M} at "
+                         f"z = {w.laplacian_min_at!r} (lap(phi) = {m})")
 
 
 def _cutoff_density(w: WeightFunction) -> ScalarField:
@@ -89,7 +82,7 @@ def _cutoff_density(w: WeightFunction) -> ScalarField:
     return ScalarField(lambda z: cutoff_g(z) * np.asarray(w.laplacian(z)))
 
 
-def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential:
+def make_psi(w: WeightFunction, resolution: int = 256) -> LogPotential:
     """Build psi = g * lap(phi) after validating 0 <= lap(phi) <= M.
 
     Returns the potential Phi = Gamma * psi: calling it evaluates Phi, and
@@ -97,12 +90,12 @@ def make_psi(w: WeightFunction, M: float, resolution: int = 256) -> LogPotential
     to lap(phi) on the closed unit disk.  A weight outside the range is
     rejected by :func:`check_laplacian_range`.
     """
-    check_laplacian_range(w, M)
+    check_laplacian_range(w)
     return LogPotential(_cutoff_density(w), support_radius=2.0, resolution=resolution)
 
 
 @functools.lru_cache(maxsize=16)
-def phi_at_origin(w: WeightFunction, M: float) -> float:
+def phi_at_origin(w: WeightFunction) -> float:
     """Phi(0) for the psi of :func:`make_psi`, without building the whole field.
 
     The weight is validated as in :func:`make_psi`.  Only the circle means
@@ -119,13 +112,13 @@ def phi_at_origin(w: WeightFunction, M: float) -> float:
     For the bump weight translated by 0.5 the rule's error is 9.3e-12 at 64
     nodes and 4e-16 at 128.
 
-    Cached on (w, M): Phi(0) depends on the weight only through lap(phi),
+    Cached per weight: Phi(0) depends on the weight only through lap(phi),
     and weights compare equal by family, parameters and Laplacian bounds,
-    which fix their evaluators, so a sweep over one weight computes it
-    once.  A weight outside the range raises on every call, since errors
-    are not cached.
+    which fix their evaluators and their class, so a sweep over one weight
+    computes it once.  A weight outside the class raises on every call,
+    since errors are not cached.
     """
-    check_laplacian_range(w, M)
+    check_laplacian_range(w)
     x, gw = gauss_legendre(ORIGIN_NODES)
     u = 0.5 * (x + 1.0)
     knots = np.array([0.0, 1.0, 2.0])

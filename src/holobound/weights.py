@@ -1,16 +1,14 @@
 """Weight exponents phi on the complex plane with exact Laplacians.
 
-Built-in families keep their Laplacians in closed form so the hypothesis
-0 <= lap(phi) <= M can be checked exactly.  One table lists each family's
-parameters and defaults, and one builder serves the constructors, the JSON
-reader and translation, so a parameter the family does not take is
-rejected on every path.
-
-The toolkit deliberately keeps a strict positivity floor lap(phi) >= c0 > 0
-for its numerical experiments (a > 0 in every family): with a vanishing
-Laplacian, monomials need not be square-integrable and Gram matrices
-degenerate.  The bound theorems themselves cover the degenerate edge; the
-experiments simply do not sample it.
+One table lists each family's parameters and defaults, its phi and lap(phi)
+in closed form, the exact range [m, M] of lap(phi) over the whole plane and
+a point where m is attained.  That range is the one source of the class
+0 <= lap(phi) <= M: a weight is in it exactly when m >= 0.  ``oscillatory``
+with eps > 2a has m < 0, which every experiment needing the class rejects.
+One builder serves the constructors, the JSON reader and translation, so a
+parameter the family does not take is rejected on every path.  Every family
+keeps a > 0 (1/t for ``gaussian``), so exp(-phi) decays like a Gaussian and
+every monomial is square-integrable.
 """
 
 from __future__ import annotations
@@ -123,7 +121,9 @@ class WeightFunction:
     ``params`` holds the family parameters plus a translation offset
     (z0_re, z0_im): the evaluators compute phi(z0 + z), which is how
     translated weights are represented.  Equality, hashing and JSON
-    round-trips go through (family, params, laplacian_bounds).
+    round-trips go through (family, params, laplacian_bounds): the family's
+    exact plane-wide range of lap(phi), smallest at ``laplacian_min_at``, or
+    a declared wider one with m >= 0.
 
     ``quadratic`` holds the coefficients (a, b, c, d) of
     phi = a|z|^2 + Re(b z^2 + c z) + d, the offset included, for the
@@ -133,6 +133,7 @@ class WeightFunction:
     family: str
     params: tuple
     laplacian_bounds: tuple
+    laplacian_min_at: complex = field(compare=False, repr=False)
     _weight_fn: Callable = field(compare=False, repr=False)
     _laplacian_fn: Callable = field(compare=False, repr=False)
     _floor: tuple = field(compare=False, repr=False)
@@ -168,11 +169,10 @@ class WeightFunction:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": {k: v for k, v in self.params},
-            "laplacian_bounds": [self.laplacian_bounds[0], self.laplacian_bounds[1]],
-        }
+        desc = {"family": self.family, "params": dict(self.params)}
+        if self.laplacian_bounds[0] >= 0:  # a negative m is the family's own, never declared
+            desc["laplacian_bounds"] = list(self.laplacian_bounds)
+        return desc
 
     @staticmethod
     def from_json(desc: dict) -> "WeightFunction":
@@ -217,10 +217,10 @@ class WeightFunction:
     def oscillatory(a: float, eps: float) -> "WeightFunction":
         """phi = a|z|^2 + eps cos(x) cos(y); lap(phi) = 4a - 2 eps cos(x) cos(y).
 
-        The hypothesis-compliant regime is 2 eps <= 4a (so lap(phi) >= 0);
-        larger eps is accepted at construction so that bound validation has
-        genuine failures to detect, with the declared lower bound clamped
-        at zero.
+        lap(phi) ranges over [4a - 2 eps, 4a + 2 eps], with the lower end at
+        the origin.  The weight is in the class 0 <= lap(phi) <= M when
+        eps <= 2a; larger eps is accepted at construction, with its negative
+        lower end, so that the experiments have genuine failures to reject.
         """
         return _build("oscillatory", {"a": a, "eps": eps})
 
@@ -253,8 +253,9 @@ class _ClosedForms(NamedTuple):
     weight: Callable
     laplacian: Callable
     floor: tuple         # (alpha, beta, gamma): phi >= alpha |z|^2 + beta |z| + gamma
-    bounds: tuple        # the exact range (m, M) of lap(phi)
+    bounds: tuple        # the exact range (m, M) of lap(phi) over the whole plane
     quadratic: Optional[tuple] = None  # (a, b, c, d): phi = a|z|^2 + Re(b z^2 + c z) + d
+    min_at: complex = 0j  # a point where lap(phi) = m, the origin unless given
 
 
 def _gaussian(t):
@@ -295,7 +296,7 @@ def _oscillatory(a, eps):
         lambda z: a * np.abs(z) ** 2 + eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
         lambda z: 4.0 * a - 2.0 * eps * np.cos(np.real(z)) * np.cos(np.imag(z)),
         (a, 0.0, -eps),
-        (max(0.0, 4.0 * a - 2.0 * eps), 4.0 * a + 2.0 * eps),
+        (4.0 * a - 2.0 * eps, 4.0 * a + 2.0 * eps),  # m where cos(x) cos(y) = 1
     )
 
 
@@ -314,6 +315,7 @@ def _potential_defined(a, psi_height):
         lambda z: 4.0 * a + psi(z),
         (a, 0.0, -psi_height / 4.0),  # Gamma * psi >= -sup(psi)/4 pointwise
         (4.0 * a, 4.0 * a + psi_height),
+        min_at=2.0 + 0j,  # psi = 0 for |z| >= 2
     )
 
 
@@ -338,8 +340,8 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
     """The weight phi(z0 + .) of ``family`` with ``params``.
 
     Unknown and missing parameter names are rejected and defaults filled
-    in; ``declared`` Laplacian bounds [m, M], if given, must contain the
-    family's exact range and replace it.
+    in; ``declared`` Laplacian bounds [m, M], if given, must satisfy
+    0 <= m <= M, contain the family's exact range and replace it.
     """
     if not isinstance(family, str) or family not in _FAMILIES:
         raise WeightError(f"unknown weight family {family!r}")
@@ -385,6 +387,7 @@ def _build(family, params: dict, z0: complex = 0j, declared=None) -> WeightFunct
         family=family,
         params=tuple(sorted({**base, "z0_re": z0.real, "z0_im": z0.imag}.items())),
         laplacian_bounds=(m, M),
+        laplacian_min_at=forms.min_at - z0,
         _weight_fn=_wrap_offset(forms.weight, z0),
         _laplacian_fn=_wrap_offset(forms.laplacian, z0),
         _floor=forms.floor,
@@ -484,4 +487,5 @@ def translate_weight(w: WeightFunction, z0: complex) -> WeightFunction:
     a bit-for-bit evaluator.  Otherwise the offset may move by a rounding:
     0.1 translated by 0.7 and back has offset 0.09999999999999998.
     """
-    return _build(w.family, w.base_params(), w.offset + complex(z0), w.laplacian_bounds)
+    declared = w.to_json().get("laplacian_bounds")  # as to_json writes them
+    return _build(w.family, w.base_params(), w.offset + complex(z0), declared)

@@ -44,7 +44,7 @@ def report(number, ok, description):
 @pytest.fixture(scope="module")
 def oscillatory_potential():
     w = WeightFunction.oscillatory(1.0, 0.5)
-    return make_psi(w, 5.0, resolution=256)
+    return make_psi(w, resolution=256)
 
 
 def test_criterion_01_fundamental_integral():
@@ -101,10 +101,10 @@ def test_criterion_05_potential_constants(oscillatory_potential):
     ok = ok and drift < 1e-3
     grid = random_disk_points(200, 0.98, seed=505)
     families = [
-        (make_psi(WeightFunction.gaussian(1.0), 4.0, resolution=256), 4.0),
-        (make_psi(WeightFunction.gaussian_harmonic(1.0, b=0.3), 4.0, resolution=256), 4.0),
+        (make_psi(WeightFunction.gaussian(1.0), resolution=256), 4.0),
+        (make_psi(WeightFunction.gaussian_harmonic(1.0, b=0.3), resolution=256), 4.0),
         (oscillatory_potential, 5.0),
-        (make_psi(WeightFunction.potential_defined(1.0), 5.0, resolution=256), 5.0),
+        (make_psi(WeightFunction.potential_defined(1.0), resolution=256), 5.0),
     ]
     worst_upper, worst_origin = -np.inf, np.inf
     for potential, M in families:
@@ -121,17 +121,17 @@ def test_criterion_05_potential_constants(oscillatory_potential):
 
 def test_criterion_06_global_certificates():
     cases = [
-        (WeightFunction.gaussian(1.0), 4.0, 256),
-        (WeightFunction.gaussian_harmonic(1.0, b=0.3), 4.0, 256),
-        (WeightFunction.oscillatory(1.0, 0.5), 5.0, 256),
-        (WeightFunction.potential_defined(1.0), 5.0, 128),
+        (WeightFunction.gaussian(1.0), 256),
+        (WeightFunction.gaussian_harmonic(1.0, b=0.3), 256),
+        (WeightFunction.oscillatory(1.0, 0.5), 256),
+        (WeightFunction.potential_defined(1.0), 128),
     ]
     grid = disk_lattice(2.0, 0.1)
     ok = True
     details = []
-    for w, M, res in cases:
+    for w, res in cases:
         rule = truncated_plane_rule(truncation_radius(w, 40), res, 2 * res)
-        cert = global_certificate(w, M, grid, 40, rule)
+        cert = global_certificate(w, grid, 40, rule)
         good = cert.passed and cert.margin > 3 * cert.error_estimate
         ok = ok and good
         details.append(f"{w.family}: sup {cert.measured_sup:.4f} <= C {cert.constant_C:.2f}")

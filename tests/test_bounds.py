@@ -104,7 +104,7 @@ class TestLocalBound:
     def test_gaussian_closed_form(self, gauss1, N):
         # the disk's monomials are orthogonal, so K(0, 0) = 1 / ||1||^2 at every
         # degree, with ||1||^2 = pi (1 - e^{-1}) over D(0, 1)
-        cert = local_bound_certificate(gauss1, 4.0, N, 128)
+        cert = local_bound_certificate(gauss1, N, 128)
         expected = 1.0 / (math.pi * (1.0 - math.exp(-1.0)))
         assert cert.measured_sup == pytest.approx(expected, rel=1e-13)
         assert cert.estimate.effective_degree == N
@@ -113,7 +113,7 @@ class TestLocalBound:
     def test_fifty_random_polynomials(self, gauss1):
         # K_N(0, 0) over D(0, 1) dominates |f(0)|^2 / ||f||^2 for every f of
         # degree <= N, each ratio by quadrature on the same disk rule
-        cert = local_bound_certificate(gauss1, 4.0, 10, 128)
+        cert = local_bound_certificate(gauss1, 10, 128)
         rule = disk_rule(0.0, 1.0, 128, 256)
         rng = np.random.default_rng(7)
         density0 = math.exp(-gauss1.weight(0.0))
@@ -130,7 +130,7 @@ class TestLocalBound:
                                    WeightFunction.potential_defined(1.0)],
                              ids=["oscillatory", "potential_defined"])
     def test_keeps_full_degree(self, w):
-        cert = local_bound_certificate(w, 5.0, 20, 64)
+        cert = local_bound_certificate(w, 20, 64)
         assert cert.estimate.effective_degree == 20 and not cert.estimate.degraded
         assert cert.error_estimate < 1e-10
         assert cert.passed
@@ -139,22 +139,22 @@ class TestLocalBound:
         def no_potential(*args, **kwargs):
             raise AssertionError("the local lemma built a LogPotential")
         monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
-        cert = local_bound_certificate(gauss1, 4.0, 10, 64)
+        cert = local_bound_certificate(gauss1, 10, 64)
         assert cert.passed
 
     def test_violating_weight_rejected_with_point(self, monkeypatch):
         def no_build(*args, **kwargs):
             raise AssertionError("kernel estimate built before the weight was validated")
         monkeypatch.setattr(bounds, "build_kernel_estimate", no_build)
-        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
-        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
-            local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 5.0, 10, 64)
+        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin, 8.2 at its peak
+        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 8.2 at z = 0j"):
+            local_bound_certificate(WeightFunction.oscillatory(1.0, 2.1), 10, 64)
 
 
 class TestGlobalCertificate:
     def test_unit_gaussian(self, gauss1, gauss1_rule):
         grid = disk_lattice(2.0, 0.25)
-        cert = global_certificate(gauss1, 4.0, grid, 40, gauss1_rule)
+        cert = global_certificate(gauss1, grid, 40, gauss1_rule)
         assert cert.passed
         assert cert.measured_sup == pytest.approx(INV_PI, rel=1e-3)
         # C = e^{(B + 1/4) 4} / pi is far above e / pi
@@ -166,7 +166,7 @@ class TestGlobalCertificate:
     def test_oscillatory(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
         rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
-        cert = global_certificate(w, 5.0, disk_lattice(2.0, 0.25), 40, rule)
+        cert = global_certificate(w, disk_lattice(2.0, 0.25), 40, rule)
         assert cert.passed
 
     def test_builds_no_potential(self, monkeypatch):
@@ -176,7 +176,7 @@ class TestGlobalCertificate:
         monkeypatch.setattr(greens.LogPotential, "__init__", no_potential)
         w = WeightFunction.oscillatory(1.0, 0.5)
         rule = truncated_plane_rule(truncation_radius(w, 16), 64, 128)
-        cert = global_certificate(w, 5.0, disk_lattice(1.0, 0.5), 16, rule)
+        cert = global_certificate(w, disk_lattice(1.0, 0.5), 16, rule)
         assert math.isfinite(cert.tighter_constant)
 
     def test_invalid_weight_rejected_before_gram_builds(self, monkeypatch):
@@ -186,7 +186,7 @@ class TestGlobalCertificate:
         w = WeightFunction.oscillatory(1.0, 3.0)
         rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
         with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= .* at z = "):
-            global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
+            global_certificate(w, disk_lattice(1.0, 0.5), 8, rule)
 
     def test_overflowing_constant_raises_before_gram_builds(self, monkeypatch):
         def no_build(*args, **kwargs):
@@ -195,7 +195,7 @@ class TestGlobalCertificate:
         w = WeightFunction.gaussian(0.006)
         rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
         with pytest.raises(OverflowError, match=r"at M = 666.66+\d*; a double allows M <= 624.64"):
-            global_certificate(w, w.laplacian_bounds[1], disk_lattice(1.0, 0.5), 8, rule)
+            global_certificate(w, disk_lattice(1.0, 0.5), 8, rule)
 
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j

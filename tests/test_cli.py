@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobound import cli, greens, kernel
+from holobound import WeightFunction, cli, greens, kernel
 from holobound import potential as potential_mod
 from holobound.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     main,
@@ -996,6 +997,43 @@ class TestSweep:
         assert outputs[0] == outputs[1] == outputs[2]
         _, rows = read_csv(tmp_path / "shared" / "sweep.csv")
         assert [r[2] for r in rows] == ["ok"] * 12 + ["error:ValueError"]
+
+
+class TestOutsideTheClass:
+    """A weight whose Laplacian is negative anywhere on the plane fails every
+    experiment that needs 0 <= lap(phi) <= M, however far from the origin."""
+
+    # lap(phi) = 4 + 4.4 cos(x) cos(y) about the offset pi: -0.4 at z = -pi
+    # and z = i pi, both outside D(0, 2.2)
+    TRANSLATED = {"family": "oscillatory", "params": {"a": 1.0, "eps": 2.2, "z0_re": math.pi}}
+    SETTINGS = {"degree": 24, "resolution": 96,
+                "grid": {"kind": "lattice", "radius": 2.0, "spacing": 0.25}}
+
+    def test_laplacian_is_negative_at_the_named_point(self):
+        w = WeightFunction.from_json(self.TRANSLATED)
+        assert w.laplacian_min_at == -math.pi
+        for z in (-math.pi, 1j * math.pi):
+            assert w.laplacian(z) == pytest.approx(-0.4)
+
+    @pytest.mark.parametrize("experiment", ["verify-bound", "potential", "constants"])
+    def test_exits_3_writing_nothing(self, tmp_path, capsys, experiment):
+        cfg = write_config(tmp_path, "c.json", {"experiment": experiment,
+                                                "weight": self.TRANSLATED, **self.SETTINGS})
+        out = tmp_path / "out"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert ("weight violates 0 <= lap(phi) <= 8.4 at z = (-3.141592653589793+0j)"
+                in capsys.readouterr().err)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_sweep_rows_are_value_errors(self, tmp_path):
+        # perfbench's sweep pins this status for its violating entry
+        untranslated = {"family": "oscillatory", "params": {"a": 1.0, "eps": 3.0}}
+        entries = [{"experiment": "verify-bound", "weight": w, **self.SETTINGS}
+                   for w in (self.TRANSLATED, untranslated)]
+        cfg = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": entries})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[2] for r in rows] == ["error:ValueError"] * 2
 
 
 def test_import_leaves_scipy_out():

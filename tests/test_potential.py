@@ -103,32 +103,32 @@ class TestCutoff:
 
 class TestMakePsi:
     def test_gaussian_values(self, gauss1):
-        potential = make_psi(gauss1, 4.0)
+        potential = make_psi(gauss1)
         assert potential.psi(0.0) == pytest.approx(4.0)
         assert potential.psi(3.0) == 0.0
 
     def test_psi_equals_laplacian_on_unit_disk(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        potential = make_psi(w, 5.0)
+        potential = make_psi(w)
         grid = sunflower_points(60, 1.0)
         assert np.max(np.abs(potential.psi(grid) - w.laplacian(grid))) < 1e-12
 
     def test_cutoff_scaling_at_one_point_five(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        potential = make_psi(w, 5.0)
+        potential = make_psi(w)
         z = 1.5 * np.exp(0.4j)
         assert potential.psi(z) == pytest.approx(0.5 * w.laplacian(z), rel=1e-12)
 
     def test_psi_range(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        potential = make_psi(w, 5.0)
+        potential = make_psi(w)
         vals = potential.psi(sunflower_points(300, 2.5))
         assert ((0.0 <= vals) & (vals <= 5.0)).all()
 
     def test_violating_weight_rejected_with_point(self):
         w = WeightFunction.oscillatory(1.0, 2.1)
         with pytest.raises(ValueError, match="violates"):
-            make_psi(w, 5.0)
+            make_psi(w)
 
 
 class TestConvolution:
@@ -141,22 +141,22 @@ class TestConvolution:
 
     def test_poisson_equation(self, gauss1):
         # lap(Phi) = psi at interior points, via the fd oracle
-        potential = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, resolution=256)
         pts = random_disk_points(20, 0.9, seed=21)
         resid = np.abs(fd_laplacian(potential, pts, 1e-2) - potential.psi(pts))
         assert resid.max() < 1e-3
 
     def test_origin_lower_bound(self, gauss1):
-        assert make_psi(gauss1, 4.0, resolution=256)(0.0) >= -1.0  # -M/4 with M = 4
+        assert make_psi(gauss1, resolution=256)(0.0) >= -1.0  # -M/4 with M = 4
 
     def test_harmonic_far_from_support(self, gauss1):
-        potential = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, resolution=256)
         for z in (4.5, 4.0 + 3.0j, -6.0 + 0.5j):
             assert abs(fd_laplacian(potential, z, 1e-2)) < 1e-3
 
     def test_far_field_log_asymptotics(self, gauss1):
         # Phi(z) ~ (total mass / 2 pi) log|z| far from the support
-        potential = make_psi(gauss1, 4.0)
+        potential = make_psi(gauss1)
         z = 200.0
         expected = potential.mass * math.log(abs(z)) / (2 * math.pi)
         assert potential(z) == pytest.approx(expected, rel=1e-3)
@@ -175,12 +175,12 @@ class TestRadialPotential:
             exact = np.where(r <= 1.0, r * r / 4.0 - 0.25, np.log(np.maximum(r, 1.0)) / 2.0)
             assert np.max(np.abs(lp.values(r) - exact)) < 1e-12
 
-    @pytest.mark.parametrize("w, M", [
-        (WeightFunction.gaussian(1.0), 4.0),
-        (WeightFunction.potential_defined(1.0), 5.0),
+    @pytest.mark.parametrize("w", [
+        WeightFunction.gaussian(1.0),
+        WeightFunction.potential_defined(1.0),
     ], ids=["gaussian", "potential_defined"])
-    def test_agrees_with_2d_engine(self, w, M):
-        potential = make_psi(w, M)
+    def test_agrees_with_2d_engine(self, w):
+        potential = make_psi(w)
         assert potential.n_modes == 1
         zs = stencil_points()
         planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
@@ -219,9 +219,9 @@ class TestRadialPotential:
             raise AssertionError("the potential built a 2-D rule")
         monkeypatch.setattr(quadrature, "_disk", no_rule)
         zs = random_disk_points(50, 3.0, seed=4)
-        assert np.all(np.isfinite(make_psi(gauss1, 4.0)(zs)))
+        assert np.all(np.isfinite(make_psi(gauss1)(zs)))
         assert np.all(np.isfinite(WeightFunction.potential_defined(1.0).weight(zs)))
-        assert np.all(np.isfinite(make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0)(zs)))
+        assert np.all(np.isfinite(make_psi(WeightFunction.oscillatory(1.0, 0.5))(zs)))
 
     def test_widened_bounds_keep_the_radial_path(self, gauss1):
         # radiality is measured from psi, not read from the declared range:
@@ -229,8 +229,8 @@ class TestRadialPotential:
         wide = WeightFunction.from_json(
             {"family": "gaussian", "params": {"t": 1}, "laplacian_bounds": [0, 10]})
         zs = np.concatenate([random_disk_points(50, 3.0, seed=4), [0.3 + 0.1j]])
-        expected = make_psi(gauss1, 4.0)(zs)
-        widened = make_psi(wide, 10.0)
+        expected = make_psi(gauss1)(zs)
+        widened = make_psi(wide)
         assert widened.n_modes == 1
         assert np.array_equal(widened(zs), expected)
 
@@ -293,12 +293,12 @@ class TestFourierPotential:
         potential = LogPotential(ScalarField(lambda z: cutoff_g(z) * (z ** 12).real), 2.0, 64)
         assert abs(potential(0.5) - exact) <= 1e-6 * abs(exact)
 
-    @pytest.mark.parametrize("w, M", [
-        (WeightFunction.oscillatory(1.0, 0.5), 5.0),
-        (translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0),
+    @pytest.mark.parametrize("w", [
+        WeightFunction.oscillatory(1.0, 0.5),
+        translate_weight(WeightFunction.potential_defined(1.0), 0.5),
     ], ids=["oscillatory", "translated_bump"])
-    def test_agrees_with_2d_oracle(self, w, M):
-        potential = make_psi(w, M)
+    def test_agrees_with_2d_oracle(self, w):
+        potential = make_psi(w)
         assert potential.n_modes > 1
         zs = stencil_points()
         planar = PlanarLogPotential(potential.psi, support_radius=2.0, resolution=256)
@@ -308,23 +308,23 @@ class TestFourierPotential:
         # the oscillatory psi needs few angles, the translated bump many, and
         # its trailing modes below the tail limit are cut; a constant
         # Laplacian keeps one mode about every centre
-        assert make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0).n_theta <= 128
-        bump = make_psi(translate_weight(WeightFunction.potential_defined(1.0), 0.5), 5.0)
+        assert make_psi(WeightFunction.oscillatory(1.0, 0.5)).n_theta <= 128
+        bump = make_psi(translate_weight(WeightFunction.potential_defined(1.0), 0.5))
         assert bump.n_theta >= 512
         assert bump.n_modes < bump.n_theta // 4 + 1
         # translated along the real axis, the bump is mirror-symmetric: the
         # real part of every kept mode is live, no imaginary part is
         assert bump._columns.tolist() == list(range(0, 2 * bump.n_modes, 2))
-        assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5), 4.0).n_modes == 1
+        assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5)).n_modes == 1
         harmonic = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
-        assert make_psi(harmonic, 4.0).n_modes == 1
+        assert make_psi(harmonic).n_modes == 1
 
     @pytest.mark.parametrize("w, radial", [(WeightFunction.gaussian(1.0), True),
                                            (WeightFunction.oscillatory(1.0, 0.5), False)])
     def test_points_keep_their_shape(self, w, radial):
         # the radial branch and the multi-mode branch, on a grid inside and
         # outside the support: bit-identical to the raveled call
-        potential = make_psi(w, 5.0, resolution=32)
+        potential = make_psi(w, resolution=32)
         assert (potential.n_modes == 1) == radial
         zs = np.concatenate([random_disk_points(6, 3.0, seed=9), [0.0, 2.5j]]).reshape(2, 2, 2)
         for f in (potential, potential.values):
@@ -340,9 +340,9 @@ class TestFourierPotential:
 
 
 # the one-mode branch and the multi-mode branch of LogPotential.values
-BRANCHES = pytest.mark.parametrize("w, M", [
-    (WeightFunction.gaussian(1.0), 4.0),
-    (WeightFunction.oscillatory(1.0, 0.5), 5.0),
+BRANCHES = pytest.mark.parametrize("w", [
+    WeightFunction.gaussian(1.0),
+    WeightFunction.oscillatory(1.0, 0.5),
 ], ids=["gaussian", "oscillatory"])
 
 
@@ -351,8 +351,8 @@ class TestBlockedEvaluation:
     columns, against the dense barycentric product it replaced."""
 
     @BRANCHES
-    def test_nan_point_gives_nan(self, w, M):
-        potential = make_psi(w, M, resolution=64)
+    def test_nan_point_gives_nan(self, w):
+        potential = make_psi(w, resolution=64)
         zs = np.array([0.3 + 0.1j, np.nan, 1.5j, complex(np.nan, 1.0), 2.5])
         potential(zs[:1])  # an earlier evaluation leaves its memory behind
         out = potential(zs)
@@ -364,7 +364,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("make, expected", [
         (lambda: LogPotential(ScalarField(lambda z: np.ones(np.shape(z))), 1.0, 32), math.inf),
         (lambda: LogPotential(ScalarField(lambda z: np.zeros(np.shape(z))), 1.0, 32), 0.0),
-        (lambda: make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0, resolution=32), math.inf),
+        (lambda: make_psi(WeightFunction.oscillatory(1.0, 0.5), resolution=32), math.inf),
     ], ids=["unit_disk", "zero", "oscillatory"])
     def test_points_at_infinity(self, make, expected):
         # mode 0 is log(r) times the mass / 2 pi: +inf for a positive mass,
@@ -377,7 +377,7 @@ class TestBlockedEvaluation:
     def test_resummation_against_direct_sum(self):
         # Horner's rule in e^{i theta} over the live modes 0, 4, 8, ...
         # against one exponential per (point, column)
-        potential = make_psi(WeightFunction.oscillatory(1.0, 0.5), 5.0, resolution=64)
+        potential = make_psi(WeightFunction.oscillatory(1.0, 0.5), resolution=64)
         assert potential.n_columns > 2 and np.all(np.diff(potential._k) == 4)
         zs = np.append(random_disk_points(300, 2.5, seed=3), 0.0)
         m = np.stack([potential._modes_at(np.array([r]))[0] for r in np.abs(zs)])
@@ -387,17 +387,17 @@ class TestBlockedEvaluation:
         assert np.max(np.abs(potential.values(zs) - direct)) <= 1e-14
 
     @BRANCHES
-    def test_scalar_gives_a_float(self, w, M):
-        potential = make_psi(w, M, resolution=32)
+    def test_scalar_gives_a_float(self, w):
+        potential = make_psi(w, resolution=32)
         for f in (potential, potential.values):
             assert type(f(0.5 + 0.25j)) is float
             assert f(0.5 + 0.25j) == f(np.array([0.5 + 0.25j]))[0]
 
     @BRANCHES
-    def test_memory(self, w, M):
+    def test_memory(self, w):
         # one dense (5000 x 256) interpolation matrix and its complex copy
         # take 25-27 MB here
-        potential = make_psi(w, M, resolution=256)
+        potential = make_psi(w, resolution=256)
         zs = sunflower_points(5000, 0.98)
         tracemalloc.start()
         try:
@@ -409,8 +409,8 @@ class TestBlockedEvaluation:
 
     @BRANCHES
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_edges_against_dense_oracle(self, w, M, offset, monkeypatch):
-        potential = make_psi(w, M, resolution=64)
+    def test_block_edges_against_dense_oracle(self, w, offset, monkeypatch):
+        potential = make_psi(w, resolution=64)
         monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 5 * 64)
         rng = np.random.default_rng(offset + 2)
         # one piece alone, then every piece and the multipole range at once
@@ -421,9 +421,9 @@ class TestBlockedEvaluation:
             assert np.max(np.abs(got - dense_modes_at(potential, r))) <= 1e-14
 
     @BRANCHES
-    def test_rings_give_table_rows(self, w, M, monkeypatch):
+    def test_rings_give_table_rows(self, w, monkeypatch):
         # every ring, the piece ends 0, 1 and 2 included, is an exact hit
-        potential = make_psi(w, M, resolution=64)
+        potential = make_psi(w, resolution=64)
         monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 7 * 64)
         r = potential._rings.ravel()
         rows = potential._table.reshape(-1, potential.n_columns)
@@ -434,7 +434,7 @@ class TestBlockedEvaluation:
         assert np.max(np.abs(got - dense_modes_at(potential, r))) <= 1e-14
 
 
-# one weight per family of the weights table, each at its own upper bound M
+# one weight per family of the weights table
 FAMILY_EXAMPLES = {
     "gaussian": WeightFunction.gaussian(1.0),
     "gaussian_harmonic": WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j, d=0.1),
@@ -522,7 +522,7 @@ class TestLiveColumns:
         (WeightFunction.oscillatory(1.0, 0.5), [0, 8, 16, 24, 32], 17),
     ], ids=["gaussian", "oscillatory"])
     def test_benchmark_densities(self, w, columns, n_modes):
-        potential = make_psi(w, 5.0, resolution=256)
+        potential = make_psi(w, resolution=256)
         assert potential._columns.tolist() == columns
         assert (potential.n_columns, potential.n_modes) == (len(columns), n_modes)
 
@@ -545,7 +545,7 @@ class TestPhiAtOrigin:
 
     @staticmethod
     def whole(w):
-        return make_psi(w, w.laplacian_bounds[1], resolution=256)(0.0 + 0.0j)
+        return make_psi(w, resolution=256)(0.0 + 0.0j)
 
     def test_every_family_is_listed(self):
         assert set(FAMILY_EXAMPLES) == set(weights._FAMILIES)
@@ -556,7 +556,7 @@ class TestPhiAtOrigin:
         WeightFunction.oscillatory(1.0, 0.5),
     ], ids=[*FAMILY_EXAMPLES, "translated_bump", "oscillatory_1_0.5"])
     def test_agrees_with_whole_potential(self, w):
-        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+        assert abs(phi_at_origin(w) - self.whole(w)) < 1e-13
 
     @settings(deadline=None, max_examples=15)
     @given(a=st.floats(0.5, 2.0), ratio=st.floats(0.0, 1.0),
@@ -564,7 +564,7 @@ class TestPhiAtOrigin:
     def test_oscillatory_hypothesis(self, a, ratio, shift):
         # eps <= 2a keeps lap(phi) = 4a - 2 eps cos(x) cos(y) >= 0, about any centre
         w = translate_weight(WeightFunction.oscillatory(a, 2.0 * a * ratio), shift)
-        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+        assert abs(phi_at_origin(w) - self.whole(w)) < 1e-13
 
     @settings(deadline=None, max_examples=15)
     @given(t=st.floats(0.5, 2.0), modulus=st.floats(0.0, 1.5),
@@ -572,7 +572,7 @@ class TestPhiAtOrigin:
     def test_translated_gaussian_hypothesis(self, t, modulus, arg):
         z0 = modulus * complex(math.cos(arg), math.sin(arg))
         w = translate_weight(WeightFunction.gaussian(t), z0)
-        assert abs(phi_at_origin(w, w.laplacian_bounds[1]) - self.whole(w)) < 1e-13
+        assert abs(phi_at_origin(w) - self.whole(w)) < 1e-13
 
     @pytest.mark.parametrize("w", [
         translate_weight(WeightFunction.potential_defined(1.0), 0.5),
@@ -580,11 +580,10 @@ class TestPhiAtOrigin:
         WeightFunction.gaussian(1.0),
     ], ids=["translated_bump", "oscillatory", "gaussian"])
     def test_doubling_the_radial_nodes(self, w, monkeypatch):
-        M = w.laplacian_bounds[1]
-        base = phi_at_origin(w, M)
+        base = phi_at_origin(w)
         monkeypatch.setattr(potential_mod, "ORIGIN_NODES", 2 * potential_mod.ORIGIN_NODES)
-        # past the cache, which holds base for (w, M)
-        assert abs(phi_at_origin.__wrapped__(w, M) - base) < 1e-14
+        # past the cache, which holds base for w
+        assert abs(phi_at_origin.__wrapped__(w) - base) < 1e-14
 
     def test_tail_rule_samples_only_the_new_angles(self):
         # 256 rings at 16 + 16 + 32 angles, not 16 + 32 + 64: each doubling
@@ -600,24 +599,22 @@ class TestPhiAtOrigin:
         assert np.array_equal(modes, np.fft.rfft(values, axis=-1)[:, :modes.shape[1]] / 64)
 
     def test_violating_weight_rejected_with_point(self):
-        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin
-        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 5.0 at z = "):
-            phi_at_origin(WeightFunction.oscillatory(1.0, 2.1), 5.0)
+        # lap(phi) = 4 - 4.2 cos(x) cos(y) is -0.2 at the origin, 8.2 at its peak
+        with pytest.raises(ValueError, match=r"violates 0 <= lap\(phi\) <= 8.2 at z = 0j"):
+            phi_at_origin(WeightFunction.oscillatory(1.0, 2.1))
 
     def test_computed_once_per_weight(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        value = phi_at_origin(w, 5.0)
-        assert phi_at_origin(WeightFunction.from_json(w.to_json()), 5.0) == value
+        value = phi_at_origin(w)
+        assert phi_at_origin(WeightFunction.from_json(w.to_json())) == value
         assert phi_at_origin.cache_info()[:2] == (1, 1)  # (hits, misses)
-        assert phi_at_origin(w, 6.0) == value  # a looser M is checked anew
-        assert phi_at_origin.cache_info()[:2] == (1, 2)
 
     def test_violating_weight_raises_on_every_call(self):
         # lap(phi) = 4 - 6 cos(x) cos(y) is -2 at the origin; errors are not cached
         w = WeightFunction.oscillatory(1.0, 3.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="violates"):
-                phi_at_origin(w, w.laplacian_bounds[1])
+                phi_at_origin(w)
 
 
 class TestComputeB:
@@ -652,14 +649,14 @@ class TestComputeB:
 
 class TestVerifyPotentialBounds:
     def test_gaussian_all_checks_pass(self, gauss1):
-        potential = make_psi(gauss1, 4.0, resolution=256)
+        potential = make_psi(gauss1, resolution=256)
         grid = random_disk_points(60, 0.95, seed=5)
         report, _ = verify_potential_bounds(potential, 4.0, grid, tol=1e-3)
         assert report.passed
 
     def test_oscillatory_passes(self):
         w = WeightFunction.oscillatory(1.0, 0.5)
-        potential = make_psi(w, 5.0, resolution=256)
+        potential = make_psi(w, resolution=256)
         grid = random_disk_points(60, 0.95, seed=6)
         report, _ = verify_potential_bounds(potential, 5.0, grid, tol=1e-3)
         assert report.passed
@@ -673,6 +670,6 @@ class TestVerifyPotentialBounds:
         assert report.check("phi_upper").value == pytest.approx(0.0, abs=1e-15)
 
     def test_grid_outside_disk_rejected(self, gauss1):
-        potential = make_psi(gauss1, 4.0)
+        potential = make_psi(gauss1)
         with pytest.raises(ValueError):
             verify_potential_bounds(potential, 4.0, [1.5 + 0.0j], tol=1e-3)

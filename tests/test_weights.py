@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from holobound import (
     translate_weight,
     truncated_plane_rule,
     truncation_radius,
+    weights,
 )
 from holobound.quadrature import random_disk_points, sunflower_points
 from oracles import validate_laplacian_bounds
@@ -121,12 +123,13 @@ class TestValidateLaplacianBounds:
         assert report.check("laplacian_max").value == pytest.approx(4.0)
 
     def test_oscillatory_hypothesis_violation_detected(self):
-        # lap = 4 - 4.2 cos(x) cos(y) dips to -0.2 at the origin
+        # lap = 4 - 4.2 cos(x) cos(y) dips to -0.2 at the origin: the exact
+        # range names the violation, and the grid reaches its lower end
         w = WeightFunction.oscillatory(1.0, 2.1)
+        assert w.laplacian_bounds == pytest.approx((-0.2, 8.2))
         grid = np.concatenate([[0.0 + 0.0j], sunflower_points(30, 2.0)])
         report = validate_laplacian_bounds(w, grid, 1e-6)
-        assert not report.passed
-        assert not report.check("laplacian_min").ok
+        assert report.passed
         assert report.check("laplacian_min").value == pytest.approx(-0.2)
 
     def test_empty_grid_rejected(self):
@@ -140,6 +143,43 @@ class TestValidateLaplacianBounds:
         lap = np.asarray(w.laplacian(grid))
         fd = np.asarray(fd_laplacian(w.weight, grid, 1e-3))
         assert np.max(np.abs(lap - fd) / (1.0 + np.abs(lap))) <= 1e-4
+
+
+# one strategy per family of the weights table, parameters over wide ranges
+POSITIVE = st.floats(0.05, 20.0)
+FAMILY_STRATEGIES = {
+    "gaussian": st.builds(WeightFunction.gaussian, POSITIVE),
+    "gaussian_harmonic": st.builds(
+        lambda a, ratio, arg, c, d: WeightFunction.gaussian_harmonic(
+            a, ratio * a * cmath.exp(1j * arg), c, d),
+        POSITIVE, st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi),
+        st.complex_numbers(max_magnitude=5.0), st.floats(-5.0, 5.0)),
+    # eps > 2a included: a negative lower end is exact too
+    "oscillatory": st.builds(WeightFunction.oscillatory, POSITIVE, st.floats(0.0, 40.0)),
+    "potential_defined": st.builds(WeightFunction.potential_defined, POSITIVE,
+                                   st.floats(0.0, 20.0)),
+}
+
+
+class TestFamilyRanges:
+    """The family table is the one source of the Laplacian class: each range
+    holds over the whole plane, and its lower end is attained at the
+    weight's ``laplacian_min_at``."""
+
+    def test_every_family_is_drawn(self):
+        assert set(FAMILY_STRATEGIES) == set(weights._FAMILIES)
+
+    @settings(deadline=None, max_examples=80)
+    @given(w=st.one_of(*FAMILY_STRATEGIES.values()),
+           z0=st.complex_numbers(max_magnitude=5.0))
+    def test_range_is_exact(self, w, z0):
+        w = translate_weight(w, z0)
+        # a full 2 pi period of cos(x) cos(y) in each direction, about any offset
+        ticks = np.linspace(-math.pi, math.pi, 97)
+        grid = (ticks[:, None] + 1j * ticks[None, :]).ravel()
+        report = validate_laplacian_bounds(w, grid, 1e-12)
+        assert report.check("laplacian_min").ok and report.check("laplacian_max").ok
+        assert abs(w.laplacian(w.laplacian_min_at) - w.laplacian_bounds[0]) <= 1e-12
 
 
 class TestTranslateWeight:
@@ -193,10 +233,14 @@ class TestTranslateWeight:
 
 class TestSerialization:
     @pytest.mark.parametrize("w", ALL_FAMILIES + [translate_weight(ALL_FAMILIES[0], 1 - 2j),
-                                                  translate_weight(ALL_FAMILIES[3], 0.5)],
-                             ids=lambda w: w.family + str(w.offset))
+                                                  translate_weight(ALL_FAMILIES[3], 0.5),
+                                                  WeightFunction.oscillatory(1.0, 3.0)],
+                             ids=lambda w: w.family + str(w.offset)
+                             + ("_outside_class" if w.laplacian_bounds[0] < 0 else ""))
     def test_roundtrip(self, w):
         desc = w.to_json()
+        # a negative lower end is the family's own, recomputed on reading
+        assert ("laplacian_bounds" in desc) == (w.laplacian_bounds[0] >= 0)
         back = WeightFunction.from_json(desc)
         assert back == w
         grid = sunflower_points(16, 2.0)
@@ -222,6 +266,14 @@ class TestSerialization:
                 "laplacian_bounds": [0.0, 10.0]}
         w = WeightFunction.from_json(desc)
         assert w.laplacian_bounds == (0.0, 10.0)
+
+    def test_declared_negative_lower_end_rejected(self):
+        # the exact range of oscillatory(1, 3) is [-2, 10], yet no
+        # description may declare a weight outside the class
+        desc = {"family": "oscillatory", "params": {"a": 1.0, "eps": 3.0},
+                "laplacian_bounds": [-2.0, 10.0]}
+        with pytest.raises(WeightError, match="0 <= m <= M"):
+            WeightFunction.from_json(desc)
 
     def test_declared_bounds_must_contain_family_bounds(self):
         desc = {"family": "gaussian", "params": {"t": 1.0},
