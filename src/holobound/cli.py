@@ -6,14 +6,19 @@ summary.  A float CSV cell is the shortest round-trip ``repr`` of its
 double (``-0.0`` keeps its sign; ``nan``, ``inf`` and ``-inf`` for the
 non-finite values), and a float array column formats each distinct value
 once.  The CSV and the summary are written both or neither.  Exit codes:
-0 success, 2 config error, 3 numeric failure, 4 certificate failure.
+0 success, 2 config or usage error, 3 numeric failure, 4 certificate failure.
+
+The command line is read by one ``getopt.gnu_getopt`` call: ``--name value``
+or ``--name=value``, any unique prefix of a name, options before or after
+the experiment, the last of a repeated option winning.  getopt calls gettext
+only to word an error, so no run imports ``locale``.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import functools
+import getopt
 import itertools
 import json
 import math
@@ -531,38 +536,60 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
 # Command line front end
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="holobound", description="Weighted holomorphic L2 kernel experiments")
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--out", help="output directory (default: config's, else '.')")
-    for key in _RANGES:
-        parser.add_argument(f"--{key}", type=int, help=f"override the config's {key}")
-    return parser
+_USAGE = ("usage: holobound [-h] [--config PATH] [--out DIR] "
+          + "".join(f"[--{key} INT] " for key in _RANGES) + "{" + ",".join(EXPERIMENTS) + "}")
+_HELP = "\n".join([
+    _USAGE, "", "experiments: " + ", ".join(EXPERIMENTS), "", "options:",
+    "  --config PATH     path to a JSON experiment config",
+    "  --out DIR         output directory (default: config's, else '.')",
+    *(f"  --{key + ' INT':<15} override the config's {key}, an integer in [{lo}, {hi}]"
+      for key, (lo, hi) in _RANGES.items())])
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the experiment the command line ``argv`` (default ``sys.argv[1:]``)
+    names and return its exit code: 0 after printing the help for ``-h`` or
+    ``--help``, 2 after printing the usage and the problem of a usage error."""
     try:
-        if args.config is not None:
-            cfg = load_config(args.config)
-            if cfg.experiment != args.experiment:
+        opts, args = getopt.gnu_getopt(sys.argv[1:] if argv is None else argv, "h",
+                                       ["help", "config=", "out=", *(k + "=" for k in _RANGES)])
+        options = {name.lstrip("-"): value for name, value in opts}  # the last one wins
+        if "h" in options or "help" in options:
+            print(_HELP)
+            return EXIT_OK
+        if len(args) != 1:
+            raise getopt.GetoptError(
+                f"expected one experiment, got {', '.join(map(repr, args)) or 'none'}")
+        experiment = args[0]
+        if experiment not in EXPERIMENTS:
+            raise getopt.GetoptError(
+                f"invalid choice: {experiment!r} (choose from {', '.join(EXPERIMENTS)})")
+        flags = {key: options[key] for key in _RANGES if key in options}
+        for key, value in flags.items():
+            try:
+                flags[key] = int(value)
+            except ValueError:
+                raise getopt.GetoptError(f"--{key} takes an integer, got {value!r}") from None
+    except getopt.GetoptError as exc:
+        print(f"{_USAGE}\nholobound: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        if "config" in options:
+            cfg = load_config(options["config"])
+            if cfg.experiment != experiment:
                 raise ConfigError(
                     f"config is for experiment {cfg.experiment!r}, "
-                    f"but {args.experiment!r} was requested")
+                    f"but {experiment!r} was requested")
         else:
-            if args.experiment != "mean-value":
-                raise ConfigError(f"experiment {args.experiment!r} needs --config")
+            if experiment != "mean-value":
+                raise ConfigError(f"experiment {experiment!r} needs --config")
             cfg = parse_config({"experiment": "mean-value"})
-        flags = {key: getattr(args, key) for key in _RANGES
-                 if getattr(args, key) is not None}
         if flags and cfg.experiment == "sweep":
             raise ConfigError(f"sweep takes no {', '.join('--' + k for k in flags)}; "
                               f"set them in its entries")
         for key, value in flags.items():
             setattr(cfg, key, _in_range(key, value))
-        code = run(cfg, args.out)
+        code = run(cfg, options.get("out"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

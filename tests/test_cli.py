@@ -665,18 +665,57 @@ class TestConstantOverflow:
 class TestFrontEnd:
     """``python -m holobound.cli`` in a fresh interpreter."""
 
-    def test_help_names_every_experiment(self):
-        proc = run_cli("-m", "holobound.cli", "--help")
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_names_every_experiment(self, flag):
+        proc = run_cli("-m", "holobound.cli", flag)
         assert proc.returncode == EXIT_OK
         for name in ("kernel-diag", "verify-bound", "constants", "equivalence",
-                     "potential", "mean-value", "sweep"):
+                     "potential", "mean-value", "sweep",
+                     "--config", "--out", "--degree", "--resolution", "--seed"):
             assert name in proc.stdout
+        for lo, hi in cli._RANGES.values():
+            assert f"[{lo}, {hi}]" in proc.stdout
 
     def test_unknown_experiment_exits_2(self, tmp_path):
         proc = run_cli("-m", "holobound.cli", "frobnicate", "--out", str(tmp_path))
         assert proc.returncode == EXIT_CONFIG
         assert "invalid choice: 'frobnicate'" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, message", [
+        (["mean-value", "--cofig", "c.json"], "option --cofig not recognized"),
+        (["mean-value", "--config"], "option --config requires argument"),
+        (["mean-value", "--degree", "x"], "--degree takes an integer, got 'x'"),
+        ([], "expected one experiment, got none"),
+        (["mean-value", "constants"], "expected one experiment, got 'mean-value', 'constants'"),
+    ], ids=["unknown-option", "missing-value", "non-integer", "no-experiment",
+            "two-experiments"])
+    def test_usage_error_exits_2(self, tmp_path, args, message):
+        # without the error each command line would run mean-value and write
+        out = tmp_path / "out"
+        proc = run_cli("-m", "holobound.cli", "--out", str(out), *args)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("usage: holobound ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_option_spellings_give_one_csv(self, tmp_path):
+        cfg = write_config(tmp_path, "kd.json", {
+            "experiment": "kernel-diag", "weight": GAUSS, "degree": 4, "resolution": 16,
+            "grid": {"kind": "points", "points": [[0.0, 0.0], [0.5, -0.25]]}})
+        spellings = [["kernel-diag", "--config", cfg, "--degree=12"],
+                     ["kernel-diag", "--config", cfg, "--degree", "12"],
+                     ["kernel-diag", "--config", cfg, "--deg", "12"],
+                     ["--degree", "12", "--config", cfg, "kernel-diag"]]
+        csvs = []
+        for i, args in enumerate(spellings):
+            out = tmp_path / str(i)
+            proc = run_cli("-m", "holobound.cli", *args, "--out", str(out))
+            assert proc.returncode == EXIT_OK, proc.stderr
+            csvs.append((out / "kernel-diag.csv").read_bytes())
+        assert csvs[0].splitlines()[2].split(b",")[2] == b"12"
+        assert csvs == [csvs[0]] * len(spellings)
 
     def test_mean_value_writes_its_csv(self, tmp_path):
         proc = run_cli("-m", "holobound.cli", "mean-value", "--out", str(tmp_path))
@@ -1048,7 +1087,10 @@ def test_experiments_leave_numpy_ma_out(tmp_path):
     # numpy 2.4 through np.ma.is_masked), which took a first potential
     # build from 3 ms to 12-22 ms; no experiment may reach that path.  Random
     # grids come from the standard library, so numpy.random (about 15 ms per
-    # CLI run) stays out too
+    # CLI run) stays out too.  Nor may the command line build an argparse
+    # parser: its gettext lookups import locale (1.1-1.2 ms of the 1.3-2.5 ms
+    # the parser cost each run).  getopt imports gettext but calls it only to
+    # word an error, so locale in sys.modules marks a gettext lookup
     grid = {"kind": "random", "radius": 0.9, "count": 20}
     oscillatory = {"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}
     runs = [
@@ -1068,7 +1110,8 @@ def test_experiments_leave_numpy_ma_out(tmp_path):
         "from holobound.cli import main\n"
         f"codes = [main([name, '--config', path, '--out', {str(tmp_path)!r}])\n"
         f"         for name, path in {runs!r}]\n"
-        "loaded = [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules]\n"
+        "loaded = [m for m in ('numpy.ma', 'numpy.random', 'argparse', 'locale')\n"
+        "          if m in sys.modules]\n"
         "sys.exit(f'exit codes {codes}' if any(codes)\n"
         "         else f'imported {loaded}' if loaded else 0)\n")
     proc = run_cli("-c", script)
