@@ -1,10 +1,12 @@
 """Pointwise-bound certificates for weighted holomorphic L2 spaces.
 
 Every certificate measures K_N(z,z) e^{-phi(z)} with the one builder
-``_weighted_diag``: a kernel estimate on a rule, and the largest change of
-the product at half the rule's resolution as the error estimate.  K_N(z,z)
-is the largest |f(z)|^2 / ||f||^2 over polynomials f of degree <= N, so
-dominating it bounds all of them at once.  The three kinds:
+``_weighted_diag``: a kernel estimate on a rule, and as the error estimate
+the largest change of the product from the estimate's coarser ring level,
+whose samples are a subset of the finer level's, read from the same
+products on the grid.  K_N(z,z) is the largest |f(z)|^2 / ||f||^2 over
+polynomials f of degree <= N, so dominating it bounds all of them at once.
+The three kinds:
 
 * ``constant_case``: for lap(phi) = c > 0 the kernel diagonal is exactly
   (c / 4pi) e^{phi(z)}, so the product must be flat at c / 4pi on the grid.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .kernel import KernelEstimate, build_kernel_estimate
 from .potential import B_EXACT, check_laplacian_range, phi_at_origin
-from .quadrature import QuadratureRule, disk_rule, half_resolution, integrate
+from .quadrature import QuadratureRule, disk_rule, integrate
 from .weights import Check, ValidationReport, WeightFunction
 
 __all__ = [
@@ -96,15 +98,13 @@ def certificate_constant(M: float) -> float:
 
 def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray):
     """(K_N(z,z) e^{-phi(z)} on the grid, the largest change of that product
-    when the rule is halved in resolution, the estimate, its convergence
+    from the estimate's coarser ring level, the estimate, its convergence
     gap on the grid or None): a certificate's fields after constant_C."""
     density = w.density(grid)
     est = build_kernel_estimate(w, N, rule)
-    diag, gap = est.diag_and_gap(grid)
+    diag, gap, coarse = est.diag_and_gap(grid, coarse=True)
     products = np.atleast_1d(diag) * density
-    coarse = build_kernel_estimate(w, N, half_resolution(rule))
-    products_coarse = np.atleast_1d(coarse.diag(grid)) * density
-    err = float(np.max(np.abs(products - products_coarse)))
+    err = float(np.max(np.abs(products - np.atleast_1d(coarse) * density)))
     return products, err, est, None if gap is None else np.atleast_1d(gap)
 
 

@@ -302,6 +302,13 @@ def _gap_diagnostics(gap, grid: np.ndarray) -> dict:
             "convergence_gap_at": [float(grid[i].real), float(grid[i].imag)]}
 
 
+def _ring_diagnostics(est) -> dict:
+    """The ring counts of the two levels compared, their change eps, and the
+    angle bands of the finer, final level."""
+    return {"rings": list(est.rings), "level_change": est.level_change,
+            "angle_bands": est.angle_bands()}
+
+
 def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
     w, grid, rule = _kernel_inputs(cfg)
     est = build_kernel_estimate(w, cfg.degree, rule)
@@ -317,7 +324,7 @@ def _run_diagonal(cfg: ExperimentConfig) -> ExperimentResult:
         "diag_min": float(diag.min()),
         "resolution": cfg.resolution,
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
-        "diagnostics": {"angle_bands": est.angle_bands(), **_gap_diagnostics(gap, grid)},
+        "diagnostics": {**_ring_diagnostics(est), **_gap_diagnostics(gap, grid)},
     }
     return ExperimentResult(EXIT_OK, summary, {
         "z_re": grid.real, "z_im": grid.imag, "N": cfg.degree, "K_N": diag,
@@ -341,7 +348,7 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
         "diagnostics": {"effective_degree": cert.estimate.effective_degree,
                         "degraded": bool(cert.estimate.degraded),
-                        "angle_bands": cert.estimate.angle_bands(),
+                        **_ring_diagnostics(cert.estimate),
                         **_gap_diagnostics(cert.convergence_gap, grid)},
     }
     code = EXIT_OK if cert.passed else EXIT_CERTIFICATE

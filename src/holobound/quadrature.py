@@ -1,17 +1,26 @@
 """Polar quadrature on planar regions: disks, masked disks, truncated planes.
 
-Every rule is a tensor product of Gauss-Legendre in radius (with the area
-jacobian r folded into the weights) and a uniform trapezoid rule in angle on
-D(center, radius), held lazily: a :class:`QuadratureRule` stores the
-centre, the radius and the two node counts.  ``rings()`` gives the radii and
-radial weights, which is all the kernel's Gram assembly reads; it evaluates
-the density on each ring at its own angle count (``angle_levels``), so no
-node array is built on that path.  ``nodes`` and ``weights`` are built, and
-cached, the first time ``integrate`` or a caller asks for them.
-``disk_rule`` and ``truncated_plane_rule`` return the plain rule;
-``masked_disk_rule`` drops the nodes inside an excluded disk.  Centering a
-rule on a logarithmic singularity makes the weighted radial integrand
-r*log(r) bounded, so no special singular weights are needed.
+Every rule is held lazily: a :class:`QuadratureRule` stores the centre, the
+radius and the two node counts.  ``integrate`` sums over a tensor product of
+Gauss-Legendre in radius (with the area jacobian r folded into the weights)
+and a uniform trapezoid rule in angle on D(center, radius); its ``nodes``
+and ``weights`` are built, and cached, the first time ``integrate`` or a
+caller asks for them.  ``disk_rule`` and ``truncated_plane_rule`` return the
+plain rule; ``masked_disk_rule`` drops the nodes inside an excluded disk.
+Centering a rule on a logarithmic singularity makes the weighted radial
+integrand r*log(r) bounded, so no special singular weights are needed.
+
+The kernel's Gram assembly reads only a rule's disk and its two counts: it
+puts nested Clenshaw-Curtis rings of at most n_r rings on the disk
+(``clenshaw_curtis``) and samples each ring at its own angle count, at most
+n_theta (``angle_levels``), so no node array is built on that path.
+``clenshaw_curtis(n)`` is the (n + 1)-point rule on [0, 1] for integrals of
+x f(x), from one inverse FFT of the even Chebyshev moments (Waldvogel, BIT
+46, 2006).  Its nodes x_k = sin^2(pi k / 2n) nest bit for bit: pi (2k) / 4n
+rounds to the same double as pi k / 2n, so the rule at n is the rule at 2n
+read at its even nodes, with other weights.  The jacobian x gives the node
+x = 0 weight zero, so that node is dropped, and no integrand is evaluated
+there.
 
 Gauss-Legendre rules come from the finite cosine series of P_n, not from
 its three-term recurrence (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013,
@@ -57,6 +66,7 @@ __all__ = [
     "QuadratureRule",
     "NonFiniteIntegrandError",
     "gauss_legendre",
+    "clenshaw_curtis",
     "angle_levels",
     "disk_rule",
     "masked_disk_rule",
@@ -88,6 +98,8 @@ class QuadratureRule:
     """Polar tensor rule on D(center, radius): ``n_r`` Gauss-Legendre radii
     times ``n_theta`` equispaced angles, node i * n_theta + j at
     center + r_i e^{2 pi i j / n_theta} with weight w_i 2 pi / n_theta.
+    The kernel reads only the disk, ``n_r`` as its finest ring count and
+    ``n_theta`` as its largest angle count (module docstring).
 
     ``excluded``, when set, is the (center, radius) of a disk whose nodes
     the rule drops (``masked_disk_rule``).  The node and weight arrays are
@@ -97,9 +109,8 @@ class QuadratureRule:
 
     Rules compare and hash by value, by the five fields alone: the nodes
     and weights are functions of them, and the lazy arrays are a cached
-    property, not a field.  So ``half_resolution`` of a 64 x 128 rule equals
-    the 32 x 64 rule on the same disk, and a cache keyed on the rule
-    (``kernel.build_kernel_estimate``) serves both.
+    property, not a field.  So two equal rules built apart key one entry of
+    a cache keyed on the rule (``kernel.build_kernel_estimate``).
     """
 
     center: complex
@@ -108,18 +119,9 @@ class QuadratureRule:
     n_theta: int
     excluded: tuple | None = None
 
-    def rings(self):
-        """(c, r, w): the centre, the ring radii r_i (ascending) and the
-        radial weights w_i, with the jacobian r_i folded in.
-
-        Raises ValueError for a masked rule: its dropped nodes break the rings.
-        """
-        if self.excluded is not None:
-            raise ValueError(f"a masked_disk rule (excluding {self.excluded!r}) "
-                             f"is not a polar tensor rule")
-        return (self.center, *self._radial())
-
     def _radial(self):
+        """The Gauss-Legendre radii r_i (ascending) and the radial weights
+        w_i, with the jacobian r_i folded in."""
         x, u = gauss_legendre(self.n_r)
         r = 0.5 * self.radius * (x + 1.0)
         return r, 0.5 * self.radius * u * r
@@ -224,6 +226,25 @@ def gauss_legendre(n: int):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=32)
+def clenshaw_curtis(n: int):
+    """Nodes x_k = sin^2(pi k / 2n), k = 1..n (ascending, x_n = 1), and
+    weights u_k with sum u_k f(x_k) the (n + 1)-point Clenshaw-Curtis value
+    of the integral of x f(x) over [0, 1]; the node 0, of weight zero, is
+    dropped.  Computed once per n, from one inverse FFT of the integrals
+    2 / (1 - 4j^2) of T_2j over [-1, 1] (Waldvogel); the arrays are shared
+    by every caller, so they are read-only.
+    """
+    moments = 2.0 / (1.0 - (2.0 * np.arange(n // 2 + 1)) ** 2)
+    w = np.fft.ifft(np.concatenate((moments, moments[(n + 1) // 2 - 1:0:-1]))).real
+    w = np.append(w[1:], 0.5 * w[0])  # the weights on [-1, 1] of k = 1..n
+    x = np.sin(math.pi * np.arange(1, n + 1) / (2 * n)) ** 2
+    weights = 0.5 * w * x
+    x.flags.writeable = False
+    weights.flags.writeable = False
+    return x, weights
 
 
 def _angles(j: np.ndarray, m: int) -> np.ndarray:

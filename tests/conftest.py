@@ -15,6 +15,7 @@ from holobound import (
 # list misses none
 CACHES = (
     quadrature.gauss_legendre,
+    quadrature.clenshaw_curtis,
     greens._piece_rule,
     potential.phi_at_origin,
     kernel.build_kernel_estimate,
@@ -29,7 +30,7 @@ def clear_caches():
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     # a test that monkeypatches a module constant (MODE_TAIL, CONDITION_LIMIT,
-    # ORIGIN_NODES, ...) must not read a result cached by an earlier test
+    # ORIGIN_INTERVALS, ...) must not read a result cached by an earlier test
     clear_caches()
 
 

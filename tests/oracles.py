@@ -44,6 +44,9 @@ in the angle, on P_n's cosine series); ``mp_gauss_legendre`` refines nodes to
 ``substitution_kernel_diag`` is K_N(z, z) by forward substitution against
 the Cholesky factor, rebuilt from an estimate's Gram alone, the check on
 ``KernelEstimate.diag_at_degree`` (one product against the inverse factor).
+``gl_kernel_diag`` solves the same way on the Gram of a rule's
+Gauss-Legendre rings, every ring at every angle: the check on the nested
+Clenshaw-Curtis levels of ``kernel.build_kernel_estimate``.
 
 ``weighted_norm_sq`` is ||f||^2 under a weight for one function f, by the
 rule's integral of |f|^2 e^{-phi} on its nodes.  ``extremal_ratio`` is
@@ -110,7 +113,7 @@ class PlanarLogPotential:
         self._near_gw = near.weights * np.log(np.abs(near.nodes)) / (2.0 * math.pi)
         # radius-major node layout: ascending radii in blocks of n_theta,
         # so a radius prefix is a contiguous slice
-        _, self._near_radii, _ = near.rings()
+        self._near_radii = near._radial()[0]
         self._near_n_theta = near.n_theta
         far = disk_rule(0.0, self.support_radius, FAR_RESOLUTION, 2 * FAR_RESOLUTION)
         self._far_nodes = far.nodes
@@ -326,12 +329,33 @@ def substitution_kernel_diag(est, z, degree: int):
     """K(z, z) of the leading block of the given degree from ``est.gram``
     alone: equilibrate, factor the leading block with ``np.linalg.cholesky``,
     and solve L y = D^-1 v(z - c) row by row for every point at once."""
+    return _gram_kernel_diag(est.gram, est.center, z, degree)
+
+
+def gl_kernel_diag(w: WeightFunction, N: int, rule: QuadratureRule, z):
+    """K_N(z, z) from the Gram on the rule's n_r Gauss-Legendre rings, each
+    sampled at all n_theta angles, solved as in ``substitution_kernel_diag``:
+    the kernel's ring assembly as it was before the nested Clenshaw-Curtis
+    levels, the check on ``build_kernel_estimate``.  n_theta must exceed 2N,
+    so that no mode |k| <= N is aliased."""
+    r, w_r = rule._radial()
+    m = rule.n_theta
+    ring = rule.center + np.outer(r, np.exp(2j * math.pi * np.arange(m) / m))
+    # U_i(k), the angular sum of exp(-phi) e^{i k theta} 2 pi / m on ring i
+    U = np.fft.fft(w.density(ring), axis=1).conj() * (2.0 * math.pi / m)
+    j = np.arange(N + 1)
+    powers = (r / rule.radius)[:, None, None] ** (j[:, None] + j)
+    G = np.einsum("i,imn,imn->mn", w_r, powers, U[:, (j[:, None] - j) % m])
+    G *= np.outer(rule.radius ** j, rule.radius ** j)
+    return _gram_kernel_diag(0.5 * (G + G.conj().T), rule.center, z, N)
+
+
+def _gram_kernel_diag(G, center: complex, z, degree: int):
     n = degree + 1
-    G = est.gram
     d = np.sqrt(np.real(np.diag(G)))[:n]
     L = np.linalg.cholesky(G[:n, :n] / np.outer(d, d))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    V = (z - est.center)[:, None] ** np.arange(n) / d
+    V = (z - center)[:, None] ** np.arange(n) / d
     Y = np.empty((n, len(z)), dtype=complex)
     for i in range(n):
         Y[i] = (V[:, i] - L[i, :i] @ Y[:i]) / L[i, i]

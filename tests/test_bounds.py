@@ -18,10 +18,10 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound import bounds, greens
+from holobound import bounds, greens, kernel
 from holobound.bounds import BoundCertificate
-from holobound.quadrature import disk_lattice, disk_rule
-from oracles import extremal_ratio, translated_pointwise_check
+from holobound.quadrature import disk_lattice, disk_rule, gauss_legendre
+from oracles import extremal_ratio, gl_kernel_diag, translated_pointwise_check
 
 INV_PI = 1.0 / math.pi
 
@@ -196,6 +196,48 @@ class TestGlobalCertificate:
         rule = truncated_plane_rule(truncation_radius(w, 8), 32, 64)
         with pytest.raises(OverflowError, match=r"at M = 666.66+\d*; a double allows M <= 624.64"):
             global_certificate(w, disk_lattice(1.0, 0.5), 8, rule)
+
+    @pytest.mark.parametrize("w", [WeightFunction.gaussian(1.0),
+                                   WeightFunction.oscillatory(1.0, 0.5)],
+                             ids=["gaussian", "oscillatory"])
+    def test_work_of_one_certificate(self, w, monkeypatch):
+        # one density sampling per ring, two factorizations, one Vandermonde
+        # pass over the grid and no Gauss-Legendre rule: the error estimate
+        # builds no second, coarse estimate
+        counts = {"points": 0, "cholesky": 0, "vandermonde": 0}
+
+        def counted(key, f, size):
+            def call(*args):
+                counts[key] += size(args)
+                return f(*args)
+            return call
+        monkeypatch.setattr(WeightFunction, "density",
+                            counted("points", WeightFunction.density, lambda a: np.size(a[1])))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            counted("cholesky", np.linalg.cholesky, lambda a: 1))
+        monkeypatch.setattr(kernel, "_vandermonde",
+                            counted("vandermonde", kernel._vandermonde, lambda a: np.size(a[0])))
+        grid = disk_lattice(2.0, 0.1)
+        rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
+        misses = gauss_legendre.cache_info().misses
+        cert = global_certificate(w, grid, 40, rule)
+        assert counts["points"] == len(grid) + cert.estimate.angle_counts.sum()
+        assert counts["cholesky"] <= 2
+        assert counts["vandermonde"] == len(grid)
+        assert gauss_legendre.cache_info().misses == misses
+
+    def test_error_estimate_covers_the_error_of_a_kinked_density(self):
+        # potential_defined's density is smooth but for the cutoff seams at
+        # radii 1 and 2, the family the rings resolve slowest: at resolution
+        # 128 the change from the coarser level bounds the error against
+        # 1024 Gauss-Legendre rings
+        w = WeightFunction.potential_defined(1.0)
+        R = truncation_radius(w, 40)
+        grid = disk_lattice(2.0, 0.1)
+        cert = global_certificate(w, grid, 40, truncated_plane_rule(R, 128, 256))
+        assert cert.estimate.rings == (64, 128) and cert.estimate.level_change > 1e-6
+        exact = gl_kernel_diag(w, 40, truncated_plane_rule(R, 1024, 256), grid) * w.density(grid)
+        assert cert.error_estimate >= np.max(np.abs(cert.measured - exact))
 
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j

@@ -407,7 +407,9 @@ class TestVerifyBoundCommand:
                 "resolution", "diagnostics"} <= set(summary)
         assert summary["diagnostics"]["effective_degree"] == 16
         assert summary["diagnostics"]["degraded"] is False
-        # the angle count of each band of rings of the 64-ring rule
+        # the two ring levels compared, and the angle count of each band of
+        # rings of the final, 64-ring level
+        assert summary["diagnostics"]["rings"] == [32, 64]
         assert summary["diagnostics"]["angle_bands"] == [[64, 64]]
         header, rows = read_csv(tmp_path / "verify-bound.csv")
         assert header == ["z_re", "z_im", "weighted_diag", "constant_C", "margin"]
@@ -466,9 +468,10 @@ class TestConvergenceGap:
     @pytest.mark.parametrize("weight, gap, at", [
         # the rule centred on the mass at -5, the grid 3 to 7 away from it
         ({"family": "gaussian", "params": {"t": 1.0, "z0_re": 5.0}}, 0.795, [2.0, 0.0]),
-        # degraded to degree 28
+        # degraded to degree 28; the weight is even, so the gap peaks at 2
+        # and -2 alike, and rounding picks 2
         ({"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.9}}, 0.368,
-         [-2.0, 0.0]),
+         [2.0, 0.0]),
         ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 2.5e-11, None),
         (GAUSS, 0.0, None),
     ], ids=["translated_gaussian", "anisotropic", "oscillatory", "gaussian"])
@@ -518,10 +521,13 @@ class TestKernelDiagCommand:
         assert len(rows) == 3
         assert float(rows[0][3]) == pytest.approx(1.0 / math.pi, rel=1e-6)
         summary = json.loads((tmp_path / "kernel-diag_summary.json").read_text())
-        # 96 angles halve to 24, the smallest count above 2N = 20; the gap
-        # (K_10 - K_5) / K_10 is largest at |z| = 1, first at z = 1
+        # 12 rings change by more than LEVEL_TOL = 1e-6 to 24, so the doubling
+        # reaches the rule's 48 rings; 96 angles halve to 24, the smallest
+        # count above 2N = 20; the gap (K_10 - K_5) / K_10 is largest at
+        # |z| = 1, first at z = 1
         series = [1.0 / math.factorial(k) for k in range(11)]
         assert summary["diagnostics"] == {
+            "rings": [24, 48], "level_change": pytest.approx(7.37e-6, rel=1e-2),
             "angle_bands": [[24, 48]],
             "convergence_gap": pytest.approx(sum(series[6:]) / sum(series), rel=1e-9),
             "convergence_gap_at": [1.0, 0.0]}
@@ -998,19 +1004,20 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert [r[2] for r in rows] == ["ok", "error:ValueError"]
 
-    def test_doubling_sweep_builds_the_shared_estimate_once(self, tmp_path, monkeypatch):
-        # the resolution-64 entry's half-resolution rule is the resolution-32
-        # entry's rule: 3 Gram assemblies, not 4
-        calls = []
-        assemble = kernel._equilibrated_gram
-        monkeypatch.setattr(kernel, "_equilibrated_gram",
-                            lambda w, N, rule: (calls.append(rule), assemble(w, N, rule))[1])
+    def test_doubling_sweep_builds_each_estimate_once(self, tmp_path, monkeypatch):
+        # the repeated resolution-64 entry reads the cached estimate, and no
+        # entry builds a coarse rule: each certificate's error estimate
+        # comes from its own estimate's coarser ring level
+        rules = []
+        rings = kernel._Rings
+        monkeypatch.setattr(kernel, "_Rings",
+                            lambda w, N, rule, n: (rules.append(rule), rings(w, N, rule, n))[1])
         entries = [{"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
                     "resolution": res, "grid": {"kind": "random", "radius": 1.5, "count": 10}}
-                   for res in (32, 64)]
+                   for res in (32, 64, 64)]
         cfg = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": entries})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-        assert [(rule.n_r, rule.n_theta) for rule in calls] == [(32, 64), (16, 32), (64, 128)]
+        assert [(rule.n_r, rule.n_theta) for rule in rules] == [(32, 64), (64, 128)]
 
     def test_caches_leave_the_csv_unchanged(self, tmp_path, monkeypatch):
         # the last run clears every cache before each entry; the violating

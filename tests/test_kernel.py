@@ -20,9 +20,14 @@ from holobound import (
     truncated_plane_rule,
     truncation_radius,
 )
-from holobound.quadrature import disk_lattice, random_disk_points
+from holobound.quadrature import clenshaw_curtis, disk_lattice, random_disk_points
 from holobound.weights import translate_weight
-from oracles import extremal_ratio, radial_kernel_diag, substitution_kernel_diag
+from oracles import (
+    extremal_ratio,
+    gl_kernel_diag,
+    radial_kernel_diag,
+    substitution_kernel_diag,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +35,23 @@ def rule_r10():
     return truncated_plane_rule(10.0, 256, 512)
 
 
-def direct_gram(w, N, rule, center=0j):
-    """The node sum G_mn = sum u (z - c)^m conj(z - c)^n as a Vandermonde
-    product: the oracle for the FFT-in-angle assembly."""
-    u = rule.weights * w.density(rule.nodes)
-    V = (rule.nodes - center)[:, None] ** np.arange(N + 1)
+def ring_nodes(rule, n=None):
+    """Nodes and weights of the kernel's ring level n (default the finest, the
+    rule's n_r rounded down to even) on the rule's disk: the n
+    Clenshaw-Curtis radii times the rule's n_theta equispaced angles."""
+    x, u = clenshaw_curtis(n or rule.n_r - rule.n_r % 2)
+    angles = np.exp(2j * math.pi * np.arange(rule.n_theta) / rule.n_theta)
+    nodes = (rule.center + np.outer(rule.radius * x, angles)).ravel()
+    weights = np.repeat(rule.radius ** 2 * u * (2.0 * math.pi / rule.n_theta), rule.n_theta)
+    return nodes, weights
+
+
+def direct_gram(w, N, rule, center=0j, n=None):
+    """The node sum G_mn = sum u (z - c)^m conj(z - c)^n over ring level n as
+    a Vandermonde product: the oracle for the FFT-in-angle assembly."""
+    nodes, weights = ring_nodes(rule, n)
+    u = weights * w.density(nodes)
+    V = (nodes - center)[:, None] ** np.arange(N + 1)
     G = (V * u[:, None]).T @ V.conj()
     return 0.5 * (G + G.conj().T)
 
@@ -123,21 +140,15 @@ class TestFFTAssembly:
          WeightFunction.gaussian(1.0), 30),
         (lambda rule: disk_rule(2.0, 0.5, 64, 128), WeightFunction.gaussian(100.0), 40),
     ], ids=["recentred", "off_centre_disk"])
-    def test_off_centre_rules_match_direct_sum(self, monkeypatch, gauss1_rule,
-                                                make_rule, weight, N):
-        # the estimate factors the Gram of (z - c)^j, c the rule's centre
+    def test_off_centre_rules_match_direct_sum(self, gauss1_rule, make_rule, weight, N):
+        # the estimate factors the Gram of (z - c)^j, c the rule's centre, on
+        # its final ring level
         rule = make_rule(gauss1_rule)
-        center = rule.rings()[0]
         est = build_kernel_estimate(weight, N, rule)
-        monkeypatch.setattr(kernel, "_assemble_gram",
-                            lambda w, N, rule: (center, direct_gram(w, N, rule, center),
-                                                np.full(rule.n_r, rule.n_theta)))
-        # past the cache, which holds est for these arguments
-        oracle = build_kernel_estimate.__wrapped__(weight, N, rule)
-        assert est.center == center
-        assert equilibrated_error(est.gram, oracle.gram) < 1e-12
-        assert est.effective_degree == oracle.effective_degree
-        assert est.degraded == oracle.degraded
+        oracle = direct_gram(weight, N, rule, rule.center, est.rings[1])
+        assert est.center == rule.center
+        assert equilibrated_error(est.gram, oracle) < 1e-12
+        assert est.effective_degree == kernel._factor(*kernel._equilibrate(oracle, N), N)[0]
 
     def test_off_centre_rule_rejected(self, gauss1, gauss1_rule):
         # the monomial Gram is the assembly's own only on origin-centred rules
@@ -214,7 +225,7 @@ class TestRingAssembly:
     def test_rings_where_the_density_underflows_take_the_start_count(self, gauss1):
         # exp(-r^2) is exactly 0 beyond r ~ 27.3
         rule = truncated_plane_rule(40.0, 64, 512)
-        _, r, _ = rule.rings()
+        r = rule.radius * clenshaw_curtis(64)[0]
         _, _, counts = kernel._assemble_gram(gauss1, 5, rule)
         zero = gauss1.density(r + 0j) == 0.0
         assert zero.sum() >= 10
@@ -222,7 +233,7 @@ class TestRingAssembly:
 
     def test_non_finite_ring_goes_to_the_cap(self, gauss1, monkeypatch):
         rule = truncated_plane_rule(10.0, 16, 256)
-        _, r, _ = rule.rings()
+        r = rule.radius * clenshaw_curtis(16)[0]
         density = WeightFunction.density
         monkeypatch.setattr(WeightFunction, "density", lambda self, z: np.where(
             np.abs(np.abs(z) - r[3]) < 1e-12, np.nan, density(self, z)))
@@ -238,8 +249,11 @@ class TestRingAssembly:
                             lambda self, z: (sizes.append(np.size(z)), density(self, z))[1])
         est = build_kernel_estimate(gauss1, 40, rule)
         assert "_tensor" not in vars(rule)
-        assert sum(sizes) == est.angle_counts.sum() <= rule.n_r * rule.n_theta / 4
-        assert est.angle_bands() == [[128, 512]]
+        # the doubling stops at 128 of the rule's 512 rings, each ring
+        # sampled once, at 128 of its 1024 angles
+        assert est.rings == (64, 128)
+        assert sum(sizes) == est.angle_counts.sum() == rule.n_r * rule.n_theta / 32
+        assert est.angle_bands() == [[128, 128]]
 
     @pytest.mark.parametrize("family", ["gaussian", "potential_defined"])
     def test_matches_the_radial_1d_gram(self, family):
@@ -251,6 +265,88 @@ class TestRingAssembly:
         zs = disk_lattice(2.0, 0.1)
         oracle = radial_kernel_diag(w, 40, zs, R)
         assert np.max(np.abs(est.diag(zs) - oracle) / oracle) <= 1e-9
+
+
+# the lattice of the kernel-diag benchmark workload: radius 2, spacing 0.05
+DIAG_LATTICE = disk_lattice(2.0, 0.05)
+
+# weights for the drawn ladders: condition estimates of at most 3e7 at N = 40
+LADDER_WEIGHTS = st.one_of(
+    st.builds(WeightFunction.gaussian, st.floats(0.25, 4.0)),
+    st.builds(lambda a, b: WeightFunction.gaussian_harmonic(a, b=b * a),
+              st.floats(0.5, 2.0), st.floats(0.0, 0.3)),
+    st.builds(WeightFunction.oscillatory, st.floats(0.5, 2.0), st.floats(0.0, 0.5)))
+
+
+class TestNestedRings:
+    """The Clenshaw-Curtis ring levels, their stop and the coarser level the
+    certificates read their error estimate from."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "harmonic", "oscillatory"])
+    def test_against_512_gauss_legendre_rings(self, family):
+        w = DIAG_FAMILIES[family]
+        R = truncation_radius(w, 40)
+        est = build_kernel_estimate(w, 40, truncated_plane_rule(R, 256, 512))
+        assert est.rings == (64, 128)
+        oracle = gl_kernel_diag(w, 40, truncated_plane_rule(R, 512, 1024), DIAG_LATTICE)
+        assert _max_rel(est.diag(DIAG_LATTICE), oracle) <= 1e-12
+
+    def test_normalized_gaussian_against_its_series(self):
+        # K_N(z, z) = sum_{m <= N} |z|^2m / m! for the density e^{-|z|^2} / pi
+        w = normalized_gaussian(1.0)
+        est = build_kernel_estimate(w, 40, truncated_plane_rule(truncation_radius(w, 40),
+                                                                256, 512))
+        t = np.abs(DIAG_LATTICE) ** 2
+        series = np.sum(t[:, None] ** np.arange(41) / [math.factorial(m) for m in range(41)],
+                        axis=1)
+        assert _max_rel(est.diag(DIAG_LATTICE), series) <= 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(N=st.integers(0, 40), n_r=st.integers(8, 512), R=st.floats(0.5, 50.0))
+    def test_ladder(self, N, n_r, R):
+        levels = kernel._ring_levels(n_r, N)
+        # at least two levels, each twice the last, up to n_r rounded down to even
+        assert len(levels) >= 2 and levels[-1] == n_r - n_r % 2
+        assert all(fine == 2 * coarse for coarse, fine in zip(levels, levels[1:]))
+        # the first is the smallest below the top with N + 1 rings or more,
+        # else half the top
+        first = levels[0]
+        assert first >= N + 1 or len(levels) == 2
+        assert first % 2 or first // 2 < N + 1
+        # each coarse radius is a fine radius, bit for bit
+        for coarse, fine in zip(levels, levels[1:]):
+            assert np.array_equal(R * clenshaw_curtis(coarse)[0],
+                                  (R * clenshaw_curtis(fine)[0])[1::2])
+
+    @settings(max_examples=25, deadline=None)
+    @given(w=LADDER_WEIGHTS, N=st.integers(0, 40), n_r=st.integers(8, 512))
+    def test_coarse_level_within_the_level_change(self, w, N, n_r):
+        est = build_kernel_estimate(w, N, truncated_plane_rule(truncation_radius(w, N),
+                                                               n_r, 2 * n_r))
+        levels = kernel._ring_levels(n_r, N)
+        coarse, fine = est.rings
+        assert coarse in levels and fine == 2 * coarse <= n_r
+        eps = est.level_change
+        assert eps <= kernel.LEVEL_TOL or fine == levels[-1]
+        zs = disk_lattice(2.0, 0.25)
+        K, _, K_coarse = est.diag_and_gap(zs, coarse=True)
+        if eps < 0.5:
+            # eps / (1 - eps) bounds |K_coarse / K_fine - 1| at every z; the
+            # slack is rounding at condition estimates up to 3e7
+            assert np.max(np.abs(K_coarse / K - 1.0)) <= eps / (1.0 - eps) + 1e-11
+
+    def test_coarse_level_is_the_same_products(self):
+        # K_N and the gap with and without the stacked coarse factor agree,
+        # and the coarse diagonal is the 64-ring level's own estimate
+        w = WeightFunction.oscillatory(1.0, 0.5)
+        R = truncation_radius(w, 40)
+        est = build_kernel_estimate(w, 40, truncated_plane_rule(R, 256, 512))
+        K, gap, K_coarse = est.diag_and_gap(DIAG_LATTICE, coarse=True)
+        assert np.allclose(K, est.diag(DIAG_LATTICE), rtol=1e-15, atol=0.0)
+        assert np.allclose(gap, est.diag_and_gap(DIAG_LATTICE)[1], rtol=1e-12, atol=0.0)
+        alone = build_kernel_estimate.__wrapped__(w, 40, truncated_plane_rule(R, 64, 512))
+        assert _max_rel(K_coarse, alone.diag(DIAG_LATTICE)) <= 1e-13
+        assert np.max(np.abs(K_coarse / K - 1.0)) <= est.level_change / (1 - est.level_change)
 
 
 class TestKernelDiag:

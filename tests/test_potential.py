@@ -575,13 +575,28 @@ class TestPhiAtOrigin:
         assert abs(phi_at_origin(w) - self.whole(w)) < 1e-13
 
     @pytest.mark.parametrize("w", [
+        WeightFunction.gaussian(1.0),
+        WeightFunction.oscillatory(1.0, 0.5),
+        WeightFunction.potential_defined(1.0),
+    ], ids=["gaussian", "oscillatory", "potential_defined"])
+    def test_agrees_with_512_gauss_legendre_nodes(self, w):
+        # the same circle means summed with 512 Gauss-Legendre nodes per piece
+        x, gw = quadrature.gauss_legendre(512)
+        u = 0.5 * (x + 1.0)
+        a, h = np.array([[0.0], [1.0]]), np.ones((2, 1))
+        s = a + h * u * u
+        _, modes = greens.angular_modes(potential_mod._cutoff_density(w), s)
+        reference = float(np.sum(h * u * gw * s * np.log(s) * modes[..., 0].real))
+        assert abs(phi_at_origin(w) - reference) <= 1e-15
+
+    @pytest.mark.parametrize("w", [
         translate_weight(WeightFunction.potential_defined(1.0), 0.5),
         WeightFunction.oscillatory(1.0, 0.5),
         WeightFunction.gaussian(1.0),
     ], ids=["translated_bump", "oscillatory", "gaussian"])
     def test_doubling_the_radial_nodes(self, w, monkeypatch):
         base = phi_at_origin(w)
-        monkeypatch.setattr(potential_mod, "ORIGIN_NODES", 2 * potential_mod.ORIGIN_NODES)
+        monkeypatch.setattr(potential_mod, "ORIGIN_INTERVALS", 2 * potential_mod.ORIGIN_INTERVALS)
         # past the cache, which holds base for w
         assert abs(phi_at_origin.__wrapped__(w) - base) < 1e-14
 

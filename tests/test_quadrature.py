@@ -18,6 +18,7 @@ from holobound import (
 from holobound import quadrature
 from holobound.quadrature import (
     angle_levels,
+    clenshaw_curtis,
     disk_lattice,
     gauss_legendre,
     half_resolution,
@@ -87,6 +88,27 @@ class TestGaussLegendre:
             gauss_legendre.__wrapped__(64)
 
 
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 128, 257])
+    def test_exact_for_degree_n(self, n):
+        # the (n + 1)-point rule integrates x^p over [0, 1] exactly for p <= n,
+        # here as x times x^(p - 1)
+        x, u = clenshaw_curtis(n)
+        assert len(x) == n and x[-1] == 1.0 and np.all(np.diff(x) > 0) and x[0] > 0
+        for p in range(1, n + 1):
+            assert np.sum(u * x ** (p - 1)) == pytest.approx(1.0 / (p + 1), rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 96, 512])
+    def test_nodes_nest_bit_for_bit(self, n):
+        assert np.array_equal(clenshaw_curtis(n)[0], clenshaw_curtis(2 * n)[0][1::2])
+
+    def test_cached_and_read_only(self):
+        x, u = clenshaw_curtis(64)
+        assert clenshaw_curtis(64)[0] is x
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 0.0
+
+
 class TestDiskRule:
     def test_area(self, unit_disk_rule):
         assert integrate(unit_disk_rule, lambda z: 1.0) == pytest.approx(math.pi, rel=1e-10)
@@ -121,9 +143,9 @@ class TestDiskRule:
 
 
 class TestLazyRule:
-    def test_rings_build_no_nodes_and_nodes_are_cached(self):
+    def test_radii_build_no_nodes_and_nodes_are_cached(self):
         rule = disk_rule(1 + 2j, 3.0, 8, 16)
-        center, r, w_r = rule.rings()
+        center, (r, w_r) = rule.center, rule._radial()
         assert "_tensor" not in vars(rule)
         nodes = rule.nodes
         assert rule.nodes is nodes and "_tensor" in vars(rule)
@@ -133,10 +155,8 @@ class TestLazyRule:
         assert np.allclose(nodes[3::16], center + r * np.exp(2j * math.pi * 3 / 16),
                            rtol=0.0, atol=1e-15)
 
-    def test_masked_rule_has_no_rings_and_halves_as_masked(self):
+    def test_masked_rule_halves_as_masked(self):
         rule = masked_disk_rule(0.5, 2.0, 0.0, 1.0, 32, 64)
-        with pytest.raises(ValueError, match="masked_disk"):
-            rule.rings()
         coarse = half_resolution(rule)
         assert (coarse.n_r, coarse.n_theta, coarse.excluded) == (16, 32, rule.excluded)
         assert (np.abs(coarse.nodes) >= 1.0).all()
@@ -273,7 +293,7 @@ def test_half_resolution_companion(unit_disk_rule):
 
 def test_rules_are_equal_by_value():
     # the half-resolution companion of a 64 x 128 rule is the 32 x 64 rule
-    # on the same disk, so the kernel's cache keys them alike
+    # on the same disk, so a cache keyed on rules keys them alike
     c, R = 0.25 - 0.5j, 7.5
     rule = disk_rule(c, R, 32, 64)
     assert half_resolution(disk_rule(c, R, 64, 128)) == rule
