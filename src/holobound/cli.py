@@ -294,11 +294,15 @@ def _kernel_inputs(cfg: ExperimentConfig):
 
 def _gap_diagnostics(gap, grid: np.ndarray) -> dict:
     """The grid maximum of the convergence gap (K_N - K_{N-5}) / K_N and its
-    [x, y]; both None when the effective degree is below the gap's step."""
+    [x, y]; both None when the effective degree is below the gap's step.
+    Of the points within 1e-12 relative of the maximum, which tie at z and
+    -z for an even weight, the lexicographically largest (x, y) is named."""
     if gap is None:
         return {"convergence_gap": None, "convergence_gap_at": None}
-    i = int(np.argmax(gap))
-    return {"convergence_gap": float(gap[i]),
+    top = float(np.max(gap))
+    tied = np.flatnonzero(gap >= top * (1.0 - 1e-12))
+    i = tied[np.lexsort((grid[tied].imag, grid[tied].real))[-1]]
+    return {"convergence_gap": top,
             "convergence_gap_at": [float(grid[i].real), float(grid[i].imag)]}
 
 

@@ -51,12 +51,13 @@ the moments and the evaluation, runs on the live columns alone.
 Tabulation.  In the ring angle phi, s = a + (b - a)(1 - cos phi) / 2 on a
 piece [a, b], the interpolant of psi_k through the rings is a cosine series:
 one real FFT of the even extension of the ring values gives its
-coefficients, and one inverse real FFT per Gauss-Legendre offset gives its
-values at GAP_NODES nodes inside every gap between consecutive rings, both
-along the contiguous last axis, with no dense interpolation matrix.  Near
-s = 0, phi is proportional to sqrt(s), which weakens the s log s
-singularity to phi^3 log phi.  The weights rho^k are running products
-over the live k, a gap of d modes one product by rho^d.
+coefficients, and one inverse real FFT per gap offset gives its values at
+GAP_NODES nodes in every gap between consecutive rings, both along the
+contiguous last axis, with no dense interpolation matrix.  The offsets are
+the squares of the Clenshaw-Curtis nodes (``_piece_rule``), the substitution
+``phi_at_origin`` makes too.  Near s = 0, phi is proportional to sqrt(s),
+which weakens the s log s singularity to phi^3 log phi.  The weights rho^k
+are running products over the live k, a gap of d modes one product by rho^d.
 The inner and outer integrals of Phi_k are accumulated ring by ring, each
 step scaling the running sum by (r_j / r_{j+1})^|k| <= 1: no power of s
 overflows, and the ring r = 0 contributes to mode 0 only, with no 0 * inf.
@@ -108,7 +109,7 @@ import math
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .quadrature import angle_levels, gauss_legendre
+from .quadrature import angle_levels, clenshaw_curtis
 
 __all__ = ["bump", "cutoff_g", "angular_modes", "LogPotential"]
 
@@ -120,7 +121,7 @@ _BLOCK_ENTRIES = 1 << 15
 MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
 START_N_THETA = 16   # angles per ring at which the tail rules start
 MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
-GAP_NODES = 16       # Gauss-Legendre nodes between consecutive rings
+GAP_NODES = 16       # Clenshaw-Curtis nodes between consecutive rings
 
 
 def bump(t):
@@ -150,7 +151,11 @@ def _piece_rule(a: float, b: float, n: int):
     """The n Chebyshev-Lobatto rings of the piece [a, b] and the rule for its gaps.
 
     The rings sit at phi_j = pi j / N, N = n - 1, and every gap gets
-    GAP_NODES Gauss-Legendre nodes at phi = pi (j + tau) / N.  Returns the
+    GAP_NODES nodes at phi = pi (j + tau) / N, tau = x^2 for the nodes x of
+    ``clenshaw_curtis(GAP_NODES)``, with weights 2 u: the integral of f over
+    tau in [0, 1] is 2 times that of x f(x^2) over x in [0, 1].  The node
+    x = 0 is dropped, so no gap node sits on a ring's left end, and log s
+    stays finite at s = 0.  Returns the
     rings, the gap nodes s and weights u of shape (GAP_NODES, N), with
     sum u f(s) the integral of s f(s) over each gap, and the phases
     exp(i pi m tau / N) of shape (GAP_NODES, n) for ``_at_gaps``.
@@ -158,11 +163,11 @@ def _piece_rule(a: float, b: float, n: int):
     N = n - 1
     rings = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * np.arange(n) / N))
     rings[0], rings[-1] = a, b
-    g, gw = gauss_legendre(GAP_NODES)
-    tau = 0.5 * (g + 1.0)[:, None]
+    x, xw = clenshaw_curtis(GAP_NODES)
+    tau = (x * x)[:, None]
     phi = np.pi * (np.arange(N) + tau) / N
     s = a + 0.5 * (b - a) * (1.0 - np.cos(phi))
-    u = (np.pi / N) * 0.5 * gw[:, None] * s * 0.5 * (b - a) * np.sin(phi)
+    u = (np.pi / N) * 2.0 * xw[:, None] * s * 0.5 * (b - a) * np.sin(phi)
     shift = np.exp(1j * np.pi * tau * np.arange(n) / N)
     for arr in (rings, s, u, shift):
         arr.flags.writeable = False

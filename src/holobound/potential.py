@@ -110,9 +110,10 @@ def phi_at_origin(w: WeightFunction) -> float:
     of the cutoff, s = a + (b - a) u^2, so that ds = 2 (b - a) u du and
     s log s ds becomes 4 u^3 log u du near s = 0; the integral of u f(u) is
     taken by ``clenshaw_curtis(ORIGIN_INTERVALS)``, whose node u = 0, of
-    weight zero, is dropped, so log s never sees s = 0.  For
-    ``gaussian``, ``oscillatory(1, 0.5)`` and ``potential_defined(1)`` the sum
-    is within 2.2e-16 of the one with 128 Gauss-Legendre nodes per piece.
+    weight zero, is dropped, so log s never sees s = 0 (the log-potential's
+    gap rule makes the same substitution).  For ``gaussian``,
+    ``oscillatory(1, 0.5)`` and ``potential_defined(1)`` the sum is within
+    1e-15 of the one with 512 Gauss-Legendre nodes per piece.
 
     Cached per weight: Phi(0) depends on the weight only through lap(phi),
     and weights compare equal by family, parameters and Laplacian bounds,

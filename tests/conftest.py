@@ -14,7 +14,6 @@ from holobound import (
 # every functools cache in the package; tests/test_exports.py checks that the
 # list misses none
 CACHES = (
-    quadrature.gauss_legendre,
     quadrature.clenshaw_curtis,
     greens._piece_rule,
     potential.phi_at_origin,

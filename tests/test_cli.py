@@ -469,7 +469,7 @@ class TestConvergenceGap:
         # the rule centred on the mass at -5, the grid 3 to 7 away from it
         ({"family": "gaussian", "params": {"t": 1.0, "z0_re": 5.0}}, 0.795, [2.0, 0.0]),
         # degraded to degree 28; the weight is even, so the gap peaks at 2
-        # and -2 alike, and rounding picks 2
+        # and -2 alike, and the larger (x, y) is named
         ({"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.9}}, 0.368,
          [2.0, 0.0]),
         ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 2.5e-11, None),
@@ -482,6 +482,17 @@ class TestConvergenceGap:
         assert diagnostics["convergence_gap"] == pytest.approx(gap, rel=0.02, abs=1e-20)
         if at is not None:
             assert diagnostics["convergence_gap_at"] == at
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_tie_names_the_largest_point(self, order):
+        # z and -z tie to rounding; a point off the maximum by more than
+        # 1e-12 relative, however large, is not a tie
+        grid = np.array([-2.0, -1j, 0.5, 1j, 2.0 - 1j, 2.0, 3.0])[::order]
+        gap = np.array([0.7, 0.7 * (1 + 4e-16), 0.1, 0.7 * (1 - 2e-16), 0.7,
+                        0.7 * (1 - 5e-16), 0.7 * (1 - 1e-11)])[::order]
+        diagnostics = cli._gap_diagnostics(gap, grid)
+        assert diagnostics["convergence_gap"] == 0.7 * (1 + 4e-16)
+        assert diagnostics["convergence_gap_at"] == [2.0, 0.0]
 
     @pytest.mark.parametrize("experiment", ["verify-bound", "kernel-diag"])
     def test_null_below_the_step(self, experiment):

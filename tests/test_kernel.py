@@ -40,16 +40,21 @@ def ring_nodes(rule, n=None):
     rule's n_r rounded down to even) on the rule's disk: the n
     Clenshaw-Curtis radii times the rule's n_theta equispaced angles."""
     x, u = clenshaw_curtis(n or rule.n_r - rule.n_r % 2)
+    R = rule.radius
     angles = np.exp(2j * math.pi * np.arange(rule.n_theta) / rule.n_theta)
-    nodes = (rule.center + np.outer(rule.radius * x, angles)).ravel()
-    weights = np.repeat(rule.radius ** 2 * u * (2.0 * math.pi / rule.n_theta), rule.n_theta)
+    nodes = (rule.center + np.outer(R * x, angles)).ravel()
+    weights = np.repeat(R * R * u * (2.0 * math.pi / rule.n_theta), rule.n_theta)
     return nodes, weights
 
 
 def direct_gram(w, N, rule, center=0j, n=None):
     """The node sum G_mn = sum u (z - c)^m conj(z - c)^n over ring level n as
-    a Vandermonde product: the oracle for the FFT-in-angle assembly."""
-    nodes, weights = ring_nodes(rule, n)
+    a Vandermonde product: the oracle for the FFT-in-angle assembly.  The
+    finest level of an even n_r is the rule itself."""
+    if n is None and rule.n_r % 2 == 0:
+        nodes, weights = rule.nodes, rule.weights
+    else:
+        nodes, weights = ring_nodes(rule, n)
     u = weights * w.density(nodes)
     V = (nodes - center)[:, None] ** np.arange(N + 1)
     G = (V * u[:, None]).T @ V.conj()
@@ -214,6 +219,16 @@ class TestRingAssembly:
         else:
             assert counts.min() == kernel._start_count(n_theta, N)
             assert counts.sum() < rule.n_r * n_theta
+
+    @pytest.mark.parametrize("center, R, n_r, n_theta", [
+        (0j, 1.0, 2, 4), (0j, 6.5, 64, 128), (0.8 - 0.6j, 3.0, 96, 97), (-5.0, 11.2, 256, 512)])
+    def test_tensor_rule_is_the_finest_level(self, center, R, n_r, n_theta):
+        # an even n_r: the rule's nodes and weights are the kernel's finest
+        # ring level bit for bit
+        rule = disk_rule(center, R, n_r, n_theta)
+        nodes, weights = ring_nodes(rule)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
 
     @pytest.mark.parametrize("n_theta, N, start", [
         (512, 40, 128), (512, 0, 16), (1024, 40, 128), (192, 32, 96), (64, 8, 32),

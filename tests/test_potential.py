@@ -29,6 +29,8 @@ from oracles import (
     AllModesLogPotential,
     PlanarLogPotential,
     dense_modes_at,
+    gauss_legendre,
+    gl_piece_rule,
     ifft_at_gaps,
     leggauss,
     sequential_ring_sums,
@@ -443,9 +445,33 @@ FAMILY_EXAMPLES = {
 }
 
 
+# the families of the gap-rule oracle test
+GAP_FAMILIES = {
+    "gaussian": WeightFunction.gaussian(1.0),
+    "oscillatory_0.5": WeightFunction.oscillatory(1.0, 0.5),
+    "oscillatory_2": WeightFunction.oscillatory(1.0, 2.0),
+    "potential_defined": WeightFunction.potential_defined(1.0),
+    "translated_bump": translate_weight(WeightFunction.potential_defined(1.0), 0.5),
+}
+
+
 class TestSetUpOracles:
     """The set-up's inverse real FFTs and blocked scan against the complex
-    inverse FFTs and the ring-by-ring loops they replaced."""
+    inverse FFTs and the ring-by-ring loops they replaced, and its gap rule
+    against the Gauss-Legendre one it replaced."""
+
+    @pytest.mark.parametrize("resolution, tol", [
+        # far from converged, where the two rules differ by their own errors
+        (9, 1e-11), (17, 1e-11), (33, 1e-11),
+        (64, 5e-15), (128, 5e-15), (256, 5e-15), (512, 5e-15),
+    ])
+    @pytest.mark.parametrize("family", sorted(GAP_FAMILIES))
+    def test_gap_rule_matches_gauss_legendre(self, family, resolution, tol, monkeypatch):
+        w = GAP_FAMILIES[family]
+        zs = weights.stencil_points(random_disk_points(200, 0.98, 1), 1e-2)
+        got = make_psi(w, resolution)(zs)
+        monkeypatch.setattr(greens, "_piece_rule", gl_piece_rule)
+        assert np.max(np.abs(got - make_psi(w, resolution)(zs))) <= tol
 
     @pytest.mark.parametrize("columns", [2, 34])
     @pytest.mark.parametrize("n", [8, 9, 64, 256, 320])
@@ -581,7 +607,7 @@ class TestPhiAtOrigin:
     ], ids=["gaussian", "oscillatory", "potential_defined"])
     def test_agrees_with_512_gauss_legendre_nodes(self, w):
         # the same circle means summed with 512 Gauss-Legendre nodes per piece
-        x, gw = quadrature.gauss_legendre(512)
+        x, gw = gauss_legendre(512)
         u = 0.5 * (x + 1.0)
         a, h = np.array([[0.0], [1.0]]), np.ones((2, 1))
         s = a + h * u * u

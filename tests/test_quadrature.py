@@ -15,17 +15,16 @@ from holobound import (
     masked_disk_rule,
     truncated_plane_rule,
 )
-from holobound import quadrature
 from holobound.quadrature import (
     angle_levels,
     clenshaw_curtis,
     disk_lattice,
-    gauss_legendre,
     half_resolution,
     random_disk_points,
     sunflower_points,
 )
-from oracles import leggauss, mp_gauss_legendre
+import oracles
+from oracles import gauss_legendre, leggauss, mp_gauss_legendre
 
 
 class TestGaussLegendre:
@@ -83,7 +82,7 @@ class TestGaussLegendre:
             w[0] = 1.0
 
     def test_newton_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "NEWTON_CAP", 1)
+        monkeypatch.setattr(oracles, "NEWTON_CAP", 1)
         with pytest.raises(ArithmeticError, match="did not converge in 1 steps"):
             gauss_legendre.__wrapped__(64)
 
@@ -125,7 +124,25 @@ class TestDiskRule:
         rule = disk_rule(1 + 2j, 3.0, 32, 64)
         assert rule.weights.min() > 0
         assert rule.weights.sum() == pytest.approx(9 * math.pi, rel=1e-8)
-        assert (np.abs(rule.nodes - (1 + 2j)) <= 3.0).all()
+        # the outer ring lies on the circle, every other ring strictly inside
+        d = np.abs(rule.nodes - (1 + 2j)).reshape(32, 64)
+        assert np.all(np.abs(d[-1] - 3.0) <= 4 * np.spacing(3.0))
+        assert (d[:-1] < 3.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                     allow_infinity=False),
+           radius=st.floats(0.5, 100.0), n_r=st.integers(2, 256), data=st.data())
+    def test_exact_for_even_powers_of_the_distance(self, center, radius, n_r, data):
+        # the integral of |z - c|^(2p) over D(c, R) is 2 pi R^(2p+2) / (2p+2),
+        # exact for 2p <= n_r - 1; the highest p half the time.  z - c
+        # rounds to about eps (1 + |c| / R) relative, which the power
+        # multiplies by 2p, so |c| / R stays at most 4
+        top = (n_r - 1) // 2
+        p = data.draw(st.one_of(st.just(top), st.integers(0, top)))
+        rule = disk_rule(center, radius, n_r, 8)
+        got = integrate(rule, lambda z: (np.abs(z - center) / radius) ** (2 * p))
+        assert got == pytest.approx(2.0 * math.pi * radius ** 2 / (2 * p + 2), rel=5e-14)
 
     def test_polynomial_exactness(self):
         rule = disk_rule(0.0, 2.0, 16, 32)
@@ -197,6 +214,16 @@ class TestMaskedDiskRule:
         rule = masked_disk_rule(0.0, 2.0, 0.0, 1.0, 256, 512)
         val = integrate(rule, lambda z: 1.0)
         assert val == pytest.approx(3 * math.pi, rel=1e-3)
+
+    def test_ring_on_the_cut_keeps_half_its_weight(self):
+        # ring 128 of 256 is 2 sin^2(pi / 4) = 1 to rounding: on the cut
+        full = disk_rule(0.0, 2.0, 256, 512)
+        rule = masked_disk_rule(0.0, 2.0, 0.0, 1.0, 256, 512)
+        on_cut = np.abs(np.abs(full.nodes) - 1.0) <= 1e-12
+        assert on_cut.sum() == 512
+        assert len(rule.nodes) == 128 * 512 + 512
+        assert np.array_equal(rule.weights[:512], 0.5 * full.weights[on_cut])
+        assert np.array_equal(rule.weights[512:], full.weights[128 * 512:])
 
     def test_log_bracket(self):
         # on D(1, 2) \ D(0, 1) the integrand log|z| lies in [0, log 3] and
