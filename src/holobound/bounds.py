@@ -2,10 +2,11 @@
 
 Every certificate measures K_N(z,z) e^{-phi(z)} with the one builder
 ``_weighted_diag``: a kernel estimate on a rule, and as the error estimate
-the largest change of the product from the estimate's coarser ring level,
-whose samples are a subset of the finer level's, read from the same
-products on the grid.  K_N(z,z) is the largest |f(z)|^2 / ||f||^2 over
-polynomials f of degree <= N, so dominating it bounds all of them at once.
+eps / (1 - eps) times the measured maximum, eps the estimate's level
+change from its coarser ring level, which bounds the product's change
+between the levels at every z (``kernel``'s module docstring).  K_N(z,z)
+is the largest |f(z)|^2 / ||f||^2 over polynomials f of degree <= N, so
+dominating it bounds all of them at once.
 The three kinds:
 
 * ``constant_case``: for lap(phi) = c > 0 the kernel diagonal is exactly
@@ -97,14 +98,19 @@ def certificate_constant(M: float) -> float:
 
 
 def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray):
-    """(K_N(z,z) e^{-phi(z)} on the grid, the largest change of that product
-    from the estimate's coarser ring level, the estimate, its convergence
-    gap on the grid or None): a certificate's fields after constant_C."""
-    density = w.density(grid)
+    """(K_N(z,z) e^{-phi(z)} on the grid, the error estimate eps / (1 - eps)
+    times its maximum, the estimate, its convergence gap on the grid or
+    None): a certificate's fields after constant_C.  Raises ArithmeticError
+    when the level change eps is 1 or more, where it bounds nothing."""
     est = build_kernel_estimate(w, N, rule)
-    diag, gap, coarse = est.diag_and_gap(grid, coarse=True)
-    products = np.atleast_1d(diag) * density
-    err = float(np.max(np.abs(products - np.atleast_1d(coarse) * density)))
+    eps = est.level_change
+    if not eps < 1.0:
+        raise ArithmeticError(
+            f"ring levels {est.rings[0]} -> {est.rings[1]} at resolution {rule.n_r} change "
+            f"the Gram by eps = {eps:.3g} >= 1: K_N is unresolved; raise the resolution")
+    diag, gap = est.diag_and_gap(grid)
+    products = np.atleast_1d(diag) * w.density(grid)
+    err = eps / (1.0 - eps) * float(np.max(products))
     return products, err, est, None if gap is None else np.atleast_1d(gap)
 
 

@@ -27,14 +27,15 @@ coarser level re-weights a subset of the finer level's U_i(k).  At each
 doubling it factors the finer Gram (C = L^-1 D^-1 below) and measures, with
 no grid, the change eps = ||C G_coarse C^H - I||_F at the effective degree.
 Every polynomial's squared norm then moves by a factor within 1 +- eps
-between the levels, so |K_coarse / K_fine - 1| <= eps / (1 - eps) at every
-z.  The doubling stops at the first eps <= LEVEL_TOL, or at n_r.  At N = 40,
-eps from 64 to 128 rings is 3e-9 to 7.5e-8 on the Gaussians and
-``oscillatory(1, 0.5)`` and 1.2e-6 on ``potential_defined(1)``, and from 32
-to 64 rings 1.5e-3 or more: the smooth families stop at 128 rings at
-resolution 256 and 512 alike.  The coarser of the last two levels (the
-estimate's ``rings``) is kept, factored on first use, for the certificates'
-error estimate (``KernelEstimate.diag_and_gap`` with ``coarse``).
+between the levels, so for eps < 1, |K_coarse / K_fine - 1| <=
+eps / (1 - eps) at every z.  The doubling stops at the first
+eps <= LEVEL_TOL, or at n_r.  At N = 40, eps from 64 to 128 rings is 3e-9
+to 7.5e-8 on the Gaussians and ``oscillatory(1, 0.5)`` and 1.2e-6 on
+``potential_defined(1)``, and from 32 to 64 rings 1.5e-3 or more: the
+smooth families stop at 128 rings at resolution 256 and 512 alike.  The
+certificates take eps / (1 - eps) times their measured maximum as the
+error estimate, and raise at eps >= 1 (``bounds._weighted_diag``), so no
+coarser level is factored for them or evaluated on their grid.
 
 Each ring takes the angle count its density needs, not the rule's n_theta,
 and no node array is built.  The count starts at the smallest
@@ -88,10 +89,9 @@ a leading block of G is the leading block of its factor.  Every lower degree
 therefore reads the leading block of the same C, and the diagonals of
 nested degrees are monotone by construction.  A block's product holds at
 most _BLOCK_ENTRIES = 2^15 entries: it and the Vandermonde block take
-512 KB each at N = 40 (the Vandermonde half that when the product also
-gives the coarser level), inside the 2 MB per-core L2 cache of the Xeon
-they were measured on, and memory does not grow with the grid.  On
-the 5025-point benchmark grid at N = 40 larger blocks were no faster and
+512 KB each at N = 40, inside the 2 MB per-core L2 cache of the Xeon they
+were measured on, and memory does not grow with the grid.  On the
+5025-point benchmark grid at N = 40 larger blocks were no faster and
 doubled the temporaries or more, and smaller ones were slower; larger blocks
 gain 12-22% only on a 200000-point grid at N = 64 (BENCH_gemm_diag.json).
 """
@@ -346,14 +346,11 @@ class KernelEstimate:
     angle_counts: np.ndarray
     rings: tuple
     level_change: float
-    _inverse_factor: np.ndarray = field(repr=False, default=None)
-    # the coarser level's Gram and its inverse factor, or None
-    _coarse: tuple = field(repr=False, default=None)
+    _inverse_factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for array in (self.gram, self.angle_counts, self._inverse_factor, *self._coarse):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (self.gram, self.angle_counts, self._inverse_factor):
+            array.flags.writeable = False
 
     @property
     def degraded(self) -> bool:
@@ -366,48 +363,29 @@ class KernelEstimate:
         edges = np.flatnonzero(np.diff(self.angle_counts)) + 1
         return [[int(band[0]), len(band)] for band in np.split(self.angle_counts, edges)]
 
-    @functools.cached_property
-    def _coarse_factor(self) -> np.ndarray:
-        """The coarser level's inverse factor at the effective degree, or at
-        its own lower one zero-padded to this factor's size: the factor it got
-        as the finer level of an earlier comparison, or a new one."""
-        G, factor = self._coarse
-        if factor is None:
-            factor = _factor(*_equilibrate(G, self.effective_degree), self.effective_degree)[2]
-        n = self.effective_degree + 1
-        m = min(n, len(factor))
-        C = np.zeros((n, n), dtype=complex)
-        C[:m, :m] = factor[:m, :m]
-        C.flags.writeable = False
-        return C
-
     def diag(self, z):
         """K_N(z, z) at the effective degree, the largest |f(z)|^2 / ||f||^2
         over polynomials f of that degree; nonnegative, vectorized."""
         return self.diag_at_degree(z, self.effective_degree)
 
-    def diag_and_gap(self, z, coarse: bool = False):
+    def diag_and_gap(self, z):
         """(K_N, the convergence gap (K_N - K_{N-5}) / K_N) at the effective
         degree, from one product per block; the gap is None when the
         effective degree is below GAP_STEP.  K_N is :meth:`diag` bit for bit.
-        With ``coarse``, the triple (K_N, gap, K_N of the coarser level at the
-        same degree), all three from the same products.
 
         The diagonals are monotone lower bounds of the full kernel; a small
         gap is the working convergence signal (no rigorous remainder is
         claimed).
         """
         n = self.effective_degree
-        if n < GAP_STEP and not coarse:
+        if n < GAP_STEP:
             return self.diag(z), None
-        K, gap, K_coarse = self.diag_at_degree(z, n, gap=n >= GAP_STEP, coarse=coarse)
-        return (K, gap, K_coarse) if coarse else (K, gap)
+        return self.diag_at_degree(z, n, gap=True)
 
-    def diag_at_degree(self, z, degree: int, gap: bool = False, coarse: bool = False):
+    def diag_at_degree(self, z, degree: int, gap: bool = False):
         """Kernel diagonal of the leading block of the given degree, shaped
-        like z (a float for a scalar).  With ``gap`` or ``coarse``, the triple
-        (K, (K - K_{degree-5}) / K, K of the coarser level), each None when
-        not asked for, from the same products.
+        like z (a float for a scalar).  With ``gap``, the pair (K,
+        (K - K_{degree-5}) / K) from the same products.
 
         K = |C v(z - c)|^2 with C = L^-1 D^-1 the inverse factor.  C is lower
         triangular and the leading block of a triangular inverse is the
@@ -415,13 +393,12 @@ class KernelEstimate:
         of the one C, and nested-degree diagonals are monotone by
         construction.  Points are taken in blocks, one product Y = V(z - c)
         C^T of at most _BLOCK_ENTRIES entries each, so the block and its
-        product stay cache-sized and memory does not grow with the grid;
-        with ``coarse``, C is stacked over the coarser level's factor, so
-        one product gives both.  K is the sum of |Y|^2 over the columns,
-        and K - K_{degree-5} the sum over the trailing columns, degrees
-        degree-4..degree, so the gap is nonnegative and carries no
-        cancellation.  Raises ArithmeticError at the first point where K is
-        not finite (a power or its square overflowed).
+        product stay cache-sized and memory does not grow with the grid.  K
+        is the sum of |Y|^2 over the columns, and K - K_{degree-5} the sum
+        over the trailing columns, degrees degree-4..degree, so the gap is
+        nonnegative and carries no cancellation.  Raises ArithmeticError at
+        the first point where K is not finite (a power or its square
+        overflowed).
         """
         if not 0 <= degree <= self.effective_degree:
             raise ValueError(
@@ -429,36 +406,27 @@ class KernelEstimate:
         z = np.asarray(z, dtype=complex)
         pts = z.ravel()
         n = degree + 1
-        C = self._inverse_factor[:n, :n]
-        if coarse:
-            C = np.concatenate((C, self._coarse_factor[:n, :n]))
-        Ct = C.T.copy()
+        Ct = self._inverse_factor[:n, :n].T.copy()
         K = np.empty(len(pts))
         tail = np.empty(len(pts)) if gap else None
-        K_coarse = np.empty(len(pts)) if coarse else None
-        block = max(1, _BLOCK_ENTRIES // len(C))
+        block = max(1, _BLOCK_ENTRIES // n)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(pts), block):
                 sl = slice(start, start + block)
                 # Y = L^-1 D^-1 v(z) per point, so sum |Y|^2 = v^H G^-1 v (not
                 # v^T G^-1 conj(v)); summed on the real view, no |Y| array
                 Y = (_vandermonde(pts[sl] - self.center, degree) @ Ct).view(float)
-                fine = Y[:, :2 * n]
-                K[sl] = np.einsum("ij,ij->i", fine, fine)
+                K[sl] = np.einsum("ij,ij->i", Y, Y)
                 if gap:
-                    past = fine[:, max(0, 2 * (n - GAP_STEP)):]
+                    past = Y[:, max(0, 2 * (n - GAP_STEP)):]
                     tail[sl] = np.einsum("ij,ij->i", past, past)
-                if coarse:
-                    K_coarse[sl] = np.einsum("ij,ij->i", Y[:, 2 * n:], Y[:, 2 * n:])
         bad = ~np.isfinite(K)
         if bad.any():
             raise ArithmeticError(f"K_N is not finite at z = {complex(pts[np.argmax(bad)])!r}")
         def shaped(a):
-            return a if a is None else float(a[0]) if z.ndim == 0 else a.reshape(z.shape)
+            return float(a[0]) if z.ndim == 0 else a.reshape(z.shape)
 
-        if not (gap or coarse):
-            return shaped(K)
-        return shaped(K), shaped(None if tail is None else tail / K), shaped(K_coarse)
+        return (shaped(K), shaped(tail / K)) if gap else shaped(K)
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -513,15 +481,15 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
     _check_degree(N)
     first, *finer = _ring_levels(rule.n_r, N)
     rings = _Rings(w, N, rule, first)
-    coarse = (rings.gram(), None)
+    coarse = rings.gram()
     for n in finer:
         rings.double()
         G = rings.gram()
         effective, cond, C = _factor(*_equilibrate(G, N), N)
-        eps = _level_change(C, coarse[0])
+        eps = _level_change(C, coarse)
         if eps <= LEVEL_TOL or n == finer[-1]:
             break
-        coarse = (G, C)
+        coarse = G
     return KernelEstimate(
         degree=N, center=rule.center, gram=G,
         condition_estimate=cond,
@@ -530,5 +498,4 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         rings=(n // 2, n),
         level_change=eps,
         _inverse_factor=C,
-        _coarse=coarse,
     )

@@ -201,9 +201,10 @@ class TestGlobalCertificate:
                                    WeightFunction.oscillatory(1.0, 0.5)],
                              ids=["gaussian", "oscillatory"])
     def test_work_of_one_certificate(self, w, monkeypatch):
-        # one density sampling per ring, two factorizations, one Vandermonde
-        # pass over the grid and no node array: the error estimate builds no
-        # second, coarse estimate
+        # one density sampling per ring, one factorization, one Vandermonde
+        # pass over the grid and no node array: the error estimate is the
+        # level change times the measured maximum, with no second level
+        # factored or evaluated
         counts = {"points": 0, "cholesky": 0, "vandermonde": 0}
 
         def counted(key, f, size):
@@ -221,9 +222,11 @@ class TestGlobalCertificate:
         rule = truncated_plane_rule(truncation_radius(w, 40), 256, 512)
         cert = global_certificate(w, grid, 40, rule)
         assert counts["points"] == len(grid) + cert.estimate.angle_counts.sum()
-        assert counts["cholesky"] <= 2
+        assert counts["cholesky"] == 1
         assert counts["vandermonde"] == len(grid)
         assert "_tensor" not in vars(rule)
+        eps = cert.estimate.level_change
+        assert cert.error_estimate == eps / (1.0 - eps) * cert.measured_sup
 
     def test_error_estimate_covers_the_error_of_a_kinked_density(self):
         # potential_defined's density is smooth but for the cutoff seams at
@@ -237,6 +240,15 @@ class TestGlobalCertificate:
         assert cert.estimate.rings == (64, 128) and cert.estimate.level_change > 1e-6
         exact = gl_kernel_diag(w, 40, truncated_plane_rule(R, 1024, 256), grid) * w.density(grid)
         assert cert.error_estimate >= np.max(np.abs(cert.measured - exact))
+
+    def test_unresolved_rings_raise(self):
+        # 8 -> 16 rings change the Gram by eps = 4.8, where eps / (1 - eps)
+        # bounds nothing: the certificate fails loudly instead of passing
+        w = WeightFunction.gaussian_harmonic(1.0, b=0.3)
+        rule = disk_rule(0.0, truncation_radius(w, 40), 16, 32)
+        with pytest.raises(ArithmeticError, match=r"ring levels 8 -> 16 at resolution 16 "
+                                                  r"change the Gram by eps = 4\.83 >= 1"):
+            global_certificate(w, disk_lattice(2.0, 0.5), 40, rule)
 
     def test_translation_equivariance_of_diag(self, gauss1, gauss1_rule):
         z0 = 0.8 - 0.6j

@@ -429,6 +429,21 @@ class TestVerifyBoundCommand:
         header, _ = read_csv(tmp_path / "verify-bound.csv")
         assert "degraded" not in header
 
+    def test_unresolved_rings_exit_3(self, tmp_path, capsys):
+        # at resolution 16 the rings go from 8 to 16 with eps = 4.8: the run
+        # exits 3 and writes nothing, and a sweep records the error
+        entry = {"experiment": "verify-bound", "degree": 40, "resolution": 16,
+                 "weight": {"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.3}}}
+        cfg = write_config(tmp_path, "vb.json", entry)
+        out = tmp_path / "out"
+        assert main(["verify-bound", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert "eps = 4.83 >= 1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        cfg = write_config(tmp_path, "sw.json", {"experiment": "sweep", "configs": [entry]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert [r[2] for r in rows] == ["error:ArithmeticError"]
+
     def test_sweep_csv_keeps_scalar_metrics_only(self, tmp_path):
         entry = {"experiment": "verify-bound", "weight": GAUSS, "degree": 8,
                  "resolution": 32, "grid": {"kind": "random", "radius": 1.5, "count": 5}}
@@ -1018,7 +1033,7 @@ class TestSweep:
     def test_doubling_sweep_builds_each_estimate_once(self, tmp_path, monkeypatch):
         # the repeated resolution-64 entry reads the cached estimate, and no
         # entry builds a coarse rule: each certificate's error estimate
-        # comes from its own estimate's coarser ring level
+        # comes from its own estimate's level change
         rules = []
         rings = kernel._Rings
         monkeypatch.setattr(kernel, "_Rings",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -294,8 +294,8 @@ LADDER_WEIGHTS = st.one_of(
 
 
 class TestNestedRings:
-    """The Clenshaw-Curtis ring levels, their stop and the coarser level the
-    certificates read their error estimate from."""
+    """The Clenshaw-Curtis ring levels, their stop and the change eps from
+    the coarser level, which the certificates' error estimate reads."""
 
     @pytest.mark.parametrize("family", ["gaussian", "harmonic", "oscillatory"])
     def test_against_512_gauss_legendre_rings(self, family):
@@ -335,33 +335,38 @@ class TestNestedRings:
 
     @settings(max_examples=25, deadline=None)
     @given(w=LADDER_WEIGHTS, N=st.integers(0, 40), n_r=st.integers(8, 512))
+    @example(w=WeightFunction.oscillatory(1.0, 0.5), N=40, n_r=256)
     def test_coarse_level_within_the_level_change(self, w, N, n_r):
-        est = build_kernel_estimate(w, N, truncated_plane_rule(truncation_radius(w, N),
-                                                               n_r, 2 * n_r))
+        R = truncation_radius(w, N)
+        rule = truncated_plane_rule(R, n_r, 2 * n_r)
+        est = build_kernel_estimate(w, N, rule)
         levels = kernel._ring_levels(n_r, N)
         coarse, fine = est.rings
         assert coarse in levels and fine == 2 * coarse <= n_r
         eps = est.level_change
         assert eps <= kernel.LEVEL_TOL or fine == levels[-1]
+        if eps >= 1.0:
+            return  # the certificates raise here (tests/test_bounds.py)
+        # K of the coarser level at the effective degree, from the node sum
+        # on its rings, equilibrated and factored here
+        n = est.effective_degree + 1
+        G = direct_gram(w, N, rule, n=coarse)[:n, :n]
+        d = np.sqrt(G.diagonal().real)
+        L = np.linalg.cholesky(G / np.outer(d, d))
         zs = disk_lattice(2.0, 0.25)
-        K, _, K_coarse = est.diag_and_gap(zs, coarse=True)
-        if eps < 0.5:
-            # eps / (1 - eps) bounds |K_coarse / K_fine - 1| at every z; the
-            # slack is rounding at condition estimates up to 3e7
-            assert np.max(np.abs(K_coarse / K - 1.0)) <= eps / (1.0 - eps) + 1e-11
-
-    def test_coarse_level_is_the_same_products(self):
-        # K_N and the gap with and without the stacked coarse factor agree,
-        # and the coarse diagonal is the 64-ring level's own estimate
-        w = WeightFunction.oscillatory(1.0, 0.5)
-        R = truncation_radius(w, 40)
-        est = build_kernel_estimate(w, 40, truncated_plane_rule(R, 256, 512))
-        K, gap, K_coarse = est.diag_and_gap(DIAG_LATTICE, coarse=True)
-        assert np.allclose(K, est.diag(DIAG_LATTICE), rtol=1e-15, atol=0.0)
-        assert np.allclose(gap, est.diag_and_gap(DIAG_LATTICE)[1], rtol=1e-12, atol=0.0)
-        alone = build_kernel_estimate.__wrapped__(w, 40, truncated_plane_rule(R, 64, 512))
-        assert _max_rel(K_coarse, alone.diag(DIAG_LATTICE)) <= 1e-13
-        assert np.max(np.abs(K_coarse / K - 1.0)) <= est.level_change / (1 - est.level_change)
+        K_coarse = np.sum(np.abs(np.linalg.solve(L, (zs[:, None] ** np.arange(n) / d).T)) ** 2,
+                          axis=0)
+        # eps / (1 - eps) bounds |K_coarse / K_fine - 1| at every z; the
+        # slack is rounding at condition estimates up to 3e7
+        K = est.diag(zs)
+        assert np.max(np.abs(K_coarse / K - 1.0)) <= eps / (1.0 - eps) + 1e-11
+        # and K_coarse is the estimate of a rule whose finest level is the
+        # coarser one, where that estimate keeps the degree
+        if coarse % 2 == 0:
+            alone = build_kernel_estimate.__wrapped__(w, N, truncated_plane_rule(R, coarse,
+                                                                                 2 * n_r))
+            if alone.effective_degree >= n - 1:
+                assert _max_rel(K_coarse, alone.diag_at_degree(zs, n - 1)) <= 1e-12
 
 
 class TestKernelDiag:
