@@ -100,14 +100,10 @@ def certificate_constant(M: float) -> float:
 def _weighted_diag(w: WeightFunction, N: int, rule: QuadratureRule, grid: np.ndarray):
     """(K_N(z,z) e^{-phi(z)} on the grid, the error estimate eps / (1 - eps)
     times its maximum, the estimate, its convergence gap on the grid or
-    None): a certificate's fields after constant_C.  Raises ArithmeticError
-    when the level change eps is 1 or more, where it bounds nothing."""
+    None): a certificate's fields after constant_C.  ``build_kernel_estimate``
+    raises at eps >= 1, so the ratio is finite and nonnegative here."""
     est = build_kernel_estimate(w, N, rule)
     eps = est.level_change
-    if not eps < 1.0:
-        raise ArithmeticError(
-            f"ring levels {est.rings[0]} -> {est.rings[1]} at resolution {rule.n_r} change "
-            f"the Gram by eps = {eps:.3g} >= 1: K_N is unresolved; raise the resolution")
     diag, gap = est.diag_and_gap(grid)
     products = np.atleast_1d(diag) * w.density(grid)
     err = eps / (1.0 - eps) * float(np.max(products))

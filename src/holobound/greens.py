@@ -103,7 +103,6 @@ of the quadrature.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -146,7 +145,6 @@ def cutoff_g(z):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=8)
 def _piece_rule(a: float, b: float, n: int):
     """The n Chebyshev-Lobatto rings of the piece [a, b] and the rule for its gaps.
 
@@ -169,8 +167,6 @@ def _piece_rule(a: float, b: float, n: int):
     s = a + 0.5 * (b - a) * (1.0 - np.cos(phi))
     u = (np.pi / N) * 2.0 * xw[:, None] * s * 0.5 * (b - a) * np.sin(phi)
     shift = np.exp(1j * np.pi * tau * np.arange(n) / N)
-    for arr in (rings, s, u, shift):
-        arr.flags.writeable = False
     return rings, s, u, shift
 
 

@@ -34,8 +34,8 @@ to 7.5e-8 on the Gaussians and ``oscillatory(1, 0.5)`` and 1.2e-6 on
 ``potential_defined(1)``, and from 32 to 64 rings 1.5e-3 or more: the
 smooth families stop at 128 rings at resolution 256 and 512 alike.  The
 certificates take eps / (1 - eps) times their measured maximum as the
-error estimate, and raise at eps >= 1 (``bounds._weighted_diag``), so no
-coarser level is factored for them or evaluated on their grid.
+error estimate, so no coarser level is factored for them or evaluated on
+their grid.  At eps >= 1 that ratio bounds nothing, and the build raises.
 
 Each ring takes the angle count its density needs, not the rule's n_theta,
 and no node array is built.  The count starts at the smallest
@@ -98,7 +98,6 @@ gain 12-22% only on a 200000-point grid at N = 64 (BENCH_gemm_diag.json).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,9 +332,6 @@ class KernelEstimate:
     counts of the two levels compared, coarser first, ``level_change`` their
     change eps (module docstring), and ``angle_counts`` the number of angles
     at which each ring of the finer, final level was sampled.
-
-    :func:`build_kernel_estimate` caches its estimates, so one estimate may
-    sit in several certificates: it is frozen and its arrays are read-only.
     """
 
     degree: int
@@ -347,10 +343,6 @@ class KernelEstimate:
     rings: tuple
     level_change: float
     _inverse_factor: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for array in (self.gram, self.angle_counts, self._inverse_factor):
-            array.flags.writeable = False
 
     @property
     def degraded(self) -> bool:
@@ -463,20 +455,12 @@ def _level_change(C: np.ndarray, G_coarse: np.ndarray) -> float:
     return float(np.linalg.norm(C @ G_coarse[:n, :n] @ C.conj().T - np.eye(n)))
 
 
-@functools.lru_cache(maxsize=8)
 def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> KernelEstimate:
     """Assemble and factor the Gram matrix on nested ring levels, degrading N
     if ill-conditioned: the levels of ``_ring_levels(rule.n_r, N)`` double
     until the change eps from the coarser level is at most LEVEL_TOL, or up
-    to rule.n_r rings (module docstring).
-
-    Cached on (w, N, rule): a weight is equal to another with the same
-    family, parameters and Laplacian bounds, which fix its evaluators, and
-    a rule to another with the same fields, which fix its rings (see
-    :class:`holobound.quadrature.QuadratureRule`), so an equal key gives the
-    estimate the uncached build would; a sweep that repeats an entry
-    builds it once.  Errors are not cached; the estimate is frozen and
-    read-only.
+    to rule.n_r rings (module docstring).  Raises ArithmeticError when the
+    last change eps is 1 or more, where it bounds nothing.
     """
     _check_degree(N)
     first, *finer = _ring_levels(rule.n_r, N)
@@ -490,6 +474,10 @@ def build_kernel_estimate(w: WeightFunction, N: int, rule: QuadratureRule) -> Ke
         if eps <= LEVEL_TOL or n == finer[-1]:
             break
         coarse = G
+    if not eps < 1.0:
+        raise ArithmeticError(
+            f"ring levels {n // 2} -> {n} at resolution {rule.n_r} change the Gram by "
+            f"eps = {eps:.3g} >= 1: K_N is unresolved; raise the resolution")
     return KernelEstimate(
         degree=N, center=rule.center, gram=G,
         condition_estimate=cond,

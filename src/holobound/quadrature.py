@@ -83,11 +83,6 @@ class QuadratureRule:
     built on first use and cached; rules are otherwise immutable, and
     ``integrate`` is pure, with numpy's pairwise summation, so results are
     stable to about 1e-13 relative regardless of scheduling.
-
-    Rules compare and hash by value, by the five fields alone: the nodes
-    and weights are functions of them, and the lazy arrays are a cached
-    property, not a field.  So two equal rules built apart key one entry of
-    a cache keyed on the rule (``kernel.build_kernel_estimate``).
     """
 
     center: complex

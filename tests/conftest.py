@@ -3,8 +3,6 @@ import pytest
 from holobound import (
     WeightFunction,
     disk_rule,
-    greens,
-    kernel,
     potential,
     quadrature,
     truncated_plane_rule,
@@ -15,9 +13,7 @@ from holobound import (
 # list misses none
 CACHES = (
     quadrature.clenshaw_curtis,
-    greens._piece_rule,
     potential.phi_at_origin,
-    kernel.build_kernel_estimate,
 )
 
 

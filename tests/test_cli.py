@@ -586,6 +586,24 @@ class TestKernelDiagCommand:
             "grid": {"kind": "lattice", "radius": 1.0, "spacing": 0.5}})
         assert main([experiment, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
 
+    def test_unresolved_rings_exit_3(self, tmp_path, capsys):
+        # at resolution 16 the rings go from 8 to 16 with eps = 4.8, where
+        # diag_max is 58.45 against 57.70 at resolution 256: the build
+        # refuses the estimate, so kernel-diag exits 3 as verify-bound does,
+        # with the same message, and writes nothing
+        weight = {"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.3}}
+        errors = []
+        for experiment in ("kernel-diag", "verify-bound"):
+            cfg = write_config(tmp_path, "c.json", {"experiment": experiment, "degree": 40,
+                                                    "resolution": 16, "weight": weight})
+            out = tmp_path / experiment
+            assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+            assert not out.exists() or not any(out.iterdir())
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert ("ring levels 8 -> 16 at resolution 16 change the Gram by eps = 4.83 >= 1"
+                in errors[0])
+
 
 class TestTranslatedWeight:
     """A weight translated by z0 is phi(z0 + .): the kernel rule is centred
@@ -1031,7 +1049,7 @@ class TestSweep:
         assert [r[2] for r in rows] == ["ok", "error:ValueError"]
 
     def test_doubling_sweep_builds_each_estimate_once(self, tmp_path, monkeypatch):
-        # the repeated resolution-64 entry reads the cached estimate, and no
+        # each entry builds its own estimate, the repeated one too, and no
         # entry builds a coarse rule: each certificate's error estimate
         # comes from its own estimate's level change
         rules = []
@@ -1043,7 +1061,7 @@ class TestSweep:
                    for res in (32, 64, 64)]
         cfg = write_config(tmp_path, "sweep.json", {"experiment": "sweep", "configs": entries})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-        assert [(rule.n_r, rule.n_theta) for rule in rules] == [(32, 64), (64, 128)]
+        assert [(rule.n_r, rule.n_theta) for rule in rules] == [(32, 64), (64, 128), (64, 128)]
 
     def test_caches_leave_the_csv_unchanged(self, tmp_path, monkeypatch):
         # the last run clears every cache before each entry; the violating

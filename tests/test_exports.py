@@ -58,7 +58,7 @@ def test_fixture_clears_every_cache():
                 if callable(value) and hasattr(value, "cache_clear"):
                     found.add(f"{value.__module__}.{value.__qualname__}")
     listed = {f"{c.__module__}.{c.__qualname__}" for c in CACHES}
-    assert "holobound.kernel.build_kernel_estimate" in found
+    assert "holobound.potential.phi_at_origin" in found
     assert sorted(found - listed) == []
 
 

@@ -129,8 +129,9 @@ class TestGramMatrix:
         assert exc.value.smallest_eigenvalue < 1e-10
 
     def test_degree_cap(self, gauss1, rule_r10):
-        with pytest.raises(ValueError):
-            gram_matrix(gauss1, 65, rule_r10)
+        for build in (gram_matrix, build_kernel_estimate):
+            with pytest.raises(ValueError, match="exceeds the supported cap"):
+                build(gauss1, kernel.MAX_DEGREE + 1, rule_r10)
 
 
 class TestFFTAssembly:
@@ -339,14 +340,20 @@ class TestNestedRings:
     def test_coarse_level_within_the_level_change(self, w, N, n_r):
         R = truncation_radius(w, N)
         rule = truncated_plane_rule(R, n_r, 2 * n_r)
-        est = build_kernel_estimate(w, N, rule)
         levels = kernel._ring_levels(n_r, N)
+        try:
+            est = build_kernel_estimate(w, N, rule)
+        except ArithmeticError as exc:
+            # the ladder stops early only at eps <= LEVEL_TOL, so eps >= 1
+            # comes from the top two levels
+            assert str(exc).startswith(
+                f"ring levels {levels[-2]} -> {levels[-1]} at resolution {n_r} change")
+            return
         coarse, fine = est.rings
         assert coarse in levels and fine == 2 * coarse <= n_r
         eps = est.level_change
         assert eps <= kernel.LEVEL_TOL or fine == levels[-1]
-        if eps >= 1.0:
-            return  # the certificates raise here (tests/test_bounds.py)
+        assert eps < 1.0
         # K of the coarser level at the effective degree, from the node sum
         # on its rings, equilibrated and factored here
         n = est.effective_degree + 1
@@ -363,8 +370,11 @@ class TestNestedRings:
         # and K_coarse is the estimate of a rule whose finest level is the
         # coarser one, where that estimate keeps the degree
         if coarse % 2 == 0:
-            alone = build_kernel_estimate.__wrapped__(w, N, truncated_plane_rule(R, coarse,
-                                                                                 2 * n_r))
+            try:
+                alone = build_kernel_estimate(w, N, truncated_plane_rule(R, coarse, 2 * n_r))
+            except ArithmeticError as exc:
+                assert "K_N is unresolved" in str(exc)  # its own coarser level
+                return
             if alone.effective_degree >= n - 1:
                 assert _max_rel(K_coarse, alone.diag_at_degree(zs, n - 1)) <= 1e-12
 
@@ -616,32 +626,10 @@ class TestDegradation:
 
 
 class TestSharedEstimates:
-    def test_equal_arguments_share_one_estimate(self, gauss1):
-        # equal weights and rules, not the same objects, give the cached estimate
-        rule = disk_rule(0.0, 5.0, 32, 64)
-        est = build_kernel_estimate(gauss1, 8, rule)
-        twin = WeightFunction.from_json(gauss1.to_json())
-        assert twin is not gauss1
-        assert build_kernel_estimate(twin, 8, disk_rule(0.0, 5.0, 32, 64)) is est
-        assert build_kernel_estimate(gauss1, 9, rule) is not est
-        assert np.array_equal(build_kernel_estimate.__wrapped__(gauss1, 8, rule).gram, est.gram)
-
     def test_estimate_is_read_only(self, gauss1):
         est = build_kernel_estimate(gauss1, 8, disk_rule(0.0, 5.0, 32, 64))
-        with pytest.raises(ValueError, match="read-only"):
-            est.gram[0, 0] = 0.0
-        for array in (est.angle_counts, est._inverse_factor):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             est.effective_degree = 7
-
-    def test_errors_are_not_cached(self, gauss1):
-        rule = disk_rule(0.0, 5.0, 32, 64)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="exceeds the supported cap"):
-                build_kernel_estimate(gauss1, kernel.MAX_DEGREE + 1, rule)
-        assert build_kernel_estimate.cache_info().currsize == 0
 
     def test_diag_and_gap(self, gauss1, rule_r10):
         # K_N is diag bit for bit; the gap of the unit Gaussian at |z| = 2 is

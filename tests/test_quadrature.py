@@ -320,7 +320,7 @@ def test_half_resolution_companion(unit_disk_rule):
 
 def test_rules_are_equal_by_value():
     # the half-resolution companion of a 64 x 128 rule is the 32 x 64 rule
-    # on the same disk, so a cache keyed on rules keys them alike
+    # on the same disk
     c, R = 0.25 - 0.5j, 7.5
     rule = disk_rule(c, R, 32, 64)
     assert half_resolution(disk_rule(c, R, 64, 128)) == rule
