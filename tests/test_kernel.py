@@ -307,6 +307,18 @@ class TestNestedRings:
         oracle = gl_kernel_diag(w, 40, truncated_plane_rule(R, 512, 1024), DIAG_LATTICE)
         assert _max_rel(est.diag(DIAG_LATTICE), oracle) <= 1e-12
 
+    def test_unresolved_ladder_raises(self):
+        # at resolution 16 the rings go from 8 to 16 with eps = 4.8, which
+        # bounds nothing: the build refuses the estimate, for the certificate
+        # and kernel-diag alike
+        w = DIAG_FAMILIES["harmonic"]
+        rule = disk_rule(0.0, truncation_radius(w, 40), 16, 32)
+        assert kernel._ring_levels(16, 40) == [8, 16]
+        with pytest.raises(ArithmeticError, match=r"ring levels 8 -> 16 at resolution 16 "
+                                                  r"change the Gram by eps = 4\.83 >= 1: "
+                                                  r"K_N is unresolved"):
+            build_kernel_estimate(w, 40, rule)
+
     def test_normalized_gaussian_against_its_series(self):
         # K_N(z, z) = sum_{m <= N} |z|^2m / m! for the density e^{-|z|^2} / pi
         w = normalized_gaussian(1.0)
@@ -626,6 +638,21 @@ class TestDegradation:
 
 
 class TestSharedEstimates:
+    def test_equal_arguments_give_equal_estimates(self, gauss1):
+        # equal weights and rules, not the same objects, give the same
+        # estimate bit for bit; each call builds its own
+        rule = disk_rule(0.0, 5.0, 32, 64)
+        est = build_kernel_estimate(gauss1, 8, rule)
+        twin = WeightFunction.from_json(gauss1.to_json())
+        assert twin is not gauss1
+        again = build_kernel_estimate(twin, 8, disk_rule(0.0, 5.0, 32, 64))
+        assert again is not est
+        for name in ("gram", "angle_counts", "_inverse_factor"):
+            assert np.array_equal(getattr(again, name), getattr(est, name))
+        assert (again.rings, again.level_change) == (est.rings, est.level_change)
+        zs = random_disk_points(50, 2.0, seed=3)
+        assert np.array_equal(again.diag(zs), est.diag(zs))
+
     def test_estimate_is_read_only(self, gauss1):
         est = build_kernel_estimate(gauss1, 8, disk_rule(0.0, 5.0, 32, 64))
         with pytest.raises(dataclasses.FrozenInstanceError):
