@@ -352,6 +352,7 @@ def _run_verify_bound(cfg: ExperimentConfig) -> ExperimentResult:
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
         "diagnostics": {"effective_degree": cert.estimate.effective_degree,
                         "degraded": bool(cert.estimate.degraded),
+                        "condition_estimate": cert.estimate.condition_estimate,
                         **_ring_diagnostics(cert.estimate),
                         **_gap_diagnostics(cert.convergence_gap, grid)},
     }
@@ -429,7 +430,8 @@ def _run_potential(cfg: ExperimentConfig) -> ExperimentResult:
         "resolution": resolution,
         # nested, so a sweep's CSV (scalar summary keys only) leaves it out
         "diagnostics": {"n_theta": potential.n_theta, "n_modes": potential.n_modes,
-                        "n_columns": potential.n_columns},
+                        "n_columns": potential.n_columns, "rings": list(potential.rings),
+                        "level_change": potential.level_change},
     }
     code = EXIT_OK if report.passed else EXIT_CERTIFICATE
     return ExperimentResult(code, summary,

@@ -19,20 +19,42 @@ one-column case of the same code.  For r >= R every rho is s / r, and the sum
 is the multipole expansion: Phi_0 is exactly (mass / 2pi) log r and Phi_k is
 (R / r)^|k| times its value at R.
 
-Set-up.  psi is sampled once, on ``resolution`` Chebyshev-Lobatto rings per
-radial piece times ``n_theta`` equispaced angles, and each ring is
-transformed by one FFT.  The pieces end at the seams 1 and 2 of
-``cutoff_g`` (clipped to R), so psi is smooth on each.  ``n_theta`` is not a
-knob.  One tail rule, :func:`angular_modes`, sets it for every caller that
-evaluates psi on rings (``LogPotential`` here, ``phi_at_origin`` in the
-potential module, which reads the circle means alone): it doubles
-``n_theta`` from 16 until the top half of the modes lies below
-MODE_TAIL = 1e-14 of the largest; rounding alone leaves the ring FFT's tail
-near 1e-15, below the limit.  Each doubling evaluates psi only at the new odd
-angles (:func:`holobound.quadrature.angle_levels`, the loop the kernel's
-per-ring angle counts take too).  Of the bottom half, modes 0..K are kept, with
-K the last mode above MODE_TAIL of the largest on any ring (at least mode
-0, so psi = 0 works): radiality is measured, not declared, and a radial psi
+Set-up.  psi is sampled on Chebyshev-Lobatto rings per radial piece times
+``n_theta`` equispaced angles, and each ring is transformed by one FFT.  The
+pieces end at the seams 1 and 2 of ``cutoff_g`` (clipped to R), so psi is
+smooth on each.  The rings come in nested levels, as in Clenshaw-Curtis
+quadrature (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Review 50, 2008): level n has n = 2^k + 1 rings per piece, at the
+angles pi j / (n - 1), and its rings are the even rings of level 2n - 1, bit
+for bit (pi (2j) / 2N rounds like pi j / N).  The ladder starts at
+FIRST_RINGS = 33 and doubles up to the smallest 2^k + 1 of at least
+``resolution``, so ``resolution`` is a cap that never gives fewer rings than
+it names: 256 allows 257, 320 allows 513, and a cap of 33 or less builds one
+level.  Each finer level samples psi only at its new, odd rings, at the
+first level's ``n_theta``, and tabulates Phi_k anew (below).  The ladder
+stops at the first level whose change from the level below is at most
+LEVEL_TOL = 1e-9 of the largest |Phi_k| on the finer level's rings, and at
+the top level anyway.  The change needs no grid: it is the largest
+difference, over the finer level's rings and the live columns, between the
+coarser level's interpolant (Evaluation, below) and the finer table; Phi
+comes from the finer level.  On the potential experiment's densities
+(gaussian, gaussian_harmonic b = 0.3, oscillatory (1, 0.5) and (1, 2),
+potential_defined(1)) and on the bump cutoff_g, 33 -> 65 rings change by
+3.2e-11 to 7.3e-11, so each stops at 65 rings, within 5.1e-15 of max |Phi|
+of a 1025-ring build at the Poisson check's stencils.  Every level's ring
+transforms have length 2^(k+1), which the FFT takes fastest.
+
+``n_theta`` is not a knob.  One tail rule, :func:`angular_modes`, sets it for
+every caller that evaluates psi on rings (``LogPotential`` here, on its
+first level, and ``phi_at_origin`` in the potential module, which reads the
+circle means alone): it doubles ``n_theta`` from 32, twice START_N_THETA,
+until the top half of the modes lies below MODE_TAIL = 1e-14 of the
+largest; rounding alone leaves the ring FFT's tail near 1e-15, below the
+limit.  Each doubling evaluates psi only at the new odd angles
+(:func:`holobound.quadrature.angle_levels`, the loop the kernel's per-ring
+angle counts take too).  Of the bottom half, modes 0..K are kept, with K
+the last mode above MODE_TAIL of the largest on any ring (at least mode 0,
+so psi = 0 works): radiality is measured, not declared, and a radial psi
 keeps the single mode Phi_0.  A psi that would need more than
 MAX_N_THETA = 2048 angles, such as one with a jump in angle, is rejected
 with a ValueError that names its tail.
@@ -62,11 +84,14 @@ The inner and outer integrals of Phi_k are accumulated ring by ring, each
 step scaling the running sum by (r_j / r_{j+1})^|k| <= 1: no power of s
 overflows, and the ring r = 0 contributes to mode 0 only, with no 0 * inf.
 That recurrence is one blocked scan, about 2 sqrt(G) vectorised steps over
-the G gaps in place of G.  This gives Phi_k at every ring.  The set-up of
+the G gaps in place of G.  This gives Phi_k at every ring.  The pieces of a
+level go through every step together, in one array.  The set-up of
 oscillatory(1, 0.5) at resolution 256 (64 angles, 17 modes, 5 live
-columns) takes about 8 ms, against 15 ms with all 34 columns (the first
-build in a fresh process, medians of 11 on a 2-vCPU machine); the bump
-translated by 0.5 at resolution 320 about 0.13 s, against 0.22 s.
+columns, levels of 33 and 65 rings) takes about 3.3 ms, against 7.6 ms on
+256 rings alone (the first build in a fresh process, medians of 11 on a
+2-vCPU machine); the bump translated by 0.5 at resolution 320 (1024
+angles, 185 live columns, 33 and 65 rings) about 35 ms, against 0.14 s on
+320 rings.
 
 Evaluation.  Phi_k is smooth on each piece (it solves a regular radial ODE
 with a smooth right side), so Phi_k at r < R is the barycentric interpolant
@@ -86,10 +111,11 @@ gives an infinite c_j, and its row becomes one-hot, so the result is that
 ring's table row exactly), multiplies it by the piece's real table of the
 live columns, of shape (rings, columns), and divides by the row sums: no
 dense matrix over all radii and no complex copy of c.  For
-oscillatory(1, 0.5) at resolution 256 a block's product is about
+oscillatory(1, 0.5) at 256 rings a block's product was about
 128 x 256 x 5; in fresh processes with OpenBLAS's default threads none of
 its evaluations stalled, where the 128 x 256 x 34 product of all columns
-took about 55 ms in place of 2 ms in some of them.  The budget 2^15
+took about 55 ms in place of 2 ms in some of them.  At the 65 rings the
+ladder stops at, a block holds up to 504 radii.  The budget 2^15
 was chosen from fresh-process runs of the potential benchmark op on a
 2-vCPU machine, where larger blocks raised the peak RSS (2^18: 43 MB,
 2^20: 45 MB, against 39.8 MB) without a faster pass.
@@ -114,13 +140,15 @@ __all__ = ["bump", "cutoff_g", "angular_modes", "LogPotential"]
 
 _TWO_PI = 2.0 * math.pi
 
-# entry budget per block of (radii x rings)
+# entry budget per block of (radii x rings), and of (gap offsets x columns x modes)
 _BLOCK_ENTRIES = 1 << 15
 
 MODE_TAIL = 1e-14    # the top half of the angular modes must lie below this
 START_N_THETA = 16   # angles per ring at which the tail rules start
 MAX_N_THETA = 2048   # angles per ring beyond which psi is rejected
 GAP_NODES = 16       # Clenshaw-Curtis nodes between consecutive rings
+FIRST_RINGS = 33     # rings per radial piece of the first ring level
+LEVEL_TOL = 1e-9     # change of Phi_k between ring levels, per its largest, that stops the ladder
 
 
 def bump(t):
@@ -145,34 +173,39 @@ def cutoff_g(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _piece_rule(a: float, b: float, n: int):
-    """The n Chebyshev-Lobatto rings of the piece [a, b] and the rule for its gaps.
+def _piece_rule(knots: np.ndarray, n: int):
+    """The n Chebyshev-Lobatto rings of every piece [a, b] between
+    consecutive knots, and the rule for their gaps.
 
     The rings sit at phi_j = pi j / N, N = n - 1, and every gap gets
     GAP_NODES nodes at phi = pi (j + tau) / N, tau = x^2 for the nodes x of
     ``clenshaw_curtis(GAP_NODES)``, with weights 2 u: the integral of f over
     tau in [0, 1] is 2 times that of x f(x^2) over x in [0, 1].  The node
     x = 0 is dropped, so no gap node sits on a ring's left end, and log s
-    stays finite at s = 0.  Returns the
-    rings, the gap nodes s and weights u of shape (GAP_NODES, N), with
-    sum u f(s) the integral of s f(s) over each gap, and the phases
+    stays finite at s = 0.  Returns the rings, shape (pieces, n), the gap
+    nodes s and weights u of shape (pieces, GAP_NODES, N), with sum u f(s)
+    the integral of s f(s) over each gap, and the phases
     exp(i pi m tau / N) of shape (GAP_NODES, n) for ``_at_gaps``.
     """
     N = n - 1
-    rings = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * np.arange(n) / N))
-    rings[0], rings[-1] = a, b
+    a, b = knots[:-1, None], knots[1:, None]
+    h = 0.5 * (b - a)
+    rings = a + h * (1.0 - np.cos(np.pi * np.arange(n) / N))
+    rings[:, 0], rings[:, -1] = knots[:-1], knots[1:]
     x, xw = clenshaw_curtis(GAP_NODES)
     tau = (x * x)[:, None]
     phi = np.pi * (np.arange(N) + tau) / N
-    s = a + 0.5 * (b - a) * (1.0 - np.cos(phi))
-    u = (np.pi / N) * 2.0 * xw[:, None] * s * 0.5 * (b - a) * np.sin(phi)
+    a, h = a[:, None], h[:, None]
+    s = a + h * (1.0 - np.cos(phi))
+    u = (np.pi / N) * 2.0 * xw[:, None] * s * h * np.sin(phi)
     shift = np.exp(1j * np.pi * tau * np.arange(n) / N)
     return rings, s, u, shift
 
 
 def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Interpolate real columns given at the n rings of a piece to its gap
-    nodes, shape (GAP_NODES, columns, n - 1).
+    """Interpolate real columns given at the n rings of each piece to its
+    gap nodes: values of shape (..., n, columns) give shape
+    (GAP_NODES, ..., columns, n - 1).
 
     In phi the interpolant is the cosine series sum_m c_m cos(m phi).  The
     even extension of the values has real Fourier coefficients
@@ -182,35 +215,42 @@ def _at_gaps(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     2N: its 1/(2N) and its doubling of the modes 0 < m < N give the c_m
     exactly, and of the end modes it reads only the real part, which is
     R_N cos(pi tau) (-1)^j = R_N cos(pi N (j + tau) / N).  Both transforms
-    run along the contiguous last axis of values.T, one inverse FFT per
-    offset tau: no dense matrix.
+    run along the contiguous last axis of the transposed values, with no
+    dense matrix.  The inverse FFTs take as many offsets tau at once as fit
+    in _BLOCK_ENTRIES (offsets x pieces x columns x modes): all GAP_NODES of
+    them at the ladder's small levels, where one call per offset cost about
+    six times as much (33 rings, one column), and one at a time for many
+    columns.
     """
-    N = len(values) - 1
-    cols = values.T
-    coef = rfft(np.concatenate([cols, cols[:, -2:0:-1]], axis=1)).real
-    out = np.empty((len(shift), values.shape[1], N))
-    for l, phase in enumerate(shift):
-        out[l] = irfft(coef * phase, n=2 * N)[:, :N]
+    N = values.shape[-2] - 1
+    cols = np.swapaxes(values, -1, -2)
+    coef = rfft(np.concatenate([cols, cols[..., -2:0:-1]], axis=-1)).real
+    phase = shift.reshape(shift.shape[:1] + (1,) * (coef.ndim - 1) + shift.shape[1:])
+    out = np.empty(shift.shape[:1] + cols.shape[:-1] + (N,))
+    step = max(1, _BLOCK_ENTRIES // coef.size)
+    for lo in range(0, len(shift), step):
+        out[lo:lo + step] = irfft(coef * phase[lo:lo + step], n=2 * N)[..., :N]
     return out
 
 
 def _gap_integrals(values: np.ndarray, k: np.ndarray, rings: np.ndarray, s: np.ndarray,
                    u: np.ndarray, shift: np.ndarray):
-    """Per gap of one piece, the integrals of s f against rho^k with
-    rho = s / r_right (inner sums) and r_left / s (outer sums; log s for the
-    outer mode 0), each of shape (gaps, columns), from the live real columns
-    f of psi_k at the rings, shape (rings, columns), of the modes k.
+    """Per gap, the integrals of s f against rho^k with rho = s / r_right
+    (inner sums) and r_left / s (outer sums; log s for the outer mode 0),
+    each of shape (gaps, columns) with the pieces' gaps in order, from the
+    live real columns f of psi_k at the rings, shape (pieces, rings,
+    columns), of the modes k, and the pieces' rule (:func:`_piece_rule`).
 
     The weights u rho^k, one per column, are running products over the live
     k (:func:`_powers`), contracted with the columns at the gap nodes by one
-    einsum each; one weight array is alive at a time, and a piece's arrays
-    are freed before the next piece is built.
+    einsum each; one weight array is alive at a time.
     """
-    f = _at_gaps(values, shift)  # (GAP_NODES, column, gap)
-    inner = np.einsum("lcj,clj->jc", f, _powers(s / rings[1:], u, k))
-    w = _powers(rings[:-1] / s, u, k)
+    f = _at_gaps(values, shift)  # (GAP_NODES, piece, column, gap)
+    inner = np.einsum("lpcj,cplj->pjc", f, _powers(s / rings[:, None, 1:], u, k))
+    w = _powers(rings[:, None, :-1] / s, u, k)
     w[0] *= np.log(s)  # column 0 is mode 0
-    return inner, np.einsum("lcj,clj->jc", f, w)
+    outer = np.einsum("lpcj,cplj->pjc", f, w)
+    return inner.reshape(-1, len(k)), outer.reshape(-1, len(k))
 
 
 def _powers(ratio: np.ndarray, first, k: np.ndarray) -> np.ndarray:
@@ -235,14 +275,20 @@ def angular_modes(psi, rings: np.ndarray) -> tuple:
     """The tail rule: the angles per ring, and psi_k on every ring with shape
     rings.shape + (modes,).
 
-    ``n_theta`` doubles from START_N_THETA, sampling psi only at the new
+    ``n_theta`` doubles from 2 START_N_THETA, sampling psi only at the new
     angles (:func:`holobound.quadrature.angle_levels`), until the top half of
     the modes lies below MODE_TAIL of the largest; modes 0..K are kept, K
     the last above that limit on any ring (module docstring).  psi with more
     than MAX_N_THETA angles is rejected.  :class:`LogPotential` and
     :func:`holobound.potential.phi_at_origin` both take their angles here.
+
+    The test never passes at START_N_THETA angles, where mode 12 folds onto
+    mode 4 and a sin(8 theta) vanishes at every angle, both with the top
+    half at rounding.  The limit that remains is the same one doubled: a
+    mode that folds into the bottom half at 32 angles, with nothing left in
+    the top half, still escapes.
     """
-    for n_theta, values in angle_levels(psi, rings, START_N_THETA, MAX_N_THETA):
+    for n_theta, values in angle_levels(psi, rings, 2 * START_N_THETA, MAX_N_THETA):
         modes = rfft(values, axis=-1) / n_theta
         mag = np.abs(modes).reshape(-1, modes.shape[-1])
         largest = float(mag.max())
@@ -261,13 +307,19 @@ def angular_modes(psi, rings: np.ndarray) -> tuple:
 class LogPotential:
     """Evaluator for Phi = Gamma * psi with psi supported in D(0, support_radius).
 
-    ``resolution`` is the number of Chebyshev-Lobatto rings per radial
-    piece.  ``n_theta``, the number of angles per ring, and ``n_modes``, the
-    number of angular modes 0..K kept by the tail rule, are measured from
-    the ring values (module docstring); a radial psi keeps one mode.
-    ``n_columns`` is the number of live real columns (mode, real or
-    imaginary part) carried through the set-up and the evaluation.  psi is
-    sampled only inside D(0, support_radius) and must vanish outside it.
+    ``resolution`` caps the Chebyshev-Lobatto rings per radial piece: the
+    ring levels 2^k + 1 double from FIRST_RINGS up to the smallest one of at
+    least ``resolution``, and stop at the first level whose change from the
+    level below is at most LEVEL_TOL (module docstring).  ``rings`` holds
+    the ring counts of the two levels compared, coarser first, and
+    ``level_change`` their change; a cap of FIRST_RINGS or less builds one
+    level, with ``rings`` that level alone and ``level_change`` None.
+    ``n_theta``, the number of angles per ring, and ``n_modes``, the number
+    of angular modes 0..K kept by the tail rule, are measured from the first
+    level's ring values; a radial psi keeps one mode.  ``n_columns`` is the
+    number of live real columns (mode, real or imaginary part) carried
+    through the set-up and the evaluation.  psi is sampled only inside
+    D(0, support_radius) and must vanish outside it.
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256):
@@ -277,13 +329,12 @@ class LogPotential:
             raise ValueError(f"resolution must be >= 8, got {resolution}")
         self.psi = psi
         self.support_radius = R = float(support_radius)
-        self.resolution = n = int(resolution)
+        self.resolution = int(resolution)
         # pieces end at the seams of cutoff_g, so psi is smooth on each
         self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
-        pieces = [_piece_rule(float(a), float(b), n)
-                  for a, b in zip(self._knots[:-1], self._knots[1:])]
-        rings = np.stack([p[0] for p in pieces])
-        self.n_theta, modes = angular_modes(psi, rings)
+        first, *finer = _ring_levels(self.resolution)
+        piece_rule = _piece_rule(self._knots, first)
+        self.n_theta, modes = angular_modes(psi, piece_rule[0])
         self.n_modes = modes.shape[-1]
         # the live columns of the real view (column 2k + 1 is Im psi_k): peak
         # over the rings above the tail limit; mode 0's real part always
@@ -292,24 +343,53 @@ class LogPotential:
         live = peak > MODE_TAIL * float(np.abs(modes).max())
         live[0] = True
         self._columns = np.flatnonzero(live)
-        self._k = k = self._columns // 2
+        self._k = self._columns // 2
         columns = np.ascontiguousarray(real[..., self._columns])
-        inner, outer = zip(*(_gap_integrals(c, k, *piece) for piece, c in zip(pieces, columns)))
-        inner, outer = np.concatenate(inner), np.concatenate(outer)
-        r = np.concatenate([rg[:-1] for rg in rings] + [rings[-1, -1:]])  # every ring once
+        self._tabulate(piece_rule, columns)
+        self.rings, self.level_change = (first,), None
+        for n in finer:
+            piece_rule = _piece_rule(self._knots, n)
+            rings = piece_rule[0]
+            # the coarser level's rings are the even rings, bit for bit:
+            # psi is sampled only at the odd ones, at the tail rule's angles
+            _, values = next(angle_levels(psi, rings[:, 1::2], self.n_theta, self.n_theta))
+            new = (rfft(values, axis=-1)[..., :self.n_modes] / self.n_theta).view(float)
+            merged = np.empty(rings.shape + (len(self._k),))
+            merged[:, ::2], merged[:, 1::2] = columns, new[..., self._columns]
+            columns = merged
+            coarse = self._modes_at(_every_ring_once(rings))
+            table = self._tabulate(piece_rule, columns)
+            scale = float(np.max(np.abs(table)))
+            change = float(np.max(np.abs(table - coarse))) / scale if scale else 0.0
+            self.rings, self.level_change = (self.rings[-1], n), change
+            if change <= LEVEL_TOL:
+                break
+
+    def _tabulate(self, piece_rule: tuple, columns: np.ndarray) -> np.ndarray:
+        """Tabulate Phi_k on the n rings per piece of ``piece_rule``
+        (:func:`_piece_rule`) from the live columns of psi_k there, shape
+        (pieces, n, columns), and make that level the one this potential
+        evaluates.  Returns the table with every ring once, ascending (the
+        seams shared), shape (rings, columns)."""
+        k = self._k
+        rings = piece_rule[0]
+        P, n = rings.shape
+        inner, outer = _gap_integrals(columns, k, *piece_rule)
+        r = _every_ring_once(rings)
         below, above = _ring_sums(r, k, inner, outer)
         table = np.empty_like(below)
         log_r = np.log(np.where(r > 0.0, r, 1.0))  # r = 0 meets zero mass only
         table[:, 0] = log_r * below[:, 0] + above[:, 0]
         table[:, 1:] = -(below[:, 1:] + above[:, 1:]) / (2.0 * k[1:])
         step = n - 1
-        self._table = np.stack([table[i * step:i * step + n] for i in range(len(pieces))])
+        self._table = np.stack([table[i * step:i * step + n] for i in range(P)])
         self._rings = rings
         # barycentric weights of n Chebyshev-Lobatto points (Berrut and Trefethen)
         self._weights = (-1.0) ** np.arange(n)
         self._weights[[0, -1]] *= 0.5
         self._moments = below[-1]  # int_0^R s psi_k (s / R)^k ds, per column
         self.mass = _TWO_PI * float(self._moments[0])
+        return table
 
     @property
     def n_columns(self) -> int:
@@ -327,8 +407,9 @@ class LogPotential:
         rf, m0 = r[far], self._moments[0]
         out[far, 0] = np.log(rf) * m0 if m0 else 0.0
         out[far, 1:] = -(R / rf)[:, None] ** k[1:] * self._moments[1:] / (2.0 * k[1:])
-        rows = max(1, min(len(r), _BLOCK_ENTRIES // self.resolution))
-        c = np.empty((rows, self.resolution))
+        n = len(self._weights)
+        rows = max(1, min(len(r), _BLOCK_ENTRIES // n))
+        c = np.empty((rows, n))
         for rings, table, lo, hi in zip(self._rings, self._table, ends[:-1], ends[1:]):
             for start in range(lo, hi, len(c)):
                 stop = min(start + len(c), hi)
@@ -372,6 +453,22 @@ class LogPotential:
 
     def __call__(self, z):
         return self.values(z)
+
+
+def _ring_levels(resolution: int) -> list:
+    """The ring counts per piece of the ladder, coarsest first: 2^k + 1 from
+    FIRST_RINGS, doubling the gaps up to the smallest count of at least
+    ``resolution`` (FIRST_RINGS alone for a cap of FIRST_RINGS or less)."""
+    levels = [FIRST_RINGS]
+    while levels[-1] < resolution:
+        levels.append(2 * levels[-1] - 1)
+    return levels
+
+
+def _every_ring_once(rings: np.ndarray) -> np.ndarray:
+    """The rings of consecutive pieces, shape (pieces, n), ascending with
+    each seam once."""
+    return np.concatenate([rg[:-1] for rg in rings] + [rings[-1, -1:]])
 
 
 def _ring_sums(r: np.ndarray, k: np.ndarray, inner: np.ndarray, outer: np.ndarray):

@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 NEGLIGIBLE_LOG = math.log(1e-18)
-# rings per radial piece of the potential_defined weight's Gamma * psi, which
-# is built on the first evaluation of phi (one live column; about 3 ms as the
-# first build in a process)
+# the cap on the rings per radial piece of the potential_defined weight's
+# Gamma * psi, which is built on the first evaluation of phi: it allows levels
+# up to 513 rings, and the bump's ladder stops at 65 (one live column)
 POTENTIAL_RESOLUTION = 320
 REQUIRED = None  # the default of a family parameter that has none
 

@@ -36,6 +36,10 @@ scaled cosine coefficients, and the ring sums as two Python loops over the
 rings with the decay factors as powers of the mode numbers.  They are the
 checks on ``greens._at_gaps`` and ``greens._ring_sums``.
 
+``fixed_rings`` builds every ``greens.LogPotential`` inside it on
+``resolution`` rings per piece, one level with no ladder: the fixed-ring
+core that the set-up oracles compare against, ring count for ring count.
+
 ``gauss_legendre`` is a 1-D rule independent of the package's one rule,
 ``quadrature.clenshaw_curtis``: the reference rule of ``gl_kernel_diag``,
 of ``gl_piece_rule`` and of the check on ``potential.phi_at_origin``.
@@ -105,6 +109,7 @@ columns: one ``_fmt`` call per cell, row after row.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 
@@ -298,7 +303,7 @@ def dense_modes_at(potential, r: np.ndarray) -> np.ndarray:
     for p, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
         idx = np.flatnonzero((piece == p) & ~far)
         x = (2.0 * r[idx] - a - b) / (b - a)
-        out[idx] = barycentric_rows(x, potential.resolution) @ potential._table[p]
+        out[idx] = barycentric_rows(x, potential._table.shape[1]) @ potential._table[p]
     return out
 
 
@@ -344,13 +349,11 @@ class AllModesLogPotential:
         self.support_radius = R = float(support_radius)
         self.resolution = n = int(resolution)
         self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
-        pieces = [greens._piece_rule(float(a), float(b), n)
-                  for a, b in zip(self._knots[:-1], self._knots[1:])]
-        rings = np.stack([p[0] for p in pieces])
+        rings, nodes, weights, shift = greens._piece_rule(self._knots, n)
         self.n_theta, modes = greens.angular_modes(psi, rings)
         self._k = k = np.arange(modes.shape[-1])
         inner, outer = [], []
-        for (rg, s, u, shift), m in zip(pieces, modes):
+        for rg, s, u, m in zip(rings, nodes, weights, modes):
             f = ifft_at_gaps(m.view(float), shift)
             f = f[:, 0::2] + 1j * f[:, 1::2]  # (offset, mode, gap)
             w_in = u * (s / rg[1:]) ** k[:, None, None]
@@ -363,7 +366,7 @@ class AllModesLogPotential:
         table = np.empty_like(below)
         table[:, 0] = np.log(np.where(r > 0.0, r, 1.0)) * below[:, 0] + above[:, 0]
         table[:, 1:] = -(below[:, 1:] + above[:, 1:]) / (2.0 * k[1:])
-        self._table = np.stack([table[i * (n - 1):i * (n - 1) + n] for i in range(len(pieces))])
+        self._table = np.stack([table[i * (n - 1):i * (n - 1) + n] for i in range(len(rings))])
         self._moments = below[-1]
 
     def __call__(self, z) -> np.ndarray:
@@ -373,16 +376,31 @@ class AllModesLogPotential:
         return m[:, 0].real + 2.0 * np.sum(m[:, 1:] * turn, axis=1).real
 
 
-def gl_piece_rule(a: float, b: float, n: int):
+@contextlib.contextmanager
+def fixed_rings():
+    """Within the block, ``greens.LogPotential(psi, R, n)`` tabulates one
+    level of n rings per piece (any n >= 8) and stops there."""
+    levels = greens._ring_levels
+    greens._ring_levels = lambda resolution: [resolution]
+    try:
+        yield
+    finally:
+        greens._ring_levels = levels
+
+
+def gl_piece_rule(knots: np.ndarray, n: int):
     """``greens._piece_rule`` on ``gauss_legendre(GAP_NODES)``: the rings of
-    the piece [a, b], and in every gap GAP_NODES Gauss-Legendre nodes at
-    phi = pi (j + tau) / N, tau = (g + 1) / 2, with weights gw / 2."""
+    every piece between consecutive knots, and in every gap GAP_NODES
+    Gauss-Legendre nodes at phi = pi (j + tau) / N, tau = (g + 1) / 2, with
+    weights gw / 2."""
     N = n - 1
+    a, b = knots[:-1, None], knots[1:, None]
     rings = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * np.arange(n) / N))
-    rings[0], rings[-1] = a, b
+    rings[:, 0], rings[:, -1] = knots[:-1], knots[1:]
     g, gw = gauss_legendre(greens.GAP_NODES)
     tau = 0.5 * (g + 1.0)[:, None]
     phi = np.pi * (np.arange(N) + tau) / N
+    a, b = a[:, None], b[:, None]
     s = a + 0.5 * (b - a) * (1.0 - np.cos(phi))
     u = (np.pi / N) * 0.5 * gw[:, None] * s * 0.5 * (b - a) * np.sin(phi)
     shift = np.exp(1j * np.pi * tau * np.arange(n) / N)

@@ -415,6 +415,20 @@ class TestVerifyBoundCommand:
         assert header == ["z_re", "z_im", "weighted_diag", "constant_C", "margin"]
         assert all(float(r[4]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("weight, degree", [
+        (GAUSS, 16),
+        ({"family": "gaussian_harmonic", "params": {"a": 1.0, "b_re": 0.9}}, 40),
+    ], ids=["gaussian", "degraded"])
+    def test_condition_estimate_matches_kernel_diag(self, weight, degree):
+        # the certificate's estimate is the one kernel-diag reports, nested in
+        # the diagnostics so the sweep CSV leaves it out
+        entry = {"weight": weight, "degree": degree, "resolution": 256}
+        vb = cli.EXPERIMENTS["verify-bound"](parse_config({"experiment": "verify-bound", **entry}))
+        kd = cli.EXPERIMENTS["kernel-diag"](parse_config({"experiment": "kernel-diag", **entry}))
+        assert "condition_estimate" not in vb.summary
+        assert vb.summary["diagnostics"]["condition_estimate"] == kd.summary["condition_estimate"]
+        assert vb.summary["diagnostics"]["condition_estimate"] >= 1.0
+
     def test_reports_a_degraded_degree(self, tmp_path):
         # the anisotropic weight stops at degree 28 of 40; the run still
         # passes, and its summary says that the degree was reduced
@@ -858,7 +872,7 @@ class TestPotentialCommand:
         assert summary["resolution"] == 64
 
     @pytest.mark.parametrize("weight, n_theta, n_modes, n_columns", [
-        (GAUSS, 16, 1, 1),
+        (GAUSS, 32, 1, 1),
         ({"family": "oscillatory", "params": {"a": 1.0, "eps": 0.5}}, 64, 17, 5),
     ], ids=["gaussian", "oscillatory"])
     def test_reports_the_angular_modes(self, tmp_path, weight, n_theta, n_modes, n_columns):
@@ -868,8 +882,12 @@ class TestPotentialCommand:
         })
         assert main(["potential", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "potential_summary.json").read_text())
+        # the ladder compares 33 and 65 rings per piece and stops there, below
+        # the cap of 257 that resolution 256 allows
+        change = summary["diagnostics"].pop("level_change")
+        assert 0.0 < change <= greens.LEVEL_TOL / 10
         assert summary["diagnostics"] == {"n_theta": n_theta, "n_modes": n_modes,
-                                          "n_columns": n_columns}
+                                          "n_columns": n_columns, "rings": [33, 65]}
         header, _ = read_csv(tmp_path / "potential.csv")
         assert header == ["z_re", "z_im", "phi"]
 

@@ -29,6 +29,7 @@ from oracles import (
     AllModesLogPotential,
     PlanarLogPotential,
     dense_modes_at,
+    fixed_rings,
     gauss_legendre,
     gl_piece_rule,
     ifft_at_gaps,
@@ -279,21 +280,26 @@ class TestFourierPotential:
             _, psi = closed_form_pair(m, 8, c)
             assert LogPotential(psi, support_radius=2.0).n_theta == 32
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "angular_modes stops at 16 angles, where mode 12 folds onto mode 4 and "
-        "the top half (modes 5..8) stays at rounding: n_modes 5, Phi(0.5) = -0.0723"))
-    def test_mode_that_aliases_at_the_first_angle_count(self):
-        # psi = g(s) s^12 cos(12 theta), so Phi(0.5) = -(1/24) int_0^2 s^13 g(s)
-        # rho^12 ds with rho = min(0.5, s) / max(0.5, s): Gauss-Legendre on
-        # each piece where the integrand is smooth
+    @pytest.mark.parametrize("k, part, z", [
+        # at 16 angles mode 12 folds onto mode 4, with modes 5..8 at rounding
+        (12, np.real, 0.5),
+        # Im(z^8) vanishes at all 16 angles 2 pi j / 16
+        (8, np.imag, 0.5 * np.exp(1j * math.pi / 16)),
+    ], ids=["re_z12", "im_z8"])
+    def test_mode_that_aliases_at_the_first_angle_count(self, k, part, z):
+        # psi = g(s) s^k cos(k theta) (or sin), so at |z| = 0.5, where that
+        # trigonometric factor is 1, Phi = -(1/2k) int_0^2 s^(k+1) g(s) rho^k ds
+        # with rho = min(0.5, s) / max(0.5, s): Gauss-Legendre on each piece
+        # where the integrand is smooth
         exact = 0.0
         for a, b in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0)):
             x, w = leggauss(64)
             s = 0.5 * (b - a) * x + 0.5 * (a + b)
             rho = np.minimum(0.5, s) / np.maximum(0.5, s)
-            exact -= 0.5 * (b - a) * np.sum(w * s ** 13 * cutoff_g(s) * rho ** 12) / 24.0
-        potential = LogPotential(ScalarField(lambda z: cutoff_g(z) * (z ** 12).real), 2.0, 64)
-        assert abs(potential(0.5) - exact) <= 1e-6 * abs(exact)
+            exact -= 0.5 * (b - a) * np.sum(w * s ** (k + 1) * cutoff_g(s) * rho ** k) / (2 * k)
+        potential = LogPotential(ScalarField(lambda z: cutoff_g(z) * part(z ** k)), 2.0, 64)
+        assert potential.n_theta >= 32 and potential.n_modes == k + 1
+        assert abs(potential(z) - exact) <= 1e-6 * abs(exact)
 
     @pytest.mark.parametrize("w", [
         WeightFunction.oscillatory(1.0, 0.5),
@@ -413,7 +419,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_edges_against_dense_oracle(self, w, offset, monkeypatch):
         potential = make_psi(w, resolution=64)
-        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 5 * 64)
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 5 * potential._rings.shape[1])
         rng = np.random.default_rng(offset + 2)
         # one piece alone, then every piece and the multipole range at once
         for lo, hi in ((0.0, 1.0), (1.0, 2.0), (0.0, 2.5)):
@@ -426,7 +432,7 @@ class TestBlockedEvaluation:
     def test_rings_give_table_rows(self, w, monkeypatch):
         # every ring, the piece ends 0, 1 and 2 included, is an exact hit
         potential = make_psi(w, resolution=64)
-        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 7 * 64)
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 7 * potential._rings.shape[1])
         r = potential._rings.ravel()
         rows = potential._table.reshape(-1, potential.n_columns)
         r, first = np.unique(r, return_index=True)
@@ -455,10 +461,79 @@ GAP_FAMILIES = {
 }
 
 
+# the potential experiment's densities at which the ladder stops at 65 rings,
+# and the potential_defined weight's own bump
+LADDER_DENSITIES = {
+    **{name: potential_mod._cutoff_density(w) for name, w in (
+        ("gaussian", WeightFunction.gaussian(1.0)),
+        ("gaussian_harmonic", WeightFunction.gaussian_harmonic(1.0, b=0.3)),
+        ("oscillatory_0.5", WeightFunction.oscillatory(1.0, 0.5)),
+        ("oscillatory_2", WeightFunction.oscillatory(1.0, 2.0)),
+        ("potential_defined", WeightFunction.potential_defined(1.0)))},
+    "bump": ScalarField(cutoff_g),
+}
+
+
+class TestRingLadder:
+    """The nested ring levels of LogPotential: 2^k + 1 rings per piece from
+    greens.FIRST_RINGS, psi sampled only at each level's new rings, and the
+    stop at the first level whose change is at most greens.LEVEL_TOL."""
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 2.0), (0.0, 0.25), (0.3, 1.7)])
+    @pytest.mark.parametrize("n", [33, 65, 129, 257])
+    def test_levels_nest_bit_for_bit(self, a, b, n):
+        knots = np.array([a, b])
+        coarse = greens._piece_rule(knots, n)[0]
+        assert np.array_equal(greens._piece_rule(knots, 2 * n - 1)[0][:, ::2], coarse)
+
+    @pytest.mark.parametrize("resolution, top", [
+        (8, 33), (32, 33), (33, 33), (34, 65), (64, 65), (65, 65), (66, 129),
+        (256, 257), (320, 513), (1025, 1025),
+    ])
+    def test_no_level_exceeds_the_rounded_cap(self, resolution, top, monkeypatch):
+        levels = greens._ring_levels(resolution)
+        assert levels[0] == greens.FIRST_RINGS and levels[-1] == top
+        assert all(fine == 2 * coarse - 1 for coarse, fine in zip(levels, levels[1:]))
+        # with no level converged, the ladder runs to the rounded cap
+        monkeypatch.setattr(greens, "LEVEL_TOL", -1.0)
+        psi = LADDER_DENSITIES["oscillatory_0.5"]
+        potential = LogPotential(psi, support_radius=2.0, resolution=resolution)
+        assert potential.rings == tuple(levels[-2:])
+        assert potential._rings.shape == (2, top)
+
+    def test_one_level_reports_no_change(self):
+        potential = LogPotential(LADDER_DENSITIES["gaussian"], 2.0, resolution=32)
+        assert potential.rings == (33,) and potential.level_change is None
+
+    def test_psi_sampled_only_at_the_new_rings(self):
+        # a radial psi at 32 angles: 33 + 32 rings on each of the two pieces
+        psi, sizes = LADDER_DENSITIES["potential_defined"], []
+        counting = ScalarField(lambda z: (sizes.append(np.size(z)), psi(z))[1])
+        potential = LogPotential(counting, 2.0, resolution=256)
+        assert potential.rings == (33, 65) and potential.n_theta == 32
+        assert sum(sizes) == 2 * 65 * 32
+
+    @pytest.mark.parametrize("name", sorted(LADDER_DENSITIES))
+    def test_stops_at_65_rings(self, name):
+        potential = LogPotential(LADDER_DENSITIES[name], 2.0, resolution=weights.POTENTIAL_RESOLUTION)
+        assert potential.rings == (33, 65)
+        assert potential.level_change <= greens.LEVEL_TOL / 10
+
+    @pytest.mark.parametrize("name", sorted(LADDER_DENSITIES))
+    def test_within_rounding_of_1025_rings(self, name):
+        psi = LADDER_DENSITIES[name]
+        zs = np.append(weights.stencil_points(random_disk_points(200, 0.98, 1), 1e-2), 0.0)
+        with fixed_rings():
+            expected = LogPotential(psi, 2.0, resolution=1025)(zs)
+        got = LogPotential(psi, 2.0, resolution=256)(zs)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 class TestSetUpOracles:
     """The set-up's inverse real FFTs and blocked scan against the complex
     inverse FFTs and the ring-by-ring loops they replaced, and its gap rule
-    against the Gauss-Legendre one it replaced."""
+    against the Gauss-Legendre one it replaced, on one level of a fixed
+    ring count."""
 
     @pytest.mark.parametrize("resolution, tol", [
         # far from converged, where the two rules differ by their own errors
@@ -469,20 +544,26 @@ class TestSetUpOracles:
     def test_gap_rule_matches_gauss_legendre(self, family, resolution, tol, monkeypatch):
         w = GAP_FAMILIES[family]
         zs = weights.stencil_points(random_disk_points(200, 0.98, 1), 1e-2)
-        got = make_psi(w, resolution)(zs)
-        monkeypatch.setattr(greens, "_piece_rule", gl_piece_rule)
-        assert np.max(np.abs(got - make_psi(w, resolution)(zs))) <= tol
+        with fixed_rings():
+            got = make_psi(w, resolution)(zs)
+            monkeypatch.setattr(greens, "_piece_rule", gl_piece_rule)
+            assert np.max(np.abs(got - make_psi(w, resolution)(zs))) <= tol
 
     @pytest.mark.parametrize("columns", [2, 34])
     @pytest.mark.parametrize("n", [8, 9, 64, 256, 320])
     def test_gap_values_match_complex_ifft(self, n, columns):
-        _, _, _, shift = greens._piece_rule(0.0, 1.0, n)
-        values = np.random.default_rng(n + columns).standard_normal((n, columns))
+        # two pieces at once, as the set-up takes them, and one on its own;
+        # at 34 columns the offsets go in blocks of _BLOCK_ENTRIES
+        _, _, _, shift = greens._piece_rule(np.array([0.0, 1.0, 2.0]), n)
+        values = np.random.default_rng(n + columns).standard_normal((2, n, columns))
         got = greens._at_gaps(values, shift)
-        expected = ifft_at_gaps(values, shift)
-        assert got.shape == (greens.GAP_NODES, columns, n - 1)
-        scale = np.max(np.abs(expected), axis=(0, 2))
-        assert np.all(np.max(np.abs(got - expected), axis=(0, 2)) <= 1e-14 * scale)
+        assert got.shape == (greens.GAP_NODES, 2, columns, n - 1)
+        assert np.array_equal(greens._at_gaps(values[1], shift), got[:, 1])
+        for piece in range(2):
+            expected = ifft_at_gaps(values[piece], shift)
+            scale = np.max(np.abs(expected), axis=(0, 2))
+            error = np.max(np.abs(got[:, piece] - expected), axis=(0, 2))
+            assert np.all(error <= 1e-14 * scale)
 
     @settings(deadline=None, max_examples=40)
     @given(G=st.integers(1, 700), K=st.integers(1, 250), seed=st.integers(0, 2 ** 32 - 1))
@@ -506,8 +587,8 @@ def trig_densities(draw):
     k-fold symmetric, a mirror-symmetric (p_j a multiple of pi / 2) or a
     general set of modes, and the live columns it must give: 0, and 2k + 1
     and 2k for the nonzero sine and cosine parts of each mode.  The modes
-    stop at 7, which 16 angles, where the tail rule starts, resolve without
-    aliasing; a_j carries 2^-k_j, so each term is at most 1 on the support."""
+    stop at 7, which 16 angles resolve without aliasing; a_j carries 2^-k_j,
+    so each term is at most 1 on the support."""
     kind = draw(st.sampled_from(["k_fold", "mirror", "neither"]))
     if kind == "k_fold":
         fold = draw(st.integers(2, 3))
@@ -556,7 +637,8 @@ class TestLiveColumns:
     @given(density=trig_densities(), seed=st.integers(0, 2 ** 16))
     def test_against_every_mode(self, density, seed):
         psi, live, top = density
-        potential = LogPotential(psi, support_radius=2.0, resolution=64)
+        with fixed_rings():
+            potential = LogPotential(psi, support_radius=2.0, resolution=64)
         assert potential._columns.tolist() == live
         assert potential.n_modes == top + 1
         # inside and outside the support, the origin, the seams and the rings
@@ -567,11 +649,13 @@ class TestLiveColumns:
 
 
 class TestPhiAtOrigin:
-    """Phi(0) from the circle means, against the whole potential at resolution 256."""
+    """Phi(0) from the circle means, against the whole potential on 256 rings
+    per piece."""
 
     @staticmethod
     def whole(w):
-        return make_psi(w, resolution=256)(0.0 + 0.0j)
+        with fixed_rings():
+            return make_psi(w, resolution=256)(0.0 + 0.0j)
 
     def test_every_family_is_listed(self):
         assert set(FAMILY_EXAMPLES) == set(weights._FAMILIES)
@@ -627,8 +711,8 @@ class TestPhiAtOrigin:
         assert abs(phi_at_origin.__wrapped__(w) - base) < 1e-14
 
     def test_tail_rule_samples_only_the_new_angles(self):
-        # 256 rings at 16 + 16 + 32 angles, not 16 + 32 + 64: each doubling
-        # samples psi at the new odd angles and keeps the earlier samples
+        # 256 rings at 32 + 32 angles, not 32 + 64: each doubling samples
+        # psi at the new odd angles and keeps the earlier samples
         psi = potential_mod._cutoff_density(WeightFunction.oscillatory(1.0, 0.5))
         sizes = []
         counting = lambda z: (sizes.append(np.size(z)), psi(z))[1]
