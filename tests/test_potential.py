@@ -494,16 +494,14 @@ class TestRingLadder:
         levels = greens._ring_levels(resolution)
         assert levels[0] == greens.FIRST_RINGS and levels[-1] == top
         assert all(fine == 2 * coarse - 1 for coarse, fine in zip(levels, levels[1:]))
-        # with no level converged, the ladder runs to the rounded cap
+        # with no level converged, the ladder runs to the rounded cap; one
+        # level reports no change
         monkeypatch.setattr(greens, "LEVEL_TOL", -1.0)
         psi = LADDER_DENSITIES["oscillatory_0.5"]
         potential = LogPotential(psi, support_radius=2.0, resolution=resolution)
         assert potential.rings == tuple(levels[-2:])
         assert potential._rings.shape == (2, top)
-
-    def test_one_level_reports_no_change(self):
-        potential = LogPotential(LADDER_DENSITIES["gaussian"], 2.0, resolution=32)
-        assert potential.rings == (33,) and potential.level_change is None
+        assert (potential.level_change is None) == (top == greens.FIRST_RINGS)
 
     def test_psi_sampled_only_at_the_new_rings(self):
         # a radial psi at 32 angles: 33 + 32 rings on each of the two pieces
