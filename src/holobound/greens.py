@@ -31,22 +31,32 @@ FIRST_RINGS = 33 and doubles up to the smallest 2^k + 1 of at least
 ``resolution``, so ``resolution`` is a cap that never gives fewer rings than
 it names: 256 allows 257, 320 allows 513, and a cap of 33 or less builds one
 level.  Each finer level samples psi only at its new, odd rings, at the
-first level's ``n_theta``, and tabulates Phi_k anew (below).  The ladder
-stops at the first level whose change from the level below is at most
-LEVEL_TOL = 1e-9 of the largest |Phi_k| on the finer level's rings, and at
-the top level anyway.  The change needs no grid: it is the largest
-difference, over the finer level's rings and the live columns, between the
-coarser level's interpolant (Evaluation, below) and the finer table; Phi
-comes from the finer level.  On the potential experiment's densities
-(gaussian, gaussian_harmonic b = 0.3, oscillatory (1, 0.5) and (1, 2),
+level below's ``n_theta``, takes the tail rule's test, ``n_modes`` and the
+live columns (below) again over all its rings, and tabulates Phi_k anew.
+The ladder stops at the first level whose change from the level below is
+at most LEVEL_TOL = 1e-9 of the largest |Phi_k| on the finer level's
+rings, and at the top level anyway.  The change needs no grid: at each of
+the finer level's rings it bounds the change of Phi at every angle,
+|dPhi_0| + 2 sum over the other live columns of |dPhi_k|, with dPhi_k the
+difference between the coarser level's interpolant (Evaluation, below)
+and the finer table; Phi comes from the finer level.  A bound on Phi, not
+the largest single column, since many columns can add up: the bump
+translated by 0.5 along the real axis (185 live columns at 33 rings)
+changes by 3.1e-10 in its largest column, while Phi on 33 rings is 6.1e-9
+of max |Phi| off.  On the potential experiment's densities (gaussian,
+gaussian_harmonic b = 0.3, oscillatory (1, 0.5) and (1, 2),
 potential_defined(1)) and on the bump cutoff_g, 33 -> 65 rings change by
-3.2e-11 to 7.3e-11, so each stops at 65 rings, within 5.1e-15 of max |Phi|
-of a 1025-ring build at the Poisson check's stencils.  Every level's ring
-transforms have length 2^(k+1), which the FFT takes fastest.
+3.2e-11 to 8.1e-11, so each stops at 65 rings, within 5.0e-15 of max |Phi|
+of a 1025-ring build at the Poisson check's stencils.  The translated
+bump, whose seams |z + 0.5| = 1 and 2 cross the rings, changes by 3.5e-9
+and stops at 129 rings, within 3.3e-15 (at 65 rings it is 8.7e-12 off).
+Every level's ring transforms have length 2^(k+1), which the FFT takes
+fastest.
 
 ``n_theta`` is not a knob.  One tail rule, :func:`angular_modes`, sets it for
 every caller that evaluates psi on rings (``LogPotential`` here, on its
-first level, and ``phi_at_origin`` in the potential module, which reads the
+first level, and on a finer level whose new rings fail its test, and
+``phi_at_origin`` in the potential module, which reads the
 circle means alone): it doubles ``n_theta`` from 32, twice START_N_THETA,
 until the top half of the modes lies below MODE_TAIL = 1e-14 of the
 largest; rounding alone leaves the ring FFT's tail near 1e-15, below the
@@ -65,8 +75,9 @@ are carried on: those whose peak over all rings exceeds MODE_TAIL of the
 largest mode, the limit of the tail rule, and mode 0's real part always (so
 psi = 0 works and table column 0 is Phi_0).  Symmetry leaves most columns
 at rounding: oscillatory(1, 0.5) keeps 5 of 34, the real parts of modes 0,
-4, 8, 12 and 16 (four-fold and mirror symmetry); the bump translated by
-0.5 along the real axis 187 of 374, the real parts; a radial psi 1 of 2.
+4, 8, 12 and 16 (four-fold and mirror symmetry); the translated bump at
+129 rings 187 of 376, the real parts (185 on the first level's rings
+alone); a radial psi 1 of 2.
 Everything below, the gap values, the weights, the ring sums, the table,
 the moments and the evaluation, runs on the live columns alone.
 
@@ -88,10 +99,10 @@ the G gaps in place of G.  This gives Phi_k at every ring.  The pieces of a
 level go through every step together, in one array.  The set-up of
 oscillatory(1, 0.5) at resolution 256 (64 angles, 17 modes, 5 live
 columns, levels of 33 and 65 rings) takes about 3.3 ms, against 7.6 ms on
-256 rings alone (the first build in a fresh process, medians of 11 on a
-2-vCPU machine); the bump translated by 0.5 at resolution 320 (1024
-angles, 185 live columns, 33 and 65 rings) about 35 ms, against 0.14 s on
-320 rings.
+256 rings alone (the first build in a fresh process, medians of 7 to 11 on
+a 2-vCPU machine); the translated bump at resolution 320 (1024 angles,
+187 live columns, levels of 33, 65 and 129 rings) about 93 ms, against
+0.16 s on 320 rings.
 
 Evaluation.  Phi_k is smooth on each piece (it solves a regular radial ODE
 with a smooth right side), so Phi_k at r < R is the barycentric interpolant
@@ -288,20 +299,40 @@ def angular_modes(psi, rings: np.ndarray) -> tuple:
     mode that folds into the bottom half at 32 angles, with nothing left in
     the top half, still escapes.
     """
+    n_theta, spectrum = _angular_spectrum(psi, rings)
+    return n_theta, np.ascontiguousarray(spectrum[..., :_kept_modes(np.abs(spectrum))])
+
+
+def _angular_spectrum(psi, rings: np.ndarray) -> tuple:
+    """The doubling loop of :func:`angular_modes`: the angles per ring and
+    every mode 0..n_theta / 2 of psi on the rings, shape rings.shape +
+    (n_theta // 2 + 1,)."""
     for n_theta, values in angle_levels(psi, rings, 2 * START_N_THETA, MAX_N_THETA):
-        modes = rfft(values, axis=-1) / n_theta
-        mag = np.abs(modes).reshape(-1, modes.shape[-1])
-        largest = float(mag.max())
-        tail = float(mag[:, n_theta // 4 + 1:].max())
-        if tail <= MODE_TAIL * largest:
-            # the last mode above the limit on any ring, or mode 0 alone
-            above = np.flatnonzero(mag.max(axis=0) > MODE_TAIL * largest)
-            kept = above[-1] + 1 if above.size else 1
-            return n_theta, np.ascontiguousarray(modes[..., :kept])
+        spectrum = rfft(values, axis=-1) / n_theta
+        tail = _tail(spectrum)
+        if tail <= MODE_TAIL:
+            return n_theta, spectrum
     raise ValueError(
         f"psi is not resolved in angle: with {n_theta} angles per ring "
-        f"the top half of its Fourier modes reaches {tail / largest:.1e} "
+        f"the top half of its Fourier modes reaches {tail:.1e} "
         f"of the largest, above the tail limit {MODE_TAIL:.0e}")
+
+
+def _tail(spectrum: np.ndarray) -> float:
+    """The largest of the top half of the modes (past n_theta / 4) on any
+    ring, per the largest mode; 0 for psi = 0."""
+    mag = np.abs(spectrum).reshape(-1, spectrum.shape[-1])
+    largest = float(mag.max())
+    n_theta = 2 * (spectrum.shape[-1] - 1)
+    return float(mag[:, n_theta // 4 + 1:].max()) / largest if largest else 0.0
+
+
+def _kept_modes(mag: np.ndarray) -> int:
+    """K + 1, for K the last mode whose magnitude exceeds MODE_TAIL of the
+    largest on any ring; 1 when none does."""
+    peak = mag.reshape(-1, mag.shape[-1]).max(axis=0)
+    above = np.flatnonzero(peak > MODE_TAIL * float(peak.max()))
+    return int(above[-1]) + 1 if above.size else 1
 
 
 class LogPotential:
@@ -312,21 +343,22 @@ class LogPotential:
     least ``resolution``, and stop at the first level whose change from the
     level below is at most LEVEL_TOL (module docstring).  ``rings`` holds
     the ring counts of the two levels compared, coarser first, and
-    ``level_change`` their change; a cap of FIRST_RINGS or less builds one
-    level, with ``rings`` that level alone and ``level_change`` None.
-    ``n_theta``, the number of angles per ring, and ``n_modes``, the number
-    of angular modes 0..K kept by the tail rule, are measured from the first
-    level's ring values; a radial psi keeps one mode.  ``n_columns`` is the
-    number of live real columns (mode, real or imaginary part) carried
-    through the set-up and the evaluation.  psi is sampled only inside
-    D(0, support_radius) and must vanish outside it.
+    ``level_change`` their change; every cap from 8 to FIRST_RINGS builds
+    the one level of FIRST_RINGS rings, with ``rings`` that level alone and
+    ``level_change`` None.  ``n_theta``, the number of angles per ring, and
+    ``n_modes``, the number of angular modes 0..K kept by the tail rule,
+    are measured over every ring of the last level; a radial psi keeps one
+    mode.  ``n_columns`` is the number of live real columns (mode, real or
+    imaginary part) carried through the set-up and the evaluation.  psi is
+    sampled only inside D(0, support_radius) and must vanish outside it.
     """
 
     def __init__(self, psi, support_radius: float = 2.0, resolution: int = 256):
         if support_radius <= 0:
             raise ValueError("support_radius must be positive")
         if resolution < 8:
-            raise ValueError(f"resolution must be >= 8, got {resolution}")
+            raise ValueError(f"resolution must be >= 8 (every cap up to {FIRST_RINGS} "
+                             f"builds {FIRST_RINGS} rings), got {resolution}")
         self.psi = psi
         self.support_radius = R = float(support_radius)
         self.resolution = int(resolution)
@@ -334,36 +366,49 @@ class LogPotential:
         self._knots = np.array(sorted({0.0, min(1.0, R), min(2.0, R), R}))
         first, *finer = _ring_levels(self.resolution)
         piece_rule = _piece_rule(self._knots, first)
-        self.n_theta, modes = angular_modes(psi, piece_rule[0])
-        self.n_modes = modes.shape[-1]
-        # the live columns of the real view (column 2k + 1 is Im psi_k): peak
-        # over the rings above the tail limit; mode 0's real part always
-        real = modes.view(float)
-        peak = np.abs(real).max(axis=(0, 1))
-        live = peak > MODE_TAIL * float(np.abs(modes).max())
-        live[0] = True
-        self._columns = np.flatnonzero(live)
-        self._k = self._columns // 2
-        columns = np.ascontiguousarray(real[..., self._columns])
-        self._tabulate(piece_rule, columns)
+        self.n_theta, spectrum = _angular_spectrum(psi, piece_rule[0])
+        self._tabulate(piece_rule, self._keep(spectrum))
         self.rings, self.level_change = (first,), None
         for n in finer:
             piece_rule = _piece_rule(self._knots, n)
             rings = piece_rule[0]
             # the coarser level's rings are the even rings, bit for bit:
-            # psi is sampled only at the odd ones, at the tail rule's angles
+            # psi is sampled only at the odd ones, at the same angles
             _, values = next(angle_levels(psi, rings[:, 1::2], self.n_theta, self.n_theta))
-            new = (rfft(values, axis=-1)[..., :self.n_modes] / self.n_theta).view(float)
-            merged = np.empty(rings.shape + (len(self._k),))
-            merged[:, ::2], merged[:, 1::2] = columns, new[..., self._columns]
-            columns = merged
+            merged = np.empty(rings.shape + spectrum.shape[-1:], dtype=complex)
+            merged[:, ::2], merged[:, 1::2] = spectrum, rfft(values, axis=-1) / self.n_theta
+            spectrum = merged
+            if _tail(spectrum) > MODE_TAIL:  # the new rings need more angles
+                self.n_theta, spectrum = _angular_spectrum(psi, rings)
+            was = self._columns
             coarse = self._modes_at(_every_ring_once(rings))
-            table = self._tabulate(piece_rule, columns)
+            table = self._tabulate(piece_rule, self._keep(spectrum))
+            # the coarser level on this level's columns, 0 on a column it lacked
+            aligned = np.zeros_like(table)
+            aligned[:, np.isin(self._columns, was)] = coarse[:, np.isin(was, self._columns)]
+            # |change of Phi| <= |change of Phi_0| + 2 sum over the other columns
+            bound = np.abs(table - aligned) @ np.where(self._k == 0, 1.0, 2.0)
             scale = float(np.max(np.abs(table)))
-            change = float(np.max(np.abs(table - coarse))) / scale if scale else 0.0
+            change = float(np.max(bound)) / scale if scale else 0.0
             self.rings, self.level_change = (self.rings[-1], n), change
             if change <= LEVEL_TOL:
                 break
+
+    def _keep(self, spectrum: np.ndarray) -> np.ndarray:
+        """Keep modes 0..K of the level's spectrum, shape (pieces, rings,
+        n_theta // 2 + 1), and its live columns (module docstring), both
+        measured over every ring of the level.  Returns those columns, shape
+        (pieces, rings, columns)."""
+        mag = np.abs(spectrum)
+        self.n_modes = _kept_modes(mag)
+        # the real view's columns (column 2k + 1 is Im psi_k) whose peak over
+        # the rings is above the tail limit; mode 0's real part always
+        real = np.ascontiguousarray(spectrum[..., :self.n_modes]).view(float)
+        live = np.abs(real).max(axis=(0, 1)) > MODE_TAIL * float(mag.max())
+        live[0] = True
+        self._columns = np.flatnonzero(live)
+        self._k = self._columns // 2
+        return np.ascontiguousarray(real[..., self._columns])
 
     def _tabulate(self, piece_rule: tuple, columns: np.ndarray) -> np.ndarray:
         """Tabulate Phi_k on the n rings per piece of ``piece_rule``

@@ -39,9 +39,9 @@ __all__ = [
 
 NEGLIGIBLE_LOG = math.log(1e-18)
 # the cap on the rings per radial piece of the potential_defined weight's
-# Gamma * psi, which is built on the first evaluation of phi: it allows levels
-# up to 513 rings, and the bump's ladder stops at 65 (one live column)
-POTENTIAL_RESOLUTION = 320
+# Gamma * psi, which is built on the first evaluation of phi: the ladder's
+# levels up to 2^9 + 1 rings; the bump's stops at 65 (one live column)
+POTENTIAL_RESOLUTION = 513
 REQUIRED = None  # the default of a family parameter that has none
 
 

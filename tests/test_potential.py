@@ -320,9 +320,11 @@ class TestFourierPotential:
         bump = make_psi(translate_weight(WeightFunction.potential_defined(1.0), 0.5))
         assert bump.n_theta >= 512
         assert bump.n_modes < bump.n_theta // 4 + 1
-        # translated along the real axis, the bump is mirror-symmetric: the
-        # real part of every kept mode is live, no imaginary part is
-        assert bump._columns.tolist() == list(range(0, 2 * bump.n_modes, 2))
+        # translated along the real axis, the bump is mirror-symmetric: no
+        # imaginary part is live, and real parts are up to the last kept mode
+        # (at 129 rings the real part of mode 186 stays at the tail limit)
+        assert np.all(bump._columns % 2 == 0)
+        assert bump._columns[-1] == 2 * (bump.n_modes - 1)
         assert make_psi(translate_weight(WeightFunction.gaussian(1.0), 0.5)).n_modes == 1
         harmonic = WeightFunction.gaussian_harmonic(1.0, b=0.3, c=0.2j)
         assert make_psi(harmonic).n_modes == 1
@@ -472,6 +474,9 @@ LADDER_DENSITIES = {
         ("potential_defined", WeightFunction.potential_defined(1.0)))},
     "bump": ScalarField(cutoff_g),
 }
+# its seams |z + 0.5| = 1 and 2 cross the rings, and it has 185 to 188 live columns
+TRANSLATED_BUMP = potential_mod._cutoff_density(
+    translate_weight(WeightFunction.potential_defined(1.0), 0.5))
 
 
 class TestRingLadder:
@@ -517,9 +522,52 @@ class TestRingLadder:
         assert potential.rings == (33, 65)
         assert potential.level_change <= greens.LEVEL_TOL / 10
 
-    @pytest.mark.parametrize("name", sorted(LADDER_DENSITIES))
+    def test_columns_that_add_up_climb_further(self):
+        # 33 -> 65 rings change the translated bump's largest column by
+        # 3.1e-10, below LEVEL_TOL, but the bound on Phi over its 185 live
+        # columns by 3.5e-9: it stops at 129 rings
+        potential = LogPotential(TRANSLATED_BUMP, 2.0, resolution=weights.POTENTIAL_RESOLUTION)
+        assert potential.rings == (65, 129)
+        assert potential.level_change <= greens.LEVEL_TOL
+
+    def test_modes_and_columns_from_every_ring(self):
+        # the finer levels' rings add live columns to the first level's 185
+        potential = LogPotential(TRANSLATED_BUMP, 2.0, resolution=256)
+        with fixed_rings():
+            first = LogPotential(TRANSLATED_BUMP, 2.0, resolution=33)
+            fixed = LogPotential(TRANSLATED_BUMP, 2.0, resolution=129)
+        assert potential.n_columns == 187 > first.n_columns
+        assert potential._columns.tolist() == fixed._columns.tolist()
+        assert (potential.n_theta, potential.n_modes) == (fixed.n_theta, fixed.n_modes)
+
+    def test_new_rings_that_need_more_angles(self):
+        # psi = g + Re(z^12) (1 - s)^2 sin^2(32 phi) on s <= 1, phi the ring
+        # angle of s: radial at the 33 rings of [0, 1], where sin(32 phi)
+        # vanishes, so the first level takes 32 angles and one mode; at 65
+        # rings mode 12 lies in the top half of 32 angles, and the tail rule
+        # runs again on every ring; 129 rings interpolate psi_12 exactly
+        def f(z):
+            z = np.asarray(z, dtype=complex)
+            s = np.abs(z)
+            phi = np.arccos(np.clip(1.0 - 2.0 * s, -1.0, 1.0))
+            wave = np.real(z ** 12) * (1.0 - s) ** 2 * np.sin(32.0 * phi) ** 2
+            return cutoff_g(z) + np.where(s <= 1.0, wave, 0.0)
+
+        psi = ScalarField(f)
+        with fixed_rings():
+            first = LogPotential(psi, 2.0, resolution=33)
+            expected = LogPotential(psi, 2.0, resolution=1025)
+        assert (first.n_theta, first.n_modes) == (32, 1)
+        potential = LogPotential(psi, 2.0, resolution=513)
+        assert potential.rings == (129, 257)
+        assert (potential.n_theta, potential.n_modes) == (64, 13)
+        assert potential._columns.tolist() == [0, 24]
+        zs = np.concatenate([random_disk_points(200, 3.0, seed=3), [0.0, 0.7, 0.5j]])
+        assert np.max(np.abs(potential(zs) - expected(zs))) <= 1e-13 * np.max(np.abs(expected(zs)))
+
+    @pytest.mark.parametrize("name", sorted([*LADDER_DENSITIES, "translated_bump"]))
     def test_within_rounding_of_1025_rings(self, name):
-        psi = LADDER_DENSITIES[name]
+        psi = {**LADDER_DENSITIES, "translated_bump": TRANSLATED_BUMP}[name]
         zs = np.append(weights.stencil_points(random_disk_points(200, 0.98, 1), 1e-2), 0.0)
         with fixed_rings():
             expected = LogPotential(psi, 2.0, resolution=1025)(zs)
@@ -647,13 +695,11 @@ class TestLiveColumns:
 
 
 class TestPhiAtOrigin:
-    """Phi(0) from the circle means, against the whole potential on 256 rings
-    per piece."""
+    """Phi(0) from the circle means, against the whole potential at resolution 256."""
 
     @staticmethod
     def whole(w):
-        with fixed_rings():
-            return make_psi(w, resolution=256)(0.0 + 0.0j)
+        return make_psi(w, resolution=256)(0.0 + 0.0j)
 
     def test_every_family_is_listed(self):
         assert set(FAMILY_EXAMPLES) == set(weights._FAMILIES)
